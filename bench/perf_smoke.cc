@@ -6,7 +6,8 @@
 //                       with simulation-shaped timestamps, single thread.
 //   matrix_serial_sec / matrix_parallel_sec — wall-clock of a 4-cell
 //                       VolanoMark matrix at jobs=1 vs jobs=BenchJobs();
-//                       the speedup column only moves on multi-core hosts.
+//                       the speedup column only moves on multi-core hosts
+//                       (host_cpus records how many the run had).
 //
 //   usage: perf_smoke [churn_events] [rooms]
 
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "bench/experiment_util.h"
@@ -172,6 +174,7 @@ int main(int argc, char** argv) {
                "  \"max_heap_depth\": %llu,\n"
                "  \"matrix_cells\": %zu,\n"
                "  \"matrix_jobs\": %d,\n"
+               "  \"host_cpus\": %u,\n"
                "  \"matrix_serial_sec\": %.3f,\n"
                "  \"matrix_parallel_sec\": %.3f,\n"
                "  \"matrix_speedup\": %.3f,\n"
@@ -191,7 +194,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(churn_stats.callback_heap_allocs),
                static_cast<unsigned long long>(churn_stats.slot_allocs),
                static_cast<unsigned long long>(churn_stats.max_heap_depth),
-               cells.size(), jobs, serial_sec, parallel_sec,
+               cells.size(), jobs, std::thread::hardware_concurrency(), serial_sec, parallel_sec,
                serial_sec / parallel_sec,
                static_cast<unsigned long long>(matrix_tasks),
                tasks_per_wall_sec,

@@ -103,6 +103,8 @@ if [[ ! -f "${baseline}" ]]; then
   exit 0
 fi
 
+# Wall-clock numbers only compare across runs on the same CPU budget.
+echo "  host_cpus: baseline $(json_field "${baseline}" host_cpus) -> $(json_field build/BENCH_perf_smoke.json host_cpus)"
 status=0
 compare() {
   # compare <key> <higher_is_better:1|0>

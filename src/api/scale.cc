@@ -14,6 +14,7 @@
 
 #include "src/base/assert.h"
 #include "src/base/atomic_file.h"
+#include "src/base/fnv.h"
 #include "src/base/string_util.h"
 #include "src/base/watchdog.h"
 #include "src/faults/kill_point.h"
@@ -44,17 +45,6 @@ constexpr int kAckRoom = -2;
 // ids are strictly larger than anything its dead incarnation sent, so the
 // receiver's gap-jump handles the incarnation switch like any other loss.
 constexpr int kIncarnationShift = 48;
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvFold(uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 struct ScaleNode;
 
@@ -584,7 +574,7 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
   run.rooms = static_cast<uint64_t>(config.rooms);
   run.connections = config.connections();
   run.fault_model = armed;
-  run.digest = kFnvOffset;
+  run.digest = kFnv1aOffset;
 
   FabricRouter router(num_nodes, window, latency);
   if (armed) {
@@ -701,14 +691,14 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
       run.chat_messages_lost += node->chat_messages_lost;
       run.crash_inflight_dropped += node->crash_inflight_dropped;
       MergeRunStats(&run.stats, node_stats);
-      run.digest = FnvFold(
-          run.digest,
+      run.digest = Fnv1a64(
           StrFormat("n%d@%s|", node->index, tag) + RunStatsDigest(node_stats) +
               StrFormat("|fed:%llu,%llu,%llu,%llu;",
                         static_cast<unsigned long long>(node->beacons_sent),
                         static_cast<unsigned long long>(node->beacons_received),
                         static_cast<unsigned long long>(node->inbox_overflows),
-                        static_cast<unsigned long long>(node->late_writes)));
+                        static_cast<unsigned long long>(node->late_writes)),
+          run.digest);
       nodes[n].reset();
       --live;
     }
@@ -982,7 +972,7 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
     fresh.rooms = static_cast<uint64_t>(config.rooms);
     fresh.connections = config.connections();
     fresh.fault_model = armed;
-    fresh.digest = kFnvOffset;
+    fresh.digest = kFnv1aOffset;
     run = fresh;
     router.ImportState(virgin_router);
     live = num_nodes;
@@ -1273,7 +1263,7 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
             static_cast<unsigned long long>(node->chat_messages_lost),
             static_cast<unsigned long long>(node->crash_inflight_dropped));
       }
-      run.digest = FnvFold(run.digest, record);
+      run.digest = Fnv1a64(record, run.digest);
       nodes[n].reset();
       --live;
     }
@@ -1336,8 +1326,7 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
   run.goodput = federation_sec > 0
                     ? static_cast<double>(run.messages_delivered) / federation_sec
                     : 0.0;
-  run.digest = FnvFold(
-      run.digest,
+  run.digest = Fnv1a64(
       StrFormat("windows:%llu|fabric:%llu,%llu,%llu,%llu|peaks:%llu,%llu,%llu,%llu",
                 static_cast<unsigned long long>(run.windows),
                 static_cast<unsigned long long>(run.fabric.emitted),
@@ -1347,10 +1336,10 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
                 static_cast<unsigned long long>(run.peak_live_tasks),
                 static_cast<unsigned long long>(run.peak_live_nodes),
                 static_cast<unsigned long long>(run.peak_task_arena_bytes),
-                static_cast<unsigned long long>(run.peak_live_sockets)));
+                static_cast<unsigned long long>(run.peak_live_sockets)),
+      run.digest);
   if (run.fault_model) {
-    run.digest = FnvFold(
-        run.digest,
+    run.digest = Fnv1a64(
         StrFormat("|chaos:%llu,%llu,%llu,%llu,%llu,%llu,%llu|drops:%llu,%llu,%llu,%llu,%llu",
                   static_cast<unsigned long long>(run.node_crashes),
                   static_cast<unsigned long long>(run.node_restarts),
@@ -1363,7 +1352,8 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
                   static_cast<unsigned long long>(run.fabric.dropped_partition),
                   static_cast<unsigned long long>(run.fabric.dropped_crashed),
                   static_cast<unsigned long long>(run.fabric.dropped_lane_overflow),
-                  static_cast<unsigned long long>(run.fabric.duplicated)));
+                  static_cast<unsigned long long>(run.fabric.duplicated)),
+        run.digest);
   }
   if (ckpt.armed() && live == 0 && !run.stats.failed) {
     // Clean completion: stale segments must never resurrect a finished

@@ -9,24 +9,13 @@
 
 #include "src/api/scale.h"
 #include "src/base/atomic_file.h"
+#include "src/base/fnv.h"
 #include "src/base/string_util.h"
 #include "src/harness/journal.h"
 
 namespace elsc {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t Fnv64(const char* data, size_t size) {
-  uint64_t h = kFnvOffset;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 void AppendU64(std::string* out, uint64_t v) {
   *out += StrFormat("%llu ", static_cast<unsigned long long>(v));
@@ -201,7 +190,7 @@ uint64_t ScaleConfigFingerprint(const ScaleConfig& c) {
   AppendU64(&enc, c.retransmit_buffer);
   AppendU64(&enc, c.recovery_gap_span);
   AppendU64(&enc, c.fabric_lane_capacity);
-  return Fnv64(enc.data(), enc.size());
+  return Fnv1a64(enc);
 }
 
 ScaleCheckpointOptions ScaleCheckpointOptions::FromEnv() {
@@ -335,7 +324,7 @@ std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
   }
 
   out += StrFormat("end %016llx\n",
-                   static_cast<unsigned long long>(Fnv64(out.data(), out.size())));
+                   static_cast<unsigned long long>(Fnv1a64(out)));
   return out;
 }
 
@@ -546,7 +535,7 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
       if (!tr.Hex64(&sum) || !tr.Done()) {
         return fail("bad end record");
       }
-      if (Fnv64(contents.data(), line_start) != sum) {
+      if (Fnv1a64(std::string_view(contents).substr(0, line_start)) != sum) {
         return fail("checksum mismatch (torn or bit-flipped segment)");
       }
       saw_end = true;

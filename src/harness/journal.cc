@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/base/atomic_file.h"
+#include "src/base/fnv.h"
 
 namespace elsc {
 
@@ -42,14 +43,7 @@ bool JournalUnescape(const std::string& escaped, std::string* raw) {
   return true;
 }
 
-uint64_t RunJournal::Fingerprint(const std::string& data) {
-  uint64_t h = 14695981039346656037ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+uint64_t RunJournal::Fingerprint(const std::string& data) { return Fnv1a64(data); }
 
 bool RunJournal::Open(const std::string& path, uint64_t matrix_id, size_t cells) {
   entries_.clear();

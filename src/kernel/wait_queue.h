@@ -9,7 +9,6 @@
 #define SRC_KERNEL_WAIT_QUEUE_H_
 
 #include <cstddef>
-#include <string>
 
 #include "src/base/intrusive_list.h"
 #include "src/kernel/task.h"
@@ -26,14 +25,11 @@ class Waker {
 
 class WaitQueue {
  public:
-  explicit WaitQueue(std::string name = "") : name_(std::move(name)) {
-    InitListHead(&head_);
-  }
+  WaitQueue() { InitListHead(&head_); }
 
   WaitQueue(const WaitQueue&) = delete;
   WaitQueue& operator=(const WaitQueue&) = delete;
 
-  const std::string& name() const { return name_; }
   bool Empty() const { return ListEmpty(&head_); }
   size_t Size() const { return ListLength(&head_); }
 
@@ -56,7 +52,6 @@ class WaitQueue {
 
  private:
   ListHead head_;
-  std::string name_;
 };
 
 }  // namespace elsc

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/base/assert.h"
+
 namespace elsc {
 
 const char* SockStatusName(SockStatus status) {
@@ -20,6 +22,12 @@ const char* SockStatusName(SockStatus status) {
   return "unknown";
 }
 
+SimSocket::SimSocket(std::string name, size_t capacity)
+    : name_(std::move(name)), capacity_(capacity) {
+  ELSC_CHECK(capacity >= 1);
+  ring_ = std::make_unique<Message[]>(capacity);
+}
+
 SockStatus SimSocket::TryWriteMsg(Waker& waker, const Message& msg) {
   switch (state_) {
     case SocketState::kClosed:
@@ -36,9 +44,14 @@ SockStatus SimSocket::TryWriteMsg(Waker& waker, const Message& msg) {
     ++stats_.write_blocks;
     return SockStatus::kWouldBlock;
   }
-  queue_.push_back(msg);
+  size_t tail = head_ + size_;
+  if (tail >= capacity_) {
+    tail -= capacity_;
+  }
+  ring_[tail] = msg;
+  ++size_;
   ++stats_.writes;
-  stats_.max_depth = std::max<uint64_t>(stats_.max_depth, queue_.size());
+  stats_.max_depth = std::max<uint64_t>(stats_.max_depth, size_);
   read_wait_.WakeOne(waker);
   return SockStatus::kOk;
 }
@@ -58,8 +71,11 @@ SockStatus SimSocket::TryReadMsg(Waker& waker, Message* out) {
     ++stats_.read_eofs;
     return SockStatus::kEof;
   }
-  *out = queue_.front();
-  queue_.pop_front();
+  *out = ring_[head_];
+  if (++head_ == capacity_) {
+    head_ = 0;
+  }
+  --size_;
   ++stats_.reads;
   write_wait_.WakeOne(waker);
   return SockStatus::kOk;
@@ -84,8 +100,7 @@ void SimSocket::ResetByPeer(Waker& waker) {
     // state nobody owns.
     return;
   }
-  stats_.discarded += queue_.size();
-  queue_.clear();
+  DiscardQueued();
   state_ = SocketState::kReset;
   ++stats_.peer_resets;
   WakeAllSleepers(waker);
@@ -103,11 +118,10 @@ void SimSocket::HalfOpenPeer(Waker& waker) {
 }
 
 void SimSocket::Reopen(Waker& waker) {
-  if (state_ == SocketState::kOpen && queue_.empty()) {
+  if (state_ == SocketState::kOpen && size_ == 0) {
     return;
   }
-  stats_.discarded += queue_.size();
-  queue_.clear();
+  DiscardQueued();
   state_ = SocketState::kOpen;
   ++stats_.reopens;
   WakeAllSleepers(waker);

@@ -2,7 +2,8 @@
 //
 // A SimSocket is a bounded FIFO of messages with blocking semantics built on
 // wait queues: readers block when the queue is empty, writers when it is
-// full. VolanoMark's loopback-mode connections (paper §4/§6) are modeled as
+// full. Storage is a ring allocated once, at construction, at exactly
+// `capacity` entries; no read, write or lifecycle transition allocates. VolanoMark's loopback-mode connections (paper §4/§6) are modeled as
 // pairs of these — the benchmark's defining property is that every message
 // exchange forces task blocking and wake-ups through the scheduler, and that
 // is exactly what these queues produce.
@@ -35,7 +36,7 @@
 #define SRC_NET_SOCKET_H_
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -99,20 +100,18 @@ struct SocketStats {
 
 class SimSocket {
  public:
-  explicit SimSocket(std::string name, size_t capacity)
-      : name_(std::move(name)),
-        capacity_(capacity),
-        read_wait_(name_ + ":read"),
-        write_wait_(name_ + ":write") {}
+  // `capacity` >= 1 is fixed for the socket's life; throttling only lowers
+  // the effective capacity.
+  explicit SimSocket(std::string name, size_t capacity);
 
   SimSocket(const SimSocket&) = delete;
   SimSocket& operator=(const SimSocket&) = delete;
 
   const std::string& name() const { return name_; }
   size_t capacity() const { return capacity_; }
-  size_t depth() const { return queue_.size(); }
-  bool CanRead() const { return !queue_.empty(); }
-  bool CanWrite() const { return queue_.size() < EffectiveCapacity(); }
+  size_t depth() const { return size_; }
+  bool CanRead() const { return size_ != 0; }
+  bool CanWrite() const { return size_ < EffectiveCapacity(); }
 
   SocketState state() const { return state_; }
   bool open() const { return state_ == SocketState::kOpen; }
@@ -202,10 +201,20 @@ class SimSocket {
     read_wait_.WakeAll(waker);
     write_wait_.WakeAll(waker);
   }
+  // Drops every queued message, counting it as discarded.
+  void DiscardQueued() {
+    stats_.discarded += size_;
+    head_ = 0;
+    size_ = 0;
+  }
 
   std::string name_;
   size_t capacity_;
-  std::deque<Message> queue_;
+  // FIFO ring: the oldest message is ring_[head_], size_ messages follow it
+  // (wrapping at capacity_).
+  std::unique_ptr<Message[]> ring_;
+  size_t head_ = 0;
+  size_t size_ = 0;
   WaitQueue read_wait_;
   WaitQueue write_wait_;
   Cycles rcv_timeout_ = 0;

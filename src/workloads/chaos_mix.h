@@ -66,7 +66,7 @@ class ChaosMixWorkload {
   Machine& machine_;
   ChaosMixConfig config_;
   Rng rng_;
-  WaitQueue queue_{"chaos-mix"};
+  WaitQueue queue_;
   std::vector<std::unique_ptr<TaskBehavior>> behaviors_;
   struct WaiterSlot {
     const class WaiterBehavior* behavior;

@@ -594,14 +594,14 @@ void VolanoWorkload::Setup() {
   server_mm_ = machine_.CreateMm();
   client_mm_ = machine_.CreateMm();
   accept_queue_ = std::make_unique<SimSocket>("server.accept", 4);
-  start_barrier_ = std::make_unique<WaitQueue>("volano.start");
+  start_barrier_ = std::make_unique<WaitQueue>();
 
   const int total_users = config_.rooms * config_.users_per_room;
   room_delivered_.assign(static_cast<size_t>(config_.rooms), 0);
   rooms_.reserve(static_cast<size_t>(config_.rooms));
   for (int room = 0; room < config_.rooms; ++room) {
     auto state = std::make_unique<RoomState>();
-    state->lock_wait = std::make_unique<WaitQueue>(StrFormat("room%d.monitor", room));
+    state->lock_wait = std::make_unique<WaitQueue>();
     rooms_.push_back(std::move(state));
   }
   connections_.reserve(static_cast<size_t>(total_users));

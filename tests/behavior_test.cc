@@ -105,7 +105,7 @@ TEST(MicroBehaviorTest, FixedWorkFinishes) {
 
 TEST(MicroBehaviorTest, WaiterExitsAfterConfiguredWakes) {
   Machine machine(MachineConfig{});
-  WaitQueue wq("w");
+  WaitQueue wq;
   WaiterBehavior waiter(&wq, 3);
   TaskParams params;
   params.behavior = &waiter;

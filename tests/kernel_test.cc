@@ -150,7 +150,7 @@ class RecordingWaker : public Waker {
 };
 
 TEST(WaitQueueTest, FifoWakeOrder) {
-  WaitQueue wq("test");
+  WaitQueue wq;
   Task a, b, c;
   wq.Enqueue(&a);
   wq.Enqueue(&b);
@@ -189,13 +189,19 @@ TEST(WaitQueueTest, RemoveSpecificTask) {
 }
 
 TEST(WaitQueueTest, TracksWaitingOn) {
-  WaitQueue wq("named");
+  WaitQueue wq;
+  WaitQueue other;
   Task a;
+  Task b;
   wq.Enqueue(&a);
+  other.Enqueue(&b);
   EXPECT_EQ(a.waiting_on, &wq);
-  EXPECT_EQ(wq.name(), "named");
-  wq.DequeueOne();
+  EXPECT_EQ(b.waiting_on, &other);
+  EXPECT_EQ(wq.DequeueOne(), &a);
   EXPECT_EQ(a.waiting_on, nullptr);
+  EXPECT_EQ(b.waiting_on, &other);  // A sleeper on another queue is untouched.
+  other.DequeueOne();
+  EXPECT_EQ(b.waiting_on, nullptr);
 }
 
 }  // namespace

@@ -81,7 +81,7 @@ TEST_P(MachineTest, TwoSpinnersShareOneCpuFairly) {
 
 TEST_P(MachineTest, BlockedTaskWakesFromWaitQueue) {
   Machine machine(UpConfig(GetParam()));
-  WaitQueue wq("test");
+  WaitQueue wq;
   WaiterBehavior waiter(&wq, 1);
   TaskParams params;
   params.name = "waiter";
@@ -152,7 +152,7 @@ TEST_P(MachineTest, HigherGoodnessWakePreemptsRunningTask) {
   params.initial_counter = 2;
   Task* hog_task = machine.CreateTask(params);
 
-  WaitQueue wq("wake");
+  WaitQueue wq;
   WaiterBehavior waiter(&wq, 1);
   params.behavior = &waiter;
   params.name = "waiter";

@@ -99,7 +99,7 @@ TEST_P(RealtimeTest, HigherRtPriorityPreemptsOnWake) {
   params.behavior = &low_work;
   Task* low = machine.CreateTask(params);
 
-  WaitQueue wq("rt-wake");
+  WaitQueue wq;
   WaiterBehavior waiter(&wq, 1);
   params.rt_priority = 90;
   params.name = "rt-high";
@@ -129,7 +129,7 @@ TEST_P(RealtimeTest, IdleSmpCpuPicksUpWokenRealtimeTask) {
   params.behavior = &hog;
   machine.CreateTask(params);
 
-  WaitQueue wq("rt");
+  WaitQueue wq;
   WaiterBehavior waiter(&wq, 1, MsToCycles(20));
   params.name = "rt";
   params.policy = kSchedFifo;

@@ -1,20 +1,55 @@
-// Tests for the simulated loopback sockets: FIFO order, capacity, stats, and
-// full blocking round trips through the Machine (including the lost-wakeup
-// regression the still_blocked predicate guards against).
+// Tests for the simulated loopback sockets: FIFO order, capacity, stats, the
+// ring storage (against a std::deque reference model, and its allocation
+// count), and full blocking round trips through the Machine (including the
+// lost-wakeup regression the still_blocked predicate guards against).
 
 #include "src/net/socket.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <deque>
 #include <memory>
+#include <new>
+#include <string>
 #include <vector>
 
+#include "src/base/rng.h"
+#include "src/base/string_util.h"
 #include "src/net/backoff.h"
 #include "src/net/socket_ops.h"
 #include "src/smp/machine.h"
 
+// Counts every global operator new and new[] in this test binary, so the
+// allocation tests below can assert exact counts. Each test file links into
+// its own executable, so the replacement affects no other test. The array
+// forms are replaced too: a sanitizer runtime's own new[] would bypass the
+// count.
+namespace {
+std::atomic<uint64_t> g_heap_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never sees free() applied to a pointer it
+// watched operator new return (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t /*size*/) noexcept { ::operator delete(p); }
+
 namespace elsc {
 namespace {
+
+uint64_t HeapAllocations() { return g_heap_allocations.load(std::memory_order_relaxed); }
 
 class NullWaker : public Waker {
  public:
@@ -62,6 +97,241 @@ TEST(SimSocketTest, StatsTrackOperations) {
   EXPECT_EQ(sock.stats().reads, 1u);
   EXPECT_EQ(sock.stats().read_blocks, 1u);
   EXPECT_EQ(sock.stats().max_depth, 1u);
+}
+
+TEST(SimSocketTest, RejectsZeroCapacity) {
+  EXPECT_DEATH(SimSocket("zero", 0), "capacity >= 1");
+}
+
+// ---------------------------------------------------------------------------
+// Ring storage: differential test against a std::deque reference model, and
+// the allocation budget the ring exists for.
+// ---------------------------------------------------------------------------
+
+// The socket's queue semantics restated on a std::deque: what the ring must
+// reproduce operation for operation.
+class ReferenceSocket {
+ public:
+  explicit ReferenceSocket(size_t capacity) : capacity_(capacity) {}
+
+  SockStatus Write(const Message& msg) {
+    if (state_ == SocketState::kClosed) {
+      return SockStatus::kClosed;
+    }
+    if (state_ == SocketState::kReset) {
+      return SockStatus::kReset;
+    }
+    const size_t effective = throttled_ && capacity_ > 1 ? 1 : capacity_;
+    if (queue_.size() >= effective) {
+      return SockStatus::kWouldBlock;
+    }
+    queue_.push_back(msg);
+    ++writes;
+    max_depth = std::max<uint64_t>(max_depth, queue_.size());
+    return SockStatus::kOk;
+  }
+  SockStatus Read(Message* out) {
+    if (state_ == SocketState::kReset) {
+      return SockStatus::kReset;
+    }
+    if (queue_.empty()) {
+      return state_ == SocketState::kOpen ? SockStatus::kWouldBlock : SockStatus::kEof;
+    }
+    *out = queue_.front();
+    queue_.pop_front();
+    ++reads;
+    return SockStatus::kOk;
+  }
+  void Close() { state_ = SocketState::kClosed; }
+  void ResetByPeer() {
+    if (state_ != SocketState::kReset && state_ != SocketState::kClosed) {
+      Discard();
+      state_ = SocketState::kReset;
+    }
+  }
+  void HalfOpenPeer() {
+    if (state_ == SocketState::kOpen) {
+      state_ = SocketState::kHalfOpen;
+    }
+  }
+  void Reopen() {
+    if (state_ != SocketState::kOpen || !queue_.empty()) {
+      Discard();
+      state_ = SocketState::kOpen;
+    }
+  }
+  void SetThrottled(bool throttled) { throttled_ = throttled; }
+
+  size_t depth() const { return queue_.size(); }
+  SocketState state() const { return state_; }
+
+  uint64_t writes = 0;
+  uint64_t reads = 0;
+  uint64_t max_depth = 0;
+  uint64_t discarded = 0;
+
+ private:
+  void Discard() {
+    discarded += queue_.size();
+    queue_.clear();
+  }
+
+  size_t capacity_;
+  std::deque<Message> queue_;
+  SocketState state_ = SocketState::kOpen;
+  bool throttled_ = false;
+};
+
+// Runs `steps` seeded random operations on a SimSocket and the reference
+// model side by side. Returns "" when they agree after every operation, else
+// a one-line repro naming the capacity, seed, step, operation and mismatch.
+std::string RunRingDifferential(size_t capacity, uint64_t seed, int steps) {
+  static const char* const kOps[] = {"write", "read", "close", "reset",
+                                     "half_open", "reopen", "throttle"};
+  NullWaker waker;
+  SimSocket sock("diff", capacity);
+  ReferenceSocket ref(capacity);
+  Rng rng(seed);
+  uint64_t write_bias = 50;  // Percent of queue ops that write; re-drawn in phases.
+  uint64_t next_id = 1;
+  for (int step = 0; step < steps; ++step) {
+    if (step % 64 == 0) {
+      // Long fill and drain phases, so deep rings reach full and wrap.
+      write_bias = 10 + 20 * rng.NextBelow(5);
+    }
+    const uint64_t roll = rng.NextBelow(100);
+    int op = 0;
+    if (roll < 94) {
+      op = rng.NextBelow(100) < write_bias ? 0 : 1;
+    } else {
+      op = 2 + static_cast<int>(rng.NextBelow(5));
+    }
+    std::string mismatch;
+    switch (op) {
+      case 0: {
+        Message msg;
+        msg.id = next_id++;
+        msg.payload = rng.Next();
+        const SockStatus got = sock.TryWriteMsg(waker, msg);
+        const SockStatus want = ref.Write(msg);
+        if (got != want) {
+          mismatch = StrFormat("status %s != reference %s", SockStatusName(got),
+                               SockStatusName(want));
+        }
+        break;
+      }
+      case 1: {
+        Message got_msg;
+        Message want_msg;
+        const SockStatus got = sock.TryReadMsg(waker, &got_msg);
+        const SockStatus want = ref.Read(&want_msg);
+        if (got != want) {
+          mismatch = StrFormat("status %s != reference %s", SockStatusName(got),
+                               SockStatusName(want));
+        } else if (got == SockStatus::kOk &&
+                   (got_msg.id != want_msg.id || got_msg.payload != want_msg.payload)) {
+          mismatch = StrFormat("read message %llu != reference %llu",
+                               static_cast<unsigned long long>(got_msg.id),
+                               static_cast<unsigned long long>(want_msg.id));
+        }
+        break;
+      }
+      case 2:
+        sock.Close(waker);
+        ref.Close();
+        break;
+      case 3:
+        sock.ResetByPeer(waker);
+        ref.ResetByPeer();
+        break;
+      case 4:
+        sock.HalfOpenPeer(waker);
+        ref.HalfOpenPeer();
+        break;
+      case 5:
+        sock.Reopen(waker);
+        ref.Reopen();
+        break;
+      case 6: {
+        const bool throttled = !sock.throttled();
+        sock.SetThrottled(waker, throttled);
+        ref.SetThrottled(throttled);
+        break;
+      }
+    }
+    const SocketStats& st = sock.stats();
+    if (mismatch.empty() && sock.depth() != ref.depth()) {
+      mismatch = StrFormat("depth %zu != reference %zu", sock.depth(), ref.depth());
+    }
+    if (mismatch.empty() && sock.state() != ref.state()) {
+      mismatch = "state differs from reference";
+    }
+    if (mismatch.empty() && (st.writes != ref.writes || st.reads != ref.reads ||
+                             st.max_depth != ref.max_depth || st.discarded != ref.discarded)) {
+      mismatch = StrFormat(
+          "stats writes/reads/max_depth/discarded %llu/%llu/%llu/%llu != reference "
+          "%llu/%llu/%llu/%llu",
+          static_cast<unsigned long long>(st.writes), static_cast<unsigned long long>(st.reads),
+          static_cast<unsigned long long>(st.max_depth),
+          static_cast<unsigned long long>(st.discarded),
+          static_cast<unsigned long long>(ref.writes), static_cast<unsigned long long>(ref.reads),
+          static_cast<unsigned long long>(ref.max_depth),
+          static_cast<unsigned long long>(ref.discarded));
+    }
+    if (!mismatch.empty()) {
+      return StrFormat("repro: RunRingDifferential(capacity=%zu, seed=%llu) step %d op %s: %s",
+                       capacity, static_cast<unsigned long long>(seed), step, kOps[op],
+                       mismatch.c_str());
+    }
+  }
+  return "";
+}
+
+TEST(SocketRingTest, MatchesDequeReferenceModel) {
+  for (const size_t capacity : {1, 2, 3, 4, 64, 128}) {
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      const std::string failure = RunRingDifferential(capacity, seed, 2000);
+      ASSERT_EQ(failure, "");
+    }
+  }
+}
+
+TEST(SocketRingTest, ConstructionAllocatesOnlyTheRing) {
+  // Names of up to 15 characters live in std::string's inline buffer (the
+  // Volano names such as "r123.u12.outq" do), so the ring is the only block.
+  for (const char* name : {"r123.u12.outq", "fifteen.chars.x"}) {
+    ASSERT_LE(std::strlen(name), 15u);
+    const uint64_t before = HeapAllocations();
+    SimSocket sock(name, 4);
+    const uint64_t allocations = HeapAllocations() - before;
+    EXPECT_EQ(allocations, 1u) << name;
+  }
+}
+
+TEST(SocketRingTest, RoundTripsAndTransitionsNeverAllocate) {
+  NullWaker waker;
+  SimSocket sock("wrap", 3);
+  Message msg;
+  Message out;
+  int failures = 0;
+  const uint64_t before = HeapAllocations();
+  // Keep two messages queued while cycling ten more through a 3-slot ring:
+  // head and tail wrap several times.
+  for (uint64_t i = 0; i < 12; ++i) {
+    msg.id = i;
+    failures += sock.TryWriteMsg(waker, msg) != SockStatus::kOk;
+    if (i >= 2) {
+      failures += sock.TryReadMsg(waker, &out) != SockStatus::kOk || out.id != i - 2;
+    }
+  }
+  sock.ResetByPeer(waker);
+  sock.Reopen(waker);
+  failures += sock.TryWriteMsg(waker, msg) != SockStatus::kOk;
+  sock.Close(waker);
+  failures += sock.TryReadMsg(waker, &out) != SockStatus::kOk;
+  const uint64_t allocations = HeapAllocations() - before;
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(allocations, 0u);
 }
 
 // A producer writing N messages and a consumer reading them, with a socket

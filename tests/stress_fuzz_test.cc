@@ -107,7 +107,7 @@ TEST_P(StressFuzzTest, ChaoticMixSurvivesAndCompletes) {
           5 + rng.NextBelow(40)));
     } else if (flavor < 8) {
       // A waiter woken by an engine timer a few ms in.
-      queues.push_back(std::make_unique<WaitQueue>("fuzz-wq"));
+      queues.push_back(std::make_unique<WaitQueue>());
       WaitQueue* wq = queues.back().get();
       behaviors.push_back(std::make_unique<WaiterBehavior>(wq, 1 + rng.NextBelow(3)));
       const int wakes = static_cast<int>(1 + rng.NextBelow(4));

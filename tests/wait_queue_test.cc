@@ -21,7 +21,7 @@ struct RecordingWaker : public Waker {
 };
 
 TEST(WaitQueueTest, WakeOneIsFifo) {
-  WaitQueue queue("q");
+  WaitQueue queue;
   RecordingWaker waker;
   Task a, b, c;
   queue.Enqueue(&a);
@@ -40,7 +40,7 @@ TEST(WaitQueueTest, WakeOneIsFifo) {
 }
 
 TEST(WaitQueueTest, WakeAllWakesEveryoneInOrder) {
-  WaitQueue queue("q");
+  WaitQueue queue;
   RecordingWaker waker;
   Task a, b;
   queue.Enqueue(&a);
@@ -51,7 +51,7 @@ TEST(WaitQueueTest, WakeAllWakesEveryoneInOrder) {
 }
 
 TEST(WaitQueueTest, RemoveUnlinksFromTheMiddle) {
-  WaitQueue queue("q");
+  WaitQueue queue;
   RecordingWaker waker;
   Task a, b, c;
   queue.Enqueue(&a);
@@ -64,8 +64,8 @@ TEST(WaitQueueTest, RemoveUnlinksFromTheMiddle) {
 }
 
 TEST(WaitQueueTest, DoubleEnqueueIsARecoverableViolation) {
-  WaitQueue queue("q");
-  WaitQueue other("other");
+  WaitQueue queue;
+  WaitQueue other;
   Task a;
   queue.Enqueue(&a);
   ViolationTrap trap;
@@ -76,8 +76,8 @@ TEST(WaitQueueTest, DoubleEnqueueIsARecoverableViolation) {
 }
 
 TEST(WaitQueueTest, RemoveFromWrongQueueIsARecoverableViolation) {
-  WaitQueue queue("q");
-  WaitQueue other("other");
+  WaitQueue queue;
+  WaitQueue other;
   Task a;
   queue.Enqueue(&a);
   ViolationTrap trap;
@@ -117,7 +117,7 @@ TEST(MachineWakePathTest, SpuriousWakeWhileBlockedRetiresTheWaiterEarly) {
   MachineConfig config;
   config.check_invariants = true;
   Machine machine(config);
-  WaitQueue queue("wq");
+  WaitQueue queue;
   WaiterBehavior waiter(&queue, /*wakes_before_exit=*/1);
   TaskParams params;
   params.name = "waiter";
@@ -169,7 +169,7 @@ TEST(MachineWakePathTest, PendingWakeForDeadSleeperIsTolerated) {
   MachineConfig config;
   config.check_invariants = true;
   Machine machine(config);
-  WaitQueue queue("wq");
+  WaitQueue queue;
   WaiterBehavior waiter(&queue, /*wakes_before_exit=*/1);
   TaskParams params;
   params.name = "waiter";
