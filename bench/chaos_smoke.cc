@@ -11,7 +11,6 @@
 //
 //   usage: chaos_smoke [seed]
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -21,12 +20,6 @@
 #include "bench/experiment_util.h"
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct ChaosCell {
   elsc::KernelConfig kernel;
@@ -51,7 +44,7 @@ int main(int argc, char** argv) {
     cells.push_back({elsc::KernelConfig::kSmp4, kind});
   }
 
-  const double start = NowSec();
+  const double start = elsc::NowSec();
   const std::vector<elsc::ChaosMixRun> runs = elsc::RunBenchMatrix(
       "chaos_smoke", cells.size(),
       [&](size_t i) {
@@ -71,7 +64,7 @@ int main(int argc, char** argv) {
             mix, elsc::SecToCycles(120), chaos);
       },
       elsc::BenchJobs());
-  const double elapsed = NowSec() - start;
+  const double elapsed = elsc::NowSec() - start;
 
   std::printf("%-4s %-12s %8s %8s %6s %6s %6s %6s %6s %6s  %s\n", "cfg", "sched",
               "audits", "picks", "consv", "cntr", "struct", "table", "order",

@@ -1,6 +1,7 @@
 #include "bench/experiment_util.h"
 
 #include <cerrno>  // program_invocation_name (glibc) for repro commands.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -8,6 +9,7 @@
 #include "src/base/string_util.h"
 #include "src/harness/journal.h"
 #include "src/harness/shutdown.h"
+#include "src/sched/factory.h"
 #include "src/stats/proc_report.h"
 
 namespace elsc {
@@ -22,6 +24,24 @@ std::string BenchCommand() {
 #else
   return "<bench binary>";
 #endif
+}
+
+// The comma-separated fields of environment variable `name`, or of
+// `fallback` when it is unset or empty.
+std::vector<std::string> EnvFields(const char* name, const std::string& fallback) {
+  const char* env = std::getenv(name);
+  const std::string spec = env != nullptr && env[0] != '\0' ? env : fallback;
+  std::vector<std::string> fields;
+  size_t pos = 0;
+  while (pos < spec.size()) {
+    size_t comma = spec.find(',', pos);
+    if (comma == std::string::npos) {
+      comma = spec.size();
+    }
+    fields.push_back(spec.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return fields;
 }
 
 }  // namespace
@@ -247,6 +267,42 @@ void MaybeExportCsv(const std::string& name, const TextTable& table) {
   } else {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
   }
+}
+
+double NowSec() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+std::vector<int> IntList(const char* name, const std::string& fallback, int min_value) {
+  std::vector<int> values;
+  for (const std::string& field : EnvFields(name, fallback)) {
+    const int value = std::atoi(field.c_str());
+    if (value >= min_value) {
+      values.push_back(value);
+    }
+  }
+  return values;
+}
+
+std::vector<SchedulerKind> Schedulers(const char* name, const std::string& fallback) {
+  std::vector<SchedulerKind> kinds;
+  for (const std::string& field : EnvFields(name, fallback)) {
+    kinds.push_back(SchedulerKindFromName(field));
+  }
+  return kinds;
+}
+
+int IntEnv(const char* name, int fallback) {
+  const char* env = std::getenv(name);
+  if (env != nullptr && env[0] != '\0') {
+    const int value = std::atoi(env);
+    if (value > 0) {
+      return value;
+    }
+  }
+  return fallback;
 }
 
 void PrintBenchHeader(const std::string& experiment, const std::string& description) {

@@ -105,6 +105,19 @@ void PrintBenchHeader(const std::string& experiment, const std::string& descript
 // <dir>/<name>.csv and prints the path; otherwise does nothing.
 void MaybeExportCsv(const std::string& name, const TextTable& table);
 
+// Host wall-clock seconds on the steady clock, for timing blocks.
+double NowSec();
+
+// Sweep knobs read from the environment; each bench passes its own
+// ELSC_<BENCH>_* name and default spec, used when the variable is unset or
+// empty. Lists are comma-separated.
+//   IntList     the integers >= min_value;
+//   Schedulers  the scheduler names (SchedulerKindFromName);
+//   IntEnv      a positive integer.
+std::vector<int> IntList(const char* name, const std::string& fallback, int min_value = 1);
+std::vector<SchedulerKind> Schedulers(const char* name, const std::string& fallback);
+int IntEnv(const char* name, int fallback);
+
 // ---------------------------------------------------------------------------
 // Supervision plumbing shared by every bench main.
 // ---------------------------------------------------------------------------

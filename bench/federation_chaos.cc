@@ -33,7 +33,6 @@
 // through RunShardedVolano): ELSC_SCALE_CKPT / _EVERY / _KEEP and
 // ELSC_SCALE_INJECT_KILL; see docs/SCALE.md "Checkpoint & recovery".
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -46,59 +45,6 @@
 #include "src/api/scale.h"
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::vector<int> IntList(const char* env_name, const std::string& fallback,
-                         int min_value) {
-  const char* env = std::getenv(env_name);
-  const std::string spec = env != nullptr && env[0] != '\0' ? env : fallback;
-  std::vector<int> values;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const int value = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (value >= min_value) {
-      values.push_back(value);
-    }
-    pos = comma + 1;
-  }
-  return values;
-}
-
-std::vector<elsc::SchedulerKind> Schedulers() {
-  const char* env = std::getenv("ELSC_FED_SCHEDS");
-  const std::string spec = env != nullptr && env[0] != '\0' ? env : "linux,elsc";
-  std::vector<elsc::SchedulerKind> kinds;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    kinds.push_back(elsc::SchedulerKindFromName(spec.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return kinds;
-}
-
-int IntEnv(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && env[0] != '\0') {
-    const int value = std::atoi(env);
-    if (value > 0) {
-      return value;
-    }
-  }
-  return fallback;
-}
 
 // One sweep point: (scheduler, crash-rate-percent, retransmit on/off) — the
 // retransmit=false rows are the control column.
@@ -140,15 +86,16 @@ elsc::ScaleConfig PointConfig(const Point& point, uint64_t seed, int rooms,
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
-  std::vector<int> shard_counts = IntList("ELSC_FED_SHARDS", "1,2,4", 1);
-  std::vector<int> crash_pcts = IntList("ELSC_FED_CRASH", "0,50,100", 0);
+  std::vector<int> shard_counts = elsc::IntList("ELSC_FED_SHARDS", "1,2,4", 1);
+  std::vector<int> crash_pcts = elsc::IntList("ELSC_FED_CRASH", "0,50,100", 0);
   if (shard_counts.empty()) shard_counts = {1};
   if (crash_pcts.empty()) crash_pcts = {0};
-  const std::vector<elsc::SchedulerKind> schedulers = Schedulers();
-  const int rooms = IntEnv("ELSC_FED_ROOMS", 8);
-  const int users = IntEnv("ELSC_FED_USERS", 8);
-  const int msgs = IntEnv("ELSC_FED_MSGS", 16);
-  const int loss_pct = IntEnv("ELSC_FED_LOSS", 10);
+  const std::vector<elsc::SchedulerKind> schedulers =
+      elsc::Schedulers("ELSC_FED_SCHEDS", "linux,elsc");
+  const int rooms = elsc::IntEnv("ELSC_FED_ROOMS", 8);
+  const int users = elsc::IntEnv("ELSC_FED_USERS", 8);
+  const int msgs = elsc::IntEnv("ELSC_FED_MSGS", 16);
+  const int loss_pct = elsc::IntEnv("ELSC_FED_LOSS", 10);
   const char* kernel_env = std::getenv("ELSC_FED_KERNEL");
   const elsc::KernelConfig kernel =
       elsc::KernelConfigFromLabel(kernel_env != nullptr ? kernel_env : "1P");
@@ -178,16 +125,16 @@ int main(int argc, char** argv) {
 
   // Cells run serially: each is itself a multi-threaded scenario, and serial
   // cells keep the per-cell wall-clock measurements honest.
-  const double sweep_start = NowSec();
+  const double sweep_start = elsc::NowSec();
   const std::vector<elsc::ScaleCell> cells = elsc::RunBenchMatrix(
       "federation_chaos", points.size(),
       [&](size_t i) {
         elsc::ScaleCell cell;
         cell.config = PointConfig(points[i], seed, rooms, users, msgs,
                                   loss_pct, kernel);
-        const double start = NowSec();
+        const double start = elsc::NowSec();
         cell.run = elsc::RunShardedVolano(cell.config, points[i].shards);
-        cell.wall_sec = NowSec() - start;
+        cell.wall_sec = elsc::NowSec() - start;
         if (cell.wall_sec > 0.0) {
           cell.tasks_per_wall_sec =
               static_cast<double>(cell.run.stats.machine.tasks_created) /
@@ -198,7 +145,7 @@ int main(int argc, char** argv) {
         return cell;
       },
       /*jobs=*/1);
-  const double sweep_elapsed = NowSec() - sweep_start;
+  const double sweep_elapsed = elsc::NowSec() - sweep_start;
 
   std::printf("%-12s %6s %5s %7s %8s %9s %6s %6s %6s %9s %11s %8s\n", "sched",
               "crash%", "retx", "shards", "crashes", "degraded", "lost",
@@ -215,8 +162,8 @@ int main(int argc, char** argv) {
         points[i].shards, static_cast<unsigned long long>(r.node_crashes),
         static_cast<unsigned long long>(r.windows_degraded),
         static_cast<unsigned long long>(r.deliveries_lost),
-        static_cast<unsigned long long>(r.retransmits),
-        static_cast<unsigned long long>(r.retx_abandoned),
+        static_cast<unsigned long long>(r.fed.retransmits),
+        static_cast<unsigned long long>(r.fed.retx_abandoned),
         static_cast<unsigned long long>(r.messages_delivered), r.goodput,
         ok ? "ok" : "FAIL");
     if (!ok && !r.stats.failure.empty()) {

@@ -23,7 +23,6 @@
 //   ELSC_O1_MSGS     messages per user              (default 10)
 //   ELSC_O1_TIMING   0 -> omit the wall-clock timing block from the JSON
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,59 +34,6 @@
 #include "src/stats/ascii_chart.h"
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::vector<int> IntList(const char* env_name, const std::string& fallback) {
-  const char* env = std::getenv(env_name);
-  const std::string spec = env != nullptr && env[0] != '\0' ? env : fallback;
-  std::vector<int> values;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const int value = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (value > 0) {
-      values.push_back(value);
-    }
-    pos = comma + 1;
-  }
-  return values;
-}
-
-std::vector<elsc::SchedulerKind> Schedulers() {
-  const char* env = std::getenv("ELSC_O1_SCHEDS");
-  const std::string spec =
-      env != nullptr && env[0] != '\0' ? env : "linux,elsc,multiqueue,o1";
-  std::vector<elsc::SchedulerKind> kinds;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    kinds.push_back(elsc::SchedulerKindFromName(spec.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return kinds;
-}
-
-int IntEnv(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && env[0] != '\0') {
-    const int value = std::atoi(env);
-    if (value > 0) {
-      return value;
-    }
-  }
-  return fallback;
-}
 
 struct CellSpec {
   elsc::SchedulerKind scheduler;
@@ -106,13 +52,14 @@ struct Cell {
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
-  std::vector<int> cpu_counts = IntList("ELSC_O1_CPUS", "1,2,4,8,16,64");
-  std::vector<int> room_counts = IntList("ELSC_O1_ROOMS", "2,8");
+  std::vector<int> cpu_counts = elsc::IntList("ELSC_O1_CPUS", "1,2,4,8,16,64");
+  std::vector<int> room_counts = elsc::IntList("ELSC_O1_ROOMS", "2,8");
   if (cpu_counts.empty()) cpu_counts = {1};
   if (room_counts.empty()) room_counts = {2};
-  const std::vector<elsc::SchedulerKind> schedulers = Schedulers();
-  const int users = IntEnv("ELSC_O1_USERS", 8);
-  const int msgs = IntEnv("ELSC_O1_MSGS", 10);
+  const std::vector<elsc::SchedulerKind> schedulers =
+      elsc::Schedulers("ELSC_O1_SCHEDS", "linux,elsc,multiqueue,o1");
+  const int users = elsc::IntEnv("ELSC_O1_USERS", 8);
+  const int msgs = elsc::IntEnv("ELSC_O1_MSGS", 10);
   const char* timing_env = std::getenv("ELSC_O1_TIMING");
   const bool include_timing = timing_env == nullptr || timing_env[0] != '0';
 
@@ -131,7 +78,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double sweep_start = NowSec();
+  const double sweep_start = elsc::NowSec();
   const std::vector<Cell> cells = elsc::RunBenchMatrix(
       "o1_scaling", specs.size(), [&](size_t i) {
         Cell cell;
@@ -147,13 +94,13 @@ int main(int argc, char** argv) {
         vc.rooms = specs[i].rooms;
         vc.users_per_room = users;
         vc.messages_per_user = msgs;
-        const double start = NowSec();
+        const double start = elsc::NowSec();
         cell.run = elsc::RunVolano(mc, vc);
-        cell.wall_sec = NowSec() - start;
+        cell.wall_sec = elsc::NowSec() - start;
         cell.digest = elsc::RunStatsDigest(cell.run.stats);
         return cell;
       });
-  const double sweep_elapsed = NowSec() - sweep_start;
+  const double sweep_elapsed = elsc::NowSec() - sweep_start;
 
   std::printf("%-12s %5s %6s %6s %11s %10s %9s %8s %7s %7s %7s %8s\n", "sched",
               "cpus", "rooms", "tasks", "sched_calls", "cyc/sched", "lockwait%",

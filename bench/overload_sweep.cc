@@ -17,7 +17,6 @@
 //                               peers, slow peers, reconnect storms)
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,12 +27,6 @@
 #include "src/api/overload.h"
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::vector<double> LoadFactors() {
   const char* env = std::getenv("ELSC_OVERLOAD_LOADS");
@@ -97,7 +90,7 @@ int main(int argc, char** argv) {
   const elsc::WebserverConfig base =
       elsc::OverloadBaseConfig(elsc::SecToCycles(duration_sec));
 
-  const double start = NowSec();
+  const double start = elsc::NowSec();
   const std::vector<elsc::OverloadCell> runs = elsc::RunBenchMatrix(
       "overload_sweep", cells.size(),
       [&](size_t i) {
@@ -108,7 +101,7 @@ int main(int argc, char** argv) {
         return elsc::RunOverloadCell(cells[i], base, chaos);
       },
       elsc::BenchJobs());
-  const double elapsed = NowSec() - start;
+  const double elapsed = elsc::NowSec() - start;
 
   std::printf("%-12s %5s %9s %9s %8s %7s %6s %7s %7s %7s %7s %8s\n", "sched",
               "load", "offered", "goodput", "backlog", "shed", "reset",

@@ -11,7 +11,6 @@
 //
 //   usage: perf_smoke [churn_events] [rooms]
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -24,12 +23,6 @@
 #include "src/sim/event_queue.h"
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Schedule/pop/cancel churn shaped like the simulator's usage: a rolling
 // window of pending timers (ticks, segment ends, sleeps) where most events
@@ -44,7 +37,7 @@ double EventQueueChurn(uint64_t total_events, elsc::EventQueueStats* out_stats) 
   uint64_t fired = 0;
   volatile uint64_t sink = 0;  // Keeps callbacks from folding away.
 
-  const double start = NowSec();
+  const double start = elsc::NowSec();
   elsc::Cycles now = 0;
   uint64_t scheduled = 0;
   while (scheduled < total_events || !queue.Empty()) {
@@ -79,7 +72,7 @@ double EventQueueChurn(uint64_t total_events, elsc::EventQueueStats* out_stats) 
       pending.clear();  // Stale ids; Cancel() on them is a no-op anyway.
     }
   }
-  const double elapsed = NowSec() - start;
+  const double elapsed = elsc::NowSec() - start;
   if (out_stats != nullptr) {
     *out_stats = queue.stats();
   }
@@ -95,9 +88,9 @@ int g_incomplete_cells = 0;
 
 double TimeMatrix(const std::vector<elsc::VolanoCellSpec>& cells, int jobs,
                   uint64_t* tasks_simulated = nullptr) {
-  const double start = NowSec();
+  const double start = elsc::NowSec();
   const std::vector<elsc::VolanoRun> runs = elsc::RunVolanoCells(cells, jobs);
-  const double elapsed = NowSec() - start;
+  const double elapsed = elsc::NowSec() - start;
   uint64_t tasks = 0;
   for (size_t i = 0; i < runs.size(); ++i) {
     tasks += runs[i].stats.machine.tasks_created;

@@ -31,7 +31,6 @@
 // drills (scripts/ci_supervised.sh); SIGTERM/SIGINT exit 75 gracefully
 // after flushing a final segment.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,71 +42,16 @@
 #include "bench/experiment_util.h"
 #include "src/api/scale.h"
 
-namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::vector<int> IntList(const char* env_name, const std::string& fallback) {
-  const char* env = std::getenv(env_name);
-  const std::string spec = env != nullptr && env[0] != '\0' ? env : fallback;
-  std::vector<int> values;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const int value = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (value > 0) {
-      values.push_back(value);
-    }
-    pos = comma + 1;
-  }
-  return values;
-}
-
-std::vector<elsc::SchedulerKind> Schedulers() {
-  const char* env = std::getenv("ELSC_SCALE_SCHEDS");
-  const std::string spec = env != nullptr && env[0] != '\0' ? env : "linux,elsc";
-  std::vector<elsc::SchedulerKind> kinds;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    kinds.push_back(elsc::SchedulerKindFromName(spec.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return kinds;
-}
-
-int IntEnv(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && env[0] != '\0') {
-    const int value = std::atoi(env);
-    if (value > 0) {
-      return value;
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
-  std::vector<int> room_counts = IntList("ELSC_SCALE_ROOMS", "40,200");
-  std::vector<int> shard_counts = IntList("ELSC_SCALE_SHARDS", "1,2,4");
+  std::vector<int> room_counts = elsc::IntList("ELSC_SCALE_ROOMS", "40,200");
+  std::vector<int> shard_counts = elsc::IntList("ELSC_SCALE_SHARDS", "1,2,4");
   if (room_counts.empty()) room_counts = {40};
   if (shard_counts.empty()) shard_counts = {1};
-  const std::vector<elsc::SchedulerKind> schedulers = Schedulers();
-  const int users = IntEnv("ELSC_SCALE_USERS", 20);
-  const int msgs = IntEnv("ELSC_SCALE_MSGS", 10);
+  const std::vector<elsc::SchedulerKind> schedulers =
+      elsc::Schedulers("ELSC_SCALE_SCHEDS", "linux,elsc");
+  const int users = elsc::IntEnv("ELSC_SCALE_USERS", 20);
+  const int msgs = elsc::IntEnv("ELSC_SCALE_MSGS", 10);
   const char* kernel_env = std::getenv("ELSC_SCALE_KERNEL");
   const elsc::KernelConfig kernel =
       elsc::KernelConfigFromLabel(kernel_env != nullptr ? kernel_env : "1P");
@@ -141,15 +85,15 @@ int main(int argc, char** argv) {
   // Cells run serially: each one is itself a multi-threaded scenario (its
   // shard pool wants the machine), and serial cells keep the per-cell
   // wall-clock measurements honest.
-  const double sweep_start = NowSec();
+  const double sweep_start = elsc::NowSec();
   const std::vector<elsc::ScaleCell> cells = elsc::RunBenchMatrix(
       "scale_sweep", specs.size(),
       [&](size_t i) {
         elsc::ScaleCell cell;
         cell.config = specs[i];
-        const double start = NowSec();
+        const double start = elsc::NowSec();
         cell.run = elsc::RunShardedVolano(specs[i], spec_shards[i]);
-        cell.wall_sec = NowSec() - start;
+        cell.wall_sec = elsc::NowSec() - start;
         if (cell.wall_sec > 0.0) {
           cell.tasks_per_wall_sec =
               static_cast<double>(cell.run.stats.machine.tasks_created) / cell.wall_sec;
@@ -159,7 +103,7 @@ int main(int argc, char** argv) {
         return cell;
       },
       /*jobs=*/1);
-  const double sweep_elapsed = NowSec() - sweep_start;
+  const double sweep_elapsed = elsc::NowSec() - sweep_start;
 
   std::printf("%-12s %6s %6s %6s %7s %9s %10s %8s %11s %10s %10s %8s\n",
               "sched", "rooms", "conns", "nodes", "shards", "windows",

@@ -6,9 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <map>
+#include <iterator>
 #include <memory>
-#include <optional>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -114,20 +114,19 @@ class FederationRx : public TaskBehavior {
   std::string EncodeState() const {
     std::string s = StrFormat("rx:%llu,%llu", static_cast<unsigned long long>(cum_),
                               static_cast<unsigned long long>(last_acked_));
-    for (const auto& entry : reorder_) {
-      s += StrFormat(";%llu", static_cast<unsigned long long>(entry.first));
+    for (const uint64_t id : reorder_) {
+      s += StrFormat(";%llu", static_cast<unsigned long long>(id));
     }
     return s;
   }
 
  private:
   Segment Process(Machine& machine, const Message& beacon);
-  void Deliver(const Message& beacon);
 
   ScaleNode* node_;
   uint64_t cum_ = 0;         // Highest contiguously-processed beacon id.
   uint64_t last_acked_ = 0;  // cum_ value carried by the last ack sent.
-  std::map<uint64_t, Message> reorder_;  // Out-of-order beacons, bounded.
+  std::set<uint64_t> reorder_;  // Ids of out-of-order beacons, bounded.
 };
 
 // One node of the federation: an independent Machine simulating its rooms,
@@ -139,7 +138,6 @@ class FederationRx : public TaskBehavior {
 // machine, so they survive incarnations.
 struct ScaleNode {
   int index = 0;
-  int first_room = 0;
   int dst_node = 0;  // Ring successor receiving this node's beacons.
   int src_node = 0;  // Ring predecessor; acks flow back to it.
   const ScaleConfig* config = nullptr;
@@ -159,20 +157,11 @@ struct ScaleNode {
   Cycles clock_offset = 0;
   int incarnation = 0;
 
-  // Federation counters (single-writer: only this node's tasks / delivery
-  // events touch them, and those all run on this node's shard thread).
-  uint64_t beacons_sent = 0;
-  uint64_t beacons_received = 0;
-  uint64_t inbox_overflows = 0;
-  uint64_t late_writes = 0;
-  uint64_t last_remote_progress = 0;  // Payload of the newest beacon seen.
-  // Recovery-protocol counters (persist across restarts).
+  // Single-writer: this node's tasks and delivery events (on its shard
+  // thread) and the coordinator's crash step (at a barrier, when no shard
+  // runs). They persist across restarts.
+  FederationCounters fed;
   uint64_t tx_acked = 0;  // Cumulative ack from the ring successor.
-  uint64_t retransmits = 0;
-  uint64_t retx_abandoned = 0;
-  uint64_t dup_discards = 0;
-  uint64_t acks_sent = 0;
-  uint64_t acks_received = 0;
 
   // Crash lifecycle (coordinator-side).
   bool down = false;
@@ -182,8 +171,6 @@ struct ScaleNode {
   // happened and stay counted; only unfinished rooms re-run.
   uint64_t banked_sent = 0;
   uint64_t banked_delivered = 0;
-  uint64_t chat_messages_lost = 0;      // Partial-room work thrown away.
-  uint64_t crash_inflight_dropped = 0;  // Fabric deliveries killed mid-air.
   // Arrivals scheduled on this incarnation's engine that have not landed
   // yet (incremented by the coordinator sink at barriers, decremented by
   // the delivery event on the shard thread — phases never overlap).
@@ -192,7 +179,6 @@ struct ScaleNode {
   bool has_carried_stats = false;
 
   bool chat_done = false;
-  uint64_t completed_window = 0;
 
   // --- Checkpoint support (scale_ckpt.h) ---
   // Fabric deliveries the coordinator sink scheduled onto this incarnation's
@@ -201,26 +187,11 @@ struct ScaleNode {
   // checkpointing is armed; cleared at every boot.
   bool log_arrivals = false;
   std::vector<CkptArrival> arrival_log;
-  // Counter values at this incarnation's boot. Task- and event-mutated
-  // counters cannot be serialized live (their current values are the sum of
-  // boot value + this incarnation's deltas, and the deltas are reproduced by
-  // replay) — so checkpoints store the boot snapshot and replay re-adds the
-  // deltas. tx_acked needs no snapshot: it is always 0 at boot.
-  struct FedSnapshot {
-    uint64_t beacons_sent = 0;
-    uint64_t beacons_received = 0;
-    uint64_t inbox_overflows = 0;
-    uint64_t late_writes = 0;
-    uint64_t last_remote_progress = 0;
-    uint64_t retransmits = 0;
-    uint64_t retx_abandoned = 0;
-    uint64_t dup_discards = 0;
-    uint64_t acks_sent = 0;
-    uint64_t acks_received = 0;
-  };
-  FedSnapshot boot_counters;
-
-  Cycles GlobalNow() const { return clock_offset + machine->Now(); }
+  // `fed` at this incarnation's boot. Task- and event-mutated counters
+  // cannot be serialized live (their current values are the boot values
+  // plus this incarnation's deltas, and replay reproduces the deltas), so a
+  // checkpoint stores these. tx_acked needs no snapshot: it is 0 at boot.
+  FederationCounters boot_fed;
 };
 
 // Jitter key for one unacked beacon's retransmission schedule.
@@ -272,13 +243,13 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
         continue;
       }
       if (cfg.retransmit_backoff.ShouldAbandon(u.attempts)) {
-        ++node_->retx_abandoned;
+        ++node_->fed.retx_abandoned;
         unacked_.erase(unacked_.begin() + static_cast<long>(i));
         continue;
       }
       u.msg.sent_at = global_now;
       node_->router->Emit(node_->index, node_->dst_node, global_now, u.msg);
-      ++node_->retransmits;
+      ++node_->fed.retransmits;
       ++u.attempts;
       u.next_retx_at =
           global_now + cfg.retransmit_backoff.Delay(RetxKey(*node_, u.id),
@@ -297,7 +268,7 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
       beacon.sent_at = global_now;
       beacon.payload = node_->volano->messages_delivered();
       node_->router->Emit(node_->index, node_->dst_node, global_now, beacon);
-      ++node_->beacons_sent;
+      ++node_->fed.beacons_sent;
       ++emissions;
       if (armed && cfg.retransmit) {
         Unacked u;
@@ -309,7 +280,7 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
         while (unacked_.size() > cfg.retransmit_buffer) {
           // Bounded buffer: the oldest unacked beacon is given up on.
           unacked_.pop_front();
-          ++node_->retx_abandoned;
+          ++node_->fed.retx_abandoned;
         }
       }
     }
@@ -327,8 +298,7 @@ Segment FederationRx::NextSegment(Machine& machine, Task& task) {
   switch (inbox->TryReadMsg(machine, &beacon)) {
     case SockStatus::kOk:
       if (!node_->armed) {
-        ++node_->beacons_received;
-        node_->last_remote_progress = beacon.payload;
+        ++node_->fed.beacons_received;
         return Segment::RunAgain(cfg.gossip_process_cycles);
       }
       return Process(machine, beacon);
@@ -345,7 +315,7 @@ Segment FederationRx::NextSegment(Machine& machine, Task& task) {
         ack.payload = cum_;
         node_->router->Emit(node_->index, node_->src_node, global_now, ack);
         last_acked_ = cum_;
-        ++node_->acks_sent;
+        ++node_->fed.acks_sent;
         return Segment::RunAgain(cfg.beacon_cycles);
       }
       return Segment::Block(cfg.chat.syscall_cycles, &inbox->read_wait(),
@@ -353,11 +323,6 @@ Segment FederationRx::NextSegment(Machine& machine, Task& task) {
     default:  // kEof / kClosed / kReset: the federation shut down.
       return Segment::Exit(cfg.chat.syscall_cycles);
   }
-}
-
-void FederationRx::Deliver(const Message& beacon) {
-  ++node_->beacons_received;
-  node_->last_remote_progress = beacon.payload;
 }
 
 Segment FederationRx::Process(Machine& machine, const Message& beacon) {
@@ -368,44 +333,35 @@ Segment FederationRx::Process(Machine& machine, const Message& beacon) {
     if (beacon.payload > node_->tx_acked) {
       node_->tx_acked = beacon.payload;
     }
-    ++node_->acks_received;
+    ++node_->fed.acks_received;
     return Segment::RunAgain(cfg.chat.syscall_cycles);
   }
   const uint64_t id = beacon.id;
   if (id <= cum_ || reorder_.count(id) != 0) {
-    ++node_->dup_discards;
+    ++node_->fed.dup_discards;
     return Segment::RunAgain(cfg.chat.syscall_cycles);
   }
-  uint64_t processed = 0;
-  if (id == cum_ + 1) {
-    Deliver(beacon);
-    cum_ = id;
-    ++processed;
-  } else if (id > cum_ + cfg.recovery_gap_span ||
-             reorder_.size() >= cfg.recovery_gap_span) {
-    // Gap too wide (a restarted predecessor's incarnation jump is 2^48) or
-    // the reorder buffer is full: jump past it. Buffered beacons below the
-    // jump target still get processed in id order; the rest of the gap is
-    // this run's deliveries_lost.
-    for (auto it = reorder_.begin(); it != reorder_.end() && it->first < id;) {
-      Deliver(it->second);
-      ++processed;
-      it = reorder_.erase(it);
-    }
-    Deliver(beacon);
-    cum_ = id;
-    ++processed;
-  } else {
-    reorder_.emplace(id, beacon);
+  if (id > cum_ + 1 && id <= cum_ + cfg.recovery_gap_span &&
+      reorder_.size() < cfg.recovery_gap_span) {
+    reorder_.insert(id);  // A small gap: wait for the beacons before it.
     return Segment::RunAgain(cfg.chat.syscall_cycles);
   }
+  // In order, or a gap too wide (a restarted predecessor's incarnation jump
+  // is 2^48) or a full reorder buffer: jump past it. Buffered beacons below
+  // the jump target still get processed; the rest of the gap is this run's
+  // deliveries_lost.
+  const auto below = reorder_.lower_bound(id);
+  uint64_t processed =
+      1 + static_cast<uint64_t>(std::distance(reorder_.begin(), below));
+  reorder_.erase(reorder_.begin(), below);
+  cum_ = id;
   // Drain whatever the new cum_ made contiguous.
-  while (!reorder_.empty() && reorder_.begin()->first == cum_ + 1) {
-    Deliver(reorder_.begin()->second);
+  while (!reorder_.empty() && *reorder_.begin() == cum_ + 1) {
     ++cum_;
     ++processed;
     reorder_.erase(reorder_.begin());
   }
+  node_->fed.beacons_received += processed;
   return Segment::RunAgain(cfg.gossip_process_cycles *
                            static_cast<Cycles>(processed));
 }
@@ -426,49 +382,67 @@ RunStats NodeRunStats(const ScaleNode& node) {
   return stats;
 }
 
+// The node's stats over every incarnation: the live machine's (none while
+// down) merged onto the dead incarnations' carried stats.
+RunStats LifetimeStats(ScaleNode* node) {
+  RunStats stats;
+  if (node->machine != nullptr) {
+    stats = NodeRunStats(*node);
+  }
+  if (node->has_carried_stats) {
+    MergeRunStats(&node->carried_stats, stats);
+    stats = node->carried_stats;
+  }
+  return stats;
+}
+
+// The counter tuple both fold paths hash into a node's digest record.
+std::string FedDigestTuple(const FederationCounters& fed) {
+  return StrFormat("|fed:%llu,%llu,%llu,%llu;",
+                   static_cast<unsigned long long>(fed.beacons_sent),
+                   static_cast<unsigned long long>(fed.beacons_received),
+                   static_cast<unsigned long long>(fed.inbox_overflows),
+                   static_cast<unsigned long long>(fed.late_writes));
+}
+
 // Schedules one fabric delivery onto `dst`'s engine. Shared by the live
 // coordinator sink and checkpoint replay so both paths produce identical
 // engine insertion order and identical delivery-event behavior. Never logs
 // (the sink logs before calling; replayed arrivals are already logged).
 void ScheduleArrivalOn(ScaleNode* dst, Cycles arrival, const Message& payload) {
   ++dst->pending_deliveries;
+  const auto deliver = [dst, payload] {
+    --dst->pending_deliveries;
+    switch (dst->inbox->TryWriteMsg(*dst->machine, payload)) {
+      case SockStatus::kOk:
+        break;
+      case SockStatus::kWouldBlock:
+        // Bounded inbox full: the beacon is dropped like a datagram
+        // against a full receive buffer.
+        ++dst->fed.inbox_overflows;
+        break;
+      default:  // kClosed / kReset: delivery raced the shutdown.
+        ++dst->fed.late_writes;
+        break;
+    }
+  };
+  // A heap-allocated delivery would move callback_heap_allocs, and with it
+  // every federation digest.
+  static_assert(sizeof(deliver) <= EventCallback::kInlineSize,
+                "the delivery closure must fit EventCallback's inline storage");
   // A restarted machine's clock is offset: schedule at local time.
-  dst->machine->engine().ScheduleAt(
-      arrival - dst->clock_offset, [dst, payload] {
-        --dst->pending_deliveries;
-        switch (dst->inbox->TryWriteMsg(*dst->machine, payload)) {
-          case SockStatus::kOk:
-            break;
-          case SockStatus::kWouldBlock:
-            // Bounded inbox full: the beacon is dropped like a datagram
-            // against a full receive buffer.
-            ++dst->inbox_overflows;
-            break;
-          default:  // kClosed / kReset: delivery raced the shutdown.
-            ++dst->late_writes;
-            break;
-        }
-      });
+  dst->machine->engine().ScheduleAt(arrival - dst->clock_offset, deliver);
 }
 
 // Checkpoint verification line for a live node: every node-local value the
 // next windows' behavior depends on. Computed at checkpoint time and again
 // after restore replay — any divergence rejects the segment.
 std::string VerifyLine(const ScaleNode& node) {
-  std::string line = StrFormat(
-      "fed:%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu|ack:%llu|pend:%llu|",
-      static_cast<unsigned long long>(node.beacons_sent),
-      static_cast<unsigned long long>(node.beacons_received),
-      static_cast<unsigned long long>(node.inbox_overflows),
-      static_cast<unsigned long long>(node.late_writes),
-      static_cast<unsigned long long>(node.last_remote_progress),
-      static_cast<unsigned long long>(node.retransmits),
-      static_cast<unsigned long long>(node.retx_abandoned),
-      static_cast<unsigned long long>(node.dup_discards),
-      static_cast<unsigned long long>(node.acks_sent),
-      static_cast<unsigned long long>(node.acks_received),
-      static_cast<unsigned long long>(node.tx_acked),
-      static_cast<unsigned long long>(node.pending_deliveries));
+  std::string line = "fed:";
+  AppendFederationCounters(&line, node.fed);
+  line += StrFormat("|ack:%llu|pend:%llu|",
+                    static_cast<unsigned long long>(node.tx_acked),
+                    static_cast<unsigned long long>(node.pending_deliveries));
   line += RunStatsDigest(NodeRunStats(node));
   line += StrFormat("|chat:%llu,%llu",
                     static_cast<unsigned long long>(node.volano->messages_sent()),
@@ -520,16 +494,7 @@ void BootNode(ScaleNode* node, const ScaleConfig& config) {
   // Checkpoint bookkeeping: a fresh incarnation starts a fresh arrival log,
   // and the counter values right now are what replay will restart from.
   node->arrival_log.clear();
-  node->boot_counters.beacons_sent = node->beacons_sent;
-  node->boot_counters.beacons_received = node->beacons_received;
-  node->boot_counters.inbox_overflows = node->inbox_overflows;
-  node->boot_counters.late_writes = node->late_writes;
-  node->boot_counters.last_remote_progress = node->last_remote_progress;
-  node->boot_counters.retransmits = node->retransmits;
-  node->boot_counters.retx_abandoned = node->retx_abandoned;
-  node->boot_counters.dup_discards = node->dup_discards;
-  node->boot_counters.acks_sent = node->acks_sent;
-  node->boot_counters.acks_received = node->acks_received;
+  node->boot_fed = node->fed;
   node->machine->Start();
 }
 
@@ -544,824 +509,763 @@ double ResolveWindowBudget(const ScaleConfig& config) {
   return budget > 0.0 ? budget : 0.0;
 }
 
+// One run of the sharded federation: its nodes, fabric router, aggregate,
+// and coordinator loop state, with one method per barrier step.
+// RunShardedVolano restores one from a checkpoint segment or builds one
+// cold, then runs it. A restore that fails part-way leaves the object
+// half-built; the caller discards it and starts again with a fresh one, so
+// no step ever needs undoing.
+class Federation {
+ public:
+  Federation(const ScaleConfig& config, int shards,
+             const ScaleCheckpointOptions& ckpt, uint64_t config_fp);
+  Federation(const Federation&) = delete;  // Nodes point at router_.
+  Federation& operator=(const Federation&) = delete;
+
+  // Cold start: boots every node at local time 0.
+  void Build();
+  // Installs a decoded checkpoint, replaying every live node. False means
+  // the segment was rejected and this object is half-built.
+  bool Restore(const ScaleCheckpoint& c);
+  // Runs windows until every node has folded (or a deadline, watchdog, or
+  // stop-after exit) and returns the finished aggregate.
+  ScaleRun Run();
+
+ private:
+  std::unique_ptr<ScaleNode> MakeNode(int index);
+  FabricRouter::Delivery Sink(const FabricMessage& msg, Cycles arrival);
+  bool Advance(ThreadPool* pool, Cycles barrier);
+  void AdvanceShard(int shard, Cycles barrier);
+  void CrashAndRestart(Cycles barrier);
+  void SamplePeaks();
+  void Exchange(Cycles barrier);
+  void CloseIfDone(Cycles barrier);
+  void FoldFinished();
+  void FoldFailed(const char* tag, const std::string& why);
+  ScaleCheckpoint Snapshot() const;
+  bool Replay(ScaleNode* node, const CkptNode& cn);
+  bool CheckpointPoint();
+  ScaleRun Finish();
+
+  const ScaleConfig& config_;
+  const int num_nodes_;
+  const int shards_;
+  const Cycles latency_;
+  const bool gossip_;
+  const bool armed_;  // config_.faults.Enabled().
+  const ScaleCheckpointOptions ckpt_;
+  const uint64_t config_fp_;
+  const double wall_budget_;  // Per-window watchdog; 0 = off.
+
+  ScaleRun run_;
+  FabricRouter router_;
+  std::vector<std::unique_ptr<ScaleNode>> nodes_;  // Null once folded.
+  int live_ = 0;
+  int chats_done_ = 0;
+  bool all_completed_ = true;
+  bool inboxes_closed_;
+  Cycles inbox_close_at_ = 0;  // 0 = fabric still open.
+  uint64_t window_index_ = 0;
+  // Window indices the fabric closed / the inboxes EOF'd at (0 = not yet):
+  // checkpoint replay must re-apply both at exactly the original barriers.
+  uint64_t router_close_window_ = 0;
+  uint64_t inbox_close_window_ = 0;
+};
+
+Federation::Federation(const ScaleConfig& config, int shards,
+                       const ScaleCheckpointOptions& ckpt, uint64_t config_fp)
+    : config_(config),
+      num_nodes_(config.nodes()),
+      shards_(shards),
+      latency_(config.fabric_latency == 0 ? config.window : config.fabric_latency),
+      gossip_(config.gossip_period > 0),
+      armed_(config.faults.Enabled()),
+      ckpt_(ckpt),
+      config_fp_(config_fp),
+      wall_budget_(ResolveWindowBudget(config)),
+      router_(num_nodes_, config.window, latency_),
+      nodes_(static_cast<size_t>(num_nodes_)),
+      inboxes_closed_(!gossip_) {
+  if (armed_) {
+    router_.ArmFaults(&config.faults);
+  }
+  if (config.fabric_lane_capacity > 0) {
+    router_.SetLaneCapacity(config.fabric_lane_capacity);
+  }
+  run_.nodes = num_nodes_;
+  run_.shards = shards;
+  run_.rooms = static_cast<uint64_t>(config.rooms);
+  run_.connections = config.connections();
+  run_.fault_model = armed_;
+  run_.digest = kFnv1aOffset;
+}
+
+std::unique_ptr<ScaleNode> Federation::MakeNode(int index) {
+  auto node = std::make_unique<ScaleNode>();
+  node->index = index;
+  node->dst_node = (index + 1) % num_nodes_;
+  node->src_node = (index + num_nodes_ - 1) % num_nodes_;
+  node->config = &config_;
+  node->router = gossip_ ? &router_ : nullptr;
+  node->armed = armed_;
+  node->log_arrivals = ckpt_.armed();
+  return node;
+}
+
+void Federation::Build() {
+  for (int i = 0; i < num_nodes_; ++i) {
+    auto node = MakeNode(i);
+    const int first_room = i * config_.rooms_per_node;
+    const int owned = std::min(config_.rooms_per_node, config_.rooms - first_room);
+    node->room_ids.reserve(static_cast<size_t>(owned));
+    for (int r = 0; r < owned; ++r) {
+      node->room_ids.push_back(first_room + r);
+    }
+    BootNode(node.get(), config_);
+    nodes_[static_cast<size_t>(i)] = std::move(node);
+  }
+  live_ = num_nodes_;
+}
+
+// Delivery sink: schedules a beacon's arrival on its destination. Runs on
+// the coordinator thread at barriers (no shard is advancing), so ScheduleAt
+// into the destination engine is race-free; the event itself fires on
+// whichever shard advances the destination through `arrival`.
+FabricRouter::Delivery Federation::Sink(const FabricMessage& msg, Cycles arrival) {
+  ScaleNode* dst = nodes_[static_cast<size_t>(msg.dst_node)].get();
+  if (dst == nullptr) {
+    return FabricRouter::Delivery::kRefused;
+  }
+  if (dst->down || dst->machine == nullptr) {
+    return FabricRouter::Delivery::kDown;
+  }
+  if (dst->log_arrivals) {
+    dst->arrival_log.push_back(CkptArrival{window_index_, arrival, msg.payload});
+  }
+  ScheduleArrivalOn(dst, arrival, msg.payload);
+  return FabricRouter::Delivery::kDelivered;
+}
+
+// Advances every live node to the barrier. Node->shard assignment is
+// round-robin by node index; any assignment yields identical results (nodes
+// only interact through the fabric, drained at the barrier). False when the
+// per-window wall-clock watchdog fired: a livelocked node fails the
+// federation instead of hanging it.
+bool Federation::Advance(ThreadPool* pool, Cycles barrier) {
+  try {
+    if (pool == nullptr) {
+      AdvanceShard(0, barrier);  // One shard: the coordinator runs it.
+    } else {
+      for (int s = 0; s < shards_; ++s) {
+        pool->Submit([this, s, barrier] { AdvanceShard(s, barrier); });
+      }
+      pool->Wait();  // Rethrows the first shard exception, if any.
+    }
+  } catch (const CellDeadlineExceeded&) {
+    if (wall_budget_ <= 0.0) {
+      throw;  // The supervisor's cell watchdog, not ours.
+    }
+    return false;
+  }
+  return true;
+}
+
+// One shard's share of a window: nodes shard, shard + shards_, ..., under a
+// watchdog armed on the calling thread (the pool worker or the coordinator).
+void Federation::AdvanceShard(int shard, Cycles barrier) {
+  CellWatchdog dog(wall_budget_);
+  for (size_t n = static_cast<size_t>(shard); n < nodes_.size();
+       n += static_cast<size_t>(shards_)) {
+    ScaleNode* node = nodes_[n].get();
+    if (node != nullptr && !node->down) {
+      node->machine->engine().RunUntil(barrier - node->clock_offset);
+    }
+  }
+}
+
+// Failure plan, step 1 — crashes scheduled for this window. The node's
+// engine is torn down mid-scenario: queued inbox traffic is discarded
+// (peers see a reset inbox), scheduled arrivals die with the engine,
+// finished rooms' delivery quotas are banked, partial rooms are lost and
+// will re-run at restart. A node crashes at most once.
+void Federation::CrashAndRestart(Cycles barrier) {
+  for (auto& owner : nodes_) {
+    ScaleNode* node = owner.get();
+    if (node == nullptr || node->down || node->machine == nullptr ||
+        node->crashes > 0 || node->volano->ChatComplete() ||
+        !config_.faults.NodeCrashes(node->index) ||
+        config_.faults.CrashWindow(node->index) != window_index_) {
+      continue;
+    }
+    node->inbox->ResetByPeer(*node->machine);
+    node->fed.crash_inflight_dropped +=
+        node->pending_deliveries + node->inbox->stats().discarded;
+    node->pending_deliveries = 0;
+    MergeRunStats(&node->carried_stats, NodeRunStats(*node));
+    node->has_carried_stats = true;
+    const VolanoConfig& chat = node->volano->config();
+    const uint64_t room_quota_delivered =
+        static_cast<uint64_t>(chat.users_per_room) * chat.users_per_room *
+        chat.messages_per_user;
+    const uint64_t room_quota_sent =
+        static_cast<uint64_t>(chat.users_per_room) * chat.messages_per_user;
+    std::vector<int> unfinished;
+    for (int r = 0; r < chat.rooms; ++r) {
+      if (node->volano->RoomComplete(r)) {
+        node->banked_delivered += room_quota_delivered;
+        node->banked_sent += room_quota_sent;
+      } else {
+        node->fed.chat_messages_lost += node->volano->RoomDelivered(r);
+        unfinished.push_back(node->room_ids[static_cast<size_t>(r)]);
+      }
+    }
+    node->room_ids = std::move(unfinished);
+    node->arrival_log.clear();  // Dead incarnation: never replayed.
+    // Teardown in the member-destruction order a folded node uses.
+    node->rx.reset();
+    node->tx.reset();
+    node->inbox.reset();
+    node->volano.reset();
+    node->machine.reset();
+    node->down = true;
+    node->restart_window =
+        window_index_ + config_.faults.DownWindows(node->index);
+    ++node->crashes;
+    ++run_.node_crashes;
+  }
+  // Step 2 — restarts due this window: rebuild the node with a derived
+  // seed over its unfinished rooms; its fresh engine starts at local
+  // t = 0, offset to the current barrier.
+  for (auto& owner : nodes_) {
+    ScaleNode* node = owner.get();
+    if (node == nullptr || !node->down || node->restart_window != window_index_) {
+      continue;
+    }
+    ++node->incarnation;
+    node->clock_offset = barrier;
+    node->tx_acked = 0;  // The new incarnation's ids restart the link.
+    BootNode(node, config_);
+    node->down = false;
+    ++run_.node_restarts;
+  }
+  for (const auto& node : nodes_) {
+    if (node != nullptr && node->down) {
+      ++run_.windows_degraded;
+      break;
+    }
+  }
+}
+
+// Memory high-water sampling across the live federation.
+void Federation::SamplePeaks() {
+  uint64_t live_tasks = 0;
+  uint64_t arena_bytes = 0;
+  uint64_t sockets = 0;
+  for (const auto& node : nodes_) {
+    if (node == nullptr || node->machine == nullptr) {
+      continue;
+    }
+    live_tasks += node->machine->live_tasks();
+    arena_bytes += node->machine->task_arena_bytes();
+    sockets += node->volano->SocketCount() + (node->inbox ? 1 : 0);
+  }
+  run_.peak_live_tasks = std::max(run_.peak_live_tasks, live_tasks);
+  run_.peak_task_arena_bytes = std::max(run_.peak_task_arena_bytes, arena_bytes);
+  run_.peak_live_sockets = std::max(run_.peak_live_sockets, sockets);
+  run_.peak_live_nodes = std::max(run_.peak_live_nodes, static_cast<uint64_t>(live_));
+}
+
+// Cross-node traffic exchange (deterministic node/emission order).
+void Federation::Exchange(Cycles barrier) {
+  if (gossip_) {
+    router_.Exchange(barrier, [this](const FabricMessage& msg, Cycles arrival) {
+      return Sink(msg, arrival);
+    });
+  }
+}
+
+// Chat-completion scan; once the whole federation's chat is done the
+// fabric closes, and after one more latency the inboxes EOF so the receive
+// relays drain whatever is still in flight and exit.
+void Federation::CloseIfDone(Cycles barrier) {
+  for (const auto& node : nodes_) {
+    if (node != nullptr && node->machine != nullptr && !node->chat_done &&
+        node->volano->ChatComplete()) {
+      node->chat_done = true;
+      ++chats_done_;
+    }
+  }
+  if (gossip_ && !router_.closed() && chats_done_ == num_nodes_) {
+    router_.Close();
+    inbox_close_at_ = barrier + latency_;
+    router_close_window_ = window_index_;
+  }
+  if (!inboxes_closed_ && inbox_close_at_ != 0 && barrier >= inbox_close_at_) {
+    for (const auto& node : nodes_) {
+      if (node != nullptr && node->machine != nullptr) {
+        node->inbox->Close(*node->machine);
+      }
+    }
+    inboxes_closed_ = true;
+    inbox_close_window_ = window_index_;
+  }
+}
+
+// Streaming fold: finished nodes are folded into the aggregate in node
+// order and destroyed — constant live state, not O(total nodes).
+void Federation::FoldFinished() {
+  for (auto& owner : nodes_) {
+    ScaleNode* node = owner.get();
+    if (node == nullptr || node->machine == nullptr || !node->volano->Done()) {
+      continue;
+    }
+    // Dead incarnations' partial stats ride along with the final one.
+    const RunStats node_stats = LifetimeStats(node);
+    const VolanoResult result = node->volano->Result();
+    all_completed_ = all_completed_ && result.completed && !node_stats.failed;
+    run_.messages_sent += result.messages_sent + node->banked_sent;
+    run_.messages_delivered += result.messages_delivered + node->banked_delivered;
+    run_.fed += node->fed;
+    MergeRunStats(&run_.stats, node_stats);
+    std::string record =
+        StrFormat("n%d@%llu|", node->index,
+                  static_cast<unsigned long long>(window_index_)) +
+        RunStatsDigest(node_stats) +
+        StrFormat("|chat:%llu,%llu,%d",
+                  static_cast<unsigned long long>(result.messages_sent),
+                  static_cast<unsigned long long>(result.messages_delivered),
+                  result.completed ? 1 : 0) +
+        FedDigestTuple(node->fed);
+    if (run_.fault_model) {
+      // The recovery block only exists under an armed plan — fault-free
+      // fold records stay byte-identical to the pre-failure-model layout.
+      const FederationCounters& f = node->fed;
+      record += StrFormat(
+          "|rec:%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu;",
+          node->incarnation,
+          static_cast<unsigned long long>(node->banked_delivered),
+          static_cast<unsigned long long>(f.retransmits),
+          static_cast<unsigned long long>(f.retx_abandoned),
+          static_cast<unsigned long long>(f.dup_discards),
+          static_cast<unsigned long long>(f.acks_sent),
+          static_cast<unsigned long long>(f.acks_received),
+          static_cast<unsigned long long>(f.chat_messages_lost),
+          static_cast<unsigned long long>(f.crash_inflight_dropped));
+    }
+    run_.digest = Fnv1a64(record, run_.digest);
+    owner.reset();
+    --live_;
+  }
+}
+
+// Folds every still-live node as failed (partial per-node stats included)
+// and stamps the run's failure — the deadline and watchdog exits.
+void Federation::FoldFailed(const char* tag, const std::string& why) {
+  for (auto& owner : nodes_) {
+    ScaleNode* node = owner.get();
+    if (node == nullptr) {
+      continue;
+    }
+    RunStats node_stats = LifetimeStats(node);
+    node_stats.failed = true;
+    if (node->machine != nullptr) {
+      run_.messages_sent += node->volano->messages_sent();
+      run_.messages_delivered += node->volano->messages_delivered();
+    }
+    run_.messages_sent += node->banked_sent;
+    run_.messages_delivered += node->banked_delivered;
+    run_.fed += node->fed;
+    MergeRunStats(&run_.stats, node_stats);
+    run_.digest = Fnv1a64(StrFormat("n%d@%s|", node->index, tag) +
+                              RunStatsDigest(node_stats) + FedDigestTuple(node->fed),
+                          run_.digest);
+    owner.reset();
+    --live_;
+  }
+  all_completed_ = false;
+  run_.stats.failed = true;
+  if (run_.stats.failure.empty()) {
+    run_.stats.failure = why;
+  }
+}
+
+// Serializes the coordinator-visible federation state at the current
+// (post-Exchange, post-fold) barrier.
+ScaleCheckpoint Federation::Snapshot() const {
+  ScaleCheckpoint c;
+  c.config_fp = config_fp_;
+  c.seed = config_.seed;
+  c.window_index = window_index_;
+  c.num_nodes = num_nodes_;
+  c.chats_done = chats_done_;
+  c.all_completed = all_completed_;
+  c.inboxes_closed = inboxes_closed_;
+  c.inbox_close_at = inbox_close_at_;
+  c.router_close_window = router_close_window_;
+  c.inbox_close_window = inbox_close_window_;
+  c.digest = run_.digest;
+  c.messages_sent = run_.messages_sent;
+  c.messages_delivered = run_.messages_delivered;
+  c.node_crashes = run_.node_crashes;
+  c.node_restarts = run_.node_restarts;
+  c.windows_degraded = run_.windows_degraded;
+  c.fed = run_.fed;
+  c.peak_live_tasks = run_.peak_live_tasks;
+  c.peak_live_nodes = run_.peak_live_nodes;
+  c.peak_task_arena_bytes = run_.peak_task_arena_bytes;
+  c.peak_live_sockets = run_.peak_live_sockets;
+  c.agg_stats = EncodeRunStats(run_.stats);
+  c.fabric = router_.ExportState();
+  for (const auto& owner : nodes_) {
+    const ScaleNode* node = owner.get();
+    if (node == nullptr) {
+      continue;  // Folded: its contribution lives in digest/stats above.
+    }
+    CkptNode cn;
+    cn.index = node->index;
+    cn.state = node->down ? 2 : 1;
+    cn.incarnation = node->incarnation;
+    cn.clock_offset = node->clock_offset;
+    cn.crashes = node->crashes;
+    cn.restart_window = node->restart_window;
+    cn.chat_done = node->chat_done;
+    cn.banked_sent = node->banked_sent;
+    cn.banked_delivered = node->banked_delivered;
+    // A down node restores its current values directly. A live node stores
+    // its boot values and replay re-adds the deltas — exact for the crash
+    // counters too: the coordinator writes them only at a crash, which ends
+    // the incarnation, so they cannot move while the node is live.
+    cn.fed = node->down ? node->fed : node->boot_fed;
+    if (!node->down) {
+      cn.arrivals = node->arrival_log;
+      cn.verify = VerifyLine(*node);
+    }
+    cn.room_ids = node->room_ids;
+    if (node->has_carried_stats) {
+      cn.carried_stats = EncodeRunStats(node->carried_stats);
+    }
+    c.nodes.push_back(std::move(cn));
+  }
+  return c;
+}
+
+// Reconstructs a live node by deterministic replay of its current
+// incarnation: boot exactly as the original did (same derived seed), step
+// window by window re-scheduling the logged arrivals at their original
+// barriers, and re-apply the router-close / inbox-EOF transitions at the
+// windows the coordinator originally performed them. The node's own
+// re-emissions go into a throwaway per-node router — per node because the
+// closed flag must flip at this node's original window (it gates the
+// transmit relay's exit condition) — and are discarded: the originals
+// already reached their destinations, which logged or folded them.
+bool Federation::Replay(ScaleNode* node, const CkptNode& cn) {
+  const uint64_t boot_window = node->incarnation == 0 ? 0 : cn.restart_window;
+  FabricRouter replay_router(num_nodes_, config_.window, latency_);
+  if (gossip_) {
+    node->router = &replay_router;
+  }
+  const FabricRouter::Sink discard = [](const FabricMessage&, Cycles) {
+    return FabricRouter::Delivery::kRefused;
+  };
+  size_t cursor = 0;
+  for (uint64_t w = boot_window; w <= window_index_; ++w) {
+    const Cycles replay_barrier = static_cast<Cycles>(w) * config_.window;
+    if (w > boot_window) {
+      // The original run advanced the node through window w before the
+      // barrier-w exchange. At the boot window itself the machine had not
+      // run yet: arrivals landed on the untouched fresh engine, and
+      // stepping it here would fire t=0 start events too early, changing
+      // event insertion order.
+      node->machine->engine().RunUntil(replay_barrier - node->clock_offset);
+      if (gossip_) {
+        replay_router.Exchange(replay_barrier, discard);
+      }
+    }
+    while (cursor < cn.arrivals.size() && cn.arrivals[cursor].window == w) {
+      ScheduleArrivalOn(node, cn.arrivals[cursor].arrival,
+                        cn.arrivals[cursor].payload);
+      ++cursor;
+    }
+    if (gossip_ && router_close_window_ != 0 && w == router_close_window_) {
+      replay_router.Close();
+    }
+    if (gossip_ && inbox_close_window_ != 0 && w == inbox_close_window_) {
+      node->inbox->Close(*node->machine);
+    }
+  }
+  if (gossip_) {
+    node->router = &router_;
+  }
+  if (cursor != cn.arrivals.size()) {
+    return false;  // An arrival tagged past the checkpoint window: corrupt.
+  }
+  return VerifyLine(*node) == cn.verify;
+}
+
+bool Federation::Restore(const ScaleCheckpoint& c) {
+  run_.digest = c.digest;
+  run_.messages_sent = c.messages_sent;
+  run_.messages_delivered = c.messages_delivered;
+  run_.node_crashes = c.node_crashes;
+  run_.node_restarts = c.node_restarts;
+  run_.windows_degraded = c.windows_degraded;
+  run_.fed = c.fed;
+  run_.peak_live_tasks = c.peak_live_tasks;
+  run_.peak_live_nodes = c.peak_live_nodes;
+  run_.peak_task_arena_bytes = c.peak_task_arena_bytes;
+  run_.peak_live_sockets = c.peak_live_sockets;
+  if (!DecodeRunStats(c.agg_stats, &run_.stats)) {
+    return false;
+  }
+  chats_done_ = c.chats_done;
+  all_completed_ = c.all_completed;
+  inboxes_closed_ = c.inboxes_closed;
+  inbox_close_at_ = c.inbox_close_at;
+  router_close_window_ = c.router_close_window;
+  inbox_close_window_ = c.inbox_close_window;
+  window_index_ = c.window_index;
+  router_.ImportState(c.fabric);
+  for (const CkptNode& cn : c.nodes) {
+    auto node = MakeNode(cn.index);
+    node->incarnation = cn.incarnation;
+    node->clock_offset = cn.clock_offset;
+    node->crashes = cn.crashes;
+    node->restart_window = cn.restart_window;
+    node->chat_done = cn.chat_done;
+    node->banked_sent = cn.banked_sent;
+    node->banked_delivered = cn.banked_delivered;
+    node->fed = cn.fed;
+    node->room_ids = cn.room_ids;
+    if (!cn.carried_stats.empty()) {
+      if (!DecodeRunStats(cn.carried_stats, &node->carried_stats)) {
+        return false;
+      }
+      node->has_carried_stats = true;
+    }
+    // Cheap structural sanity before committing to a replay: a live
+    // node's boot barrier must match its clock offset and lie at or
+    // before the checkpoint window; a down node's restart must still be
+    // in the future.
+    const Cycles expect_offset =
+        cn.incarnation == 0 ? 0 : static_cast<Cycles>(cn.restart_window) * config_.window;
+    if (node->clock_offset != expect_offset || cn.room_ids.empty()) {
+      return false;
+    }
+    if (cn.state == 2) {
+      if (cn.restart_window <= c.window_index) {
+        return false;
+      }
+      node->down = true;
+    } else {
+      if (cn.incarnation > 0 && cn.restart_window > c.window_index) {
+        return false;
+      }
+      BootNode(node.get(), config_);
+      if (!Replay(node.get(), cn)) {
+        return false;
+      }
+      node->arrival_log = cn.arrivals;  // The next segment still needs it.
+    }
+    nodes_[static_cast<size_t>(cn.index)] = std::move(node);
+    ++live_;
+  }
+  return live_ > 0;
+}
+
+// The checkpoint, kill and shutdown points at the end of a barrier. True
+// when the stop-after-window test hook ends the run here, leaving nodes
+// live: a deliberately partial run, never "completed".
+bool Federation::CheckpointPoint() {
+  const bool stop =
+      ckpt_.armed() && ckpt_.stop_after_window != 0 &&
+      window_index_ == ckpt_.stop_after_window;
+  if (ckpt_.armed()) {
+    const bool due = ckpt_.every > 0 && window_index_ % ckpt_.every == 0;
+    // Forced segments: the stop-after test hook, a pending graceful
+    // shutdown (flush state before unwinding), and the kill injector (the
+    // drill resumes from this very segment).
+    const bool forced = stop || ShutdownRequested() ||
+                        ScaleKillWindow() == static_cast<int64_t>(window_index_);
+    std::string error;
+    if ((due || forced) && !WriteCheckpointSegment(ckpt_, Snapshot(), &error)) {
+      std::fprintf(stderr,
+                   "elsc-scale: checkpoint write failed (continuing "
+                   "uncheckpointed): %s\n",
+                   error.c_str());
+    }
+  }
+  MaybeKillAtScaleWindow(window_index_);
+  if (ShutdownRequested()) {
+    throw GracefulShutdownRequested{};
+  }
+  return stop;
+}
+
+ScaleRun Federation::Run() {
+  std::unique_ptr<ThreadPool> pool;
+  if (shards_ > 1) {
+    pool = std::make_unique<ThreadPool>(shards_);
+  }
+  while (live_ > 0) {
+    ++window_index_;
+    const Cycles barrier = static_cast<Cycles>(window_index_) * config_.window;
+    if (!Advance(pool.get(), barrier)) {
+      FoldFailed("watchdog",
+                 StrFormat("federation watchdog: window %llu exceeded %.3fs "
+                           "wall-clock",
+                           static_cast<unsigned long long>(window_index_),
+                           wall_budget_));
+      break;
+    }
+    // ---- Barrier (coordinator, single-threaded) ----
+    if (armed_) {
+      CrashAndRestart(barrier);
+    }
+    SamplePeaks();
+    Exchange(barrier);
+    CloseIfDone(barrier);
+    FoldFinished();
+    // Simulated-time safety net: fold whatever is still live as failed,
+    // partial per-node stats and all.
+    if (live_ > 0 && barrier >= config_.deadline) {
+      FoldFailed("deadline",
+                 StrFormat("scale deadline exceeded: %d node(s) still live "
+                           "at window %llu",
+                           num_nodes_ - chats_done_,
+                           static_cast<unsigned long long>(window_index_)));
+      break;
+    }
+    if (live_ > 0 && CheckpointPoint()) {
+      break;
+    }
+  }
+  return Finish();
+}
+
+// Stamps the end-of-run totals and the scenario trailer onto the digest.
+ScaleRun Federation::Finish() {
+  run_.windows = window_index_;
+  run_.completed = all_completed_ && live_ == 0;
+  run_.fabric = router_.stats();
+  const FederationCounters& fed = run_.fed;
+  run_.deliveries_lost = fed.beacons_sent > fed.beacons_received
+                             ? fed.beacons_sent - fed.beacons_received
+                             : 0;
+  run_.elapsed_sec = run_.stats.elapsed_sec;
+  run_.throughput = run_.elapsed_sec > 0
+                        ? static_cast<double>(run_.messages_delivered) / run_.elapsed_sec
+                        : 0.0;
+  // Goodput under faults: deliveries per simulated second of *federation*
+  // runtime — downtime, degraded windows, and re-run rooms all stretch the
+  // denominator, unlike throughput's max-node-elapsed.
+  const double federation_sec =
+      CyclesToSec(static_cast<Cycles>(run_.windows) * config_.window);
+  run_.goodput = federation_sec > 0
+                     ? static_cast<double>(run_.messages_delivered) / federation_sec
+                     : 0.0;
+  run_.digest = Fnv1a64(
+      StrFormat("windows:%llu|fabric:%llu,%llu,%llu,%llu|peaks:%llu,%llu,%llu,%llu",
+                static_cast<unsigned long long>(run_.windows),
+                static_cast<unsigned long long>(run_.fabric.emitted),
+                static_cast<unsigned long long>(run_.fabric.routed),
+                static_cast<unsigned long long>(run_.fabric.refused),
+                static_cast<unsigned long long>(run_.fabric.dropped_closed),
+                static_cast<unsigned long long>(run_.peak_live_tasks),
+                static_cast<unsigned long long>(run_.peak_live_nodes),
+                static_cast<unsigned long long>(run_.peak_task_arena_bytes),
+                static_cast<unsigned long long>(run_.peak_live_sockets)),
+      run_.digest);
+  if (run_.fault_model) {
+    run_.digest = Fnv1a64(
+        StrFormat("|chaos:%llu,%llu,%llu,%llu,%llu,%llu,%llu|drops:%llu,%llu,%llu,%llu,%llu",
+                  static_cast<unsigned long long>(run_.node_crashes),
+                  static_cast<unsigned long long>(run_.node_restarts),
+                  static_cast<unsigned long long>(run_.windows_degraded),
+                  static_cast<unsigned long long>(run_.deliveries_lost),
+                  static_cast<unsigned long long>(fed.retransmits),
+                  static_cast<unsigned long long>(fed.retx_abandoned),
+                  static_cast<unsigned long long>(fed.dup_discards),
+                  static_cast<unsigned long long>(run_.fabric.dropped_loss),
+                  static_cast<unsigned long long>(run_.fabric.dropped_partition),
+                  static_cast<unsigned long long>(run_.fabric.dropped_crashed),
+                  static_cast<unsigned long long>(run_.fabric.dropped_lane_overflow),
+                  static_cast<unsigned long long>(run_.fabric.duplicated)),
+        run_.digest);
+  }
+  if (ckpt_.armed() && live_ == 0 && !run_.stats.failed) {
+    // Clean completion: stale segments must never resurrect a finished
+    // scenario (a same-fingerprint rerun starts cold). Failed runs keep
+    // theirs for post-mortem.
+    RemoveCheckpointSegments(ckpt_.path, config_fp_);
+  }
+  return std::move(run_);
+}
+
+// Resumes from the newest valid segment. Every rejection — unreadable,
+// torn, checksum-failed, wrong scenario, or post-replay verification
+// mismatch — is logged with a one-line repro and the next-older segment
+// is tried, each on a fresh Federation; null means cold start.
+std::unique_ptr<Federation> RestoreFederation(const ScaleConfig& config, int shards,
+                                              const ScaleCheckpointOptions& ckpt,
+                                              uint64_t config_fp) {
+  if (!ckpt.armed()) {
+    return nullptr;
+  }
+  for (const CheckpointSegmentInfo& seg : ListCheckpointSegments(ckpt.path, config_fp)) {
+    std::string contents;
+    std::string why;
+    ScaleCheckpoint c;
+    if (!ReadFileToString(seg.path, &contents)) {
+      why = "unreadable";
+    } else if (!DecodeScaleCheckpoint(contents, &c, &why)) {
+      // `why` was set by the decoder.
+    } else if (c.config_fp != config_fp || c.seed != config.seed ||
+               c.num_nodes != config.nodes()) {
+      why = "scenario binding mismatch (fingerprint/seed/nodes)";
+    } else {
+      auto federation = std::make_unique<Federation>(config, shards, ckpt, config_fp);
+      if (federation->Restore(c)) {
+        std::fprintf(stderr,
+                     "elsc-scale: resumed from %s (window %llu, %zu node(s) live)\n",
+                     seg.path.c_str(), static_cast<unsigned long long>(c.window_index),
+                     c.nodes.size());
+        return federation;
+      }
+      why = "restore verification failed";
+    }
+    std::fprintf(stderr,
+                 "elsc-scale: rejected checkpoint %s: %s — repro: rerun "
+                 "with ELSC_SCALE_CKPT=%s and this file preserved\n",
+                 seg.path.c_str(), why.c_str(), ckpt.path.c_str());
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
   const int num_nodes = config.nodes();
   ELSC_CHECK_MSG(config.rooms >= 1 && num_nodes >= 1, "scale scenario needs rooms");
   ELSC_CHECK_MSG(config.window > 0, "scale window must be positive");
-  const Cycles window = config.window;
-  const Cycles latency =
-      config.fabric_latency == 0 ? window : config.fabric_latency;
-  ELSC_CHECK_MSG(latency >= window,
+  // fabric_latency == 0 means one window.
+  ELSC_CHECK_MSG(config.fabric_latency == 0 || config.fabric_latency >= config.window,
                  "conservative rule: fabric latency must be >= the window");
-  const bool gossip = config.gossip_period > 0;
-  const bool armed = config.faults.Enabled();
   shards = std::clamp(shards <= 0 ? 1 : shards, 1, num_nodes);
 
   // Checkpoint knobs: explicit config wins, else the ELSC_SCALE_CKPT*
   // environment, else disabled. The fingerprint binds segments to this exact
   // scenario (and names them, so concurrent sweep cells never collide).
-  ScaleCheckpointOptions ckpt = config.ckpt;
-  if (ckpt.path.empty()) {
-    ckpt = ScaleCheckpointOptions::FromEnv();
-  }
+  const ScaleCheckpointOptions ckpt =
+      config.ckpt.path.empty() ? ScaleCheckpointOptions::FromEnv() : config.ckpt;
   const uint64_t config_fp = ckpt.armed() ? ScaleConfigFingerprint(config) : 0;
 
-  ScaleRun run;
-  run.nodes = num_nodes;
-  run.shards = shards;
-  run.rooms = static_cast<uint64_t>(config.rooms);
-  run.connections = config.connections();
-  run.fault_model = armed;
-  run.digest = kFnv1aOffset;
-
-  FabricRouter router(num_nodes, window, latency);
-  if (armed) {
-    router.ArmFaults(&config.faults);
+  std::unique_ptr<Federation> federation =
+      RestoreFederation(config, shards, ckpt, config_fp);
+  if (federation == nullptr) {
+    federation = std::make_unique<Federation>(config, shards, ckpt, config_fp);
+    federation->Build();
   }
-  if (config.fabric_lane_capacity > 0) {
-    router.SetLaneCapacity(config.fabric_lane_capacity);
-  }
-
-  // The router's post-construction state: ResetState() below reimports it
-  // when a partially-applied restore is rejected mid-way.
-  const FabricRouterState virgin_router = router.ExportState();
-
-  // ---- Build the federation ----
-  std::vector<std::unique_ptr<ScaleNode>> nodes(static_cast<size_t>(num_nodes));
-
-  const auto make_node = [&](int i) {
-    auto node = std::make_unique<ScaleNode>();
-    node->index = i;
-    node->first_room = i * config.rooms_per_node;
-    node->dst_node = (i + 1) % num_nodes;
-    node->src_node = (i + num_nodes - 1) % num_nodes;
-    node->config = &config;
-    node->router = gossip ? &router : nullptr;
-    node->armed = armed;
-    node->log_arrivals = ckpt.armed();
-    return node;
-  };
-
-  const auto build_cold = [&] {
-    for (int i = 0; i < num_nodes; ++i) {
-      auto node = make_node(i);
-      const int owned =
-          std::min(config.rooms_per_node, config.rooms - node->first_room);
-      node->room_ids.reserve(static_cast<size_t>(owned));
-      for (int r = 0; r < owned; ++r) {
-        node->room_ids.push_back(node->first_room + r);
-      }
-      BootNode(node.get(), config);
-      nodes[static_cast<size_t>(i)] = std::move(node);
-    }
-  };
-
-  // ---- Conservative time-windowed lock-step ----
-  std::unique_ptr<ThreadPool> pool;
-  if (shards > 1) {
-    pool = std::make_unique<ThreadPool>(shards);
-  }
-  const double wall_budget = ResolveWindowBudget(config);
-
-  int live = num_nodes;
-  int chats_done = 0;
-  bool all_completed = true;
-  Cycles inbox_close_at = 0;  // 0 = fabric still open.
-  bool inboxes_closed = !gossip;
-  uint64_t window_index = 0;
-  // Window indices the fabric closed / the inboxes EOF'd at (0 = not yet):
-  // checkpoint replay must re-apply both at exactly the original barriers.
-  uint64_t router_close_window = 0;
-  uint64_t inbox_close_window = 0;
-  bool stopped_early = false;  // ckpt.stop_after_window tripped.
-
-  // ---- Delivery sink: schedules a beacon's arrival on its destination ----
-  // Runs on the coordinator thread at barriers (no shard is advancing), so
-  // ScheduleAt into the destination engine is race-free; the event itself
-  // fires on whichever shard advances the destination through `arrival`.
-  const auto sink = [&nodes, &window_index](
-                        const FabricMessage& msg,
-                        Cycles arrival) -> FabricRouter::Delivery {
-    ScaleNode* dst = nodes[static_cast<size_t>(msg.dst_node)].get();
-    if (dst == nullptr) {
-      return FabricRouter::Delivery::kRefused;
-    }
-    if (dst->down || dst->machine == nullptr) {
-      return FabricRouter::Delivery::kDown;
-    }
-    if (dst->log_arrivals) {
-      dst->arrival_log.push_back(CkptArrival{window_index, arrival, msg.payload});
-    }
-    ScheduleArrivalOn(dst, arrival, msg.payload);
-    return FabricRouter::Delivery::kDelivered;
-  };
-
-  // Folds every still-live node as failed (partial per-node stats included)
-  // and stamps the run's failure — the deadline and watchdog exits.
-  const auto fold_failed = [&](const char* tag, const std::string& why) {
-    for (size_t n = 0; n < nodes.size(); ++n) {
-      ScaleNode* node = nodes[n].get();
-      if (node == nullptr) {
-        continue;
-      }
-      RunStats node_stats;
-      if (node->machine != nullptr) {
-        node_stats = NodeRunStats(*node);
-        run.messages_sent += node->volano->messages_sent();
-        run.messages_delivered += node->volano->messages_delivered();
-      }
-      if (node->has_carried_stats) {
-        MergeRunStats(&node->carried_stats, node_stats);
-        node_stats = node->carried_stats;
-      }
-      node_stats.failed = true;
-      run.messages_sent += node->banked_sent;
-      run.messages_delivered += node->banked_delivered;
-      run.beacons_sent += node->beacons_sent;
-      run.beacons_received += node->beacons_received;
-      run.inbox_overflows += node->inbox_overflows;
-      run.late_writes += node->late_writes;
-      run.retransmits += node->retransmits;
-      run.retx_abandoned += node->retx_abandoned;
-      run.dup_discards += node->dup_discards;
-      run.acks_sent += node->acks_sent;
-      run.acks_received += node->acks_received;
-      run.chat_messages_lost += node->chat_messages_lost;
-      run.crash_inflight_dropped += node->crash_inflight_dropped;
-      MergeRunStats(&run.stats, node_stats);
-      run.digest = Fnv1a64(
-          StrFormat("n%d@%s|", node->index, tag) + RunStatsDigest(node_stats) +
-              StrFormat("|fed:%llu,%llu,%llu,%llu;",
-                        static_cast<unsigned long long>(node->beacons_sent),
-                        static_cast<unsigned long long>(node->beacons_received),
-                        static_cast<unsigned long long>(node->inbox_overflows),
-                        static_cast<unsigned long long>(node->late_writes)),
-          run.digest);
-      nodes[n].reset();
-      --live;
-    }
-    all_completed = false;
-    run.stats.failed = true;
-    if (run.stats.failure.empty()) {
-      run.stats.failure = why;
-    }
-  };
-
-  // ---- Checkpoint machinery (scale_ckpt.h) ------------------------------
-
-  // Serializes the coordinator-visible federation state at the current
-  // (post-Exchange, post-fold) barrier.
-  const auto snapshot = [&] {
-    ScaleCheckpoint c;
-    c.config_fp = config_fp;
-    c.seed = config.seed;
-    c.window_index = window_index;
-    c.num_nodes = num_nodes;
-    c.chats_done = chats_done;
-    c.all_completed = all_completed;
-    c.inboxes_closed = inboxes_closed;
-    c.inbox_close_at = inbox_close_at;
-    c.router_close_window = router_close_window;
-    c.inbox_close_window = inbox_close_window;
-    c.digest = run.digest;
-    c.messages_sent = run.messages_sent;
-    c.messages_delivered = run.messages_delivered;
-    c.beacons_sent = run.beacons_sent;
-    c.beacons_received = run.beacons_received;
-    c.inbox_overflows = run.inbox_overflows;
-    c.late_writes = run.late_writes;
-    c.node_crashes = run.node_crashes;
-    c.node_restarts = run.node_restarts;
-    c.windows_degraded = run.windows_degraded;
-    c.retransmits = run.retransmits;
-    c.retx_abandoned = run.retx_abandoned;
-    c.dup_discards = run.dup_discards;
-    c.acks_sent = run.acks_sent;
-    c.acks_received = run.acks_received;
-    c.chat_messages_lost = run.chat_messages_lost;
-    c.crash_inflight_dropped = run.crash_inflight_dropped;
-    c.peak_live_tasks = run.peak_live_tasks;
-    c.peak_live_nodes = run.peak_live_nodes;
-    c.peak_task_arena_bytes = run.peak_task_arena_bytes;
-    c.peak_live_sockets = run.peak_live_sockets;
-    c.agg_stats = EncodeRunStats(run.stats);
-    c.fabric = router.ExportState();
-    for (const auto& owner : nodes) {
-      const ScaleNode* node = owner.get();
-      if (node == nullptr) {
-        continue;  // Folded: its contribution lives in digest/stats above.
-      }
-      CkptNode cn;
-      cn.index = node->index;
-      cn.state = node->down ? 2 : 1;
-      cn.incarnation = node->incarnation;
-      cn.clock_offset = node->clock_offset;
-      cn.crashes = node->crashes;
-      cn.restart_window = node->restart_window;
-      cn.chat_done = node->chat_done;
-      cn.banked_sent = node->banked_sent;
-      cn.banked_delivered = node->banked_delivered;
-      cn.chat_messages_lost = node->chat_messages_lost;
-      cn.crash_inflight_dropped = node->crash_inflight_dropped;
-      if (node->down) {
-        // Nothing to replay: current values restore directly.
-        cn.beacons_sent = node->beacons_sent;
-        cn.beacons_received = node->beacons_received;
-        cn.inbox_overflows = node->inbox_overflows;
-        cn.late_writes = node->late_writes;
-        cn.last_remote_progress = node->last_remote_progress;
-        cn.retransmits = node->retransmits;
-        cn.retx_abandoned = node->retx_abandoned;
-        cn.dup_discards = node->dup_discards;
-        cn.acks_sent = node->acks_sent;
-        cn.acks_received = node->acks_received;
-      } else {
-        // Live: the boot snapshot; replay re-adds this incarnation's deltas.
-        const ScaleNode::FedSnapshot& b = node->boot_counters;
-        cn.beacons_sent = b.beacons_sent;
-        cn.beacons_received = b.beacons_received;
-        cn.inbox_overflows = b.inbox_overflows;
-        cn.late_writes = b.late_writes;
-        cn.last_remote_progress = b.last_remote_progress;
-        cn.retransmits = b.retransmits;
-        cn.retx_abandoned = b.retx_abandoned;
-        cn.dup_discards = b.dup_discards;
-        cn.acks_sent = b.acks_sent;
-        cn.acks_received = b.acks_received;
-        cn.arrivals = node->arrival_log;
-        cn.verify = VerifyLine(*node);
-      }
-      cn.room_ids = node->room_ids;
-      if (node->has_carried_stats) {
-        cn.carried_stats = EncodeRunStats(node->carried_stats);
-      }
-      c.nodes.push_back(std::move(cn));
-    }
-    return c;
-  };
-
-  const auto write_checkpoint = [&] {
-    std::string error;
-    if (!WriteCheckpointSegment(ckpt, snapshot(), &error)) {
-      std::fprintf(stderr,
-                   "elsc-scale: checkpoint write failed (continuing "
-                   "uncheckpointed): %s\n",
-                   error.c_str());
-    }
-  };
-
-  // Reconstructs a live node by deterministic replay of its current
-  // incarnation: boot exactly as the original did (same derived seed), step
-  // window by window re-scheduling the logged arrivals at their original
-  // barriers, and re-apply the router-close / inbox-EOF transitions at the
-  // windows the coordinator originally performed them. The node's own
-  // re-emissions go into a throwaway per-node router — per node because the
-  // closed flag must flip at this node's original window (it gates the
-  // transmit relay's exit condition) — and are discarded: the originals
-  // already reached their destinations, which logged or folded them.
-  const auto replay_live_node = [&](ScaleNode* node, const CkptNode& cn) {
-    const uint64_t boot_window = node->incarnation == 0 ? 0 : cn.restart_window;
-    FabricRouter replay_router(num_nodes, window, latency);
-    if (gossip) {
-      node->router = &replay_router;
-    }
-    const FabricRouter::Sink discard = [](const FabricMessage&, Cycles) {
-      return FabricRouter::Delivery::kRefused;
-    };
-    size_t cursor = 0;
-    for (uint64_t w = boot_window; w <= window_index; ++w) {
-      const Cycles replay_barrier = static_cast<Cycles>(w) * window;
-      if (w > boot_window) {
-        // The original run advanced the node through window w before the
-        // barrier-w exchange. At the boot window itself the machine had not
-        // run yet: arrivals landed on the untouched fresh engine, and
-        // stepping it here would fire t=0 start events too early, changing
-        // event insertion order.
-        node->machine->engine().RunUntil(replay_barrier - node->clock_offset);
-        if (gossip) {
-          replay_router.Exchange(replay_barrier, discard);
-        }
-      }
-      while (cursor < cn.arrivals.size() && cn.arrivals[cursor].window == w) {
-        ScheduleArrivalOn(node, cn.arrivals[cursor].arrival,
-                          cn.arrivals[cursor].payload);
-        ++cursor;
-      }
-      if (gossip && router_close_window != 0 && w == router_close_window) {
-        replay_router.Close();
-      }
-      if (gossip && inbox_close_window != 0 && w == inbox_close_window) {
-        node->inbox->Close(*node->machine);
-      }
-    }
-    if (gossip) {
-      node->router = &router;
-    }
-    if (cursor != cn.arrivals.size()) {
-      return false;  // An arrival tagged past the checkpoint window: corrupt.
-    }
-    return VerifyLine(*node) == cn.verify;
-  };
-
-  // Installs one decoded checkpoint. False leaves partially-applied state —
-  // the caller must reset_state() before continuing.
-  const auto restore_from = [&](const ScaleCheckpoint& c) {
-    run.digest = c.digest;
-    run.messages_sent = c.messages_sent;
-    run.messages_delivered = c.messages_delivered;
-    run.beacons_sent = c.beacons_sent;
-    run.beacons_received = c.beacons_received;
-    run.inbox_overflows = c.inbox_overflows;
-    run.late_writes = c.late_writes;
-    run.node_crashes = c.node_crashes;
-    run.node_restarts = c.node_restarts;
-    run.windows_degraded = c.windows_degraded;
-    run.retransmits = c.retransmits;
-    run.retx_abandoned = c.retx_abandoned;
-    run.dup_discards = c.dup_discards;
-    run.acks_sent = c.acks_sent;
-    run.acks_received = c.acks_received;
-    run.chat_messages_lost = c.chat_messages_lost;
-    run.crash_inflight_dropped = c.crash_inflight_dropped;
-    run.peak_live_tasks = c.peak_live_tasks;
-    run.peak_live_nodes = c.peak_live_nodes;
-    run.peak_task_arena_bytes = c.peak_task_arena_bytes;
-    run.peak_live_sockets = c.peak_live_sockets;
-    if (!DecodeRunStats(c.agg_stats, &run.stats)) {
-      return false;
-    }
-    chats_done = c.chats_done;
-    all_completed = c.all_completed;
-    inboxes_closed = c.inboxes_closed;
-    inbox_close_at = c.inbox_close_at;
-    router_close_window = c.router_close_window;
-    inbox_close_window = c.inbox_close_window;
-    window_index = c.window_index;
-    router.ImportState(c.fabric);
-    live = 0;
-    for (const CkptNode& cn : c.nodes) {
-      auto node = make_node(cn.index);
-      node->incarnation = cn.incarnation;
-      node->clock_offset = cn.clock_offset;
-      node->crashes = cn.crashes;
-      node->restart_window = cn.restart_window;
-      node->chat_done = cn.chat_done;
-      node->banked_sent = cn.banked_sent;
-      node->banked_delivered = cn.banked_delivered;
-      node->chat_messages_lost = cn.chat_messages_lost;
-      node->crash_inflight_dropped = cn.crash_inflight_dropped;
-      node->beacons_sent = cn.beacons_sent;
-      node->beacons_received = cn.beacons_received;
-      node->inbox_overflows = cn.inbox_overflows;
-      node->late_writes = cn.late_writes;
-      node->last_remote_progress = cn.last_remote_progress;
-      node->retransmits = cn.retransmits;
-      node->retx_abandoned = cn.retx_abandoned;
-      node->dup_discards = cn.dup_discards;
-      node->acks_sent = cn.acks_sent;
-      node->acks_received = cn.acks_received;
-      node->room_ids = cn.room_ids;
-      if (!cn.carried_stats.empty()) {
-        if (!DecodeRunStats(cn.carried_stats, &node->carried_stats)) {
-          return false;
-        }
-        node->has_carried_stats = true;
-      }
-      // Cheap structural sanity before committing to a replay: a live
-      // node's boot barrier must match its clock offset and lie at or
-      // before the checkpoint window; a down node's restart must still be
-      // in the future.
-      const Cycles expect_offset =
-          cn.incarnation == 0 ? 0
-                              : static_cast<Cycles>(cn.restart_window) * window;
-      if (node->clock_offset != expect_offset || cn.room_ids.empty()) {
-        return false;
-      }
-      if (cn.state == 2) {
-        if (cn.restart_window <= c.window_index) {
-          return false;
-        }
-        node->down = true;
-      } else {
-        if (cn.incarnation > 0 && cn.restart_window > c.window_index) {
-          return false;
-        }
-        BootNode(node.get(), config);
-        if (!replay_live_node(node.get(), cn)) {
-          return false;
-        }
-        node->arrival_log = cn.arrivals;  // The next segment still needs it.
-      }
-      nodes[static_cast<size_t>(cn.index)] = std::move(node);
-      ++live;
-    }
-    return live > 0;
-  };
-
-  // Returns the function-local state to cold-start values after a rejected
-  // restore attempt (nodes, aggregate run, loop state, router).
-  const auto reset_state = [&] {
-    for (auto& node : nodes) {
-      node.reset();
-    }
-    ScaleRun fresh;
-    fresh.nodes = num_nodes;
-    fresh.shards = shards;
-    fresh.rooms = static_cast<uint64_t>(config.rooms);
-    fresh.connections = config.connections();
-    fresh.fault_model = armed;
-    fresh.digest = kFnv1aOffset;
-    run = fresh;
-    router.ImportState(virgin_router);
-    live = num_nodes;
-    chats_done = 0;
-    all_completed = true;
-    inbox_close_at = 0;
-    inboxes_closed = !gossip;
-    window_index = 0;
-    router_close_window = 0;
-    inbox_close_window = 0;
-  };
-
-  // Resumes from the newest valid segment. Every rejection — unreadable,
-  // torn, checksum-failed, wrong scenario, or post-replay verification
-  // mismatch — is logged with a one-line repro and the next-older segment
-  // is tried; false means cold start.
-  const auto try_restore = [&] {
-    if (!ckpt.armed()) {
-      return false;
-    }
-    for (const CheckpointSegmentInfo& seg :
-         ListCheckpointSegments(ckpt.path, config_fp)) {
-      std::string contents;
-      std::string why;
-      ScaleCheckpoint c;
-      if (!ReadFileToString(seg.path, &contents)) {
-        why = "unreadable";
-      } else if (!DecodeScaleCheckpoint(contents, &c, &why)) {
-        // `why` was set by the decoder.
-      } else if (c.config_fp != config_fp || c.seed != config.seed ||
-                 c.num_nodes != num_nodes) {
-        why = "scenario binding mismatch (fingerprint/seed/nodes)";
-      } else if (!restore_from(c)) {
-        why = "restore verification failed";
-        reset_state();
-      } else {
-        std::fprintf(
-            stderr,
-            "elsc-scale: resumed from %s (window %llu, %d node(s) live)\n",
-            seg.path.c_str(), static_cast<unsigned long long>(c.window_index),
-            live);
-        return true;
-      }
-      std::fprintf(stderr,
-                   "elsc-scale: rejected checkpoint %s: %s — repro: rerun "
-                   "with ELSC_SCALE_CKPT=%s and this file preserved\n",
-                   seg.path.c_str(), why.c_str(), ckpt.path.c_str());
-    }
-    return false;
-  };
-
-  if (!try_restore()) {
-    build_cold();
-  }
-
-  while (live > 0) {
-    ++window_index;
-    const Cycles barrier = static_cast<Cycles>(window_index) * window;
-
-    // Advance every live node to the barrier. Node->shard assignment is
-    // round-robin by node index; any assignment yields identical results
-    // (nodes only interact through the fabric, drained below). Each shard
-    // thread (and the serial loop) arms a per-window wall-clock watchdog:
-    // a livelocked node fails the federation instead of hanging it.
-    bool wall_timeout = false;
-    try {
-      if (pool != nullptr) {
-        for (int s = 0; s < shards; ++s) {
-          pool->Submit([&nodes, s, shards, barrier, wall_budget] {
-            std::optional<CellWatchdog> dog;
-            if (wall_budget > 0.0) {
-              dog.emplace(wall_budget);
-            }
-            for (size_t n = static_cast<size_t>(s); n < nodes.size();
-                 n += static_cast<size_t>(shards)) {
-              ScaleNode* node = nodes[n].get();
-              if (node != nullptr && !node->down) {
-                node->machine->engine().RunUntil(barrier - node->clock_offset);
-              }
-            }
-          });
-        }
-        pool->Wait();  // Rethrows the first shard exception, if any.
-      } else {
-        std::optional<CellWatchdog> dog;
-        if (wall_budget > 0.0) {
-          dog.emplace(wall_budget);
-        }
-        for (auto& node : nodes) {
-          if (node != nullptr && !node->down) {
-            node->machine->engine().RunUntil(barrier - node->clock_offset);
-          }
-        }
-      }
-    } catch (const CellDeadlineExceeded&) {
-      if (wall_budget <= 0.0) {
-        throw;  // The supervisor's cell watchdog, not ours.
-      }
-      wall_timeout = true;
-    }
-    if (wall_timeout) {
-      fold_failed("watchdog",
-                  StrFormat("federation watchdog: window %llu exceeded %.3fs "
-                            "wall-clock",
-                            static_cast<unsigned long long>(window_index),
-                            wall_budget));
-      break;
-    }
-
-    // ---- Barrier (coordinator, single-threaded) ----
-    // Failure plan, step 1 — crashes scheduled for this window. The node's
-    // engine is torn down mid-scenario: queued inbox traffic is discarded
-    // (peers see a reset inbox), scheduled arrivals die with the engine,
-    // finished rooms' delivery quotas are banked, partial rooms are lost
-    // and will re-run at restart.
-    if (armed) {
-      for (auto& owner : nodes) {
-        ScaleNode* node = owner.get();
-        if (node == nullptr || node->down || node->machine == nullptr ||
-            node->crashes > 0 || node->volano->ChatComplete() ||
-            !config.faults.NodeCrashes(node->index) ||
-            config.faults.CrashWindow(node->index) != window_index) {
-          continue;
-        }
-        node->inbox->ResetByPeer(*node->machine);
-        node->crash_inflight_dropped +=
-            node->pending_deliveries + node->inbox->stats().discarded;
-        node->pending_deliveries = 0;
-        MergeRunStats(&node->carried_stats, NodeRunStats(*node));
-        node->has_carried_stats = true;
-        const VolanoConfig& chat = node->volano->config();
-        const uint64_t room_quota_delivered =
-            static_cast<uint64_t>(chat.users_per_room) * chat.users_per_room *
-            chat.messages_per_user;
-        const uint64_t room_quota_sent =
-            static_cast<uint64_t>(chat.users_per_room) * chat.messages_per_user;
-        std::vector<int> unfinished;
-        for (int r = 0; r < chat.rooms; ++r) {
-          if (node->volano->RoomComplete(r)) {
-            node->banked_delivered += room_quota_delivered;
-            node->banked_sent += room_quota_sent;
-          } else {
-            node->chat_messages_lost += node->volano->RoomDelivered(r);
-            unfinished.push_back(node->room_ids[static_cast<size_t>(r)]);
-          }
-        }
-        node->room_ids = std::move(unfinished);
-        node->arrival_log.clear();  // Dead incarnation: never replayed.
-        // Teardown in the member-destruction order a folded node uses.
-        node->rx.reset();
-        node->tx.reset();
-        node->inbox.reset();
-        node->volano.reset();
-        node->machine.reset();
-        node->down = true;
-        node->restart_window =
-            window_index + config.faults.DownWindows(node->index);
-        ++node->crashes;
-        ++run.node_crashes;
-      }
-      // Step 2 — restarts due this window: rebuild the node with a derived
-      // seed over its unfinished rooms; its fresh engine starts at local
-      // t = 0, offset to the current barrier.
-      for (auto& owner : nodes) {
-        ScaleNode* node = owner.get();
-        if (node == nullptr || !node->down ||
-            node->restart_window != window_index) {
-          continue;
-        }
-        ++node->incarnation;
-        node->clock_offset = barrier;
-        node->tx_acked = 0;  // The new incarnation's ids restart the link.
-        BootNode(node, config);
-        node->down = false;
-        ++run.node_restarts;
-      }
-      for (const auto& node : nodes) {
-        if (node != nullptr && node->down) {
-          ++run.windows_degraded;
-          break;
-        }
-      }
-    }
-
-    // Memory high-water sampling across the live federation.
-    uint64_t live_tasks = 0;
-    uint64_t arena_bytes = 0;
-    uint64_t sockets = 0;
-    for (const auto& node : nodes) {
-      if (node == nullptr || node->machine == nullptr) {
-        continue;
-      }
-      live_tasks += node->machine->live_tasks();
-      arena_bytes += node->machine->task_arena_bytes();
-      sockets += node->volano->SocketCount() + (node->inbox ? 1 : 0);
-    }
-    run.peak_live_tasks = std::max(run.peak_live_tasks, live_tasks);
-    run.peak_task_arena_bytes = std::max(run.peak_task_arena_bytes, arena_bytes);
-    run.peak_live_sockets = std::max(run.peak_live_sockets, sockets);
-    run.peak_live_nodes =
-        std::max(run.peak_live_nodes, static_cast<uint64_t>(live));
-
-    // Cross-node traffic exchange (deterministic node/emission order).
-    if (gossip) {
-      router.Exchange(barrier, sink);
-    }
-
-    // Chat-completion scan; once the whole federation's chat is done the
-    // fabric closes, and after one more latency the inboxes EOF so the
-    // receive relays drain whatever is still in flight and exit.
-    for (const auto& node : nodes) {
-      if (node != nullptr && node->machine != nullptr && !node->chat_done &&
-          node->volano->ChatComplete()) {
-        node->chat_done = true;
-        ++chats_done;
-      }
-    }
-    if (gossip && !router.closed() && chats_done == num_nodes) {
-      router.Close();
-      inbox_close_at = barrier + latency;
-      router_close_window = window_index;
-    }
-    if (!inboxes_closed && inbox_close_at != 0 && barrier >= inbox_close_at) {
-      for (const auto& node : nodes) {
-        if (node != nullptr && node->machine != nullptr) {
-          node->inbox->Close(*node->machine);
-        }
-      }
-      inboxes_closed = true;
-      inbox_close_window = window_index;
-    }
-
-    // Streaming fold: finished nodes are folded into the aggregate in node
-    // order and destroyed — constant live state, not O(total nodes).
-    for (size_t n = 0; n < nodes.size(); ++n) {
-      ScaleNode* node = nodes[n].get();
-      if (node == nullptr || node->machine == nullptr ||
-          !node->volano->Done()) {
-        continue;
-      }
-      node->completed_window = window_index;
-      RunStats node_stats = NodeRunStats(*node);
-      if (node->has_carried_stats) {
-        // Dead incarnations' partial stats ride along with the final one.
-        MergeRunStats(&node->carried_stats, node_stats);
-        node_stats = node->carried_stats;
-      }
-      const VolanoResult result = node->volano->Result();
-      all_completed = all_completed && result.completed && !node_stats.failed;
-      run.messages_sent += result.messages_sent + node->banked_sent;
-      run.messages_delivered += result.messages_delivered + node->banked_delivered;
-      run.beacons_sent += node->beacons_sent;
-      run.beacons_received += node->beacons_received;
-      run.inbox_overflows += node->inbox_overflows;
-      run.late_writes += node->late_writes;
-      run.retransmits += node->retransmits;
-      run.retx_abandoned += node->retx_abandoned;
-      run.dup_discards += node->dup_discards;
-      run.acks_sent += node->acks_sent;
-      run.acks_received += node->acks_received;
-      run.chat_messages_lost += node->chat_messages_lost;
-      run.crash_inflight_dropped += node->crash_inflight_dropped;
-      MergeRunStats(&run.stats, node_stats);
-      std::string record =
-          StrFormat("n%d@%llu|", node->index,
-                    static_cast<unsigned long long>(node->completed_window)) +
-          RunStatsDigest(node_stats) +
-          StrFormat("|chat:%llu,%llu,%d|fed:%llu,%llu,%llu,%llu;",
-                    static_cast<unsigned long long>(result.messages_sent),
-                    static_cast<unsigned long long>(result.messages_delivered),
-                    result.completed ? 1 : 0,
-                    static_cast<unsigned long long>(node->beacons_sent),
-                    static_cast<unsigned long long>(node->beacons_received),
-                    static_cast<unsigned long long>(node->inbox_overflows),
-                    static_cast<unsigned long long>(node->late_writes));
-      if (run.fault_model) {
-        // The recovery block only exists under an armed plan — fault-free
-        // fold records stay byte-identical to the pre-failure-model layout.
-        record += StrFormat(
-            "|rec:%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu;",
-            node->incarnation,
-            static_cast<unsigned long long>(node->banked_delivered),
-            static_cast<unsigned long long>(node->retransmits),
-            static_cast<unsigned long long>(node->retx_abandoned),
-            static_cast<unsigned long long>(node->dup_discards),
-            static_cast<unsigned long long>(node->acks_sent),
-            static_cast<unsigned long long>(node->acks_received),
-            static_cast<unsigned long long>(node->chat_messages_lost),
-            static_cast<unsigned long long>(node->crash_inflight_dropped));
-      }
-      run.digest = Fnv1a64(record, run.digest);
-      nodes[n].reset();
-      --live;
-    }
-
-    // Simulated-time safety net: fold whatever is still live as failed,
-    // partial per-node stats and all.
-    if (live > 0 && barrier >= config.deadline) {
-      fold_failed("deadline",
-                  StrFormat("scale deadline exceeded: %d node(s) still live "
-                            "at window %llu",
-                            num_nodes - chats_done,
-                            static_cast<unsigned long long>(window_index)));
-      break;
-    }
-
-    // ---- Checkpoint / kill / shutdown points (end of barrier) ----
-    if (live > 0) {
-      if (ckpt.armed()) {
-        const bool due = ckpt.every > 0 && window_index % ckpt.every == 0;
-        // Forced segments: the stop-after test hook, a pending graceful
-        // shutdown (flush state before unwinding), and the kill injector
-        // (the drill resumes from this very segment).
-        const bool forced =
-            (ckpt.stop_after_window != 0 &&
-             window_index == ckpt.stop_after_window) ||
-            ShutdownRequested() ||
-            ScaleKillWindow() == static_cast<int64_t>(window_index);
-        if (due || forced) {
-          write_checkpoint();
-        }
-      }
-      MaybeKillAtScaleWindow(window_index);
-      if (ShutdownRequested()) {
-        throw GracefulShutdownRequested{};
-      }
-      if (ckpt.armed() && ckpt.stop_after_window != 0 &&
-          window_index == ckpt.stop_after_window) {
-        stopped_early = true;
-        break;
-      }
-    }
-  }
-
-  run.windows = window_index;
-  // stopped_early leaves nodes live: a deliberately-partial run (the test
-  // stand-in for a mid-scenario kill) is never "completed".
-  run.completed = all_completed && live == 0;
-  run.fabric = router.stats();
-  run.deliveries_lost = run.beacons_sent > run.beacons_received
-                            ? run.beacons_sent - run.beacons_received
-                            : 0;
-  run.elapsed_sec = run.stats.elapsed_sec;
-  run.throughput = run.elapsed_sec > 0
-                       ? static_cast<double>(run.messages_delivered) / run.elapsed_sec
-                       : 0.0;
-  // Goodput under faults: deliveries per simulated second of *federation*
-  // runtime — downtime, degraded windows, and re-run rooms all stretch the
-  // denominator, unlike throughput's max-node-elapsed.
-  const double federation_sec = CyclesToSec(static_cast<Cycles>(run.windows) * window);
-  run.goodput = federation_sec > 0
-                    ? static_cast<double>(run.messages_delivered) / federation_sec
-                    : 0.0;
-  run.digest = Fnv1a64(
-      StrFormat("windows:%llu|fabric:%llu,%llu,%llu,%llu|peaks:%llu,%llu,%llu,%llu",
-                static_cast<unsigned long long>(run.windows),
-                static_cast<unsigned long long>(run.fabric.emitted),
-                static_cast<unsigned long long>(run.fabric.routed),
-                static_cast<unsigned long long>(run.fabric.refused),
-                static_cast<unsigned long long>(run.fabric.dropped_closed),
-                static_cast<unsigned long long>(run.peak_live_tasks),
-                static_cast<unsigned long long>(run.peak_live_nodes),
-                static_cast<unsigned long long>(run.peak_task_arena_bytes),
-                static_cast<unsigned long long>(run.peak_live_sockets)),
-      run.digest);
-  if (run.fault_model) {
-    run.digest = Fnv1a64(
-        StrFormat("|chaos:%llu,%llu,%llu,%llu,%llu,%llu,%llu|drops:%llu,%llu,%llu,%llu,%llu",
-                  static_cast<unsigned long long>(run.node_crashes),
-                  static_cast<unsigned long long>(run.node_restarts),
-                  static_cast<unsigned long long>(run.windows_degraded),
-                  static_cast<unsigned long long>(run.deliveries_lost),
-                  static_cast<unsigned long long>(run.retransmits),
-                  static_cast<unsigned long long>(run.retx_abandoned),
-                  static_cast<unsigned long long>(run.dup_discards),
-                  static_cast<unsigned long long>(run.fabric.dropped_loss),
-                  static_cast<unsigned long long>(run.fabric.dropped_partition),
-                  static_cast<unsigned long long>(run.fabric.dropped_crashed),
-                  static_cast<unsigned long long>(run.fabric.dropped_lane_overflow),
-                  static_cast<unsigned long long>(run.fabric.duplicated)),
-        run.digest);
-  }
-  if (ckpt.armed() && live == 0 && !run.stats.failed) {
-    // Clean completion: stale segments must never resurrect a finished
-    // scenario (a same-fingerprint rerun starts cold). Failed runs keep
-    // theirs for post-mortem.
-    RemoveCheckpointSegments(ckpt.path, config_fp);
-  }
-  return run;
+  return federation->Run();
 }
 
 std::string ScaleRunSignature(const ScaleRun& run) {
@@ -1373,10 +1277,10 @@ std::string ScaleRunSignature(const ScaleRun& run) {
       static_cast<unsigned long long>(run.windows),
       static_cast<unsigned long long>(run.messages_sent),
       static_cast<unsigned long long>(run.messages_delivered),
-      static_cast<unsigned long long>(run.beacons_sent),
-      static_cast<unsigned long long>(run.beacons_received),
-      static_cast<unsigned long long>(run.inbox_overflows),
-      static_cast<unsigned long long>(run.late_writes),
+      static_cast<unsigned long long>(run.fed.beacons_sent),
+      static_cast<unsigned long long>(run.fed.beacons_received),
+      static_cast<unsigned long long>(run.fed.inbox_overflows),
+      static_cast<unsigned long long>(run.fed.late_writes),
       static_cast<unsigned long long>(run.peak_live_tasks),
       static_cast<unsigned long long>(run.peak_task_arena_bytes),
       run.elapsed_sec, run.completed ? 1 : 0);
@@ -1388,11 +1292,11 @@ std::string ScaleRunSignature(const ScaleRun& run) {
         static_cast<unsigned long long>(run.node_restarts),
         static_cast<unsigned long long>(run.windows_degraded),
         static_cast<unsigned long long>(run.deliveries_lost),
-        static_cast<unsigned long long>(run.retransmits),
-        static_cast<unsigned long long>(run.retx_abandoned),
-        static_cast<unsigned long long>(run.dup_discards),
-        static_cast<unsigned long long>(run.acks_sent),
-        static_cast<unsigned long long>(run.acks_received), run.goodput);
+        static_cast<unsigned long long>(run.fed.retransmits),
+        static_cast<unsigned long long>(run.fed.retx_abandoned),
+        static_cast<unsigned long long>(run.fed.dup_discards),
+        static_cast<unsigned long long>(run.fed.acks_sent),
+        static_cast<unsigned long long>(run.fed.acks_received), run.goodput);
   }
   if (!run.stats.failure.empty()) {
     sig += "|failure:" + run.stats.failure;
@@ -1427,13 +1331,13 @@ std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
           static_cast<unsigned long long>(r.node_restarts),
           static_cast<unsigned long long>(r.windows_degraded),
           static_cast<unsigned long long>(r.deliveries_lost),
-          static_cast<unsigned long long>(r.retransmits),
-          static_cast<unsigned long long>(r.retx_abandoned),
-          static_cast<unsigned long long>(r.dup_discards),
-          static_cast<unsigned long long>(r.acks_sent),
-          static_cast<unsigned long long>(r.acks_received),
-          static_cast<unsigned long long>(r.crash_inflight_dropped),
-          static_cast<unsigned long long>(r.chat_messages_lost), r.goodput,
+          static_cast<unsigned long long>(r.fed.retransmits),
+          static_cast<unsigned long long>(r.fed.retx_abandoned),
+          static_cast<unsigned long long>(r.fed.dup_discards),
+          static_cast<unsigned long long>(r.fed.acks_sent),
+          static_cast<unsigned long long>(r.fed.acks_received),
+          static_cast<unsigned long long>(r.fed.crash_inflight_dropped),
+          static_cast<unsigned long long>(r.fed.chat_messages_lost), r.goodput,
           static_cast<unsigned long long>(r.fabric.dropped_loss),
           static_cast<unsigned long long>(r.fabric.dropped_partition),
           static_cast<unsigned long long>(r.fabric.dropped_crashed),
@@ -1465,10 +1369,10 @@ std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
         r.elapsed_sec,
         static_cast<unsigned long long>(r.stats.machine.tasks_created),
         static_cast<unsigned long long>(r.stats.events.fired),
-        static_cast<unsigned long long>(r.beacons_sent),
-        static_cast<unsigned long long>(r.beacons_received),
-        static_cast<unsigned long long>(r.inbox_overflows),
-        static_cast<unsigned long long>(r.late_writes),
+        static_cast<unsigned long long>(r.fed.beacons_sent),
+        static_cast<unsigned long long>(r.fed.beacons_received),
+        static_cast<unsigned long long>(r.fed.inbox_overflows),
+        static_cast<unsigned long long>(r.fed.late_writes),
         static_cast<unsigned long long>(r.fabric.routed),
         static_cast<unsigned long long>(r.fabric.dropped_closed),
         fault_block.c_str(),

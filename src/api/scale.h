@@ -134,11 +134,8 @@ struct ScaleRun {
   double elapsed_sec = 0.0;  // Max node completion time (simulated).
   double throughput = 0.0;   // Deliveries per simulated second, aggregate.
 
-  // Federation traffic.
-  uint64_t beacons_sent = 0;      // Unique beacons (retransmits not counted).
-  uint64_t beacons_received = 0;  // Unique beacons processed by receivers.
-  uint64_t inbox_overflows = 0;  // Deliveries refused by a full inbox.
-  uint64_t late_writes = 0;      // Deliveries landing on a closed inbox.
+  // Federation traffic and recovery counters, summed over every node.
+  FederationCounters fed;
   FabricStats fabric;
 
   // -- Availability accounting (failure model; all zero fault-free).
@@ -148,16 +145,6 @@ struct ScaleRun {
   uint64_t node_restarts = 0;
   uint64_t windows_degraded = 0;  // Barriers with >= 1 node down.
   uint64_t deliveries_lost = 0;   // Beacons emitted but never processed.
-  uint64_t retransmits = 0;       // Beacon re-emissions by the protocol.
-  uint64_t retx_abandoned = 0;    // Unacked beacons given up on (retries
-                                  // exhausted or buffer overflow).
-  uint64_t dup_discards = 0;      // Received beacons discarded as duplicates.
-  uint64_t acks_sent = 0;
-  uint64_t acks_received = 0;
-  uint64_t crash_inflight_dropped = 0;  // Fabric deliveries destroyed with a
-                                        // crashing node (inbox + scheduled).
-  uint64_t chat_messages_lost = 0;  // Partial-room chat work a crash threw
-                                    // away (re-run after restart).
   // Deliveries per simulated second of total federation runtime (windows x
   // window), downtime and re-run windows included — the goodput-under-faults
   // metric. Equals throughput's denominator-free sibling fault-free.

@@ -120,7 +120,30 @@ bool StartsWith(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+// The reader matching AppendFederationCounters.
+bool ReadFederationCounters(TokenReader* tr, FederationCounters* counters) {
+  for (const auto field : kFederationCounterFields) {
+    if (!tr->U64(&(counters->*field))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+FederationCounters& FederationCounters::operator+=(const FederationCounters& other) {
+  for (const auto field : kFederationCounterFields) {
+    this->*field += other.*field;
+  }
+  return *this;
+}
+
+void AppendFederationCounters(std::string* out, const FederationCounters& counters) {
+  for (const auto field : kFederationCounterFields) {
+    AppendU64(out, counters.*field);
+  }
+}
 
 uint64_t ScaleConfigFingerprint(const ScaleConfig& c) {
   std::string enc = "scalefp v1 ";
@@ -217,7 +240,7 @@ ScaleCheckpointOptions ScaleCheckpointOptions::FromEnv() {
 
 std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
   std::string out = StrFormat(
-      "elscscale v1 fp=%016llx seed=%llu window=%llu nodes=%d\n",
+      "elscscale v2 fp=%016llx seed=%llu window=%llu nodes=%d\n",
       static_cast<unsigned long long>(ck.config_fp),
       static_cast<unsigned long long>(ck.seed),
       static_cast<unsigned long long>(ck.window_index), ck.num_nodes);
@@ -226,20 +249,10 @@ std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
   AppendHex64(&out, ck.digest);
   AppendU64(&out, ck.messages_sent);
   AppendU64(&out, ck.messages_delivered);
-  AppendU64(&out, ck.beacons_sent);
-  AppendU64(&out, ck.beacons_received);
-  AppendU64(&out, ck.inbox_overflows);
-  AppendU64(&out, ck.late_writes);
   AppendU64(&out, ck.node_crashes);
   AppendU64(&out, ck.node_restarts);
   AppendU64(&out, ck.windows_degraded);
-  AppendU64(&out, ck.retransmits);
-  AppendU64(&out, ck.retx_abandoned);
-  AppendU64(&out, ck.dup_discards);
-  AppendU64(&out, ck.acks_sent);
-  AppendU64(&out, ck.acks_received);
-  AppendU64(&out, ck.chat_messages_lost);
-  AppendU64(&out, ck.crash_inflight_dropped);
+  AppendFederationCounters(&out, ck.fed);
   AppendU64(&out, ck.peak_live_tasks);
   AppendU64(&out, ck.peak_live_nodes);
   AppendU64(&out, ck.peak_task_arena_bytes);
@@ -285,18 +298,7 @@ std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
     AppendU64(&out, n.chat_done ? 1 : 0);
     AppendU64(&out, n.banked_sent);
     AppendU64(&out, n.banked_delivered);
-    AppendU64(&out, n.chat_messages_lost);
-    AppendU64(&out, n.crash_inflight_dropped);
-    AppendU64(&out, n.beacons_sent);
-    AppendU64(&out, n.beacons_received);
-    AppendU64(&out, n.inbox_overflows);
-    AppendU64(&out, n.late_writes);
-    AppendU64(&out, n.last_remote_progress);
-    AppendU64(&out, n.retransmits);
-    AppendU64(&out, n.retx_abandoned);
-    AppendU64(&out, n.dup_discards);
-    AppendU64(&out, n.acks_sent);
-    AppendU64(&out, n.acks_received);
+    AppendFederationCounters(&out, n.fed);
     AppendU64(&out, n.room_ids.size());
     for (int room : n.room_ids) {
       AppendI64(&out, room);
@@ -364,7 +366,7 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
       unsigned long long window = 0;
       int nodes = 0;
       int consumed = -1;
-      if (std::sscanf(line.c_str(), "elscscale v1 fp=%llx seed=%llu window=%llu nodes=%d%n",
+      if (std::sscanf(line.c_str(), "elscscale v2 fp=%llx seed=%llu window=%llu nodes=%d%n",
                       &fp, &seed, &window, &nodes, &consumed) != 4 ||
           consumed != static_cast<int>(line.size())) {
         return fail("bad header (wrong magic or version): \"" + line + "\"");
@@ -386,14 +388,9 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
       }
       TokenReader tr(line.substr(4));
       bool ok = tr.Hex64(&ck->digest) && tr.U64(&ck->messages_sent) &&
-                tr.U64(&ck->messages_delivered) && tr.U64(&ck->beacons_sent) &&
-                tr.U64(&ck->beacons_received) && tr.U64(&ck->inbox_overflows) &&
-                tr.U64(&ck->late_writes) && tr.U64(&ck->node_crashes) &&
+                tr.U64(&ck->messages_delivered) && tr.U64(&ck->node_crashes) &&
                 tr.U64(&ck->node_restarts) && tr.U64(&ck->windows_degraded) &&
-                tr.U64(&ck->retransmits) && tr.U64(&ck->retx_abandoned) &&
-                tr.U64(&ck->dup_discards) && tr.U64(&ck->acks_sent) &&
-                tr.U64(&ck->acks_received) && tr.U64(&ck->chat_messages_lost) &&
-                tr.U64(&ck->crash_inflight_dropped) &&
+                ReadFederationCounters(&tr, &ck->fed) &&
                 tr.U64(&ck->peak_live_tasks) && tr.U64(&ck->peak_live_nodes) &&
                 tr.U64(&ck->peak_task_arena_bytes) &&
                 tr.U64(&ck->peak_live_sockets) && tr.Int(&ck->chats_done) &&
@@ -453,13 +450,8 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
                 tr.Int(&n.incarnation) && tr.U64(&n.clock_offset) &&
                 tr.U64(&n.crashes) && tr.U64(&n.restart_window) &&
                 tr.Bool(&n.chat_done) && tr.U64(&n.banked_sent) &&
-                tr.U64(&n.banked_delivered) && tr.U64(&n.chat_messages_lost) &&
-                tr.U64(&n.crash_inflight_dropped) && tr.U64(&n.beacons_sent) &&
-                tr.U64(&n.beacons_received) && tr.U64(&n.inbox_overflows) &&
-                tr.U64(&n.late_writes) && tr.U64(&n.last_remote_progress) &&
-                tr.U64(&n.retransmits) && tr.U64(&n.retx_abandoned) &&
-                tr.U64(&n.dup_discards) && tr.U64(&n.acks_sent) &&
-                tr.U64(&n.acks_received) && tr.U64(&rooms);
+                tr.U64(&n.banked_delivered) && ReadFederationCounters(&tr, &n.fed) &&
+                tr.U64(&rooms);
       if (!ok || n.index < 0 || n.index >= ck->num_nodes ||
           (n.state != 1 && n.state != 2) || n.incarnation < 0 ||
           rooms > static_cast<uint64_t>(INT32_MAX)) {

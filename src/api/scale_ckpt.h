@@ -13,16 +13,18 @@
 //
 // What a segment holds (see docs/SCALE.md "Checkpoint & recovery"):
 //
-//   * the aggregate ScaleRun-so-far: every folded-node counter, the merged
-//     RunStats, the concurrent peaks, and the streaming FNV digest chain;
+//   * the aggregate ScaleRun-so-far: the folded nodes' FederationCounters,
+//     the merged RunStats, the concurrent peaks, and the streaming FNV
+//     digest chain;
 //   * the fabric cursor: per-source emission counters (loss/dup fault coins
 //     are keyed by (src, dst, seq)), cumulative FabricStats, closed flag —
 //     lanes are always empty at a post-Exchange barrier, so in-flight
 //     traffic lives in destination arrival logs instead;
 //   * per live/down node: lifecycle (incarnation, clock offset, crash bank),
-//     the unfinished-room set, boot-time counter snapshots, the current
-//     incarnation's fabric arrival log, and a verification line (counters +
-//     RunStatsDigest + ack/retransmit/reorder buffer state).
+//     the unfinished-room set, its FederationCounters (a live node's as of
+//     its boot), the current incarnation's fabric arrival log, and a
+//     verification line (counters + RunStatsDigest + ack/retransmit/reorder
+//     buffer state).
 //
 // Restore rebuilds live nodes by *deterministic replay*: the node is booted
 // exactly as the original incarnation was (same derived seed), stepped
@@ -38,15 +40,23 @@
 // File format (text, one record per line, journal-style escaping for
 // embedded payloads, FNV-1a-64 trailer over all preceding bytes):
 //
-//   elscscale v1 fp=<hex16> seed=<u64> window=<u64> nodes=<n>
-//   run <digest hex16> <aggregate counters...>
+//   elscscale v2 fp=<hex16> seed=<u64> window=<u64> nodes=<n>
+//   run <digest hex16> <sent> <delivered> <crashes> <restarts> <degraded>
+//       <counters> <peaks...> <loop state...>
 //   stats <escaped EncodeRunStats>
 //   fabric <closed> <stats...> <n> <next_seq...>
-//   node <index> <state> <lifecycle + counters + rooms...>
+//   node <index> <state> <lifecycle...> <banked sent/delivered> <counters>
+//       <n> <rooms...>
 //   carried <index> <escaped EncodeRunStats>        (optional per node)
 //   arr <index> <window> <arrival> <id> <sender> <room> <sent_at> <payload>
 //   verify <index> <escaped verification line>
 //   end <fnv hex16>
+//
+// <counters> is one FederationCounters block, the same eleven tokens in
+// field order in both records (AppendFederationCounters). v2 moved the run
+// record's counters into that block and dropped the node record's
+// last_remote_progress; a v1 segment is rejected at the header and the run
+// cold-starts (segments are transient, so there is nothing to migrate).
 
 #ifndef SRC_API_SCALE_CKPT_H_
 #define SRC_API_SCALE_CKPT_H_
@@ -75,6 +85,48 @@ struct ScaleCheckpointOptions {
   static ScaleCheckpointOptions FromEnv();
 };
 
+// A federation node's traffic and recovery counters, and their sum over a
+// run. Every copy — the live node, its boot snapshot, the aggregate, both
+// checkpoint records, the verification line — is one assignment, one `+=`
+// or one codec call, so a new counter is one field here plus one entry in
+// kFederationCounterFields.
+struct FederationCounters {
+  uint64_t beacons_sent = 0;      // Unique beacons (retransmits not counted).
+  uint64_t beacons_received = 0;  // Unique beacons processed by receivers.
+  uint64_t inbox_overflows = 0;   // Deliveries refused by a full inbox.
+  uint64_t late_writes = 0;       // Deliveries landing on a closed inbox.
+  // Recovery protocol (failure model only; zero fault-free).
+  uint64_t retransmits = 0;       // Beacon re-emissions by the protocol.
+  uint64_t retx_abandoned = 0;    // Unacked beacons given up on (retries
+                                  // exhausted or buffer overflow).
+  uint64_t dup_discards = 0;      // Received beacons discarded as duplicates.
+  uint64_t acks_sent = 0;
+  uint64_t acks_received = 0;
+  // Crash accounting, written by the coordinator when a node crashes.
+  uint64_t chat_messages_lost = 0;      // Partial-room chat work thrown away
+                                        // (re-run after restart).
+  uint64_t crash_inflight_dropped = 0;  // Fabric deliveries destroyed with
+                                        // the node (inbox + scheduled).
+
+  FederationCounters& operator+=(const FederationCounters& other);
+  bool operator==(const FederationCounters&) const = default;
+};
+
+// Every counter, in codec order.
+inline constexpr uint64_t FederationCounters::*kFederationCounterFields[] = {
+    &FederationCounters::beacons_sent,       &FederationCounters::beacons_received,
+    &FederationCounters::inbox_overflows,    &FederationCounters::late_writes,
+    &FederationCounters::retransmits,        &FederationCounters::retx_abandoned,
+    &FederationCounters::dup_discards,       &FederationCounters::acks_sent,
+    &FederationCounters::acks_received,      &FederationCounters::chat_messages_lost,
+    &FederationCounters::crash_inflight_dropped,
+};
+
+// The counters' text codec: space-terminated decimal tokens in field order.
+// The checkpoint's run and node records and the verification line all use
+// it; the decoder reads it back with the matching reader.
+void AppendFederationCounters(std::string* out, const FederationCounters& counters);
+
 // One logged fabric delivery: enough to re-schedule it during replay at the
 // barrier it originally landed on. Logged in sink-call order (duplicated
 // deliveries appear twice, like the sink saw them).
@@ -97,21 +149,10 @@ struct CkptNode {
   bool chat_done = false;
   uint64_t banked_sent = 0;
   uint64_t banked_delivered = 0;
-  uint64_t chat_messages_lost = 0;
-  uint64_t crash_inflight_dropped = 0;
-  // Federation counters. Live nodes: the boot-time snapshot of the current
-  // incarnation (replay re-adds this incarnation's deltas). Down nodes: the
-  // current values (nothing to replay).
-  uint64_t beacons_sent = 0;
-  uint64_t beacons_received = 0;
-  uint64_t inbox_overflows = 0;
-  uint64_t late_writes = 0;
-  uint64_t last_remote_progress = 0;
-  uint64_t retransmits = 0;
-  uint64_t retx_abandoned = 0;
-  uint64_t dup_discards = 0;
-  uint64_t acks_sent = 0;
-  uint64_t acks_received = 0;
+  // Live nodes: the counters at the current incarnation's boot (replay
+  // re-adds this incarnation's deltas). Down nodes: the current values
+  // (nothing to replay).
+  FederationCounters fed;
   std::vector<int> room_ids;      // This incarnation's (unfinished) rooms.
   std::string carried_stats;      // EncodeRunStats of dead incarnations; "" = none.
   std::vector<CkptArrival> arrivals;  // Live nodes: this incarnation's log.
@@ -135,20 +176,10 @@ struct ScaleCheckpoint {
   uint64_t digest = 0;  // The streaming FNV accumulator.
   uint64_t messages_sent = 0;
   uint64_t messages_delivered = 0;
-  uint64_t beacons_sent = 0;
-  uint64_t beacons_received = 0;
-  uint64_t inbox_overflows = 0;
-  uint64_t late_writes = 0;
   uint64_t node_crashes = 0;
   uint64_t node_restarts = 0;
   uint64_t windows_degraded = 0;
-  uint64_t retransmits = 0;
-  uint64_t retx_abandoned = 0;
-  uint64_t dup_discards = 0;
-  uint64_t acks_sent = 0;
-  uint64_t acks_received = 0;
-  uint64_t chat_messages_lost = 0;
-  uint64_t crash_inflight_dropped = 0;
+  FederationCounters fed;  // Folded nodes' counters.
   uint64_t peak_live_tasks = 0;
   uint64_t peak_live_nodes = 0;
   uint64_t peak_task_arena_bytes = 0;

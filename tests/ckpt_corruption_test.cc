@@ -99,12 +99,19 @@ TEST(CkptCorruptionTest, EveryBitFlipIsRejectedCleanly) {
 }
 
 TEST(CkptCorruptionTest, VersionAndMagicSkewAreRejected) {
+  // v1 is the pre-FederationCounters layout: its run record orders the
+  // counters differently, so a current segment relabelled v1 must be
+  // rejected at the header, not misread field by field.
   const ScaleCheckpoint sample = SampleCheckpoint();
-  std::string v2 = EncodeScaleCheckpoint(sample);
-  v2.replace(v2.find("v1"), 2, "v2");
-  std::string wrong_magic = EncodeScaleCheckpoint(sample);
+  const std::string current = EncodeScaleCheckpoint(sample);
+  ASSERT_EQ(current.rfind("elscscale v2 ", 0), 0u);
+  std::string v1 = current;
+  v1.replace(v1.find("v2"), 2, "v1");
+  std::string v3 = current;
+  v3.replace(v3.find("v2"), 2, "v3");
+  std::string wrong_magic = current;
   wrong_magic.replace(0, 9, "elscwrong");
-  for (const std::string& bad : {v2, wrong_magic}) {
+  for (const std::string& bad : {v1, v3, wrong_magic}) {
     ScaleCheckpoint ck;
     std::string error;
     EXPECT_FALSE(DecodeScaleCheckpoint(bad, &ck, &error));

@@ -9,8 +9,8 @@
 // deliveries_lost versus the no-retransmit control; (3) crashes conserve
 // chat work — banked finished rooms plus re-run rooms add up to exactly the
 // scenario's expected deliveries; (4) fault-free outputs carry no fault
-// block at all (the byte-stability half of the contract lives in
-// scale_test.cc's goldens, which must not change).
+// block at all. Byte stability is pinned by literal signatures: the armed
+// ones in PinnedSignatures below, the fault-free ones in scale_test.cc.
 
 #include <string>
 #include <vector>
@@ -151,13 +151,13 @@ TEST(FederationTest, RetransmissionBeatsTheNoRetransmitControl) {
   config.retransmit = true;
   const ScaleRun retx = RunShardedVolano(config, 2);
   EXPECT_TRUE(retx.completed);
-  EXPECT_GT(retx.retransmits, 0u);
+  EXPECT_GT(retx.fed.retransmits, 0u);
 
   ScaleConfig control_config = config;
   control_config.retransmit = false;
   const ScaleRun control = RunShardedVolano(control_config, 2);
   EXPECT_TRUE(control.completed);
-  EXPECT_EQ(control.retransmits, 0u);
+  EXPECT_EQ(control.fed.retransmits, 0u);
 
   // The teeth: 30% loss must cost the fire-and-forget control real
   // deliveries, and the recovery protocol must strictly beat it.
@@ -175,7 +175,7 @@ TEST(FederationTest, LossyFabricCountsDropsByCause) {
   EXPECT_GT(run.fabric.dropped_loss, 0u);
   EXPECT_GT(run.fabric.duplicated, 0u);
   // Each duplicated delivery is discarded by the receiver's id check.
-  EXPECT_GT(run.dup_discards, 0u);
+  EXPECT_GT(run.fed.dup_discards, 0u);
   // Conservation over unique messages: everything emitted is accounted to
   // exactly one outcome.
   EXPECT_EQ(run.fabric.emitted,
@@ -235,6 +235,28 @@ TEST(FederationTest, NegativeWindowBudgetDisablesTheWatchdog) {
   config.window_wall_budget_sec = -1.0;  // Force off, ignore the env.
   const ScaleRun run = RunShardedVolano(config, 1);
   EXPECT_TRUE(run.completed);
+}
+
+// Literal goldens for the armed paths (scale_test.cc pins the fault-free
+// ones; see the note there on re-recording after a layout change). The
+// deadline case folds crashed, restarted and down nodes through the failed
+// path under the fault model.
+TEST(FederationTest, PinnedSignatures) {
+  EXPECT_EQ(ScaleRunSignature(RunShardedVolano(ChaosConfig(), 2)),
+            "scale:8ef06d0c14d4d41b|nodes:4|windows:19|sent:256|delivered:1024|"
+            "beacons:19/17|drops:0+0|peak_tasks:72|peak_arena:98368|"
+            "elapsed:0x1.1eb851eb851ecp-3|completed:1|crashes:4|restarts:4|"
+            "degraded:5|lost:2|retx:16+0|dupdrop:16|acks:16/12|"
+            "goodput:0x1.50d79435e50d8p+12");
+
+  ScaleConfig deadline = ChaosConfig();
+  deadline.deadline = deadline.window * 4;
+  EXPECT_EQ(ScaleRunSignature(RunShardedVolano(deadline, 1)),
+            "scale:71a1f3befc0a72f1|nodes:4|windows:4|sent:0|delivered:0|"
+            "beacons:3/1|drops:0+0|peak_tasks:66|peak_arena:98368|"
+            "elapsed:0x1.47ae147ae147bp-5|completed:0|crashes:4|restarts:0|"
+            "degraded:3|lost:2|retx:0+0|dupdrop:0|acks:1/0|goodput:0x0p+0|"
+            "failure:scale deadline exceeded: 4 node(s) still live at window 4");
 }
 
 TEST(FederationTest, DeadlineFoldsPartialStatsIntoTheSignature) {

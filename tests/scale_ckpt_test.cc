@@ -49,6 +49,20 @@ ScaleConfig ChaosConfig() {
   return config;
 }
 
+// federation_test.cc's ChaosConfig: deeper chat, so the crashes, restarts
+// and down windows spread over many more barriers.
+ScaleConfig LongChaosConfig() {
+  ScaleConfig config = TinyConfig();
+  config.chat.messages_per_user = 16;
+  config.faults = FederationChaosPlan(/*seed=*/11);
+  config.faults.node_crash_rate = 1.0;
+  config.faults.crash_window_min = 2;
+  config.faults.crash_window_span = 4;
+  config.faults.down_windows_min = 1;
+  config.faults.down_windows_span = 3;
+  return config;
+}
+
 // A fresh per-test segment prefix: fingerprint-named segments from a
 // previous (crashed) test run must not leak into this one.
 std::string FreshPrefix(const ScaleConfig& config, const std::string& name) {
@@ -136,6 +150,37 @@ TEST(ScaleCkptTest, ResumeMatchesUninterruptedRunAtEveryShardCount) {
   }
 }
 
+// Every barrier is a stop point: crash, restart, router close, inbox EOF
+// and each node's final fold all happen at some window, so each of them is
+// crossed by a checkpoint here. Each resume also builds its federation from
+// scratch after the stopped run threw its own away.
+TEST(ScaleCkptTest, ResumeAtEveryWindowMatchesUninterruptedRun) {
+  const struct {
+    const char* name;
+    ScaleConfig config;
+  } cases[] = {{"tiny", TinyConfig()},
+               {"chaos", ChaosConfig()},
+               {"long_chaos", LongChaosConfig()}};
+  for (const auto& c : cases) {
+    const ScaleRun control = RunShardedVolano(c.config, 1);
+    ASSERT_TRUE(control.completed) << c.name;
+    const std::string control_sig = ScaleRunSignature(control);
+    for (const int shards : {1, 4}) {
+      for (uint64_t stop = 1; stop < control.windows; ++stop) {
+        ScaleConfig config = c.config;
+        config.ckpt.path = FreshPrefix(
+            config, std::string("sweep_") + c.name + "_s" + std::to_string(shards));
+        config.ckpt.every = 0;  // Forced-only: resume from exactly `stop`.
+        config.ckpt.stop_after_window = stop;
+        EXPECT_FALSE(RunShardedVolano(config, shards).completed);
+        config.ckpt.stop_after_window = 0;
+        EXPECT_EQ(ScaleRunSignature(RunShardedVolano(config, shards)), control_sig)
+            << c.name << " shards=" << shards << " stop=" << stop;
+      }
+    }
+  }
+}
+
 TEST(ScaleCkptTest, ChaosScenarioResumesBitIdentical) {
   const ScaleConfig control_config = ChaosConfig();
   const ScaleRun control = RunShardedVolano(control_config, 2);
@@ -216,7 +261,7 @@ TEST(ScaleCkptTest, AllSegmentsCorruptFallsBackToColdStart) {
 
   const uint64_t fp = ScaleConfigFingerprint(config);
   for (const auto& segment : ListCheckpointSegments(config.ckpt.path, fp)) {
-    ASSERT_TRUE(AtomicWriteFile(segment.path, "elscscale v1 torn", nullptr));
+    ASSERT_TRUE(AtomicWriteFile(segment.path, "elscscale v2 torn", nullptr));
   }
 
   config.ckpt.stop_after_window = 0;
@@ -292,6 +337,24 @@ TEST(ScaleCkptTest, ShutdownWithoutCheckpointingStillUnwindsCleanly) {
   EXPECT_TRUE(RunShardedVolano(TinyConfig(), 1).completed);
 }
 
+// Distinct nonzero counters, named one by one: with equal (or zero) values a
+// decoder that swapped two reads would still re-encode identically.
+FederationCounters DistinctCounters(uint64_t base) {
+  FederationCounters c;
+  c.beacons_sent = base + 1;
+  c.beacons_received = base + 2;
+  c.inbox_overflows = base + 3;
+  c.late_writes = base + 4;
+  c.retransmits = base + 5;
+  c.retx_abandoned = base + 6;
+  c.dup_discards = base + 7;
+  c.acks_sent = base + 8;
+  c.acks_received = base + 9;
+  c.chat_messages_lost = base + 10;
+  c.crash_inflight_dropped = base + 11;
+  return c;
+}
+
 TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   ScaleCheckpoint ck;
   ck.config_fp = 0xabcdef0123456789ULL;
@@ -301,7 +364,12 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   ck.chats_done = 1;
   ck.all_completed = false;
   ck.digest = 0xfeedfacecafebeefULL;
+  ck.messages_sent = 12345;
   ck.messages_delivered = 123456789;
+  ck.node_crashes = 3;
+  ck.node_restarts = 2;
+  ck.windows_degraded = 5;
+  ck.fed = DistinctCounters(100);
   ck.agg_stats = "line with spaces\nand a newline";
   ck.fabric.closed = false;
   ck.fabric.stats.emitted = 17;
@@ -311,6 +379,7 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   live.state = 1;
   live.incarnation = 2;
   live.clock_offset = 1000;
+  live.fed = DistinctCounters(200);
   live.room_ids = {0};
   live.carried_stats = "carried\\payload";
   CkptArrival arrival;
@@ -327,6 +396,7 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   down.index = 2;
   down.state = 2;
   down.restart_window = 44;
+  down.fed = DistinctCounters(300);
   down.room_ids = {2};
   ck.nodes = {live, down};
 
@@ -336,7 +406,14 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   ASSERT_TRUE(DecodeScaleCheckpoint(encoded, &decoded, &error)) << error;
   // Exact round-trip: re-encoding the decoded checkpoint is byte-identical.
   EXPECT_EQ(EncodeScaleCheckpoint(decoded), encoded);
-  EXPECT_EQ(decoded.nodes.size(), 2u);
+  ASSERT_EQ(decoded.nodes.size(), 2u);
+  EXPECT_TRUE(decoded.fed == ck.fed);
+  EXPECT_TRUE(decoded.nodes[0].fed == live.fed);
+  EXPECT_TRUE(decoded.nodes[1].fed == down.fed);
+  EXPECT_EQ(decoded.messages_sent, ck.messages_sent);
+  EXPECT_EQ(decoded.node_crashes, ck.node_crashes);
+  EXPECT_EQ(decoded.node_restarts, ck.node_restarts);
+  EXPECT_EQ(decoded.windows_degraded, ck.windows_degraded);
   EXPECT_EQ(decoded.nodes[0].arrivals.size(), 1u);
   EXPECT_EQ(decoded.nodes[0].arrivals[0].payload.payload, 1234u);
   EXPECT_EQ(decoded.nodes[0].carried_stats, "carried\\payload");

@@ -47,10 +47,10 @@ TEST(ScaleTest, CompletesAndDeliversEveryMessage) {
   EXPECT_GT(run.throughput, 0.0);
   // Federation gossip actually flowed, and nothing was lost to full or
   // closed inboxes in this gentle scenario.
-  EXPECT_GT(run.beacons_sent, 0u);
-  EXPECT_EQ(run.beacons_received, run.fabric.routed);
-  EXPECT_EQ(run.inbox_overflows, 0u);
-  EXPECT_EQ(run.late_writes, 0u);
+  EXPECT_GT(run.fed.beacons_sent, 0u);
+  EXPECT_EQ(run.fed.beacons_received, run.fabric.routed);
+  EXPECT_EQ(run.fed.inbox_overflows, 0u);
+  EXPECT_EQ(run.fed.late_writes, 0u);
   EXPECT_EQ(run.fabric.refused, 0u);
   EXPECT_FALSE(run.stats.failed);
 }
@@ -133,7 +133,7 @@ TEST(ScaleTest, GossipDisabledRunsIndependentNodes) {
   const ScaleRun one = RunShardedVolano(config, 1);
   EXPECT_TRUE(one.completed);
   EXPECT_EQ(one.messages_delivered, ExpectedDeliveries(config));
-  EXPECT_EQ(one.beacons_sent, 0u);
+  EXPECT_EQ(one.fed.beacons_sent, 0u);
   EXPECT_EQ(one.fabric.emitted, 0u);
   const ScaleRun four = RunShardedVolano(config, 4);
   EXPECT_EQ(four.digest, one.digest);
@@ -167,6 +167,33 @@ TEST(ScaleTest, DeadlineDeclaresFailureDeterministically) {
   // any shard count.
   const ScaleRun b = RunShardedVolano(config, 4);
   EXPECT_EQ(b.digest, a.digest);
+}
+
+// Literal goldens. Every other test here compares runs against each other,
+// so a change that moves every digest the same way would pass them; these
+// pin the full signature. `peak_arena` and the RunStatsDigest inside the
+// digest (its callback_heap_allocs) depend on struct and closure sizes, so a
+// layout change must re-record these strings with a written reason.
+TEST(ScaleTest, PinnedSignatures) {
+  EXPECT_EQ(ScaleRunSignature(RunShardedVolano(TinyConfig(), 1)),
+            "scale:c841c69f52733884|nodes:4|windows:6|sent:64|delivered:256|"
+            "beacons:4/4|drops:0+0|peak_tasks:67|peak_arena:98368|"
+            "elapsed:0x1.eb851eb851eb8p-5|completed:1");
+
+  ScaleConfig deadline = TinyConfig();
+  deadline.deadline = deadline.window * 2;
+  EXPECT_EQ(ScaleRunSignature(RunShardedVolano(deadline, 2)),
+            "scale:a30d325659547d39|nodes:4|windows:2|sent:38|delivered:99|"
+            "beacons:0/0|drops:0+0|peak_tasks:67|peak_arena:98368|"
+            "elapsed:0x1.47ae147ae147bp-6|completed:0|failure:scale deadline "
+            "exceeded: 4 node(s) still live at window 2");
+
+  ScaleConfig no_gossip = TinyConfig();
+  no_gossip.gossip_period = 0;
+  EXPECT_EQ(ScaleRunSignature(RunShardedVolano(no_gossip, 4)),
+            "scale:cbf511c141e1137b|nodes:4|windows:4|sent:64|delivered:256|"
+            "beacons:0/0|drops:0+0|peak_tasks:59|peak_arena:98368|"
+            "elapsed:0x1.47ae147ae147bp-5|completed:1");
 }
 
 TEST(ScaleTest, SignatureNamesTheLoadBearingFields) {
