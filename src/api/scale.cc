@@ -1163,8 +1163,10 @@ ScaleRun Federation::Finish() {
   run_.goodput = federation_sec > 0
                      ? static_cast<double>(run_.messages_delivered) / federation_sec
                      : 0.0;
+  // peak_task_arena_bytes stays out: it is chunks x sizeof(Chunk), a host
+  // layout figure, and the digest covers only what the scenario simulates.
   run_.digest = Fnv1a64(
-      StrFormat("windows:%llu|fabric:%llu,%llu,%llu,%llu|peaks:%llu,%llu,%llu,%llu",
+      StrFormat("windows:%llu|fabric:%llu,%llu,%llu,%llu|peaks:%llu,%llu,%llu",
                 static_cast<unsigned long long>(run_.windows),
                 static_cast<unsigned long long>(run_.fabric.emitted),
                 static_cast<unsigned long long>(run_.fabric.routed),
@@ -1172,7 +1174,6 @@ ScaleRun Federation::Finish() {
                 static_cast<unsigned long long>(run_.fabric.dropped_closed),
                 static_cast<unsigned long long>(run_.peak_live_tasks),
                 static_cast<unsigned long long>(run_.peak_live_nodes),
-                static_cast<unsigned long long>(run_.peak_task_arena_bytes),
                 static_cast<unsigned long long>(run_.peak_live_sockets)),
       run_.digest);
   if (run_.fault_model) {
@@ -1271,7 +1272,7 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
 std::string ScaleRunSignature(const ScaleRun& run) {
   std::string sig = StrFormat(
       "scale:%016llx|nodes:%d|windows:%llu|sent:%llu|delivered:%llu|"
-      "beacons:%llu/%llu|drops:%llu+%llu|peak_tasks:%llu|peak_arena:%llu|"
+      "beacons:%llu/%llu|drops:%llu+%llu|peak_tasks:%llu|"
       "elapsed:%a|completed:%d",
       static_cast<unsigned long long>(run.digest), run.nodes,
       static_cast<unsigned long long>(run.windows),
@@ -1281,9 +1282,8 @@ std::string ScaleRunSignature(const ScaleRun& run) {
       static_cast<unsigned long long>(run.fed.beacons_received),
       static_cast<unsigned long long>(run.fed.inbox_overflows),
       static_cast<unsigned long long>(run.fed.late_writes),
-      static_cast<unsigned long long>(run.peak_live_tasks),
-      static_cast<unsigned long long>(run.peak_task_arena_bytes),
-      run.elapsed_sec, run.completed ? 1 : 0);
+      static_cast<unsigned long long>(run.peak_live_tasks), run.elapsed_sec,
+      run.completed ? 1 : 0);
   if (run.fault_model) {
     sig += StrFormat(
         "|crashes:%llu|restarts:%llu|degraded:%llu|lost:%llu|retx:%llu+%llu|"

@@ -156,6 +156,7 @@ struct ScaleRun {
   RunStats stats;
 
   // Concurrent peaks sampled at every window barrier across live nodes.
+  // peak_task_arena_bytes is host layout, so the digest and signature omit it.
   uint64_t peak_live_tasks = 0;
   uint64_t peak_live_nodes = 0;
   uint64_t peak_task_arena_bytes = 0;

@@ -243,8 +243,8 @@ TEST(FederationTest, NegativeWindowBudgetDisablesTheWatchdog) {
 // path under the fault model.
 TEST(FederationTest, PinnedSignatures) {
   EXPECT_EQ(ScaleRunSignature(RunShardedVolano(ChaosConfig(), 2)),
-            "scale:8ef06d0c14d4d41b|nodes:4|windows:19|sent:256|delivered:1024|"
-            "beacons:19/17|drops:0+0|peak_tasks:72|peak_arena:98368|"
+            "scale:cb53faaeb49449d3|nodes:4|windows:19|sent:256|delivered:1024|"
+            "beacons:19/17|drops:0+0|peak_tasks:72|"
             "elapsed:0x1.1eb851eb851ecp-3|completed:1|crashes:4|restarts:4|"
             "degraded:5|lost:2|retx:16+0|dupdrop:16|acks:16/12|"
             "goodput:0x1.50d79435e50d8p+12");
@@ -252,8 +252,8 @@ TEST(FederationTest, PinnedSignatures) {
   ScaleConfig deadline = ChaosConfig();
   deadline.deadline = deadline.window * 4;
   EXPECT_EQ(ScaleRunSignature(RunShardedVolano(deadline, 1)),
-            "scale:71a1f3befc0a72f1|nodes:4|windows:4|sent:0|delivered:0|"
-            "beacons:3/1|drops:0+0|peak_tasks:66|peak_arena:98368|"
+            "scale:8915a02d1ff7882d|nodes:4|windows:4|sent:0|delivered:0|"
+            "beacons:3/1|drops:0+0|peak_tasks:66|"
             "elapsed:0x1.47ae147ae147bp-5|completed:0|crashes:4|restarts:0|"
             "degraded:3|lost:2|retx:0+0|dupdrop:0|acks:1/0|goodput:0x0p+0|"
             "failure:scale deadline exceeded: 4 node(s) still live at window 4");
