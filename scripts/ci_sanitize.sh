@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Sanitizer gate for the chaos suite: builds the tree twice (TSan, ASan) and
-# runs every chaos-labelled test (`ctest -L chaos`) under each. The chaos
-# tests hammer the fault-injection paths — recoverable-assert unwinding,
-# CPU stall/rejoin, the auditor's pick observer — which is exactly where a
-# latent race or lifetime bug would hide.
+# Sanitizer gate for the chaos and storage suites: builds the tree twice
+# (TSan, ASan+UBSan) and runs every chaos- or storage-labelled test
+# (`ctest -L 'chaos|storage'`) under each. The chaos tests hammer the
+# fault-injection paths — recoverable-assert unwinding, CPU stall/rejoin,
+# the auditor's pick observer — which is exactly where a latent race or
+# lifetime bug would hide. The storage tests cover the code that
+# placement-news objects into byte buffers (task arena slots, InlineFunction
+# and EventCallback storage, socket rings), where a misaligned or
+# double-destroyed object would hide.
 #
 #   usage: scripts/ci_sanitize.sh [thread|address|all]   (default: all)
 #
@@ -21,8 +25,8 @@ run_one() {
   echo "=== ${sanitizer} sanitizer: configure + build (${dir}) ==="
   cmake -B "${dir}" -S . -DELSC_SANITIZE="${sanitizer}" >/dev/null
   cmake --build "${dir}" -j "${jobs}"
-  echo "=== ${sanitizer} sanitizer: ctest -L chaos ==="
-  ctest --test-dir "${dir}" -L chaos --output-on-failure -j "${jobs}"
+  echo "=== ${sanitizer} sanitizer: ctest -L 'chaos|storage' ==="
+  ctest --test-dir "${dir}" -L 'chaos|storage' --output-on-failure -j "${jobs}"
 }
 
 case "${mode}" in

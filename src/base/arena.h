@@ -10,6 +10,13 @@
 //
 // The arena tracks per-slot liveness so its destructor can destroy whatever
 // is still alive, in creation order within each chunk.
+//
+// Chunks are small by default (8 slots): a chunk is value-initialized when
+// carved, so every slot it holds is resident memory whether or not a T ever
+// lands there. A one-CPU federation node's 84 tasks fill 11 eight-slot
+// chunks (88 slots) where 64-slot chunks left 44 of 128 slots unused. The
+// cost is Release's chunk scan, which grows with the chunk count; only opt-in
+// zombie recycling releases.
 
 #ifndef SRC_BASE_ARENA_H_
 #define SRC_BASE_ARENA_H_
@@ -32,7 +39,7 @@ struct ArenaStats {
   uint64_t chunks = 0;     // Chunks ever carved.
 };
 
-template <typename T, size_t kChunkCapacity = 64>
+template <typename T, size_t kChunkCapacity = 8>
 class SlabArena {
   static_assert(kChunkCapacity >= 1 && kChunkCapacity <= 64,
                 "chunk liveness is tracked in a single 64-bit mask");

@@ -26,8 +26,10 @@ namespace elsc {
 template <typename R>
 class InlineFunction {
  public:
-  // Generous for predicates that capture a pointer or two.
-  static constexpr size_t kInlineSize = 32;
+  // Exactly two pointers: every predicate in the tree captures at most two
+  // (the largest is the web server's [w, sock]). The buffer lives in every
+  // Segment and every Task, so each extra byte here is paid per task.
+  static constexpr size_t kInlineSize = 2 * sizeof(void*);
 
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -38,7 +40,7 @@ class InlineFunction {
                 std::is_invocable_r_v<R, const std::decay_t<F>&>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t),
+    static_assert(sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(void*),
                   "capture too large for InlineFunction; shrink it or capture by pointer");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "InlineFunction requires nothrow-movable callables");
@@ -127,7 +129,7 @@ class InlineFunction {
   }
 
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char storage_[kInlineSize];
+  alignas(void*) unsigned char storage_[kInlineSize];
 };
 
 }  // namespace elsc

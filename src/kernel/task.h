@@ -55,11 +55,13 @@ struct TaskStats {
 };
 
 struct Task {
-  // Field order is hot-first: schedulers touch the Table-1 block plus the
-  // run-queue bookkeeping on every examine/insert/remove, so those share the
-  // task's leading cache lines; identity, wait-queue, and statistics fields
-  // are only touched on slow paths (blocking, exit, reporting) and live at
-  // the tail.
+  // Field order is hot-first: schedulers touch the Table-1 block (offsets
+  // 0-63) plus the run-queue bookkeeping (the second cache line) on every
+  // examine/insert/remove; identity, wait-queue, and statistics fields are
+  // only touched on slow paths (blocking, exit, reporting) and live at the
+  // tail. Within that order, the 4-byte and 1-byte fields are grouped so the
+  // struct carries no padding beyond the 2 bytes that round it to 8: a
+  // Task is paid four times per Volano connection, 328 bytes each.
 
   // ---- Table 1: scheduler-relevant task_struct fields (hot) ----
   TaskState state = TaskState::kRunning;   // volatile long state
@@ -84,22 +86,18 @@ struct Task {
   // queue (-1 when off the queue). Enables O(1) swap-pop removal from the
   // mirror; see LinuxScheduler::Schedule for why the mirror exists.
   int scan_slot = -1;
+  // Used by goodness() ties and trace records on the dispatch path.
+  int pid = 0;
   // Dispatch stamp: the value of its CPU's dispatch sequence when this task
   // last started running there. Used by affinity-decay policies to judge how
   // stale the task's cache footprint is (paper §8: "Do we care about
   // processor affinity after many other tasks have run?").
   uint64_t last_run_stamp = 0;
-  // Used by goodness() ties and trace records on the dispatch path.
-  int pid = 0;
 
   // ---- Machine runtime state (warm: touched per segment, not per examine) ----
   // Remaining CPU work in the task's current behavior segment. A preempted
   // task resumes the same segment.
   Cycles segment_remaining = 0;
-  bool segment_active = false;
-  // What to do when the segment completes (indices into SegmentAfter; the
-  // Machine caches the behavior's answer here).
-  int pending_after = 0;
   WaitQueue* pending_wait = nullptr;
   Cycles pending_sleep = 0;
   // Deadline for the pending kBlock (0 = none); see Segment::BlockFor.
@@ -108,23 +106,27 @@ struct Task {
   // events capture it so a stale deadline cannot wake a later, unrelated
   // sleep of the same task.
   uint64_t sleep_generation = 0;
-  // Set when a timed block's deadline fired before a regular wake-up (the
-  // ETIMEDOUT analog); cleared when the next block is entered or when the
-  // behavior consumes it (ConsumeReadTimeout / ConsumeWriteTimeout).
-  bool block_timed_out = false;
   // Dispatch bookkeeping for event invalidation and accounting.
   Cycles last_dispatch_time = 0;
   Cycles became_runnable_at = 0;
   uint64_t dispatch_generation = 0;
+  // What to do when the segment completes (indices into SegmentAfter; the
+  // Machine caches the behavior's answer here).
+  int pending_after = 0;
   // Outstanding engine timer-wake events that captured this task's pointer;
   // the arena must not recycle the slot while any are pending.
   int pending_timer_wakes = 0;
-
-  // ---- Cold: identity, kernel bookkeeping, workload hook, statistics ----
-  std::string name;
   // This task's slot in Machine::all_tasks() (creation-order registry);
   // lets opt-in zombie recycling unregister in O(1).
   int registry_slot = -1;
+  bool segment_active = false;
+  // Set when a timed block's deadline fired before a regular wake-up (the
+  // ETIMEDOUT analog); cleared when the next block is entered or when the
+  // behavior consumes it (ConsumeReadTimeout / ConsumeWriteTimeout).
+  bool block_timed_out = false;
+
+  // ---- Cold: identity, kernel bookkeeping, workload hook, statistics ----
+  std::string name;
   ListHead task_list_node;   // Membership in the global task list (for_each_task).
   ListHead wait_node;        // Membership in a wait queue while blocked.
   WaitQueue* waiting_on = nullptr;

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/simulation.h"
 #include "src/kernel/wait_queue.h"
 #include "src/workloads/micro_behaviors.h"
+#include "src/workloads/volano.h"
 
 namespace elsc {
 namespace {
@@ -401,6 +403,25 @@ TEST(MachineArenaTest, RecycleIsSafeWithSleepersAndInvariantChecks) {
   EXPECT_EQ(machine.all_tasks().size(), 0u);
   EXPECT_EQ(machine.task_arena_stats().released, 6u);
   EXPECT_EQ(machine.task_arena_stats().allocated, machine.task_arena_stats().released);
+}
+
+// What a federation node pays per task: one CPU, ELSC, one 20-user room,
+// measured once every connection is up. Arena chunks are value-initialized
+// when carved, so unused slots count: this bound fails if chunks outgrow
+// the node's task count or Task gains padding.
+TEST(MachineArenaTest, FederationNodeBytesPerTask) {
+  EXPECT_LE(sizeof(Task), 328u);
+  Machine machine(MakeMachineConfig(KernelConfig::kSmp1, SchedulerKind::kElsc, 7));
+  VolanoConfig chat;
+  chat.rooms = 1;
+  chat.users_per_room = 20;
+  VolanoWorkload volano(machine, chat);
+  volano.Setup();
+  machine.Start();
+  ASSERT_TRUE(machine.RunUntil([&volano] { return volano.chat_started(); }, SecToCycles(60)));
+  ASSERT_GE(machine.live_tasks(), 80u);  // Four threads per connection.
+  EXPECT_LE(machine.task_arena_bytes() / machine.live_tasks(), 360u)
+      << machine.task_arena_bytes() << " arena bytes for " << machine.live_tasks() << " tasks";
 }
 
 }  // namespace
