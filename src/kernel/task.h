@@ -60,8 +60,8 @@ struct Task {
   // examine/insert/remove; identity, wait-queue, and statistics fields are
   // only touched on slow paths (blocking, exit, reporting) and live at the
   // tail. Within that order, the 4-byte and 1-byte fields are grouped so the
-  // struct carries no padding beyond the 2 bytes that round it to 8: a
-  // Task is paid four times per Volano connection, 328 bytes each.
+  // struct carries no padding beyond the 2 bytes that round it to 8: every
+  // Volano connection pays for four Tasks.
 
   // ---- Table 1: scheduler-relevant task_struct fields (hot) ----
   TaskState state = TaskState::kRunning;   // volatile long state

@@ -1,6 +1,7 @@
 // Tests for the Machine runtime: dispatch, quantum expiry, preemption,
 // blocking and waking, sleeps, yields, exits, context-switch accounting,
-// migration, determinism, and the run-queue-lock serialization model.
+// migration, determinism, the run-queue-lock serialization model, and the
+// task arena's slot reuse and bytes per task.
 
 #include "src/smp/machine.h"
 
