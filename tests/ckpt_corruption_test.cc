@@ -176,6 +176,123 @@ TEST(CkptCorruptionTest, RestoreSurvivesRandomGarbageSegments) {
   EXPECT_EQ(resumed.digest, control.digest);
 }
 
+// Every RunStats counter set to a distinct value, named one by one: with
+// equal (or zero) values a codec that wrote two counters in swapped order
+// would still round-trip, but it moves the pinned bytes below.
+RunStats DistinctRunStats() {
+  RunStats s;
+  s.sched.schedule_calls = 101;
+  s.sched.idle_schedules = 102;
+  s.sched.cycles_in_schedule = 103;
+  s.sched.lock_wait_cycles = 104;
+  s.sched.tasks_examined = 105;
+  s.sched.recalc_entries = 106;
+  s.sched.recalc_tasks_touched = 107;
+  s.sched.picks_new_processor = 108;
+  s.sched.picks_prev = 109;
+  s.sched.picks_no_affinity = 110;
+  s.sched.yield_reruns = 111;
+  s.sched.wakeups = 112;
+  s.sched.preemption_ipis = 113;
+  s.sched.percpu_lock_acquisitions = 114;
+  s.sched.percpu_lock_contended = 115;
+  s.sched.percpu_lock_hold_cycles = 116;
+  s.sched.percpu_lock_wait_cycles = 117;
+  s.sched.double_locks = 118;
+  s.sched.load_balance_calls = 119;
+  s.sched.pull_migrations = 120;
+  s.sched.array_swaps = 121;
+  s.machine.ticks = 201;
+  s.machine.context_switches = 202;
+  s.machine.migrations = 203;
+  s.machine.wakeups = 204;
+  s.machine.tasks_created = 205;
+  s.machine.tasks_exited = 206;
+  s.machine.peak_live_tasks = 207;
+  s.machine.quantum_expiries = 208;
+  s.machine.preempt_requests = 209;
+  s.machine.ticks_dropped = 210;
+  s.machine.cpu_stalls = 211;
+  s.machine.lock_stall_cycles = 212;
+  s.events.scheduled = 301;
+  s.events.fired = 302;
+  s.events.cancelled = 303;
+  s.events.callback_heap_allocs = 304;
+  s.events.slot_allocs = 305;
+  s.events.max_heap_depth = 306;
+  s.faults.tick_drops = 401;
+  s.faults.tick_jitters = 402;
+  s.faults.storm_bursts = 403;
+  s.faults.storm_tasks = 404;
+  s.faults.spurious_wakes = 405;
+  s.faults.yield_tasks = 406;
+  s.faults.cpu_stalls = 407;
+  s.faults.lock_stalls = 408;
+  s.faults.conn_resets = 409;
+  s.faults.conn_half_opens = 410;
+  s.faults.slow_peer_windows = 411;
+  s.faults.reconnect_storms = 412;
+  s.audit.audits = 501;
+  s.audit.picks_audited = 502;
+  s.audit.conservation_violations = 503;
+  s.audit.counter_violations = 504;
+  s.audit.structure_violations = 505;
+  s.audit.table_violations = 506;
+  s.audit.ordering_violations = 507;
+  s.audit.starvation_reports = 508;
+  s.audit.livelock_reports = 509;
+  s.memory.task_arena_bytes = 601;
+  s.memory.task_arena_chunks = 602;
+  s.memory.peak_live_sockets = 603;
+  s.elapsed_sec = 1.5;
+  s.failed = true;
+  s.failure = "watchdog: cell stuck at window 7";
+  return s;
+}
+
+TEST(CkptCorruptionTest, RunStatsCodecAndDigestBytesArePinned) {
+  const RunStats stats = DistinctRunStats();
+  const std::string encoded = EncodeRunStats(stats);
+  EXPECT_EQ(encoded,
+            "101 102 103 104 105 106 107 108 109 110 111 112 113 114 115 116 "
+            "117 118 119 120 121 "                                   // sched
+            "201 202 203 204 205 206 208 209 210 211 212 207 "       // machine
+            "301 302 303 304 305 306 "                               // events
+            "401 402 403 404 405 406 407 408 409 410 411 412 "       // faults
+            "501 502 503 504 505 506 507 508 509 "                   // audit
+            "601 602 603 "                                           // memory
+            "0x1.8p+0 1 watchdog: cell stuck at window 7");
+  EXPECT_EQ(RunStatsDigest(stats),
+            "sched:101,102,103,104,105,106,107,108,109,110,111,112,113|"
+            "machine:201,202,203,204,205,206,208,209,210,211,212|"
+            "events:301,302,303,304,305,306|"
+            "faults:401,402,403,404,405,406,407,408|"
+            "audit:501,502,503,504,505,506,507,508,509|"
+            "failed:1|elapsed:0x1.8p+0");
+  RunStats round;
+  ASSERT_TRUE(DecodeRunStats(encoded, &round));
+  EXPECT_EQ(EncodeRunStats(round), encoded);
+  EXPECT_EQ(round.failure, stats.failure);
+}
+
+TEST(CkptCorruptionTest, RunStatsMergeBytesArePinned) {
+  // Folding the same record twice into the identity doubles every summed
+  // counter and leaves the max-folded ones (max_heap_depth, elapsed_sec)
+  // alone.
+  RunStats merged;
+  MergeRunStats(&merged, DistinctRunStats());
+  MergeRunStats(&merged, DistinctRunStats());
+  EXPECT_EQ(EncodeRunStats(merged),
+            "202 204 206 208 210 212 214 216 218 220 222 224 226 228 230 232 "
+            "234 236 238 240 242 "                                   // sched
+            "402 404 406 408 410 412 416 418 420 422 424 414 "       // machine
+            "602 604 606 608 610 306 "                               // events
+            "802 804 806 808 810 812 814 816 818 820 822 824 "       // faults
+            "1002 1004 1006 1008 1010 1012 1014 1016 1018 "          // audit
+            "1202 1204 1206 "                                        // memory
+            "0x1.8p+0 1 watchdog: cell stuck at window 7");
+}
+
 TEST(CkptCorruptionTest, RunStatsDecoderRejectsTruncations) {
   RunStats stats;
   stats.sched.schedule_calls = 41;

@@ -372,7 +372,18 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   ck.fed = DistinctCounters(100);
   ck.agg_stats = "line with spaces\nand a newline";
   ck.fabric.closed = false;
-  ck.fabric.stats.emitted = 17;
+  FabricStats& fs = ck.fabric.stats;
+  fs.emitted = 17;
+  fs.routed = 18;
+  fs.refused = 19;
+  fs.dropped_closed = 20;
+  fs.exchanges = 21;
+  fs.max_window_backlog = 22;
+  fs.dropped_loss = 23;
+  fs.dropped_partition = 24;
+  fs.dropped_crashed = 25;
+  fs.dropped_lane_overflow = 26;
+  fs.duplicated = 27;
   ck.fabric.next_seq = {3, 1, 4};
   CkptNode live;
   live.index = 0;
@@ -406,6 +417,10 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   ASSERT_TRUE(DecodeScaleCheckpoint(encoded, &decoded, &error)) << error;
   // Exact round-trip: re-encoding the decoded checkpoint is byte-identical.
   EXPECT_EQ(EncodeScaleCheckpoint(decoded), encoded);
+  // The fabric record's layout, pinned: distinct counters in codec order.
+  EXPECT_NE(encoded.find("\nfabric 0 17 18 19 20 21 22 23 24 25 26 27 3 3 1 4 \n"),
+            std::string::npos)
+      << encoded;
   ASSERT_EQ(decoded.nodes.size(), 2u);
   EXPECT_TRUE(decoded.fed == ck.fed);
   EXPECT_TRUE(decoded.nodes[0].fed == live.fed);
