@@ -16,6 +16,7 @@
 #include "src/base/atomic_file.h"
 #include "src/base/fnv.h"
 #include "src/base/string_util.h"
+#include "src/base/token_codec.h"
 #include "src/base/watchdog.h"
 #include "src/faults/kill_point.h"
 #include "src/harness/run_matrix.h"
@@ -439,7 +440,7 @@ void ScheduleArrivalOn(ScaleNode* dst, Cycles arrival, const Message& payload) {
 // after restore replay — any divergence rejects the segment.
 std::string VerifyLine(const ScaleNode& node) {
   std::string line = "fed:";
-  AppendFederationCounters(&line, node.fed);
+  AppendCounters(&line, node.fed, kFederationCounterFields);
   line += StrFormat("|ack:%llu|pend:%llu|",
                     static_cast<unsigned long long>(node.tx_acked),
                     static_cast<unsigned long long>(node.pending_deliveries));

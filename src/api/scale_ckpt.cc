@@ -5,144 +5,37 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/api/scale.h"
 #include "src/base/atomic_file.h"
 #include "src/base/fnv.h"
 #include "src/base/string_util.h"
+#include "src/base/token_codec.h"
 #include "src/harness/journal.h"
 
 namespace elsc {
 
 namespace {
 
-void AppendU64(std::string* out, uint64_t v) {
-  *out += StrFormat("%llu ", static_cast<unsigned long long>(v));
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  *out += StrFormat("%lld ", static_cast<long long>(v));
-}
-
-void AppendHex64(std::string* out, uint64_t v) {
-  *out += StrFormat("%016llx ", static_cast<unsigned long long>(v));
-}
-
-void AppendF64(std::string* out, double v) {
-  // %a hex-float: exact round-trip, no precision loss (the journal codec
-  // discipline from src/api/simulation.cc).
-  *out += StrFormat("%a ", v);
-}
-
-// Strict space-separated token scanner; every getter returns false on a
-// missing or malformed token, so a decoder can reject torn lines instead of
-// reading garbage.
-class TokenReader {
- public:
-  explicit TokenReader(std::string s) : s_(std::move(s)) {}
-
-  bool U64(uint64_t* out) {
-    SkipSpaces();
-    if (pos_ >= s_.size()) {
-      return false;
-    }
-    char* end = nullptr;
-    *out = std::strtoull(s_.c_str() + pos_, &end, 10);
-    return Advance(end);
-  }
-
-  bool I64(int64_t* out) {
-    SkipSpaces();
-    if (pos_ >= s_.size()) {
-      return false;
-    }
-    char* end = nullptr;
-    *out = std::strtoll(s_.c_str() + pos_, &end, 10);
-    return Advance(end);
-  }
-
-  bool Hex64(uint64_t* out) {
-    SkipSpaces();
-    if (pos_ >= s_.size()) {
-      return false;
-    }
-    char* end = nullptr;
-    *out = std::strtoull(s_.c_str() + pos_, &end, 16);
-    return Advance(end);
-  }
-
-  bool Bool(bool* out) {
-    uint64_t v = 0;
-    if (!U64(&v) || v > 1) {
-      return false;
-    }
-    *out = v != 0;
-    return true;
-  }
-
-  bool Int(int* out) {
-    int64_t v = 0;
-    if (!I64(&v) || v < INT32_MIN || v > INT32_MAX) {
-      return false;
-    }
-    *out = static_cast<int>(v);
-    return true;
-  }
-
-  bool Done() {
-    SkipSpaces();
-    return pos_ >= s_.size();
-  }
-
- private:
-  void SkipSpaces() {
-    while (pos_ < s_.size() && s_[pos_] == ' ') {
-      ++pos_;
-    }
-  }
-  bool Advance(char* end) {
-    const char* start = s_.c_str() + pos_;
-    if (end == start) {
-      return false;
-    }
-    pos_ = static_cast<size_t>(end - s_.c_str());
-    return pos_ >= s_.size() || s_[pos_] == ' ';
-  }
-
-  // Owned copy: callers routinely pass `line.substr(n)` temporaries, and a
-  // reference member would dangle the moment that statement ends.
-  const std::string s_;
-  size_t pos_ = 0;
+// FabricStats in the fabric record's codec order.
+constexpr uint64_t FabricStats::*kFabricCounters[] = {
+    &FabricStats::emitted,         &FabricStats::routed,
+    &FabricStats::refused,         &FabricStats::dropped_closed,
+    &FabricStats::exchanges,       &FabricStats::max_window_backlog,
+    &FabricStats::dropped_loss,    &FabricStats::dropped_partition,
+    &FabricStats::dropped_crashed, &FabricStats::dropped_lane_overflow,
+    &FabricStats::duplicated,
 };
 
 bool StartsWith(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
-// The reader matching AppendFederationCounters.
-bool ReadFederationCounters(TokenReader* tr, FederationCounters* counters) {
-  for (const auto field : kFederationCounterFields) {
-    if (!tr->U64(&(counters->*field))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 FederationCounters& FederationCounters::operator+=(const FederationCounters& other) {
-  for (const auto field : kFederationCounterFields) {
-    this->*field += other.*field;
-  }
+  AddCounters(this, other, kFederationCounterFields);
   return *this;
-}
-
-void AppendFederationCounters(std::string* out, const FederationCounters& counters) {
-  for (const auto field : kFederationCounterFields) {
-    AppendU64(out, counters.*field);
-  }
 }
 
 uint64_t ScaleConfigFingerprint(const ScaleConfig& c) {
@@ -252,7 +145,7 @@ std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
   AppendU64(&out, ck.node_crashes);
   AppendU64(&out, ck.node_restarts);
   AppendU64(&out, ck.windows_degraded);
-  AppendFederationCounters(&out, ck.fed);
+  AppendCounters(&out, ck.fed, kFederationCounterFields);
   AppendU64(&out, ck.peak_live_tasks);
   AppendU64(&out, ck.peak_live_nodes);
   AppendU64(&out, ck.peak_task_arena_bytes);
@@ -269,18 +162,7 @@ std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
 
   out += "fabric ";
   AppendU64(&out, ck.fabric.closed ? 1 : 0);
-  const FabricStats& fs = ck.fabric.stats;
-  AppendU64(&out, fs.emitted);
-  AppendU64(&out, fs.routed);
-  AppendU64(&out, fs.refused);
-  AppendU64(&out, fs.dropped_closed);
-  AppendU64(&out, fs.exchanges);
-  AppendU64(&out, fs.max_window_backlog);
-  AppendU64(&out, fs.dropped_loss);
-  AppendU64(&out, fs.dropped_partition);
-  AppendU64(&out, fs.dropped_crashed);
-  AppendU64(&out, fs.dropped_lane_overflow);
-  AppendU64(&out, fs.duplicated);
+  AppendCounters(&out, ck.fabric.stats, kFabricCounters);
   AppendU64(&out, ck.fabric.next_seq.size());
   for (uint64_t seq : ck.fabric.next_seq) {
     AppendU64(&out, seq);
@@ -298,7 +180,7 @@ std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
     AppendU64(&out, n.chat_done ? 1 : 0);
     AppendU64(&out, n.banked_sent);
     AppendU64(&out, n.banked_delivered);
-    AppendFederationCounters(&out, n.fed);
+    AppendCounters(&out, n.fed, kFederationCounterFields);
     AppendU64(&out, n.room_ids.size());
     for (int room : n.room_ids) {
       AppendI64(&out, room);
@@ -390,7 +272,7 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
       bool ok = tr.Hex64(&ck->digest) && tr.U64(&ck->messages_sent) &&
                 tr.U64(&ck->messages_delivered) && tr.U64(&ck->node_crashes) &&
                 tr.U64(&ck->node_restarts) && tr.U64(&ck->windows_degraded) &&
-                ReadFederationCounters(&tr, &ck->fed) &&
+                ReadCounters(&tr, &ck->fed, kFederationCounterFields) &&
                 tr.U64(&ck->peak_live_tasks) && tr.U64(&ck->peak_live_nodes) &&
                 tr.U64(&ck->peak_task_arena_bytes) &&
                 tr.U64(&ck->peak_live_sockets) && tr.Int(&ck->chats_done) &&
@@ -417,15 +299,9 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
         return fail("duplicate fabric record");
       }
       TokenReader tr(line.substr(7));
-      FabricStats& fs = ck->fabric.stats;
       uint64_t lanes = 0;
-      bool ok = tr.Bool(&ck->fabric.closed) && tr.U64(&fs.emitted) &&
-                tr.U64(&fs.routed) && tr.U64(&fs.refused) &&
-                tr.U64(&fs.dropped_closed) && tr.U64(&fs.exchanges) &&
-                tr.U64(&fs.max_window_backlog) && tr.U64(&fs.dropped_loss) &&
-                tr.U64(&fs.dropped_partition) && tr.U64(&fs.dropped_crashed) &&
-                tr.U64(&fs.dropped_lane_overflow) && tr.U64(&fs.duplicated) &&
-                tr.U64(&lanes);
+      bool ok = tr.Bool(&ck->fabric.closed) &&
+                ReadCounters(&tr, &ck->fabric.stats, kFabricCounters) && tr.U64(&lanes);
       if (!ok || lanes != static_cast<uint64_t>(ck->num_nodes)) {
         return fail(StrFormat("bad fabric record at line %zu", line_no));
       }
@@ -450,8 +326,8 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
                 tr.Int(&n.incarnation) && tr.U64(&n.clock_offset) &&
                 tr.U64(&n.crashes) && tr.U64(&n.restart_window) &&
                 tr.Bool(&n.chat_done) && tr.U64(&n.banked_sent) &&
-                tr.U64(&n.banked_delivered) && ReadFederationCounters(&tr, &n.fed) &&
-                tr.U64(&rooms);
+                tr.U64(&n.banked_delivered) &&
+                ReadCounters(&tr, &n.fed, kFederationCounterFields) && tr.U64(&rooms);
       if (!ok || n.index < 0 || n.index >= ck->num_nodes ||
           (n.state != 1 && n.state != 2) || n.incarnation < 0 ||
           rooms > static_cast<uint64_t>(INT32_MAX)) {

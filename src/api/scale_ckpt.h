@@ -53,7 +53,7 @@
 //   end <fnv hex16>
 //
 // <counters> is one FederationCounters block, the same eleven tokens in
-// field order in both records (AppendFederationCounters). v2 moved the run
+// kFederationCounterFields order in both records. v2 moved the run
 // record's counters into that block and dropped the node record's
 // last_remote_progress; a v1 segment is rejected at the header and the run
 // cold-starts (segments are transient, so there is nothing to migrate).
@@ -88,7 +88,8 @@ struct ScaleCheckpointOptions {
 // A federation node's traffic and recovery counters, and their sum over a
 // run. Every copy — the live node, its boot snapshot, the aggregate, both
 // checkpoint records, the verification line — is one assignment, one `+=`
-// or one codec call, so a new counter is one field here plus one entry in
+// or one codec call (AppendCounters/ReadCounters, src/base/token_codec.h),
+// so a new counter is one field here plus one entry in
 // kFederationCounterFields.
 struct FederationCounters {
   uint64_t beacons_sent = 0;      // Unique beacons (retransmits not counted).
@@ -121,11 +122,6 @@ inline constexpr uint64_t FederationCounters::*kFederationCounterFields[] = {
     &FederationCounters::acks_received,      &FederationCounters::chat_messages_lost,
     &FederationCounters::crash_inflight_dropped,
 };
-
-// The counters' text codec: space-terminated decimal tokens in field order.
-// The checkpoint's run and node records and the verification line all use
-// it; the decoder reads it back with the matching reader.
-void AppendFederationCounters(std::string* out, const FederationCounters& counters);
 
 // One logged fabric delivery: enough to re-schedule it during replay at the
 // barrier it originally landed on. Logged in sink-call order (duplicated

@@ -1,12 +1,13 @@
 #include "src/api/simulation.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
+#include <string>
 #include <utility>
 
 #include "src/base/assert.h"
 #include "src/base/string_util.h"
+#include "src/base/token_codec.h"
 #include "src/faults/fault_injector.h"
 
 namespace elsc {
@@ -144,72 +145,90 @@ RunStats RunWithChaos(Machine& machine, Workload& workload, Cycles deadline,
   return stats;
 }
 
+// Each RunStats record's counters, listed once in codec order.
+constexpr uint64_t SchedStats::*kSchedCounters[] = {
+    &SchedStats::schedule_calls,          &SchedStats::idle_schedules,
+    &SchedStats::cycles_in_schedule,      &SchedStats::lock_wait_cycles,
+    &SchedStats::tasks_examined,          &SchedStats::recalc_entries,
+    &SchedStats::recalc_tasks_touched,    &SchedStats::picks_new_processor,
+    &SchedStats::picks_prev,              &SchedStats::picks_no_affinity,
+    &SchedStats::yield_reruns,            &SchedStats::wakeups,
+    &SchedStats::preemption_ipis,         &SchedStats::percpu_lock_acquisitions,
+    &SchedStats::percpu_lock_contended,   &SchedStats::percpu_lock_hold_cycles,
+    &SchedStats::percpu_lock_wait_cycles, &SchedStats::double_locks,
+    &SchedStats::load_balance_calls,      &SchedStats::pull_migrations,
+    &SchedStats::array_swaps,
+};
+// peak_live_tasks comes last here, not where MachineStats declares it: the
+// codec appended it after the digest's counters.
+constexpr uint64_t MachineStats::*kMachineCounters[] = {
+    &MachineStats::ticks,             &MachineStats::context_switches,
+    &MachineStats::migrations,        &MachineStats::wakeups,
+    &MachineStats::tasks_created,     &MachineStats::tasks_exited,
+    &MachineStats::quantum_expiries,  &MachineStats::preempt_requests,
+    &MachineStats::ticks_dropped,     &MachineStats::cpu_stalls,
+    &MachineStats::lock_stall_cycles, &MachineStats::peak_live_tasks,
+};
+constexpr uint64_t EventQueueStats::*kEventQueueCounters[] = {
+    &EventQueueStats::scheduled,   &EventQueueStats::fired,
+    &EventQueueStats::cancelled,   &EventQueueStats::callback_heap_allocs,
+    &EventQueueStats::slot_allocs, &EventQueueStats::max_heap_depth,
+};
+constexpr uint64_t FaultStats::*kFaultCounters[] = {
+    &FaultStats::tick_drops,        &FaultStats::tick_jitters,
+    &FaultStats::storm_bursts,      &FaultStats::storm_tasks,
+    &FaultStats::spurious_wakes,    &FaultStats::yield_tasks,
+    &FaultStats::cpu_stalls,        &FaultStats::lock_stalls,
+    &FaultStats::conn_resets,       &FaultStats::conn_half_opens,
+    &FaultStats::slow_peer_windows, &FaultStats::reconnect_storms,
+};
+constexpr uint64_t AuditStats::*kAuditCounters[] = {
+    &AuditStats::audits,                  &AuditStats::picks_audited,
+    &AuditStats::conservation_violations, &AuditStats::counter_violations,
+    &AuditStats::structure_violations,    &AuditStats::table_violations,
+    &AuditStats::ordering_violations,     &AuditStats::starvation_reports,
+    &AuditStats::livelock_reports,
+};
+constexpr uint64_t MemoryStats::*kMemoryCounters[] = {
+    &MemoryStats::task_arena_bytes,  &MemoryStats::task_arena_chunks,
+    &MemoryStats::peak_live_sockets,
+};
+
+// RunStatsDigest covers the leading entries of each table, the counters the
+// golden digests were recorded with, and no memory counter. A counter
+// appended to a table stays out of the digest: it travels through the
+// codec, the merge and the /proc-style report only, so every existing
+// golden keeps its bytes. Changing a count re-records every golden.
+constexpr size_t kSchedDigestCounters = 13;
+constexpr size_t kMachineDigestCounters = 11;
+constexpr size_t kEventQueueDigestCounters = 6;
+constexpr size_t kFaultDigestCounters = 8;
+constexpr size_t kAuditDigestCounters = 9;
+
+// "name:c0,c1,...|" over the first kCount counters of `fields`.
+template <size_t kCount, typename T, size_t N>
+void AppendDigestSection(std::string* out, const char* name, const T& record,
+                         uint64_t T::* const (&fields)[N]) {
+  static_assert(kCount >= 1 && kCount <= N);
+  *out += name;
+  for (size_t i = 0; i < kCount; ++i) {
+    *out += i == 0 ? ':' : ',';
+    *out += std::to_string(record.*fields[i]);
+  }
+  *out += '|';
+}
+
 }  // namespace
 
 std::string RunStatsDigest(const RunStats& stats) {
-  const SchedStats& s = stats.sched;
-  const MachineStats& m = stats.machine;
-  const EventQueueStats& e = stats.events;
   std::string out;
-  out += StrFormat("sched:%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu|",
-                   static_cast<unsigned long long>(s.schedule_calls),
-                   static_cast<unsigned long long>(s.idle_schedules),
-                   static_cast<unsigned long long>(s.cycles_in_schedule),
-                   static_cast<unsigned long long>(s.lock_wait_cycles),
-                   static_cast<unsigned long long>(s.tasks_examined),
-                   static_cast<unsigned long long>(s.recalc_entries),
-                   static_cast<unsigned long long>(s.recalc_tasks_touched),
-                   static_cast<unsigned long long>(s.picks_new_processor),
-                   static_cast<unsigned long long>(s.picks_prev),
-                   static_cast<unsigned long long>(s.picks_no_affinity),
-                   static_cast<unsigned long long>(s.yield_reruns),
-                   static_cast<unsigned long long>(s.wakeups),
-                   static_cast<unsigned long long>(s.preemption_ipis));
-  out += StrFormat("machine:%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu|",
-                   static_cast<unsigned long long>(m.ticks),
-                   static_cast<unsigned long long>(m.context_switches),
-                   static_cast<unsigned long long>(m.migrations),
-                   static_cast<unsigned long long>(m.wakeups),
-                   static_cast<unsigned long long>(m.tasks_created),
-                   static_cast<unsigned long long>(m.tasks_exited),
-                   static_cast<unsigned long long>(m.quantum_expiries),
-                   static_cast<unsigned long long>(m.preempt_requests),
-                   static_cast<unsigned long long>(m.ticks_dropped),
-                   static_cast<unsigned long long>(m.cpu_stalls),
-                   static_cast<unsigned long long>(m.lock_stall_cycles));
-  out += StrFormat("events:%llu,%llu,%llu,%llu,%llu,%llu|",
-                   static_cast<unsigned long long>(e.scheduled),
-                   static_cast<unsigned long long>(e.fired),
-                   static_cast<unsigned long long>(e.cancelled),
-                   static_cast<unsigned long long>(e.callback_heap_allocs),
-                   static_cast<unsigned long long>(e.slot_allocs),
-                   static_cast<unsigned long long>(e.max_heap_depth));
-  // NOTE: the conn-chaos counters (conn_resets, conn_half_opens,
-  // slow_peer_windows, reconnect_storms) are intentionally absent here. The
-  // digest format is pinned by the golden-stats suite, and every
-  // pre-lifecycle scenario must keep a bit-identical digest; the new
-  // counters travel through EncodeRunStats and the proc report instead.
-  const FaultStats& f = stats.faults;
-  out += StrFormat("faults:%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu|",
-                   static_cast<unsigned long long>(f.tick_drops),
-                   static_cast<unsigned long long>(f.tick_jitters),
-                   static_cast<unsigned long long>(f.storm_bursts),
-                   static_cast<unsigned long long>(f.storm_tasks),
-                   static_cast<unsigned long long>(f.spurious_wakes),
-                   static_cast<unsigned long long>(f.yield_tasks),
-                   static_cast<unsigned long long>(f.cpu_stalls),
-                   static_cast<unsigned long long>(f.lock_stalls));
-  const AuditStats& a = stats.audit;
-  out += StrFormat("audit:%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu|",
-                   static_cast<unsigned long long>(a.audits),
-                   static_cast<unsigned long long>(a.picks_audited),
-                   static_cast<unsigned long long>(a.conservation_violations),
-                   static_cast<unsigned long long>(a.counter_violations),
-                   static_cast<unsigned long long>(a.structure_violations),
-                   static_cast<unsigned long long>(a.table_violations),
-                   static_cast<unsigned long long>(a.ordering_violations),
-                   static_cast<unsigned long long>(a.starvation_reports),
-                   static_cast<unsigned long long>(a.livelock_reports));
+  AppendDigestSection<kSchedDigestCounters>(&out, "sched", stats.sched, kSchedCounters);
+  AppendDigestSection<kMachineDigestCounters>(&out, "machine", stats.machine,
+                                              kMachineCounters);
+  AppendDigestSection<kEventQueueDigestCounters>(&out, "events", stats.events,
+                                                 kEventQueueCounters);
+  AppendDigestSection<kFaultDigestCounters>(&out, "faults", stats.faults, kFaultCounters);
+  AppendDigestSection<kAuditDigestCounters>(&out, "audit", stats.audit, kAuditCounters);
   // The failure string is a human-readable diagnosis (not canonical); only
   // the verdict bit participates in the digest.
   out += StrFormat("failed:%d|", stats.failed ? 1 : 0);
@@ -217,135 +236,14 @@ std::string RunStatsDigest(const RunStats& stats) {
   return out;
 }
 
-namespace {
-
-// Cursor over a space-separated token stream; doubles round-trip via %a /
-// strtod (which parses hex-floats exactly).
-class TokenReader {
- public:
-  explicit TokenReader(const std::string& payload) : p_(payload.c_str()) {}
-
-  bool U64(uint64_t* value) {
-    char* end = nullptr;
-    *value = std::strtoull(p_, &end, 10);
-    return Advance(end);
-  }
-
-  bool F64(double* value) {
-    char* end = nullptr;
-    *value = std::strtod(p_, &end);
-    return Advance(end);
-  }
-
-  bool Bool(bool* value) {
-    uint64_t v = 0;
-    if (!U64(&v) || v > 1) {
-      return false;
-    }
-    *value = v != 0;
-    return true;
-  }
-
-  // Everything after the tokens consumed so far (the trailing free-form
-  // failure string; "" when the stream is exhausted).
-  std::string Rest() const { return std::string(p_); }
-
- private:
-  bool Advance(char* end) {
-    if (end == p_) {
-      return false;  // No digits consumed: malformed.
-    }
-    p_ = end;
-    while (*p_ == ' ') {
-      ++p_;
-    }
-    return true;
-  }
-
-  const char* p_;
-};
-
-void AppendU64(std::string* out, uint64_t value) {
-  *out += StrFormat("%llu ", static_cast<unsigned long long>(value));
-}
-
-void AppendF64(std::string* out, double value) {
-  *out += StrFormat("%a ", value);
-}
-
-}  // namespace
-
 std::string EncodeRunStats(const RunStats& stats) {
   std::string out;
-  const SchedStats& s = stats.sched;
-  AppendU64(&out, s.schedule_calls);
-  AppendU64(&out, s.idle_schedules);
-  AppendU64(&out, s.cycles_in_schedule);
-  AppendU64(&out, s.lock_wait_cycles);
-  AppendU64(&out, s.tasks_examined);
-  AppendU64(&out, s.recalc_entries);
-  AppendU64(&out, s.recalc_tasks_touched);
-  AppendU64(&out, s.picks_new_processor);
-  AppendU64(&out, s.picks_prev);
-  AppendU64(&out, s.picks_no_affinity);
-  AppendU64(&out, s.yield_reruns);
-  AppendU64(&out, s.wakeups);
-  AppendU64(&out, s.preemption_ipis);
-  AppendU64(&out, s.percpu_lock_acquisitions);
-  AppendU64(&out, s.percpu_lock_contended);
-  AppendU64(&out, s.percpu_lock_hold_cycles);
-  AppendU64(&out, s.percpu_lock_wait_cycles);
-  AppendU64(&out, s.double_locks);
-  AppendU64(&out, s.load_balance_calls);
-  AppendU64(&out, s.pull_migrations);
-  AppendU64(&out, s.array_swaps);
-  const MachineStats& m = stats.machine;
-  AppendU64(&out, m.ticks);
-  AppendU64(&out, m.context_switches);
-  AppendU64(&out, m.migrations);
-  AppendU64(&out, m.wakeups);
-  AppendU64(&out, m.tasks_created);
-  AppendU64(&out, m.tasks_exited);
-  AppendU64(&out, m.quantum_expiries);
-  AppendU64(&out, m.preempt_requests);
-  AppendU64(&out, m.ticks_dropped);
-  AppendU64(&out, m.cpu_stalls);
-  AppendU64(&out, m.lock_stall_cycles);
-  AppendU64(&out, m.peak_live_tasks);
-  const EventQueueStats& e = stats.events;
-  AppendU64(&out, e.scheduled);
-  AppendU64(&out, e.fired);
-  AppendU64(&out, e.cancelled);
-  AppendU64(&out, e.callback_heap_allocs);
-  AppendU64(&out, e.slot_allocs);
-  AppendU64(&out, e.max_heap_depth);
-  const FaultStats& f = stats.faults;
-  AppendU64(&out, f.tick_drops);
-  AppendU64(&out, f.tick_jitters);
-  AppendU64(&out, f.storm_bursts);
-  AppendU64(&out, f.storm_tasks);
-  AppendU64(&out, f.spurious_wakes);
-  AppendU64(&out, f.yield_tasks);
-  AppendU64(&out, f.cpu_stalls);
-  AppendU64(&out, f.lock_stalls);
-  AppendU64(&out, f.conn_resets);
-  AppendU64(&out, f.conn_half_opens);
-  AppendU64(&out, f.slow_peer_windows);
-  AppendU64(&out, f.reconnect_storms);
-  const AuditStats& a = stats.audit;
-  AppendU64(&out, a.audits);
-  AppendU64(&out, a.picks_audited);
-  AppendU64(&out, a.conservation_violations);
-  AppendU64(&out, a.counter_violations);
-  AppendU64(&out, a.structure_violations);
-  AppendU64(&out, a.table_violations);
-  AppendU64(&out, a.ordering_violations);
-  AppendU64(&out, a.starvation_reports);
-  AppendU64(&out, a.livelock_reports);
-  const MemoryStats& mem = stats.memory;
-  AppendU64(&out, mem.task_arena_bytes);
-  AppendU64(&out, mem.task_arena_chunks);
-  AppendU64(&out, mem.peak_live_sockets);
+  AppendCounters(&out, stats.sched, kSchedCounters);
+  AppendCounters(&out, stats.machine, kMachineCounters);
+  AppendCounters(&out, stats.events, kEventQueueCounters);
+  AppendCounters(&out, stats.faults, kFaultCounters);
+  AppendCounters(&out, stats.audit, kAuditCounters);
+  AppendCounters(&out, stats.memory, kMemoryCounters);
   AppendF64(&out, stats.elapsed_sec);
   AppendU64(&out, stats.failed ? 1 : 0);
   out += stats.failure;  // Last: may contain spaces (but never newlines).
@@ -355,42 +253,13 @@ std::string EncodeRunStats(const RunStats& stats) {
 bool DecodeRunStats(const std::string& payload, RunStats* stats) {
   RunStats out;
   TokenReader r(payload);
-  SchedStats& s = out.sched;
-  MachineStats& m = out.machine;
-  EventQueueStats& e = out.events;
-  FaultStats& f = out.faults;
-  AuditStats& a = out.audit;
-  const bool ok =
-      r.U64(&s.schedule_calls) && r.U64(&s.idle_schedules) &&
-      r.U64(&s.cycles_in_schedule) && r.U64(&s.lock_wait_cycles) &&
-      r.U64(&s.tasks_examined) && r.U64(&s.recalc_entries) &&
-      r.U64(&s.recalc_tasks_touched) && r.U64(&s.picks_new_processor) &&
-      r.U64(&s.picks_prev) && r.U64(&s.picks_no_affinity) &&
-      r.U64(&s.yield_reruns) && r.U64(&s.wakeups) && r.U64(&s.preemption_ipis) &&
-      r.U64(&s.percpu_lock_acquisitions) && r.U64(&s.percpu_lock_contended) &&
-      r.U64(&s.percpu_lock_hold_cycles) && r.U64(&s.percpu_lock_wait_cycles) &&
-      r.U64(&s.double_locks) && r.U64(&s.load_balance_calls) &&
-      r.U64(&s.pull_migrations) && r.U64(&s.array_swaps) &&
-      r.U64(&m.ticks) && r.U64(&m.context_switches) && r.U64(&m.migrations) &&
-      r.U64(&m.wakeups) && r.U64(&m.tasks_created) && r.U64(&m.tasks_exited) &&
-      r.U64(&m.quantum_expiries) && r.U64(&m.preempt_requests) &&
-      r.U64(&m.ticks_dropped) && r.U64(&m.cpu_stalls) &&
-      r.U64(&m.lock_stall_cycles) && r.U64(&m.peak_live_tasks) &&
-      r.U64(&e.scheduled) && r.U64(&e.fired) &&
-      r.U64(&e.cancelled) && r.U64(&e.callback_heap_allocs) &&
-      r.U64(&e.slot_allocs) && r.U64(&e.max_heap_depth) && r.U64(&f.tick_drops) &&
-      r.U64(&f.tick_jitters) && r.U64(&f.storm_bursts) && r.U64(&f.storm_tasks) &&
-      r.U64(&f.spurious_wakes) && r.U64(&f.yield_tasks) && r.U64(&f.cpu_stalls) &&
-      r.U64(&f.lock_stalls) && r.U64(&f.conn_resets) &&
-      r.U64(&f.conn_half_opens) && r.U64(&f.slow_peer_windows) &&
-      r.U64(&f.reconnect_storms) && r.U64(&a.audits) && r.U64(&a.picks_audited) &&
-      r.U64(&a.conservation_violations) && r.U64(&a.counter_violations) &&
-      r.U64(&a.structure_violations) && r.U64(&a.table_violations) &&
-      r.U64(&a.ordering_violations) && r.U64(&a.starvation_reports) &&
-      r.U64(&a.livelock_reports) && r.U64(&out.memory.task_arena_bytes) &&
-      r.U64(&out.memory.task_arena_chunks) &&
-      r.U64(&out.memory.peak_live_sockets) && r.F64(&out.elapsed_sec) &&
-      r.Bool(&out.failed);
+  const bool ok = ReadCounters(&r, &out.sched, kSchedCounters) &&
+                  ReadCounters(&r, &out.machine, kMachineCounters) &&
+                  ReadCounters(&r, &out.events, kEventQueueCounters) &&
+                  ReadCounters(&r, &out.faults, kFaultCounters) &&
+                  ReadCounters(&r, &out.audit, kAuditCounters) &&
+                  ReadCounters(&r, &out.memory, kMemoryCounters) &&
+                  r.F64(&out.elapsed_sec) && r.Bool(&out.failed);
   if (!ok) {
     return false;
   }
@@ -400,83 +269,16 @@ bool DecodeRunStats(const std::string& payload, RunStats* stats) {
 }
 
 void MergeRunStats(RunStats* into, const RunStats& from) {
-  SchedStats& s = into->sched;
-  const SchedStats& fs = from.sched;
-  s.schedule_calls += fs.schedule_calls;
-  s.idle_schedules += fs.idle_schedules;
-  s.cycles_in_schedule += fs.cycles_in_schedule;
-  s.lock_wait_cycles += fs.lock_wait_cycles;
-  s.tasks_examined += fs.tasks_examined;
-  s.recalc_entries += fs.recalc_entries;
-  s.recalc_tasks_touched += fs.recalc_tasks_touched;
-  s.picks_new_processor += fs.picks_new_processor;
-  s.picks_prev += fs.picks_prev;
-  s.picks_no_affinity += fs.picks_no_affinity;
-  s.yield_reruns += fs.yield_reruns;
-  s.wakeups += fs.wakeups;
-  s.preemption_ipis += fs.preemption_ipis;
-  s.percpu_lock_acquisitions += fs.percpu_lock_acquisitions;
-  s.percpu_lock_contended += fs.percpu_lock_contended;
-  s.percpu_lock_hold_cycles += fs.percpu_lock_hold_cycles;
-  s.percpu_lock_wait_cycles += fs.percpu_lock_wait_cycles;
-  s.double_locks += fs.double_locks;
-  s.load_balance_calls += fs.load_balance_calls;
-  s.pull_migrations += fs.pull_migrations;
-  s.array_swaps += fs.array_swaps;
-  MachineStats& m = into->machine;
-  const MachineStats& fm = from.machine;
-  m.ticks += fm.ticks;
-  m.context_switches += fm.context_switches;
-  m.migrations += fm.migrations;
-  m.wakeups += fm.wakeups;
-  m.tasks_created += fm.tasks_created;
-  m.tasks_exited += fm.tasks_exited;
-  m.quantum_expiries += fm.quantum_expiries;
-  m.preempt_requests += fm.preempt_requests;
-  m.ticks_dropped += fm.ticks_dropped;
-  m.cpu_stalls += fm.cpu_stalls;
-  m.lock_stall_cycles += fm.lock_stall_cycles;
-  // Summed per-machine peaks: for machines that coexisted this is the total
-  // footprint bound (see header comment).
-  m.peak_live_tasks += fm.peak_live_tasks;
-  EventQueueStats& e = into->events;
-  const EventQueueStats& fe = from.events;
-  e.scheduled += fe.scheduled;
-  e.fired += fe.fired;
-  e.cancelled += fe.cancelled;
-  e.callback_heap_allocs += fe.callback_heap_allocs;
-  e.slot_allocs += fe.slot_allocs;
-  e.max_heap_depth = std::max(e.max_heap_depth, fe.max_heap_depth);
-  FaultStats& f = into->faults;
-  const FaultStats& ff = from.faults;
-  f.tick_drops += ff.tick_drops;
-  f.tick_jitters += ff.tick_jitters;
-  f.storm_bursts += ff.storm_bursts;
-  f.storm_tasks += ff.storm_tasks;
-  f.spurious_wakes += ff.spurious_wakes;
-  f.yield_tasks += ff.yield_tasks;
-  f.cpu_stalls += ff.cpu_stalls;
-  f.lock_stalls += ff.lock_stalls;
-  f.conn_resets += ff.conn_resets;
-  f.conn_half_opens += ff.conn_half_opens;
-  f.slow_peer_windows += ff.slow_peer_windows;
-  f.reconnect_storms += ff.reconnect_storms;
-  AuditStats& a = into->audit;
-  const AuditStats& fa = from.audit;
-  a.audits += fa.audits;
-  a.picks_audited += fa.picks_audited;
-  a.conservation_violations += fa.conservation_violations;
-  a.counter_violations += fa.counter_violations;
-  a.structure_violations += fa.structure_violations;
-  a.table_violations += fa.table_violations;
-  a.ordering_violations += fa.ordering_violations;
-  a.starvation_reports += fa.starvation_reports;
-  a.livelock_reports += fa.livelock_reports;
-  MemoryStats& mem = into->memory;
-  const MemoryStats& fmem = from.memory;
-  mem.task_arena_bytes += fmem.task_arena_bytes;
-  mem.task_arena_chunks += fmem.task_arena_chunks;
-  mem.peak_live_sockets += fmem.peak_live_sockets;
+  // Every counter sums except the event heap's high-water mark.
+  const uint64_t max_heap_depth =
+      std::max(into->events.max_heap_depth, from.events.max_heap_depth);
+  AddCounters(&into->sched, from.sched, kSchedCounters);
+  AddCounters(&into->machine, from.machine, kMachineCounters);
+  AddCounters(&into->events, from.events, kEventQueueCounters);
+  AddCounters(&into->faults, from.faults, kFaultCounters);
+  AddCounters(&into->audit, from.audit, kAuditCounters);
+  AddCounters(&into->memory, from.memory, kMemoryCounters);
+  into->events.max_heap_depth = max_heap_depth;
   if (from.failed && !into->failed) {
     into->failed = true;
     into->failure = from.failure;

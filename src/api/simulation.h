@@ -47,10 +47,8 @@ struct ChaosOptions {
   AuditConfig audit;
 };
 
-// Memory high-water marks of a run. Like the conn-chaos counters, these are
-// NOT part of RunStatsDigest (its format is pinned by the golden-stats
-// suite); they travel through EncodeRunStats, the /proc-style report, and
-// the bench JSON "memory" blocks.
+// Memory high-water marks of a run. They travel through EncodeRunStats, the
+// /proc-style report, and the bench JSON "memory" blocks.
 struct MemoryStats {
   uint64_t task_arena_bytes = 0;   // Slab bytes resident in the task arena.
   uint64_t task_arena_chunks = 0;  // Chunks ever carved (never returned).
@@ -85,10 +83,12 @@ struct RunStats {
 // primitive: fold results as they complete instead of retaining them.
 void MergeRunStats(RunStats* into, const RunStats& from);
 
-// Renders every counter in `stats` into one canonical string (elapsed_sec in
-// hex-float, so no precision is lost). Two runs are bit-identical iff their
-// digests compare equal — this is what the harness determinism test checks
-// across job counts.
+// Renders the digest's counters, the failure verdict and elapsed_sec (in
+// hex-float, so no precision is lost) into one canonical string. The
+// counters are the ones the golden digests were recorded with: the leading
+// entries of each record's counter table in simulation.cc, which says which.
+// Equal digests are what the harness determinism test checks across job
+// counts.
 std::string RunStatsDigest(const RunStats& stats);
 
 // Exact round-trip encodings for the run-supervisor's journal (checkpoint/

@@ -111,9 +111,6 @@ struct FaultStats {
   uint64_t cpu_stalls = 0;      // Stall windows entered.
   uint64_t lock_stalls = 0;     // Lock-holder spikes injected.
   // Connection-lifecycle chaos (zero unless a workload attached targets).
-  // These counters are carried by the supervisor codec but deliberately NOT
-  // by RunStatsDigest — its format is pinned by the golden-stats suite, and
-  // every pre-lifecycle scenario must keep a bit-identical digest.
   uint64_t conn_resets = 0;        // ResetByPeer() transitions injected.
   uint64_t conn_half_opens = 0;    // Peer readers killed.
   uint64_t slow_peer_windows = 0;  // Throttle windows opened.

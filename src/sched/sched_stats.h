@@ -28,9 +28,7 @@ struct SchedStats {
   uint64_t preemption_ipis = 0;      // reschedule_idle() forced a running CPU.
 
   // Per-CPU run-queue lock model (per-CPU-queue schedulers only; all zero
-  // under a global-lock scheduler). NOT part of RunStatsDigest — the digest
-  // format is pinned by the golden-stats suite; these travel through
-  // EncodeRunStats and the /proc-style report only.
+  // under a global-lock scheduler).
   uint64_t percpu_lock_acquisitions = 0;  // Own-CPU lock takes by picks.
   uint64_t percpu_lock_contended = 0;     // Acquisitions that found it held.
   Cycles percpu_lock_hold_cycles = 0;     // Total per-CPU lock hold time.

@@ -79,9 +79,6 @@ struct MachineStats {
   uint64_t tasks_created = 0;
   uint64_t tasks_exited = 0;
   // High-water mark of concurrently live (created, not yet exited) tasks.
-  // Memory accounting only — NOT part of RunStatsDigest (the digest format
-  // is pinned by the golden-stats suite); travels through EncodeRunStats and
-  // the /proc-style report instead.
   uint64_t peak_live_tasks = 0;
   uint64_t quantum_expiries = 0;
   uint64_t preempt_requests = 0;  // reschedule_idle() decided to preempt.

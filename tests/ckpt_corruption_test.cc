@@ -293,6 +293,36 @@ TEST(CkptCorruptionTest, RunStatsMergeBytesArePinned) {
             "0x1.8p+0 1 watchdog: cell stuck at window 7");
 }
 
+// A token must end at a space or at the end of input. A payload whose
+// `failed` bit is glued to the diagnosis ("1Zwatchdog: ...") is torn, not a
+// diagnosis that starts with 'Z'.
+TEST(CkptCorruptionTest, GluedTokensAreRejected) {
+  const RunStats stats = DistinctRunStats();
+  const std::string encoded = EncodeRunStats(stats);
+  const std::string trailer = " 1 " + stats.failure;
+  ASSERT_EQ(encoded.compare(encoded.size() - trailer.size(), trailer.size(), trailer), 0);
+  std::string glued = encoded;
+  glued[encoded.size() - stats.failure.size() - 1] = 'Z';
+  RunStats decoded;
+  EXPECT_FALSE(DecodeRunStats(glued, &decoded)) << decoded.failure;
+
+  VolanoRun run;
+  run.result.completed = true;
+  run.result.elapsed_sec = 2.5;
+  run.result.messages_sent = 40;
+  run.stats = stats;
+  const std::string volano = EncodeVolanoRun(run);
+  VolanoRun round;
+  ASSERT_TRUE(DecodeVolanoRun(volano, &round));
+  std::string glued_volano = volano;
+  glued_volano[volano.size() - stats.failure.size() - 1] = 'Z';
+  EXPECT_FALSE(DecodeVolanoRun(glued_volano, &round)) << round.stats.failure;
+  // A separator replaced by a sign the number parser would skip over.
+  std::string signed_volano = volano;
+  signed_volano[volano.find(' ')] = '+';
+  EXPECT_FALSE(DecodeVolanoRun(signed_volano, &round));
+}
+
 TEST(CkptCorruptionTest, RunStatsDecoderRejectsTruncations) {
   RunStats stats;
   stats.sched.schedule_calls = 41;

@@ -232,8 +232,10 @@ TEST(RunMatrixTest, ChaosCellsBitIdenticalAcrossJobCounts) {
 // hot-path overhaul (task arena, ELSC occupancy bitmap, idle-CPU mask, trace
 // ring buffer) landed, and must stay bit-identical forever after: host-time
 // optimizations are not allowed to change a single simulated counter. Each
-// digest folds in every RunStats field — sched, machine, events, faults,
-// audit, the failure verdict, and the simulated elapsed time (hex float).
+// digest is a RunStatsDigest: the sched, machine, events, faults and audit
+// counters it covers (src/api/simulation.cc lists them; the per-CPU lock,
+// O(1), conn-chaos and memory counters are not among them), the failure
+// verdict, and the simulated elapsed time (hex float).
 //
 // To re-record after an *intentional* behavior change (new counter, changed
 // simulation semantics — never a perf change), run:
