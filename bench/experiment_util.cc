@@ -26,8 +26,8 @@ std::string BenchCommand() {
 #endif
 }
 
-// The comma-separated fields of environment variable `name`, or of
-// `fallback` when it is unset or empty.
+}  // namespace
+
 std::vector<std::string> EnvFields(const char* name, const std::string& fallback) {
   const char* env = std::getenv(name);
   const std::string spec = env != nullptr && env[0] != '\0' ? env : fallback;
@@ -43,8 +43,6 @@ std::vector<std::string> EnvFields(const char* name, const std::string& fallback
   }
   return fields;
 }
-
-}  // namespace
 
 SupervisionStats& GlobalSupervisionStats() {
   static SupervisionStats stats;
@@ -149,55 +147,51 @@ VolanoRun RunVolanoCell(KernelConfig kernel, SchedulerKind scheduler, int rooms,
 
 namespace {
 
-// Shared supervised runner for volano matrices: `replicates` consecutive
-// indices per spec (1 for plain RunVolanoCells).
-std::vector<VolanoRun> RunVolanoMatrix(const std::vector<VolanoCellSpec>& cells,
-                                       int replicates, int jobs) {
-  const size_t total = cells.size() * static_cast<size_t>(replicates);
-  auto describe = [&cells, replicates](size_t i) {
-    const VolanoCellSpec& spec = cells[i / static_cast<size_t>(replicates)];
-    const int replicate = static_cast<int>(i % static_cast<size_t>(replicates));
-    return StrFormat("volano kernel=%s sched=%s rooms=%d replicate=%d "
-                     "cell_key=0x%llx seed=0x%llx",
-                     KernelConfigLabel(spec.kernel), PaperLabel(spec.scheduler),
-                     spec.rooms, replicate,
-                     static_cast<unsigned long long>(VolanoCellKey(spec)),
-                     static_cast<unsigned long long>(ReplicateSeed(spec, replicate)));
-  };
-  SupervisorOptions options =
-      MakeBenchSupervisorOptions(VolanoMatrixId(cells, replicates), describe);
+// A volano matrix with `replicates` consecutive indices per spec: index i is
+// replicate i % replicates of cells[i / replicates].
+struct VolanoMatrix {
+  const std::vector<VolanoCellSpec>& cells;
+  int replicates = 1;
+
+  size_t size() const { return cells.size() * static_cast<size_t>(replicates); }
+  const VolanoCellSpec& spec(size_t i) const {
+    return cells[i / static_cast<size_t>(replicates)];
+  }
+  int replicate(size_t i) const { return static_cast<int>(i % static_cast<size_t>(replicates)); }
+
+  // Supervisor options whose repro lines name the cell.
+  SupervisorOptions Options() const {
+    return MakeBenchSupervisorOptions(VolanoMatrixId(cells, replicates), [this](size_t i) {
+      const VolanoCellSpec& s = spec(i);
+      return StrFormat("volano kernel=%s sched=%s rooms=%d replicate=%d "
+                       "cell_key=0x%llx seed=0x%llx",
+                       KernelConfigLabel(s.kernel), PaperLabel(s.scheduler), s.rooms,
+                       replicate(i), static_cast<unsigned long long>(VolanoCellKey(s)),
+                       static_cast<unsigned long long>(ReplicateSeed(s, replicate(i))));
+    });
+  }
+
+  VolanoRun Run(size_t i) const {
+    const VolanoCellSpec& s = spec(i);
+    return RunVolanoCell(s.kernel, s.scheduler, s.rooms, ReplicateSeed(s, replicate(i)));
+  }
+};
+
+}  // namespace
+
+std::vector<VolanoRun> RunVolanoCells(const std::vector<VolanoCellSpec>& cells, int jobs) {
+  const VolanoMatrix matrix{cells, 1};
   SupervisedRun<VolanoRun> run = RunSupervised(
-      options, total,
-      [&cells, replicates](size_t i) {
-        const VolanoCellSpec& spec = cells[i / static_cast<size_t>(replicates)];
-        const int replicate = static_cast<int>(i % static_cast<size_t>(replicates));
-        return RunVolanoCell(spec.kernel, spec.scheduler, spec.rooms,
-                             ReplicateSeed(spec, replicate));
-      },
+      matrix.Options(), matrix.size(), [&matrix](size_t i) { return matrix.Run(i); },
       VolanoRunCodec(), jobs);
   AccumulateSupervision(run.stats);
   return std::move(run.results);
 }
 
-}  // namespace
-
-std::vector<VolanoRun> RunVolanoCells(const std::vector<VolanoCellSpec>& cells, int jobs) {
-  return RunVolanoMatrix(cells, 1, jobs);
-}
-
 std::vector<VolanoCellSummary> RunVolanoCellSummaries(const std::vector<VolanoCellSpec>& cells) {
-  const int replicates = BenchReplicates();
-  const size_t total = cells.size() * static_cast<size_t>(replicates);
-  auto describe = [&cells, replicates](size_t i) {
-    const VolanoCellSpec& spec = cells[i / static_cast<size_t>(replicates)];
-    const int replicate = static_cast<int>(i % static_cast<size_t>(replicates));
-    return StrFormat("volano kernel=%s sched=%s rooms=%d replicate=%d "
-                     "cell_key=0x%llx seed=0x%llx",
-                     KernelConfigLabel(spec.kernel), PaperLabel(spec.scheduler),
-                     spec.rooms, replicate,
-                     static_cast<unsigned long long>(VolanoCellKey(spec)),
-                     static_cast<unsigned long long>(ReplicateSeed(spec, replicate)));
-  };
+  const VolanoMatrix matrix{cells, BenchReplicates()};
+  const int replicates = matrix.replicates;
+  const size_t total = matrix.size();
   // Streaming fold: a completed replicate contributes one throughput double
   // and one completion bit, and only replicate 0's full run (the stats
   // columns) is retained per cell — every other VolanoRun (histograms,
@@ -213,21 +207,13 @@ std::vector<VolanoCellSummary> RunVolanoCellSummaries(const std::vector<VolanoCe
     std::lock_guard<std::mutex> lock(fold_mutex);
     throughputs[i] = run.result.throughput;
     completed[i] = run.result.completed ? 1 : 0;
-    if (i % static_cast<size_t>(replicates) == 0) {
+    if (matrix.replicate(i) == 0) {
       summaries[i / static_cast<size_t>(replicates)].first = std::move(run);
     }
   };
-  SupervisorOptions options =
-      MakeBenchSupervisorOptions(VolanoMatrixId(cells, replicates), describe);
   EncodedSupervisedRun run = RunSupervisedStream(
-      options, total,
-      [&cells, replicates](size_t i) {
-        const VolanoCellSpec& spec = cells[i / static_cast<size_t>(replicates)];
-        const int replicate = static_cast<int>(i % static_cast<size_t>(replicates));
-        return RunVolanoCell(spec.kernel, spec.scheduler, spec.rooms,
-                             ReplicateSeed(spec, replicate));
-      },
-      consume, VolanoRunCodec(), 0);
+      matrix.Options(), total, [&matrix](size_t i) { return matrix.Run(i); }, consume,
+      VolanoRunCodec(), 0);
   AccumulateSupervision(run.stats);
   // Summary::Add is order-sensitive in floating point: fold the buffered
   // scalars in replicate order so the output is bit-identical at any
@@ -273,6 +259,20 @@ double NowSec() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+ScaleCell RunTimedScaleCell(const ScaleConfig& config, int shards) {
+  ScaleCell cell;
+  cell.config = config;
+  const double start = NowSec();
+  cell.run = RunShardedVolano(config, shards);
+  cell.wall_sec = NowSec() - start;
+  if (cell.wall_sec > 0.0) {
+    cell.tasks_per_wall_sec =
+        static_cast<double>(cell.run.stats.machine.tasks_created) / cell.wall_sec;
+    cell.events_per_wall_sec = static_cast<double>(cell.run.stats.events.fired) / cell.wall_sec;
+  }
+  return cell;
 }
 
 std::vector<int> IntList(const char* name, const std::string& fallback, int min_value) {

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/api/scale.h"
 #include "src/api/simulation.h"
 #include "src/base/string_util.h"
 #include "src/harness/run_matrix.h"
@@ -108,12 +109,18 @@ void MaybeExportCsv(const std::string& name, const TextTable& table);
 // Host wall-clock seconds on the steady clock, for timing blocks.
 double NowSec();
 
+// Runs one federation cell on `shards` threads and fills in its wall time
+// and per-wall-second rates (RenderScaleJson's timing block).
+ScaleCell RunTimedScaleCell(const ScaleConfig& config, int shards);
+
 // Sweep knobs read from the environment; each bench passes its own
 // ELSC_<BENCH>_* name and default spec, used when the variable is unset or
 // empty. Lists are comma-separated.
+//   EnvFields   the fields as written;
 //   IntList     the integers >= min_value;
 //   Schedulers  the scheduler names (SchedulerKindFromName);
 //   IntEnv      a positive integer.
+std::vector<std::string> EnvFields(const char* name, const std::string& fallback);
 std::vector<int> IntList(const char* name, const std::string& fallback, int min_value = 1);
 std::vector<SchedulerKind> Schedulers(const char* name, const std::string& fallback);
 int IntEnv(const char* name, int fallback);

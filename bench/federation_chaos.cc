@@ -43,6 +43,7 @@
 
 #include "bench/experiment_util.h"
 #include "src/api/scale.h"
+#include "src/base/atomic_file.h"
 
 namespace {
 
@@ -129,20 +130,9 @@ int main(int argc, char** argv) {
   const std::vector<elsc::ScaleCell> cells = elsc::RunBenchMatrix(
       "federation_chaos", points.size(),
       [&](size_t i) {
-        elsc::ScaleCell cell;
-        cell.config = PointConfig(points[i], seed, rooms, users, msgs,
-                                  loss_pct, kernel);
-        const double start = elsc::NowSec();
-        cell.run = elsc::RunShardedVolano(cell.config, points[i].shards);
-        cell.wall_sec = elsc::NowSec() - start;
-        if (cell.wall_sec > 0.0) {
-          cell.tasks_per_wall_sec =
-              static_cast<double>(cell.run.stats.machine.tasks_created) /
-              cell.wall_sec;
-          cell.events_per_wall_sec =
-              static_cast<double>(cell.run.stats.events.fired) / cell.wall_sec;
-        }
-        return cell;
+        return elsc::RunTimedScaleCell(
+            PointConfig(points[i], seed, rooms, users, msgs, loss_pct, kernel),
+            points[i].shards);
       },
       /*jobs=*/1);
   const double sweep_elapsed = elsc::NowSec() - sweep_start;
@@ -225,14 +215,12 @@ int main(int argc, char** argv) {
               protocol_ok ? "never loses to" : "LOSES to");
 
   const char* json_path = "BENCH_federation_chaos.json";
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
+  std::string error;
+  if (!elsc::AtomicWriteFile(json_path, elsc::RenderScaleJson(cells, seed, include_timing),
+                             &error)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", json_path, error.c_str());
     return elsc::BenchExit(1);
   }
-  const std::string json = elsc::RenderScaleJson(cells, seed, include_timing);
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
   std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, cells.size(),
               sweep_elapsed);
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench/experiment_util.h"
+#include "src/base/atomic_file.h"
 #include "src/sched/factory.h"
 #include "src/stats/ascii_chart.h"
 
@@ -163,12 +164,6 @@ int main(int argc, char** argv) {
               chart_rooms,
               elsc::RenderSeriesChart(x_labels, series).c_str());
 
-  const char* json_path = "BENCH_o1_scaling.json";
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return elsc::BenchExit(1);
-  }
   std::string json;
   json += "{\n";
   json += "  \"bench\": \"o1_scaling\",\n";
@@ -223,8 +218,12 @@ int main(int argc, char** argv) {
     json += "  }";
   }
   json += "\n}\n";
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
+  const char* json_path = "BENCH_o1_scaling.json";
+  std::string error;
+  if (!elsc::AtomicWriteFile(json_path, json, &error)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", json_path, error.c_str());
+    return elsc::BenchExit(1);
+  }
   std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, cells.size(),
               sweep_elapsed);
 

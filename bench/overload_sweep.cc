@@ -25,24 +25,18 @@
 
 #include "bench/experiment_util.h"
 #include "src/api/overload.h"
+#include "src/base/atomic_file.h"
 
 namespace {
 
 std::vector<double> LoadFactors() {
-  const char* env = std::getenv("ELSC_OVERLOAD_LOADS");
-  const std::string spec = env != nullptr ? env : "0.5,0.75,1.0,1.25,1.5,2.0";
   std::vector<double> loads;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const double value = std::atof(spec.substr(pos, comma - pos).c_str());
+  for (const std::string& field :
+       elsc::EnvFields("ELSC_OVERLOAD_LOADS", "0.5,0.75,1.0,1.25,1.5,2.0")) {
+    const double value = std::atof(field.c_str());
     if (value > 0.0) {
       loads.push_back(value);
     }
-    pos = comma + 1;
   }
   if (loads.empty()) {
     loads = {1.0};
@@ -128,14 +122,12 @@ int main(int argc, char** argv) {
   }
 
   const char* json_path = "BENCH_overload.json";
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
+  std::string error;
+  if (!elsc::AtomicWriteFile(json_path, elsc::RenderOverloadJson(runs, seed, chaos_on),
+                             &error)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", json_path, error.c_str());
     return elsc::BenchExit(1);
   }
-  const std::string json = elsc::RenderOverloadJson(runs, seed, chaos_on);
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
   std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, runs.size(), elapsed);
 
   if (!all_ok) {

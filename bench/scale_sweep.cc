@@ -41,6 +41,7 @@
 
 #include "bench/experiment_util.h"
 #include "src/api/scale.h"
+#include "src/base/atomic_file.h"
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
@@ -88,20 +89,7 @@ int main(int argc, char** argv) {
   const double sweep_start = elsc::NowSec();
   const std::vector<elsc::ScaleCell> cells = elsc::RunBenchMatrix(
       "scale_sweep", specs.size(),
-      [&](size_t i) {
-        elsc::ScaleCell cell;
-        cell.config = specs[i];
-        const double start = elsc::NowSec();
-        cell.run = elsc::RunShardedVolano(specs[i], spec_shards[i]);
-        cell.wall_sec = elsc::NowSec() - start;
-        if (cell.wall_sec > 0.0) {
-          cell.tasks_per_wall_sec =
-              static_cast<double>(cell.run.stats.machine.tasks_created) / cell.wall_sec;
-          cell.events_per_wall_sec =
-              static_cast<double>(cell.run.stats.events.fired) / cell.wall_sec;
-        }
-        return cell;
-      },
+      [&](size_t i) { return elsc::RunTimedScaleCell(specs[i], spec_shards[i]); },
       /*jobs=*/1);
   const double sweep_elapsed = elsc::NowSec() - sweep_start;
 
@@ -152,14 +140,12 @@ int main(int argc, char** argv) {
               deterministic ? "bit-identical" : "MISMATCH");
 
   const char* json_path = "BENCH_scale.json";
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
+  std::string error;
+  if (!elsc::AtomicWriteFile(json_path, elsc::RenderScaleJson(cells, seed, include_timing),
+                             &error)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", json_path, error.c_str());
     return elsc::BenchExit(1);
   }
-  const std::string json = elsc::RenderScaleJson(cells, seed, include_timing);
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
   std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, cells.size(),
               sweep_elapsed);
 
