@@ -85,10 +85,10 @@ void MergeRunStats(RunStats* into, const RunStats& from);
 
 // Renders the digest's counters, the failure verdict and elapsed_sec (in
 // hex-float, so no precision is lost) into one canonical string. The
-// counters are the ones the golden digests were recorded with: the leading
-// entries of each record's counter table in simulation.cc, which says which.
-// Equal digests are what the harness determinism test checks across job
-// counts.
+// counters are those the golden digests were recorded with, not every
+// counter; simulation.cc lists them (kSchedDigestCounters and its
+// siblings). The harness determinism test checks that digests are equal
+// across job counts.
 std::string RunStatsDigest(const RunStats& stats);
 
 // Exact round-trip encodings for the run-supervisor's journal (checkpoint/
