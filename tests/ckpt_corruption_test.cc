@@ -317,7 +317,8 @@ TEST(CkptCorruptionTest, GluedTokensAreRejected) {
   std::string glued_volano = volano;
   glued_volano[volano.size() - stats.failure.size() - 1] = 'Z';
   EXPECT_FALSE(DecodeVolanoRun(glued_volano, &round)) << round.stats.failure;
-  // A separator replaced by a sign the number parser would skip over.
+  // A separator replaced by '+', which the next number would parse as its
+  // sign.
   std::string signed_volano = volano;
   signed_volano[volano.find(' ')] = '+';
   EXPECT_FALSE(DecodeVolanoRun(signed_volano, &round));
