@@ -208,7 +208,8 @@ int main(int argc, char** argv) {
     json += elsc::StrFormat("      \"elapsed_sec\": \"%a\",\n", s.elapsed_sec);
     json += elsc::StrFormat("      \"throughput\": \"%a\",\n",
                             cell.run.result.throughput);
-    json += elsc::StrFormat("      \"digest\": \"%s\"\n", cell.digest.c_str());
+    json += elsc::StrFormat("      \"digest\": \"%s\",\n", cell.digest.c_str());
+    json += elsc::StrFormat("      \"engine\": \"%s\"\n", elsc::EngineDigest(s).c_str());
     json += i + 1 < cells.size() ? "    },\n" : "    }\n";
   }
   json += "  ]";

@@ -89,7 +89,9 @@ echo "=== 3. kill-at-window recovery drill: checkpoint -> SIGKILL -> resume ==="
 # A real process kill mid-federation (ELSC_SCALE_INJECT_KILL fires _Exit(137)
 # at a window barrier, after a forced segment). The rerun must resume from
 # the segment and render BENCH_scale.json byte-identical to an uninterrupted
-# control — at both ends of the shard axis and the harness job axis.
+# control — at both ends of the shard axis and the harness job axis, and at
+# every barrier with a node still live: windows 1 to W-1, where W is the
+# control's window count (at W every node has folded, so nothing kills).
 scale_env=(ELSC_SCALE_ROOMS=8 ELSC_SCALE_USERS=4 ELSC_SCALE_MSGS=4
            ELSC_SCALE_SCHEDS=elsc ELSC_SCALE_TIMING=0)
 
@@ -97,48 +99,57 @@ mkdir -p "${scratch}/scale_control"
 (cd "${scratch}/scale_control" &&
  env "${scale_env[@]}" ELSC_SCALE_SHARDS=1,4 \
  ../../bench/scale_sweep >stdout.log 2>stderr.log)
+windows="$(sed -n 's/.*"windows": \([0-9][0-9]*\).*/\1/p' \
+  "${scratch}/scale_control/BENCH_scale.json" | head -n 1)"
+if [[ -z "${windows}" || "${windows}" -lt 2 ]]; then
+  echo "FAIL: control BENCH_scale.json reports windows=${windows:-missing}, want >= 2"
+  exit 1
+fi
+echo "  control ran ${windows} windows: killing at windows 1-$((windows - 1))"
 
 # Every drill keeps the control's two-cell matrix (shard values never enter
 # the JSON, so the files stay comparable) while moving one execution axis.
 for drill in "shards1:1,1:1" "shards4:4,4:1" "jobs4:1,4:4"; do
   name="${drill%%:*}"; rest="${drill#*:}"
   shards="${rest%%:*}"; bench_jobs="${rest##*:}"
-  dir="${scratch}/scale_${name}"
-  mkdir -p "${dir}"
+  for ((kill = 1; kill < windows; ++kill)); do
+    dir="${scratch}/scale_${name}_w${kill}"
+    mkdir -p "${dir}"
 
-  status=0
-  (cd "${dir}" &&
-   env "${scale_env[@]}" ELSC_SCALE_SHARDS="${shards}" \
-   ELSC_BENCH_JOBS="${bench_jobs}" \
-   ELSC_SCALE_CKPT=ck ELSC_SCALE_CKPT_EVERY=2 ELSC_SCALE_INJECT_KILL=3 \
-   ../../bench/scale_sweep >stdout_kill.log 2>stderr_kill.log) || status=$?
-  if [[ "${status}" -ne 137 ]]; then
-    echo "FAIL: ${name}: kill run exited ${status}, want 137 (injected kill)"
-    exit 1
-  fi
-  if ! ls "${dir}"/ck.*.ckpt >/dev/null 2>&1; then
-    echo "FAIL: ${name}: no checkpoint segment on disk after the kill"
-    exit 1
-  fi
+    status=0
+    (cd "${dir}" &&
+     env "${scale_env[@]}" ELSC_SCALE_SHARDS="${shards}" \
+     ELSC_BENCH_JOBS="${bench_jobs}" \
+     ELSC_SCALE_CKPT=ck ELSC_SCALE_CKPT_EVERY=2 ELSC_SCALE_INJECT_KILL="${kill}" \
+     ../../bench/scale_sweep >stdout_kill.log 2>stderr_kill.log) || status=$?
+    if [[ "${status}" -ne 137 ]]; then
+      echo "FAIL: ${name}: kill run at window ${kill} exited ${status}, want 137 (injected kill)"
+      exit 1
+    fi
+    if ! ls "${dir}"/ck.*.ckpt >/dev/null 2>&1; then
+      echo "FAIL: ${name}: no checkpoint segment on disk after the kill at window ${kill}"
+      exit 1
+    fi
 
-  (cd "${dir}" &&
-   env "${scale_env[@]}" ELSC_SCALE_SHARDS="${shards}" \
-   ELSC_BENCH_JOBS="${bench_jobs}" \
-   ELSC_SCALE_CKPT=ck ELSC_SCALE_CKPT_EVERY=2 \
-   ../../bench/scale_sweep >stdout_resume.log 2>stderr_resume.log)
-  if ! grep -q "elsc-scale: resumed from" "${dir}/stderr_resume.log"; then
-    echo "FAIL: ${name}: resume run never restored a segment"
-    exit 1
-  fi
-  if ! cmp -s "${dir}/BENCH_scale.json" "${scratch}/scale_control/BENCH_scale.json"; then
-    echo "FAIL: ${name}: resumed BENCH_scale.json differs from the control"
-    exit 1
-  fi
-  if ls "${dir}"/ck.*.ckpt >/dev/null 2>&1; then
-    echo "FAIL: ${name}: segments survived a clean completion"
-    exit 1
-  fi
-  echo "  ${name}: killed at window 3, resumed, JSON byte-identical, segments cleaned"
+    (cd "${dir}" &&
+     env "${scale_env[@]}" ELSC_SCALE_SHARDS="${shards}" \
+     ELSC_BENCH_JOBS="${bench_jobs}" \
+     ELSC_SCALE_CKPT=ck ELSC_SCALE_CKPT_EVERY=2 \
+     ../../bench/scale_sweep >stdout_resume.log 2>stderr_resume.log)
+    if ! grep -q "elsc-scale: resumed from" "${dir}/stderr_resume.log"; then
+      echo "FAIL: ${name}: resume run after the kill at window ${kill} never restored a segment"
+      exit 1
+    fi
+    if ! cmp -s "${dir}/BENCH_scale.json" "${scratch}/scale_control/BENCH_scale.json"; then
+      echo "FAIL: ${name}: resumed BENCH_scale.json (kill at window ${kill}) differs from the control"
+      exit 1
+    fi
+    if ls "${dir}"/ck.*.ckpt >/dev/null 2>&1; then
+      echo "FAIL: ${name}: segments survived a clean completion (kill at window ${kill})"
+      exit 1
+    fi
+  done
+  echo "  ${name}: killed at each of windows 1-$((windows - 1)), resumed, JSON byte-identical, segments cleaned"
 done
 
 echo "supervised gate: green"

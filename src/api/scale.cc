@@ -60,7 +60,7 @@ struct ScaleNode;
 // ids and the relay keeps a bounded buffer of unacked beacons, re-emitting
 // them on timeout under the retransmit backoff policy (a TCP-lite tail on
 // top of the fire-and-forget gossip). Fault-free configs never enter any of
-// those branches, byte for byte.
+// those branches.
 class FederationTx : public TaskBehavior {
  public:
   explicit FederationTx(ScaleNode* node);
@@ -367,19 +367,11 @@ Segment FederationRx::Process(Machine& machine, const Message& beacon) {
                            static_cast<Cycles>(processed));
 }
 
-// Per-node RunStats snapshot (the sharded analog of the facade's
-// CollectStats), memory block included.
+// Per-node RunStats snapshot: the facade's CollectStats plus the node's
+// sockets (its chat workload's and the fabric inbox).
 RunStats NodeRunStats(const ScaleNode& node) {
-  RunStats stats;
-  const Machine& machine = *node.machine;
-  stats.sched = machine.scheduler().stats();
-  stats.machine = machine.stats();
-  stats.events = machine.engine().queue_stats();
-  stats.memory.task_arena_bytes = machine.task_arena_bytes();
-  stats.memory.task_arena_chunks = machine.task_arena_stats().chunks;
-  stats.memory.peak_live_sockets =
-      node.volano->SocketCount() + (node.inbox ? 1 : 0);
-  stats.elapsed_sec = CyclesToSec(machine.Now());
+  RunStats stats = CollectStats(*node.machine);
+  stats.memory.peak_live_sockets = node.volano->SocketCount() + (node.inbox ? 1 : 0);
   return stats;
 }
 
@@ -397,13 +389,14 @@ RunStats LifetimeStats(ScaleNode* node) {
   return stats;
 }
 
-// The counter tuple both fold paths hash into a node's digest record.
-std::string FedDigestTuple(const FederationCounters& fed) {
-  return StrFormat("|fed:%llu,%llu,%llu,%llu;",
-                   static_cast<unsigned long long>(fed.beacons_sent),
-                   static_cast<unsigned long long>(fed.beacons_received),
-                   static_cast<unsigned long long>(fed.inbox_overflows),
-                   static_cast<unsigned long long>(fed.late_writes));
+// The tail both fold paths hash into a node's digest record: its
+// incarnation, the deliveries banked from dead incarnations, and every
+// FederationCounters entry.
+std::string FedDigestTuple(const ScaleNode& node) {
+  std::string tuple = StrFormat("|rec:%d,%llu|fed:", node.incarnation,
+                                static_cast<unsigned long long>(node.banked_delivered));
+  AppendCounters(&tuple, node.fed, kFederationCounterFields);
+  return tuple;
 }
 
 // Schedules one fabric delivery onto `dst`'s engine. Shared by the live
@@ -428,7 +421,7 @@ void ScheduleArrivalOn(ScaleNode* dst, Cycles arrival, const Message& payload) {
     }
   };
   // A heap-allocated delivery would move callback_heap_allocs, and with it
-  // every federation digest.
+  // every federation EngineDigest and the checkpoint verification lines.
   static_assert(sizeof(deliver) <= EventCallback::kInlineSize,
                 "the delivery closure must fit EventCallback's inline storage");
   // A restarted machine's clock is offset: schedule at local time.
@@ -444,7 +437,8 @@ std::string VerifyLine(const ScaleNode& node) {
   line += StrFormat("|ack:%llu|pend:%llu|",
                     static_cast<unsigned long long>(node.tx_acked),
                     static_cast<unsigned long long>(node.pending_deliveries));
-  line += RunStatsDigest(NodeRunStats(node));
+  const RunStats stats = NodeRunStats(node);
+  line += RunStatsDigest(stats) + "|" + EngineDigest(stats);
   line += StrFormat("|chat:%llu,%llu",
                     static_cast<unsigned long long>(node.volano->messages_sent()),
                     static_cast<unsigned long long>(node.volano->messages_delivered()));
@@ -597,7 +591,6 @@ Federation::Federation(const ScaleConfig& config, int shards,
   run_.shards = shards;
   run_.rooms = static_cast<uint64_t>(config.rooms);
   run_.connections = config.connections();
-  run_.fault_model = armed_;
   run_.digest = kFnv1aOffset;
 }
 
@@ -698,9 +691,11 @@ void Federation::CrashAndRestart(Cycles barrier) {
         config_.faults.CrashWindow(node->index) != window_index_) {
       continue;
     }
-    node->inbox->ResetByPeer(*node->machine);
-    node->fed.crash_inflight_dropped +=
-        node->pending_deliveries + node->inbox->stats().discarded;
+    if (node->inbox != nullptr) {  // Null with gossip off: nothing in flight.
+      node->inbox->ResetByPeer(*node->machine);
+      node->fed.crash_inflight_dropped +=
+          node->pending_deliveries + node->inbox->stats().discarded;
+    }
     node->pending_deliveries = 0;
     MergeRunStats(&node->carried_stats, NodeRunStats(*node));
     node->has_carried_stats = true;
@@ -828,7 +823,7 @@ void Federation::FoldFinished() {
     run_.messages_delivered += result.messages_delivered + node->banked_delivered;
     run_.fed += node->fed;
     MergeRunStats(&run_.stats, node_stats);
-    std::string record =
+    const std::string record =
         StrFormat("n%d@%llu|", node->index,
                   static_cast<unsigned long long>(window_index_)) +
         RunStatsDigest(node_stats) +
@@ -836,23 +831,7 @@ void Federation::FoldFinished() {
                   static_cast<unsigned long long>(result.messages_sent),
                   static_cast<unsigned long long>(result.messages_delivered),
                   result.completed ? 1 : 0) +
-        FedDigestTuple(node->fed);
-    if (run_.fault_model) {
-      // The recovery block only exists under an armed plan — fault-free
-      // fold records stay byte-identical to the pre-failure-model layout.
-      const FederationCounters& f = node->fed;
-      record += StrFormat(
-          "|rec:%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu;",
-          node->incarnation,
-          static_cast<unsigned long long>(node->banked_delivered),
-          static_cast<unsigned long long>(f.retransmits),
-          static_cast<unsigned long long>(f.retx_abandoned),
-          static_cast<unsigned long long>(f.dup_discards),
-          static_cast<unsigned long long>(f.acks_sent),
-          static_cast<unsigned long long>(f.acks_received),
-          static_cast<unsigned long long>(f.chat_messages_lost),
-          static_cast<unsigned long long>(f.crash_inflight_dropped));
-    }
+        FedDigestTuple(*node);
     run_.digest = Fnv1a64(record, run_.digest);
     owner.reset();
     --live_;
@@ -878,7 +857,7 @@ void Federation::FoldFailed(const char* tag, const std::string& why) {
     run_.fed += node->fed;
     MergeRunStats(&run_.stats, node_stats);
     run_.digest = Fnv1a64(StrFormat("n%d@%s|", node->index, tag) +
-                              RunStatsDigest(node_stats) + FedDigestTuple(node->fed),
+                              RunStatsDigest(node_stats) + FedDigestTuple(*node),
                           run_.digest);
     owner.reset();
     --live_;
@@ -1164,36 +1143,21 @@ ScaleRun Federation::Finish() {
   run_.goodput = federation_sec > 0
                      ? static_cast<double>(run_.messages_delivered) / federation_sec
                      : 0.0;
-  // peak_task_arena_bytes stays out: it is chunks x sizeof(Chunk), a host
-  // layout figure, and the digest covers only what the scenario simulates.
-  run_.digest = Fnv1a64(
-      StrFormat("windows:%llu|fabric:%llu,%llu,%llu,%llu|peaks:%llu,%llu,%llu",
-                static_cast<unsigned long long>(run_.windows),
-                static_cast<unsigned long long>(run_.fabric.emitted),
-                static_cast<unsigned long long>(run_.fabric.routed),
-                static_cast<unsigned long long>(run_.fabric.refused),
-                static_cast<unsigned long long>(run_.fabric.dropped_closed),
-                static_cast<unsigned long long>(run_.peak_live_tasks),
-                static_cast<unsigned long long>(run_.peak_live_nodes),
-                static_cast<unsigned long long>(run_.peak_live_sockets)),
-      run_.digest);
-  if (run_.fault_model) {
-    run_.digest = Fnv1a64(
-        StrFormat("|chaos:%llu,%llu,%llu,%llu,%llu,%llu,%llu|drops:%llu,%llu,%llu,%llu,%llu",
-                  static_cast<unsigned long long>(run_.node_crashes),
-                  static_cast<unsigned long long>(run_.node_restarts),
-                  static_cast<unsigned long long>(run_.windows_degraded),
-                  static_cast<unsigned long long>(run_.deliveries_lost),
-                  static_cast<unsigned long long>(fed.retransmits),
-                  static_cast<unsigned long long>(fed.retx_abandoned),
-                  static_cast<unsigned long long>(fed.dup_discards),
-                  static_cast<unsigned long long>(run_.fabric.dropped_loss),
-                  static_cast<unsigned long long>(run_.fabric.dropped_partition),
-                  static_cast<unsigned long long>(run_.fabric.dropped_crashed),
-                  static_cast<unsigned long long>(run_.fabric.dropped_lane_overflow),
-                  static_cast<unsigned long long>(run_.fabric.duplicated)),
-        run_.digest);
-  }
+  // The run-level fed totals stay out (each fold record carries its node's),
+  // and so does peak_task_arena_bytes, a host layout figure (chunks x
+  // sizeof(Chunk)): the digest covers only what the scenario simulates.
+  std::string trailer =
+      StrFormat("windows:%llu|fabric:", static_cast<unsigned long long>(run_.windows));
+  AppendCounters(&trailer, run_.fabric, kFabricCounters);
+  trailer += StrFormat("|peaks:%llu,%llu,%llu|chaos:%llu,%llu,%llu,%llu",
+                       static_cast<unsigned long long>(run_.peak_live_tasks),
+                       static_cast<unsigned long long>(run_.peak_live_nodes),
+                       static_cast<unsigned long long>(run_.peak_live_sockets),
+                       static_cast<unsigned long long>(run_.node_crashes),
+                       static_cast<unsigned long long>(run_.node_restarts),
+                       static_cast<unsigned long long>(run_.windows_degraded),
+                       static_cast<unsigned long long>(run_.deliveries_lost));
+  run_.digest = Fnv1a64(trailer, run_.digest);
   if (ckpt_.armed() && live_ == 0 && !run_.stats.failed) {
     // Clean completion: stale segments must never resurrect a finished
     // scenario (a same-fingerprint rerun starts cold). Failed runs keep
@@ -1274,7 +1238,8 @@ std::string ScaleRunSignature(const ScaleRun& run) {
   std::string sig = StrFormat(
       "scale:%016llx|nodes:%d|windows:%llu|sent:%llu|delivered:%llu|"
       "beacons:%llu/%llu|drops:%llu+%llu|peak_tasks:%llu|"
-      "elapsed:%a|completed:%d",
+      "elapsed:%a|completed:%d|crashes:%llu|restarts:%llu|degraded:%llu|"
+      "lost:%llu|retx:%llu+%llu|dupdrop:%llu|acks:%llu/%llu|goodput:%a|",
       static_cast<unsigned long long>(run.digest), run.nodes,
       static_cast<unsigned long long>(run.windows),
       static_cast<unsigned long long>(run.messages_sent),
@@ -1284,21 +1249,18 @@ std::string ScaleRunSignature(const ScaleRun& run) {
       static_cast<unsigned long long>(run.fed.inbox_overflows),
       static_cast<unsigned long long>(run.fed.late_writes),
       static_cast<unsigned long long>(run.peak_live_tasks), run.elapsed_sec,
-      run.completed ? 1 : 0);
-  if (run.fault_model) {
-    sig += StrFormat(
-        "|crashes:%llu|restarts:%llu|degraded:%llu|lost:%llu|retx:%llu+%llu|"
-        "dupdrop:%llu|acks:%llu/%llu|goodput:%a",
-        static_cast<unsigned long long>(run.node_crashes),
-        static_cast<unsigned long long>(run.node_restarts),
-        static_cast<unsigned long long>(run.windows_degraded),
-        static_cast<unsigned long long>(run.deliveries_lost),
-        static_cast<unsigned long long>(run.fed.retransmits),
-        static_cast<unsigned long long>(run.fed.retx_abandoned),
-        static_cast<unsigned long long>(run.fed.dup_discards),
-        static_cast<unsigned long long>(run.fed.acks_sent),
-        static_cast<unsigned long long>(run.fed.acks_received), run.goodput);
-  }
+      run.completed ? 1 : 0, static_cast<unsigned long long>(run.node_crashes),
+      static_cast<unsigned long long>(run.node_restarts),
+      static_cast<unsigned long long>(run.windows_degraded),
+      static_cast<unsigned long long>(run.deliveries_lost),
+      static_cast<unsigned long long>(run.fed.retransmits),
+      static_cast<unsigned long long>(run.fed.retx_abandoned),
+      static_cast<unsigned long long>(run.fed.dup_discards),
+      static_cast<unsigned long long>(run.fed.acks_sent),
+      static_cast<unsigned long long>(run.fed.acks_received), run.goodput);
+  // The engine counters ride at the end, so a change that moves only them
+  // moves only this field.
+  sig += EngineDigest(run.stats);
   if (!run.stats.failure.empty()) {
     sig += "|failure:" + run.stats.failure;
   }
@@ -1313,38 +1275,6 @@ std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
   for (size_t i = 0; i < cells.size(); ++i) {
     const ScaleCell& cell = cells[i];
     const ScaleRun& r = cell.run;
-    // The failure-model block renders only for armed plans: fault-free
-    // cells keep the exact pre-failure-model byte layout.
-    std::string fault_block;
-    if (r.fault_model) {
-      fault_block = StrFormat(
-          "     \"failure_model\": {\"node_crashes\": %llu, "
-          "\"node_restarts\": %llu, \"windows_degraded\": %llu, "
-          "\"deliveries_lost\": %llu, \"retransmits\": %llu, "
-          "\"retx_abandoned\": %llu, \"dup_discards\": %llu, "
-          "\"acks_sent\": %llu, \"acks_received\": %llu, "
-          "\"crash_inflight_dropped\": %llu, \"chat_messages_lost\": %llu, "
-          "\"goodput\": %.4f,\n"
-          "      \"fabric_drops\": {\"loss\": %llu, \"partition\": %llu, "
-          "\"crashed\": %llu, \"lane_overflow\": %llu, "
-          "\"duplicated\": %llu}},\n",
-          static_cast<unsigned long long>(r.node_crashes),
-          static_cast<unsigned long long>(r.node_restarts),
-          static_cast<unsigned long long>(r.windows_degraded),
-          static_cast<unsigned long long>(r.deliveries_lost),
-          static_cast<unsigned long long>(r.fed.retransmits),
-          static_cast<unsigned long long>(r.fed.retx_abandoned),
-          static_cast<unsigned long long>(r.fed.dup_discards),
-          static_cast<unsigned long long>(r.fed.acks_sent),
-          static_cast<unsigned long long>(r.fed.acks_received),
-          static_cast<unsigned long long>(r.fed.crash_inflight_dropped),
-          static_cast<unsigned long long>(r.fed.chat_messages_lost), r.goodput,
-          static_cast<unsigned long long>(r.fabric.dropped_loss),
-          static_cast<unsigned long long>(r.fabric.dropped_partition),
-          static_cast<unsigned long long>(r.fabric.dropped_crashed),
-          static_cast<unsigned long long>(r.fabric.dropped_lane_overflow),
-          static_cast<unsigned long long>(r.fabric.duplicated));
-    }
     out += StrFormat(
         "    {\"kernel\": \"%s\", \"scheduler\": \"%s\", \"rooms\": %llu, "
         "\"connections\": %llu,\n"
@@ -1355,11 +1285,20 @@ std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
         "     \"federation\": {\"beacons_sent\": %llu, \"beacons_received\": %llu, "
         "\"inbox_overflows\": %llu, \"late_writes\": %llu, "
         "\"fabric_routed\": %llu, \"fabric_dropped_closed\": %llu},\n"
-        "%s"
+        "     \"failure_model\": {\"node_crashes\": %llu, "
+        "\"node_restarts\": %llu, \"windows_degraded\": %llu, "
+        "\"deliveries_lost\": %llu, \"retransmits\": %llu, "
+        "\"retx_abandoned\": %llu, \"dup_discards\": %llu, "
+        "\"acks_sent\": %llu, \"acks_received\": %llu, "
+        "\"crash_inflight_dropped\": %llu, \"chat_messages_lost\": %llu, "
+        "\"goodput\": %.4f,\n"
+        "      \"fabric_drops\": {\"loss\": %llu, \"partition\": %llu, "
+        "\"crashed\": %llu, \"lane_overflow\": %llu, "
+        "\"duplicated\": %llu}},\n"
         "     \"memory\": {\"peak_live_tasks\": %llu, \"peak_live_nodes\": %llu, "
         "\"peak_task_arena_bytes\": %llu, \"peak_live_sockets\": %llu, "
         "\"total_task_arena_bytes\": %llu, \"total_arena_chunks\": %llu},\n"
-        "     \"digest\": \"%016llx\", \"completed\": %s}%s\n",
+        "     \"digest\": \"%016llx\", \"engine\": \"%s\", \"completed\": %s}%s\n",
         KernelConfigLabel(cell.config.kernel),
         SchedulerKindName(cell.config.scheduler),
         static_cast<unsigned long long>(r.rooms),
@@ -1376,14 +1315,29 @@ std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
         static_cast<unsigned long long>(r.fed.late_writes),
         static_cast<unsigned long long>(r.fabric.routed),
         static_cast<unsigned long long>(r.fabric.dropped_closed),
-        fault_block.c_str(),
+        static_cast<unsigned long long>(r.node_crashes),
+        static_cast<unsigned long long>(r.node_restarts),
+        static_cast<unsigned long long>(r.windows_degraded),
+        static_cast<unsigned long long>(r.deliveries_lost),
+        static_cast<unsigned long long>(r.fed.retransmits),
+        static_cast<unsigned long long>(r.fed.retx_abandoned),
+        static_cast<unsigned long long>(r.fed.dup_discards),
+        static_cast<unsigned long long>(r.fed.acks_sent),
+        static_cast<unsigned long long>(r.fed.acks_received),
+        static_cast<unsigned long long>(r.fed.crash_inflight_dropped),
+        static_cast<unsigned long long>(r.fed.chat_messages_lost), r.goodput,
+        static_cast<unsigned long long>(r.fabric.dropped_loss),
+        static_cast<unsigned long long>(r.fabric.dropped_partition),
+        static_cast<unsigned long long>(r.fabric.dropped_crashed),
+        static_cast<unsigned long long>(r.fabric.dropped_lane_overflow),
+        static_cast<unsigned long long>(r.fabric.duplicated),
         static_cast<unsigned long long>(r.peak_live_tasks),
         static_cast<unsigned long long>(r.peak_live_nodes),
         static_cast<unsigned long long>(r.peak_task_arena_bytes),
         static_cast<unsigned long long>(r.peak_live_sockets),
         static_cast<unsigned long long>(r.stats.memory.task_arena_bytes),
         static_cast<unsigned long long>(r.stats.memory.task_arena_chunks),
-        static_cast<unsigned long long>(r.digest),
+        static_cast<unsigned long long>(r.digest), EngineDigest(r.stats).c_str(),
         r.completed ? "true" : "false", i + 1 < cells.size() ? "," : "");
   }
   out += "  ]";

@@ -79,8 +79,8 @@ struct ScaleConfig {
   Cycles deadline = SecToCycles(3600);
 
   // -- Failure model (docs/SCALE.md "Failure model"). Default-disabled: a
-  //    fault-free config runs the exact pre-failure-model code paths
-  //    (fire-and-forget beacons, no acks) and keeps byte-identical digests.
+  //    fault-free config runs fire-and-forget beacons, with no link
+  //    sequence ids and no acks.
   FederationFaultPlan faults;
   // Recovery protocol, armed only when faults.Enabled(): beacons carry
   // per-link sequence numbers, receivers return cumulative acks, and — when
@@ -138,9 +138,8 @@ struct ScaleRun {
   FederationCounters fed;
   FabricStats fabric;
 
-  // -- Availability accounting (failure model; all zero fault-free).
-  bool fault_model = false;       // config.faults.Enabled() — gates the
-                                  // fault blocks in digest/signature/JSON.
+  // -- Availability accounting (failure model). Zero fault-free, except
+  //    deliveries_lost, which a bounded fabric lane can raise on its own.
   uint64_t node_crashes = 0;
   uint64_t node_restarts = 0;
   uint64_t windows_degraded = 0;  // Barriers with >= 1 node down.
@@ -162,9 +161,10 @@ struct ScaleRun {
   uint64_t peak_task_arena_bytes = 0;
   uint64_t peak_live_sockets = 0;
 
-  // Streaming FNV-1a fold over every node's completion record (node index,
-  // completion window, RunStatsDigest, chat + federation counters) plus the
-  // scenario trailer. Two runs are bit-identical iff digests match.
+  // Streaming FNV-1a fold over every node's completion record (RunStatsDigest,
+  // chat totals, lifecycle, FederationCounters) plus the scenario trailer.
+  // The engine's counters stay out (EngineDigest, beside it in the signature
+  // and the JSON). Two runs simulated the same federation iff digests match.
   uint64_t digest = 0;
 };
 
@@ -185,8 +185,8 @@ uint64_t ScaleConfigFingerprint(const ScaleConfig& config);
 // checkpointing is armed).
 ScaleRun RunShardedVolano(const ScaleConfig& config, int shards);
 
-// Canonical digest line for golden tests and logs:
-// "scale:<digest hex>|nodes:N|windows:K|delivered:D|...".
+// Canonical digest line for golden tests and logs, one layout with or without
+// a fault plan: "scale:<digest hex>|nodes:N|...|events:<EngineDigest>[|failure:...]".
 std::string ScaleRunSignature(const ScaleRun& run);
 
 // One sweep cell for bench/scale_sweep: a scenario size x scheduler x shard

@@ -17,16 +17,6 @@ namespace elsc {
 
 namespace {
 
-// FabricStats in the fabric record's codec order.
-constexpr uint64_t FabricStats::*kFabricCounters[] = {
-    &FabricStats::emitted,         &FabricStats::routed,
-    &FabricStats::refused,         &FabricStats::dropped_closed,
-    &FabricStats::exchanges,       &FabricStats::max_window_backlog,
-    &FabricStats::dropped_loss,    &FabricStats::dropped_partition,
-    &FabricStats::dropped_crashed, &FabricStats::dropped_lane_overflow,
-    &FabricStats::duplicated,
-};
-
 bool StartsWith(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
@@ -133,7 +123,7 @@ ScaleCheckpointOptions ScaleCheckpointOptions::FromEnv() {
 
 std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
   std::string out = StrFormat(
-      "elscscale v2 fp=%016llx seed=%llu window=%llu nodes=%d\n",
+      "elscscale v3 fp=%016llx seed=%llu window=%llu nodes=%d\n",
       static_cast<unsigned long long>(ck.config_fp),
       static_cast<unsigned long long>(ck.seed),
       static_cast<unsigned long long>(ck.window_index), ck.num_nodes);
@@ -248,7 +238,7 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
       unsigned long long window = 0;
       int nodes = 0;
       int consumed = -1;
-      if (std::sscanf(line.c_str(), "elscscale v2 fp=%llx seed=%llu window=%llu nodes=%d%n",
+      if (std::sscanf(line.c_str(), "elscscale v3 fp=%llx seed=%llu window=%llu nodes=%d%n",
                       &fp, &seed, &window, &nodes, &consumed) != 4 ||
           consumed != static_cast<int>(line.size())) {
         return fail("bad header (wrong magic or version): \"" + line + "\"");

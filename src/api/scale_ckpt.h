@@ -23,8 +23,8 @@
 //   * per live/down node: lifecycle (incarnation, clock offset, crash bank),
 //     the unfinished-room set, its FederationCounters (a live node's as of
 //     its boot), the current incarnation's fabric arrival log, and a
-//     verification line (counters + RunStatsDigest + ack/retransmit/reorder
-//     buffer state).
+//     verification line (counters + RunStatsDigest + EngineDigest +
+//     ack/retransmit/reorder buffer state).
 //
 // Restore rebuilds live nodes by *deterministic replay*: the node is booted
 // exactly as the original incarnation was (same derived seed), stepped
@@ -40,7 +40,7 @@
 // File format (text, one record per line, journal-style escaping for
 // embedded payloads, FNV-1a-64 trailer over all preceding bytes):
 //
-//   elscscale v2 fp=<hex16> seed=<u64> window=<u64> nodes=<n>
+//   elscscale v3 fp=<hex16> seed=<u64> window=<u64> nodes=<n>
 //   run <digest hex16> <sent> <delivered> <crashes> <restarts> <degraded>
 //       <counters> <peaks...> <loop state...>
 //   stats <escaped EncodeRunStats>
@@ -53,10 +53,12 @@
 //   end <fnv hex16>
 //
 // <counters> is one FederationCounters block, the same eleven tokens in
-// kFederationCounterFields order in both records. v2 moved the run
-// record's counters into that block and dropped the node record's
-// last_remote_progress; a v1 segment is rejected at the header and the run
-// cold-starts (segments are transient, so there is nothing to migrate).
+// kFederationCounterFields order in both records; the fabric record's
+// <stats...> are the eleven kFabricCounters tokens. An older segment is
+// rejected at the header and the run cold-starts (segments are transient,
+// so there is nothing to migrate): v1 ordered the run record differently,
+// and v2's run digest chains the previous fold-record layout, a mix no
+// verify line would catch when every unfolded node is down.
 
 #ifndef SRC_API_SCALE_CKPT_H_
 #define SRC_API_SCALE_CKPT_H_

@@ -68,8 +68,6 @@ MachineConfig MakeMachineConfig(KernelConfig config, SchedulerKind scheduler, ui
   return mc;
 }
 
-namespace {
-
 RunStats CollectStats(const Machine& machine) {
   RunStats stats;
   stats.sched = machine.scheduler().stats();
@@ -80,6 +78,8 @@ RunStats CollectStats(const Machine& machine) {
   stats.elapsed_sec = CyclesToSec(machine.Now());
   return stats;
 }
+
+namespace {
 
 // Shared run loop for every facade entry point: arms the chaos layer (a
 // no-op when `chaos` is defaulted), traps recoverable invariant violations
@@ -159,8 +159,8 @@ constexpr uint64_t SchedStats::*kSchedCounters[] = {
     &SchedStats::load_balance_calls,      &SchedStats::pull_migrations,
     &SchedStats::array_swaps,
 };
-// peak_live_tasks comes last here, not where MachineStats declares it: the
-// codec appended it after the digest's counters.
+// peak_live_tasks comes last here, not where MachineStats declares it: it
+// joined the codec after the others, and the digest keeps the codec order.
 constexpr uint64_t MachineStats::*kMachineCounters[] = {
     &MachineStats::ticks,             &MachineStats::context_switches,
     &MachineStats::migrations,        &MachineStats::wakeups,
@@ -194,45 +194,39 @@ constexpr uint64_t MemoryStats::*kMemoryCounters[] = {
     &MemoryStats::peak_live_sockets,
 };
 
-// RunStatsDigest covers the leading entries of each table, the counters the
-// golden digests were recorded with, and no memory counter. A counter
-// appended to a table stays out of the digest: it travels through the
-// codec, the merge and the /proc-style report only, so every existing
-// golden keeps its bytes. Changing a count re-records every golden.
-constexpr size_t kSchedDigestCounters = 13;
-constexpr size_t kMachineDigestCounters = 11;
-constexpr size_t kEventQueueDigestCounters = 6;
-constexpr size_t kFaultDigestCounters = 8;
-constexpr size_t kAuditDigestCounters = 9;
-
-// "name:c0,c1,...|" over the first kCount counters of `fields`.
-template <size_t kCount, typename T, size_t N>
+// Appends "name:c0,c1,..." over every counter of `record`, after a '|'
+// unless `out` is empty.
+template <typename T, size_t N>
 void AppendDigestSection(std::string* out, const char* name, const T& record,
                          uint64_t T::* const (&fields)[N]) {
-  static_assert(kCount >= 1 && kCount <= N);
+  static_assert(kTableCoversRecord<T, N>, "a counter is missing from its table");
+  if (!out->empty()) {
+    *out += '|';
+  }
   *out += name;
-  for (size_t i = 0; i < kCount; ++i) {
+  for (size_t i = 0; i < N; ++i) {
     *out += i == 0 ? ':' : ',';
     *out += std::to_string(record.*fields[i]);
   }
-  *out += '|';
 }
 
 }  // namespace
 
 std::string RunStatsDigest(const RunStats& stats) {
   std::string out;
-  AppendDigestSection<kSchedDigestCounters>(&out, "sched", stats.sched, kSchedCounters);
-  AppendDigestSection<kMachineDigestCounters>(&out, "machine", stats.machine,
-                                              kMachineCounters);
-  AppendDigestSection<kEventQueueDigestCounters>(&out, "events", stats.events,
-                                                 kEventQueueCounters);
-  AppendDigestSection<kFaultDigestCounters>(&out, "faults", stats.faults, kFaultCounters);
-  AppendDigestSection<kAuditDigestCounters>(&out, "audit", stats.audit, kAuditCounters);
+  AppendDigestSection(&out, "sched", stats.sched, kSchedCounters);
+  AppendDigestSection(&out, "machine", stats.machine, kMachineCounters);
+  AppendDigestSection(&out, "faults", stats.faults, kFaultCounters);
+  AppendDigestSection(&out, "audit", stats.audit, kAuditCounters);
   // The failure string is a human-readable diagnosis (not canonical); only
   // the verdict bit participates in the digest.
-  out += StrFormat("failed:%d|", stats.failed ? 1 : 0);
-  out += StrFormat("elapsed:%a", stats.elapsed_sec);
+  out += StrFormat("|failed:%d|elapsed:%a", stats.failed ? 1 : 0, stats.elapsed_sec);
+  return out;
+}
+
+std::string EngineDigest(const RunStats& stats) {
+  std::string out;
+  AppendDigestSection(&out, "events", stats.events, kEventQueueCounters);
   return out;
 }
 

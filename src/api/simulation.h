@@ -74,6 +74,11 @@ struct RunStats {
   double elapsed_sec = 0.0;
 };
 
+// Snapshot of a machine's counters: sched, machine, events, the task-arena
+// half of the memory block, and elapsed_sec. The chaos-layer, socket and
+// failure fields stay at their defaults for the caller to fill.
+RunStats CollectStats(const Machine& machine);
+
 // Folds `from` into `into`: counters sum, max_heap_depth and elapsed_sec
 // take the max, failed ORs (the first non-empty failure string wins). Peaks
 // (peak_live_tasks, peak_live_sockets, arena bytes) also sum — merged stats
@@ -83,13 +88,15 @@ struct RunStats {
 // primitive: fold results as they complete instead of retaining them.
 void MergeRunStats(RunStats* into, const RunStats& from);
 
-// Renders the digest's counters, the failure verdict and elapsed_sec (in
-// hex-float, so no precision is lost) into one canonical string. The
-// counters are those the golden digests were recorded with, not every
-// counter; simulation.cc lists them (kSchedDigestCounters and its
-// siblings). The harness determinism test checks that digests are equal
-// across job counts.
+// The two golden strings every determinism test and baseline pins.
+// RunStatsDigest is what the simulated kernel did: every sched, machine,
+// faults and audit counter, the failure verdict and elapsed_sec (hex-float,
+// so no precision is lost); a host-time change never moves it.
+// EngineDigest ("events:<6 counters>") is how the engine computed it, the
+// event-queue counters; an engine change may move it, and only it. Neither
+// covers the memory counters (host layout).
 std::string RunStatsDigest(const RunStats& stats);
+std::string EngineDigest(const RunStats& stats);
 
 // Exact round-trip encodings for the run-supervisor's journal (checkpoint/
 // resume, see src/harness/supervisor.h): every counter as a decimal token,

@@ -56,18 +56,25 @@ struct FabricStats {
   uint64_t dropped_closed = 0;  // Drained after Close(): never delivered.
   uint64_t exchanges = 0;       // Barrier drains performed.
   uint64_t max_window_backlog = 0;  // Deepest single-window total drain.
-  // Failure-model causes (all zero unless a FederationFaultPlan is armed /
-  // a lane capacity is set — fault-free runs keep these out of digests).
+  // Failure-model causes: zero unless a FederationFaultPlan is armed or a
+  // lane capacity is set. The federation digest, signature and JSON carry
+  // them either way, so a fault-free lane overflow shows too.
   uint64_t dropped_loss = 0;          // Random per-message fabric loss.
   uint64_t dropped_partition = 0;     // Drained while the link was partitioned.
   uint64_t dropped_crashed = 0;       // Destination node was down (sink kDown).
   uint64_t dropped_lane_overflow = 0;  // Emitted into a full bounded lane.
   uint64_t duplicated = 0;            // Extra deliveries from duplication.
+};
 
-  bool FaultCausesSeen() const {
-    return dropped_loss > 0 || dropped_partition > 0 || dropped_crashed > 0 ||
-           dropped_lane_overflow > 0 || duplicated > 0;
-  }
+// Every FabricStats counter, in codec order: the checkpoint's fabric record
+// and the federation digest's trailer walk it (src/base/token_codec.h).
+inline constexpr uint64_t FabricStats::*kFabricCounters[] = {
+    &FabricStats::emitted,         &FabricStats::routed,
+    &FabricStats::refused,         &FabricStats::dropped_closed,
+    &FabricStats::exchanges,       &FabricStats::max_window_backlog,
+    &FabricStats::dropped_loss,    &FabricStats::dropped_partition,
+    &FabricStats::dropped_crashed, &FabricStats::dropped_lane_overflow,
+    &FabricStats::duplicated,
 };
 
 // Checkpointable fabric state. Lanes are deliberately absent: checkpoints

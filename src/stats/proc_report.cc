@@ -136,26 +136,6 @@ std::string RenderSocketStats(const std::string& name, const SocketStats& s) {
   return out;
 }
 
-std::string RenderFabricStats(const FabricStats& s) {
-  std::string out;
-  out += StrFormat("fabric_emitted:       %llu\n", (unsigned long long)s.emitted);
-  out += StrFormat("fabric_routed:        %llu\n", (unsigned long long)s.routed);
-  out += StrFormat("fabric_refused:       %llu\n", (unsigned long long)s.refused);
-  out += StrFormat("fabric_dropped_closed: %llu\n", (unsigned long long)s.dropped_closed);
-  out += StrFormat("fabric_exchanges:     %llu\n", (unsigned long long)s.exchanges);
-  out += StrFormat("fabric_max_backlog:   %llu\n", (unsigned long long)s.max_window_backlog);
-  // Failure-model block: only rendered once a fault cause fired, so a
-  // fault-free federation's report is byte-for-byte what it always was.
-  if (s.FaultCausesSeen()) {
-    out += StrFormat("fabric_dropped_loss:  %llu\n", (unsigned long long)s.dropped_loss);
-    out += StrFormat("fabric_dropped_partition: %llu\n", (unsigned long long)s.dropped_partition);
-    out += StrFormat("fabric_dropped_crashed: %llu\n", (unsigned long long)s.dropped_crashed);
-    out += StrFormat("fabric_dropped_lane_overflow: %llu\n", (unsigned long long)s.dropped_lane_overflow);
-    out += StrFormat("fabric_duplicated:    %llu\n", (unsigned long long)s.duplicated);
-  }
-  return out;
-}
-
 std::string RenderSupervisionReport(const SupervisionStats& stats) {
   std::string out;
   out += "--- supervision ---\n";

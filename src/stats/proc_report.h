@@ -11,7 +11,6 @@
 
 #include "src/harness/supervisor.h"
 #include "src/net/socket.h"
-#include "src/sim/fabric.h"
 #include "src/smp/machine.h"
 
 namespace elsc {
@@ -26,13 +25,6 @@ std::string RenderProcSchedStats(const Machine& machine);
 // omitted when every lifecycle counter is zero, so pre-lifecycle reports
 // render unchanged.
 std::string RenderSocketStats(const std::string& name, const SocketStats& stats);
-
-// Renders the sharded fabric's counters in the same `key: value` style:
-// emitted/routed/refused/dropped_closed plus exchange count and the deepest
-// single-window backlog. Failure-model causes (loss, partition, crashed
-// destination, lane overflow, duplication) are only printed when one is
-// nonzero, so fault-free reports render unchanged.
-std::string RenderFabricStats(const FabricStats& stats);
 
 // Renders the run-supervisor's aggregate counters (retries, quarantines,
 // timeouts, resumed-from-journal cells) in the same `key: value` style; the

@@ -95,6 +95,7 @@ TEST_P(ChurnChaosTest, ChurnRunsAreDeterministic) {
   const VolanoRun b = run_once();
   EXPECT_EQ(EncodeVolanoRun(a), EncodeVolanoRun(b));
   EXPECT_EQ(RunStatsDigest(a.stats), RunStatsDigest(b.stats));
+  EXPECT_EQ(EngineDigest(a.stats), EngineDigest(b.stats));
 }
 
 class WebserverChaosTest : public ::testing::TestWithParam<SchedulerKind> {};

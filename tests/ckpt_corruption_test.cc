@@ -100,18 +100,21 @@ TEST(CkptCorruptionTest, EveryBitFlipIsRejectedCleanly) {
 
 TEST(CkptCorruptionTest, VersionAndMagicSkewAreRejected) {
   // v1 is the pre-FederationCounters layout: its run record orders the
-  // counters differently, so a current segment relabelled v1 must be
-  // rejected at the header, not misread field by field.
+  // counters differently. v2 has v3's records, but its run digest chains
+  // the previous fold-record layout. A current segment relabelled either
+  // way must be rejected at the header, not misread or continued.
   const ScaleCheckpoint sample = SampleCheckpoint();
   const std::string current = EncodeScaleCheckpoint(sample);
-  ASSERT_EQ(current.rfind("elscscale v2 ", 0), 0u);
+  ASSERT_EQ(current.rfind("elscscale v3 ", 0), 0u);
   std::string v1 = current;
-  v1.replace(v1.find("v2"), 2, "v1");
-  std::string v3 = current;
-  v3.replace(v3.find("v2"), 2, "v3");
+  v1.replace(v1.find("v3"), 2, "v1");
+  std::string v2 = current;
+  v2.replace(v2.find("v3"), 2, "v2");
+  std::string v4 = current;
+  v4.replace(v4.find("v3"), 2, "v4");
   std::string wrong_magic = current;
   wrong_magic.replace(0, 9, "elscwrong");
-  for (const std::string& bad : {v1, v3, wrong_magic}) {
+  for (const std::string& bad : {v1, v2, v4, wrong_magic}) {
     ScaleCheckpoint ck;
     std::string error;
     EXPECT_FALSE(DecodeScaleCheckpoint(bad, &ck, &error));
@@ -262,13 +265,16 @@ TEST(CkptCorruptionTest, RunStatsCodecAndDigestBytesArePinned) {
             "501 502 503 504 505 506 507 508 509 "                   // audit
             "601 602 603 "                                           // memory
             "0x1.8p+0 1 watchdog: cell stuck at window 7");
+  // Every simulated counter is in RunStatsDigest and every engine counter
+  // in EngineDigest; neither carries a memory counter.
   EXPECT_EQ(RunStatsDigest(stats),
-            "sched:101,102,103,104,105,106,107,108,109,110,111,112,113|"
-            "machine:201,202,203,204,205,206,208,209,210,211,212|"
-            "events:301,302,303,304,305,306|"
-            "faults:401,402,403,404,405,406,407,408|"
+            "sched:101,102,103,104,105,106,107,108,109,110,111,112,113,114,115,116,"
+            "117,118,119,120,121|"
+            "machine:201,202,203,204,205,206,208,209,210,211,212,207|"
+            "faults:401,402,403,404,405,406,407,408,409,410,411,412|"
             "audit:501,502,503,504,505,506,507,508,509|"
             "failed:1|elapsed:0x1.8p+0");
+  EXPECT_EQ(EngineDigest(stats), "events:301,302,303,304,305,306");
   RunStats round;
   ASSERT_TRUE(DecodeRunStats(encoded, &round));
   EXPECT_EQ(EncodeRunStats(round), encoded);

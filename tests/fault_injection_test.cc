@@ -150,7 +150,7 @@ TEST_P(FaultInjectionTest, ChaosRunsAreDeterministic) {
     const ChaosMixRun run =
         RunChaosMix(MakeMachineConfig(KernelConfig::kSmp4, GetParam(), 11),
                     SmallMix(11), SecToCycles(120), chaos);
-    return RunStatsDigest(run.stats);
+    return RunStatsDigest(run.stats) + "|" + EngineDigest(run.stats);
   };
   EXPECT_EQ(digest(), digest());
 }

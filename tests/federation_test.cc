@@ -8,15 +8,18 @@
 // has teeth — under crash + loss, retransmission strictly reduces
 // deliveries_lost versus the no-retransmit control; (3) crashes conserve
 // chat work — banked finished rooms plus re-run rooms add up to exactly the
-// scenario's expected deliveries; (4) fault-free outputs carry no fault
-// block at all. Byte stability is pinned by literal signatures: the armed
-// ones in PinnedSignatures below, the fault-free ones in scale_test.cc.
+// scenario's expected deliveries; (4) fault-free runs render the same
+// layout with zero fault counters, and the drops of a bounded fabric lane
+// show without any plan. Byte stability is pinned by literal signatures:
+// the armed ones in PinnedSignatures below, the fault-free ones in
+// scale_test.cc.
 
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/api/scale.h"
+#include "src/base/string_util.h"
 #include "src/harness/supervisor.h"
 
 namespace elsc {
@@ -91,7 +94,7 @@ TEST(FederationTest, ChaosArmedRunCompletesWithCrashesAndRestarts) {
   const ScaleConfig config = ChaosConfig();
   const ScaleRun run = RunShardedVolano(config, 1);
   EXPECT_TRUE(run.completed);
-  EXPECT_TRUE(run.fault_model);
+  EXPECT_TRUE(config.faults.Enabled());
   // Every node crashed once (crash rate 1.0) and came back.
   EXPECT_EQ(run.node_crashes, static_cast<uint64_t>(config.nodes()));
   EXPECT_EQ(run.node_restarts, run.node_crashes);
@@ -135,6 +138,20 @@ TEST(FederationTest, ChaosArmedJsonBitIdenticalAcrossShardAndJobCounts) {
   EXPECT_NE(jobs1.find("\"failure_model\""), std::string::npos);
   EXPECT_EQ(run_cells(2), jobs1);
   EXPECT_EQ(run_cells(4), jobs1);
+}
+
+// Crashes need no fabric. With gossip off a node has no inbox to reset, and
+// crash and restart still conserve chat work.
+TEST(FederationTest, CrashesWithGossipOffConserveChatWork) {
+  ScaleConfig config = ChaosConfig();
+  config.gossip_period = 0;
+  const ScaleRun run = RunShardedVolano(config, 2);
+  EXPECT_TRUE(run.completed);
+  EXPECT_EQ(run.node_crashes, static_cast<uint64_t>(config.nodes()));
+  EXPECT_EQ(run.node_restarts, run.node_crashes);
+  EXPECT_EQ(run.messages_delivered, ExpectedDeliveries(config));
+  EXPECT_EQ(run.fed.beacons_sent, 0u);
+  EXPECT_EQ(run.fed.crash_inflight_dropped, 0u);
 }
 
 TEST(FederationTest, RetransmissionBeatsTheNoRetransmitControl) {
@@ -184,17 +201,75 @@ TEST(FederationTest, LossyFabricCountsDropsByCause) {
                 run.fabric.dropped_crashed + run.fabric.dropped_lane_overflow);
 }
 
-TEST(FederationTest, FaultFreeOutputsCarryNoFaultBlock) {
-  const ScaleRun run = RunShardedVolano(TinyConfig(), 1);
-  EXPECT_FALSE(run.fault_model);
-  const std::string sig = ScaleRunSignature(run);
-  EXPECT_EQ(sig.find("crashes:"), std::string::npos);
-  EXPECT_EQ(sig.find("failure:"), std::string::npos);
+std::string RenderOneCell(const ScaleConfig& config, const ScaleRun& run) {
   std::vector<ScaleCell> cells(1);
-  cells[0].config = TinyConfig();
+  cells[0].config = config;
   cells[0].run = run;
-  const std::string json = RenderScaleJson(cells, 7, /*include_timing=*/false);
-  EXPECT_EQ(json.find("failure_model"), std::string::npos);
+  return RenderScaleJson(cells, 7, /*include_timing=*/false);
+}
+
+// Fault-free runs render the armed layout, every fault counter zero.
+TEST(FederationTest, FaultFreeRunReportsZeroFaultCounters) {
+  const ScaleConfig config = TinyConfig();
+  const ScaleRun run = RunShardedVolano(config, 1);
+  ASSERT_TRUE(run.completed);
+  EXPECT_EQ(run.node_crashes + run.node_restarts + run.windows_degraded +
+                run.deliveries_lost,
+            0u);
+  const FederationCounters& f = run.fed;
+  EXPECT_EQ(f.retransmits + f.retx_abandoned + f.dup_discards + f.acks_sent +
+                f.acks_received + f.chat_messages_lost + f.crash_inflight_dropped,
+            0u);
+  const FabricStats& fab = run.fabric;
+  EXPECT_EQ(fab.dropped_loss + fab.dropped_partition + fab.dropped_crashed +
+                fab.dropped_lane_overflow + fab.duplicated,
+            0u);
+  const std::string sig = ScaleRunSignature(run);
+  EXPECT_NE(sig.find("|crashes:0|restarts:0|degraded:0|lost:0|retx:0+0|dupdrop:0|"
+                     "acks:0/0|"),
+            std::string::npos)
+      << sig;
+  EXPECT_EQ(sig.find("failure:"), std::string::npos);
+  const std::string json = RenderOneCell(config, run);
+  EXPECT_NE(json.find("\"failure_model\": {\"node_crashes\": 0, \"node_restarts\": 0, "
+                      "\"windows_degraded\": 0, \"deliveries_lost\": 0, \"retransmits\": 0, "
+                      "\"retx_abandoned\": 0, \"dup_discards\": 0, \"acks_sent\": 0, "
+                      "\"acks_received\": 0, \"crash_inflight_dropped\": 0, "
+                      "\"chat_messages_lost\": 0,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"fabric_drops\": {\"loss\": 0, \"partition\": 0, \"crashed\": 0, "
+                      "\"lane_overflow\": 0, \"duplicated\": 0}"),
+            std::string::npos)
+      << json;
+}
+
+// A bounded fabric lane drops beacons with no fault plan armed. The
+// signature's lost: and the JSON's lane_overflow must say so.
+TEST(FederationTest, FaultFreeLaneOverflowIsReported) {
+  ScaleConfig config = TinyConfig();
+  config.gossip_period = UsToCycles(200);
+  config.fabric_lane_capacity = 1;
+  ASSERT_FALSE(config.faults.Enabled());
+  const ScaleRun run = RunShardedVolano(config, 1);
+  ASSERT_TRUE(run.completed);
+  ASSERT_GE(run.fed.beacons_sent, run.fed.beacons_received);
+  const uint64_t lost = run.fed.beacons_sent - run.fed.beacons_received;
+  EXPECT_GT(lost, 0u);
+  const std::string sig = ScaleRunSignature(run);
+  EXPECT_NE(sig.find(StrFormat("|lost:%llu|", static_cast<unsigned long long>(lost))),
+            std::string::npos)
+      << sig;
+  EXPECT_EQ(run.fabric.dropped_lane_overflow, lost);
+  const std::string json = RenderOneCell(config, run);
+  EXPECT_NE(json.find(StrFormat("\"lane_overflow\": %llu,",
+                                static_cast<unsigned long long>(lost))),
+            std::string::npos)
+      << json;
+  const FabricStats& fab = run.fabric;
+  EXPECT_EQ(fab.emitted, fab.routed + fab.refused + fab.dropped_closed + fab.dropped_loss +
+                             fab.dropped_partition + fab.dropped_crashed +
+                             fab.dropped_lane_overflow);
 }
 
 TEST(FederationTest, ArmedSignatureNamesTheAvailabilityFields) {
@@ -243,19 +318,20 @@ TEST(FederationTest, NegativeWindowBudgetDisablesTheWatchdog) {
 // path under the fault model.
 TEST(FederationTest, PinnedSignatures) {
   EXPECT_EQ(ScaleRunSignature(RunShardedVolano(ChaosConfig(), 2)),
-            "scale:cb53faaeb49449d3|nodes:4|windows:19|sent:256|delivered:1024|"
+            "scale:4c53a510f94559f8|nodes:4|windows:19|sent:256|delivered:1024|"
             "beacons:19/17|drops:0+0|peak_tasks:72|"
             "elapsed:0x1.1eb851eb851ecp-3|completed:1|crashes:4|restarts:4|"
             "degraded:5|lost:2|retx:16+0|dupdrop:16|acks:16/12|"
-            "goodput:0x1.50d79435e50d8p+12");
+            "goodput:0x1.50d79435e50d8p+12|events:20564,20338,210,0,41,8");
 
   ScaleConfig deadline = ChaosConfig();
   deadline.deadline = deadline.window * 4;
   EXPECT_EQ(ScaleRunSignature(RunShardedVolano(deadline, 1)),
-            "scale:8915a02d1ff7882d|nodes:4|windows:4|sent:0|delivered:0|"
+            "scale:f83032529bc76382|nodes:4|windows:4|sent:0|delivered:0|"
             "beacons:3/1|drops:0+0|peak_tasks:66|"
             "elapsed:0x1.47ae147ae147bp-5|completed:0|crashes:4|restarts:0|"
             "degraded:3|lost:2|retx:0+0|dupdrop:0|acks:1/0|goodput:0x0p+0|"
+            "events:5280,5257,11,0,16,4|"
             "failure:scale deadline exceeded: 4 node(s) still live at window 4");
 }
 

@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/api/simulation.h"
@@ -172,7 +173,7 @@ TEST(RunMatrixTest, SimulationResultsBitIdenticalAcrossJobCounts) {
     const VolanoRun run =
         RunVolano(MakeMachineConfig(cells[i].kernel, cells[i].scheduler, cells[i].seed),
                   volano);
-    return RunStatsDigest(run.stats);
+    return RunStatsDigest(run.stats) + "|" + EngineDigest(run.stats);
   };
 
   const std::vector<std::string> serial = RunMatrix(cells.size(), run_cell, 1);
@@ -211,7 +212,7 @@ TEST(RunMatrixTest, ChaosCellsBitIdenticalAcrossJobCounts) {
     const ChaosMixRun run =
         RunChaosMix(MakeMachineConfig(cells[i].kernel, cells[i].scheduler, cells[i].seed),
                     mix, SecToCycles(120), chaos);
-    return RunStatsDigest(run.stats);
+    return RunStatsDigest(run.stats) + "|" + EngineDigest(run.stats);
   };
 
   const std::vector<std::string> serial = RunMatrix(cells.size(), run_cell, 1);
@@ -232,15 +233,22 @@ TEST(RunMatrixTest, ChaosCellsBitIdenticalAcrossJobCounts) {
 // hot-path overhaul (task arena, ELSC occupancy bitmap, idle-CPU mask, trace
 // ring buffer) landed, and must stay bit-identical forever after: host-time
 // optimizations are not allowed to change a single simulated counter. Each
-// digest is a RunStatsDigest: the sched, machine, events, faults and audit
-// counters it covers (src/api/simulation.cc lists them; the per-CPU lock,
-// O(1), conn-chaos and memory counters are not among them), the failure
-// verdict, and the simulated elapsed time (hex float).
+// cell pins two strings:
+//   * `golden`, its RunStatsDigest: every sched, machine, faults and audit
+//     counter, the failure verdict, and the simulated elapsed time (hex
+//     float). It moves only when simulated behavior changes.
+//   * `engine`, its EngineDigest: the six event-queue counters. An engine
+//     change may move this one alone, with the new counts in CHANGES.md.
+// Neither covers the memory counters (host layout). Both were re-recorded
+// once, as a relayout, when the event-queue counters moved out of the
+// RunStatsDigest and the remaining simulated counters moved in; every value
+// kept its place in its section.
 //
 // To re-record after an *intentional* behavior change (new counter, changed
 // simulation semantics — never a perf change), run:
 //   ELSC_GOLDEN_PRINT=1 ./harness_test --gtest_filter='GoldenStats*'
-// and paste the printed lines over the `golden` fields below.
+// and paste the printed GOLDEN/ENGINE lines over the `golden` and `engine`
+// fields below.
 // ---------------------------------------------------------------------------
 
 enum class GoldenKind { kVolano, kChaos };
@@ -250,24 +258,29 @@ struct GoldenCell {
   KernelConfig kernel;
   SchedulerKind scheduler;
   uint64_t seed;
-  const char* golden;
+  const char* golden;  // RunStatsDigest.
+  const char* engine;  // EngineDigest.
 };
 
-std::string RunGoldenCell(const GoldenCell& cell) {
+// The cell's RunStatsDigest and EngineDigest.
+std::pair<std::string, std::string> RunGoldenCell(const GoldenCell& cell) {
   const MachineConfig mc = MakeMachineConfig(cell.kernel, cell.scheduler, cell.seed);
+  RunStats stats;
   if (cell.kind == GoldenKind::kVolano) {
     VolanoConfig volano;
     volano.rooms = 1;
     volano.users_per_room = 8;
     volano.messages_per_user = 10;
-    return RunStatsDigest(RunVolano(mc, volano).stats);
+    stats = RunVolano(mc, volano).stats;
+  } else {
+    ChaosMixConfig mix;
+    mix.seed = cell.seed;
+    ChaosOptions chaos;
+    chaos.faults = FullChaosPlan(cell.seed);
+    chaos.audit = StrictAudit();
+    stats = RunChaosMix(mc, mix, SecToCycles(120), chaos).stats;
   }
-  ChaosMixConfig mix;
-  mix.seed = cell.seed;
-  ChaosOptions chaos;
-  chaos.faults = FullChaosPlan(cell.seed);
-  chaos.audit = StrictAudit();
-  return RunStatsDigest(RunChaosMix(mc, mix, SecToCycles(120), chaos).stats);
+  return {RunStatsDigest(stats), EngineDigest(stats)};
 }
 
 // Every scheduler appears in both a clean VolanoMark cell and a full-chaos
@@ -277,45 +290,55 @@ std::string RunGoldenCell(const GoldenCell& cell) {
 const std::vector<GoldenCell>& GoldenCells() {
   static const std::vector<GoldenCell> cells = {
       {GoldenKind::kVolano, KernelConfig::kUp, SchedulerKind::kLinux, 11,
-       "sched:4223,9,10160840,0,27431,290,4630,0,291,0,0,1457,109|machine:22,3923,0,1423,34,34,0,"
-       "109,0,0,0|events:10884,10799,83,0,3,3|faults:0,0,0,0,0,0,0,0|audit:0,0,0,0,0,0,0,0,0|"
-       "failed:0|elapsed:0x1.d54f0f31cc2aep-3"},
+       "sched:4223,9,10160840,0,27431,290,4630,0,291,0,0,1457,109,0,0,0,0,0,0,0,0|"
+       "machine:22,3923,0,1423,34,34,0,109,0,0,0,33|faults:0,0,0,0,0,0,0,0,0,0,0,0|"
+       "audit:0,0,0,0,0,0,0,0,0|failed:0|elapsed:0x1.d54f0f31cc2aep-3",
+       "events:10884,10799,83,0,3,3"},
       {GoldenKind::kVolano, KernelConfig::kUp, SchedulerKind::kElsc, 11,
-       "sched:4168,9,5042880,0,7191,0,0,0,1590,0,1578,1437,221|machine:21,2569,0,1403,34,34,0,221,"
-       "0,0,0|events:10773,10567,204,0,3,3|faults:0,0,0,0,0,0,0,0|audit:0,0,0,0,0,0,0,0,0|failed:"
-       "0|elapsed:0x1.b958a76102795p-3"},
+       "sched:4168,9,5042880,0,7191,0,0,0,1590,0,1578,1437,221,0,0,0,0,0,0,0,0|"
+       "machine:21,2569,0,1403,34,34,0,221,0,0,0,34|faults:0,0,0,0,0,0,0,0,0,0,0,0|"
+       "audit:0,0,0,0,0,0,0,0,0|failed:0|elapsed:0x1.b958a76102795p-3",
+       "events:10773,10567,204,0,3,3"},
       {GoldenKind::kVolano, KernelConfig::kSmp2, SchedulerKind::kElsc, 12,
-       "sched:4416,23,6265220,272580,11207,0,0,454,1935,454,1930,1215,147|machine:12,2458,454,"
-       "1181,34,34,0,147,0,0,0|events:11246,11103,141,0,4,4|faults:0,0,0,0,0,0,0,0|audit:0,0,0,0,"
-       "0,0,0,0,0|failed:0|elapsed:0x1.fcc983413d8dp-4"},
+       "sched:4416,23,6265220,272580,11207,0,0,454,1935,454,1930,1215,147,0,0,0,0,0,0,0,0|"
+       "machine:12,2458,454,1181,34,34,0,147,0,0,0,33|faults:0,0,0,0,0,0,0,0,0,0,0,0|"
+       "audit:0,0,0,0,0,0,0,0,0|failed:0|elapsed:0x1.fcc983413d8dp-4",
+       "events:11246,11103,141,0,4,4"},
       {GoldenKind::kVolano, KernelConfig::kSmp4, SchedulerKind::kLinux, 12,
-       "sched:3671,61,10656440,3287342,30191,350,5758,312,367,312,0,1120,112|machine:7,3243,312,"
-       "1089,34,34,0,112,0,0,0|events:9713,9608,103,0,5,5|faults:0,0,0,0,0,0,0,0|audit:0,0,0,0,0,"
-       "0,0,0,0|failed:0|elapsed:0x1.324af571b19e2p-4"},
+       "sched:3671,61,10656440,3287342,30191,350,5758,312,367,312,0,1120,112,0,0,0,0,0,0,0,0|"
+       "machine:7,3243,312,1089,34,34,0,112,0,0,0,34|faults:0,0,0,0,0,0,0,0,0,0,0,0|"
+       "audit:0,0,0,0,0,0,0,0,0|failed:0|elapsed:0x1.324af571b19e2p-4",
+       "events:9713,9608,103,0,5,5"},
       {GoldenKind::kVolano, KernelConfig::kSmp4, SchedulerKind::kHeap, 13,
-       "sched:2615,42,3106773,152635,2573,0,0,1593,344,1593,0,950,96|machine:7,2229,1593,917,34,"
-       "34,0,96,0,0,0|events:7620,7528,90,0,5,5|faults:0,0,0,0,0,0,0,0|audit:0,0,0,0,0,0,0,0,0|"
-       "failed:0|elapsed:0x1.38525d9ae5c9fp-4"},
+       "sched:2615,42,3106773,152635,2573,0,0,1593,344,1593,0,950,96,0,0,0,0,0,0,0,0|"
+       "machine:7,2229,1593,917,34,34,0,96,0,0,0,34|faults:0,0,0,0,0,0,0,0,0,0,0,0|"
+       "audit:0,0,0,0,0,0,0,0,0|failed:0|elapsed:0x1.38525d9ae5c9fp-4",
+       "events:7620,7528,90,0,5,5"},
       {GoldenKind::kVolano, KernelConfig::kSmp4, SchedulerKind::kMultiQueue, 14,
-       "sched:4178,56,5663950,0,8800,337,5475,227,473,227,0,1138,171|machine:6,3649,227,1104,34,"
-       "34,0,171,0,0,0|events:10731,10479,250,0,5,5|faults:0,0,0,0,0,0,0,0|audit:0,0,0,0,0,0,0,0,"
-       "0|failed:0|elapsed:0x1.160e30446b69ep-4"},
+       "sched:4178,56,5663950,0,8800,337,5475,227,473,227,0,1138,171,4178,0,5663950,0,0,0,0,0|"
+       "machine:6,3649,227,1104,34,34,0,171,0,0,0,34|faults:0,0,0,0,0,0,0,0,0,0,0,0|"
+       "audit:0,0,0,0,0,0,0,0,0|failed:0|elapsed:0x1.160e30446b69ep-4",
+       "events:10731,10479,250,0,5,5"},
       {GoldenKind::kChaos, KernelConfig::kSmp2, SchedulerKind::kLinux, 21,
-       "sched:589,6,2290810,53970,7672,3,7,5,4,5,0,75,4|machine:8,579,5,43,32,32,0,4,0,0,200000|"
-       "events:1460,1445,6,0,15,15|faults:1,3,0,0,12,4,0,1|audit:9,588,0,0,0,0,0,0,0|failed:0|"
-       "elapsed:0x1.7c49a63c3f4b7p-4"},
+       "sched:589,6,2290810,53970,7672,3,7,5,4,5,0,75,4,0,0,0,0,0,0,0,0|"
+       "machine:8,579,5,43,32,32,0,4,0,0,200000,26|faults:1,3,0,0,12,4,0,1,0,0,0,0|"
+       "audit:9,588,0,0,0,0,0,0,0|failed:0|elapsed:0x1.7c49a63c3f4b7p-4",
+       "events:1460,1445,6,0,15,15"},
       {GoldenKind::kChaos, KernelConfig::kSmp4, SchedulerKind::kElsc, 22,
-       "sched:632,16,1307390,61600,3224,0,0,154,61,154,57,85,15|machine:4,555,154,53,32,32,0,15,"
-       "0,0,0|events:1458,1428,19,0,19,19|faults:0,1,0,0,6,4,0,0|audit:4,631,0,0,0,0,0,0,0|failed:"
-       "0|elapsed:0x1.6c74ede8a6472p-5"},
+       "sched:632,16,1307390,61600,3224,0,0,154,61,154,57,85,15,0,0,0,0,0,0,0,0|"
+       "machine:4,555,154,53,32,32,0,15,0,0,0,27|faults:0,1,0,0,6,4,0,0,0,0,0,0|"
+       "audit:4,631,0,0,0,0,0,0,0|failed:0|elapsed:0x1.6c74ede8a6472p-5",
+       "events:1458,1428,19,0,19,19"},
       {GoldenKind::kChaos, KernelConfig::kUp, SchedulerKind::kHeap, 23,
-       "sched:564,1,697070,0,563,0,0,0,36,0,0,81,30|machine:10,527,0,49,32,32,0,30,1,0,200000|"
-       "events:1369,1326,34,0,15,15|faults:2,4,0,0,18,4,0,1|audit:12,563,0,0,0,0,0,0,0|failed:0|"
-       "elapsed:0x1.f30786dcfe734p-4"},
+       "sched:564,1,697070,0,563,0,0,0,36,0,0,81,30,0,0,0,0,0,0,0,0|"
+       "machine:10,527,0,49,32,32,0,30,1,0,200000,26|faults:2,4,0,0,18,4,0,1,0,0,0,0|"
+       "audit:12,563,0,0,0,0,0,0,0|failed:0|elapsed:0x1.f30786dcfe734p-4",
+       "events:1369,1326,34,0,15,15"},
       {GoldenKind::kChaos, KernelConfig::kSmp2, SchedulerKind::kMultiQueue, 24,
-       "sched:593,2,1413960,0,4151,3,6,4,4,4,0,86,2|machine:7,587,4,54,32,32,0,2,1,0,0|events:"
-       "1426,1412,5,0,16,16|faults:2,3,0,0,12,4,0,1|audit:9,591,0,0,0,0,0,0,0|failed:0|elapsed:"
-       "0x1.734bde24e3e51p-4"},
+       "sched:593,2,1413960,0,4151,3,6,4,4,4,0,86,2,593,0,1413960,0,0,0,0,0|"
+       "machine:7,587,4,54,32,32,0,2,1,0,0,27|faults:2,3,0,0,12,4,0,1,0,0,0,0|"
+       "audit:9,591,0,0,0,0,0,0,0|failed:0|elapsed:0x1.734bde24e3e51p-4",
+       "events:1426,1412,5,0,16,16"},
   };
   return cells;
 }
@@ -325,20 +348,24 @@ TEST(GoldenStatsTest, DigestsMatchRecordedGoldenAtEveryJobCount) {
   auto run_cell = [&cells](size_t i) { return RunGoldenCell(cells[i]); };
   const bool print = std::getenv("ELSC_GOLDEN_PRINT") != nullptr;
   for (const int jobs : {1, 2, 4}) {
-    const std::vector<std::string> digests = RunMatrix(cells.size(), run_cell, jobs);
+    const std::vector<std::pair<std::string, std::string>> digests =
+        RunMatrix(cells.size(), run_cell, jobs);
     ASSERT_EQ(digests.size(), cells.size());
     if (print && jobs == 1) {
       for (size_t i = 0; i < digests.size(); ++i) {
-        printf("GOLDEN[%zu] = \"%s\"\n", i, digests[i].c_str());
+        printf("GOLDEN[%zu] = \"%s\"\nENGINE[%zu] = \"%s\"\n", i,
+               digests[i].first.c_str(), i, digests[i].second.c_str());
       }
       fflush(stdout);
     }
     for (size_t i = 0; i < cells.size(); ++i) {
-      EXPECT_EQ(digests[i], cells[i].golden)
+      EXPECT_EQ(digests[i].first, cells[i].golden)
           << "jobs=" << jobs << " cell=" << i << " ("
           << KernelConfigLabel(cells[i].kernel) << "/"
           << SchedulerKindName(cells[i].scheduler) << " seed=" << cells[i].seed
           << ") — simulated behavior diverged from the recorded golden";
+      EXPECT_EQ(digests[i].second, cells[i].engine)
+          << "jobs=" << jobs << " cell=" << i << " — the engine's event counts moved";
     }
   }
 }

@@ -485,7 +485,10 @@ TEST(O1MachineTest, LoadBalanceIsBitIdenticalAcrossJobCounts) {
     return RunVolano(
         MakeMachineConfig(cells[i].kernel, SchedulerKind::kO1, cells[i].seed), vc);
   };
-  auto run_cell = [&run_one](size_t i) { return RunStatsDigest(run_one(i).stats); };
+  auto run_cell = [&run_one](size_t i) {
+    const RunStats stats = run_one(i).stats;
+    return RunStatsDigest(stats) + "|" + EngineDigest(stats);
+  };
   uint64_t total_pulls = 0;
   for (size_t i = 0; i < cells.size(); ++i) {
     total_pulls += run_one(i).stats.sched.pull_migrations;

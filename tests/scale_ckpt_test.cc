@@ -261,7 +261,7 @@ TEST(ScaleCkptTest, AllSegmentsCorruptFallsBackToColdStart) {
 
   const uint64_t fp = ScaleConfigFingerprint(config);
   for (const auto& segment : ListCheckpointSegments(config.ckpt.path, fp)) {
-    ASSERT_TRUE(AtomicWriteFile(segment.path, "elscscale v2 torn", nullptr));
+    ASSERT_TRUE(AtomicWriteFile(segment.path, "elscscale v3 torn", nullptr));
   }
 
   config.ckpt.stop_after_window = 0;

@@ -172,30 +172,37 @@ TEST(ScaleTest, DeadlineDeclaresFailureDeterministically) {
 // Literal goldens. Every other test here compares runs against each other,
 // so a change that moves every digest the same way would pass them; these
 // pin the full signature. Task and arena layout stay out of it (arena bytes
-// are in neither the digest nor the signature); the one layout-sensitive
-// input left is the RunStatsDigest's callback_heap_allocs, which moves if an
-// event closure outgrows EventCallback's inline storage. A change that moves
-// these strings must re-record them with a written reason.
+// are in neither the digest nor the signature). The engine's event counts
+// are the trailing events: field (EngineDigest) and nowhere else, so an
+// engine-only change, such as an event closure outgrowing EventCallback's
+// inline storage, moves that field and leaves scale:<hash> alone. A change
+// that moves these strings must re-record them with a written reason.
 TEST(ScaleTest, PinnedSignatures) {
   EXPECT_EQ(ScaleRunSignature(RunShardedVolano(TinyConfig(), 1)),
-            "scale:e42adaac7607d29c|nodes:4|windows:6|sent:64|delivered:256|"
+            "scale:6202879e4c4ddb69|nodes:4|windows:6|sent:64|delivered:256|"
             "beacons:4/4|drops:0+0|peak_tasks:67|"
-            "elapsed:0x1.eb851eb851eb8p-5|completed:1");
+            "elapsed:0x1.eb851eb851eb8p-5|completed:1|crashes:0|restarts:0|"
+            "degraded:0|lost:0|retx:0+0|dupdrop:0|acks:0/0|"
+            "goodput:0x1.0aaaaaaaaaaabp+12|events:4520,4503,13,0,16,4");
 
   ScaleConfig deadline = TinyConfig();
   deadline.deadline = deadline.window * 2;
   EXPECT_EQ(ScaleRunSignature(RunShardedVolano(deadline, 2)),
-            "scale:110a15dead22bf7d|nodes:4|windows:2|sent:38|delivered:99|"
+            "scale:16c143a9b947bbc4|nodes:4|windows:2|sent:38|delivered:99|"
             "beacons:0/0|drops:0+0|peak_tasks:67|"
-            "elapsed:0x1.47ae147ae147bp-6|completed:0|failure:scale deadline "
+            "elapsed:0x1.47ae147ae147bp-6|completed:0|crashes:0|restarts:0|"
+            "degraded:0|lost:0|retx:0+0|dupdrop:0|acks:0/0|goodput:0x1.356p+12|"
+            "events:2885,2869,4,0,16,4|failure:scale deadline "
             "exceeded: 4 node(s) still live at window 2");
 
   ScaleConfig no_gossip = TinyConfig();
   no_gossip.gossip_period = 0;
   EXPECT_EQ(ScaleRunSignature(RunShardedVolano(no_gossip, 4)),
-            "scale:67e875a3e08cb163|nodes:4|windows:4|sent:64|delivered:256|"
+            "scale:d665152bf3c005b1|nodes:4|windows:4|sent:64|delivered:256|"
             "beacons:0/0|drops:0+0|peak_tasks:59|"
-            "elapsed:0x1.47ae147ae147bp-5|completed:1");
+            "elapsed:0x1.47ae147ae147bp-5|completed:1|crashes:0|restarts:0|"
+            "degraded:0|lost:0|retx:0+0|dupdrop:0|acks:0/0|goodput:0x1.9p+12|"
+            "events:4376,4361,11,0,12,3");
 }
 
 TEST(ScaleTest, SignatureNamesTheLoadBearingFields) {
