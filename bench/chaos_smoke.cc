@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/experiment_util.h"
+#include "src/base/json_writer.h"
 
 namespace {
 
@@ -95,88 +96,35 @@ int main(int argc, char** argv) {
   // Aggregate injector activity (proof the chaos actually happened).
   elsc::FaultStats total;
   for (const elsc::ChaosMixRun& run : runs) {
-    total.tick_drops += run.stats.faults.tick_drops;
-    total.tick_jitters += run.stats.faults.tick_jitters;
-    total.storm_bursts += run.stats.faults.storm_bursts;
-    total.storm_tasks += run.stats.faults.storm_tasks;
-    total.spurious_wakes += run.stats.faults.spurious_wakes;
-    total.yield_tasks += run.stats.faults.yield_tasks;
-    total.cpu_stalls += run.stats.faults.cpu_stalls;
-    total.lock_stalls += run.stats.faults.lock_stalls;
+    elsc::AddCounters(&total, run.stats.faults, elsc::kFaultCounters);
   }
-  std::printf("injected: %llu tick drops, %llu jitters, %llu storm bursts "
-              "(%llu tasks), %llu spurious wakes, %llu yield hammers, "
-              "%llu cpu stalls, %llu lock spikes\n",
-              static_cast<unsigned long long>(total.tick_drops),
-              static_cast<unsigned long long>(total.tick_jitters),
-              static_cast<unsigned long long>(total.storm_bursts),
-              static_cast<unsigned long long>(total.storm_tasks),
-              static_cast<unsigned long long>(total.spurious_wakes),
-              static_cast<unsigned long long>(total.yield_tasks),
-              static_cast<unsigned long long>(total.cpu_stalls),
-              static_cast<unsigned long long>(total.lock_stalls));
+  std::printf("injected:");
+  for (const elsc::Counter<elsc::FaultStats>& c : elsc::kFaultCounters) {
+    std::printf(" %s=%llu", c.name, static_cast<unsigned long long>(total.*c.field));
+  }
+  std::printf("\n");
 
+  elsc::JsonWriter json;
+  json.Field("seed", seed).Fixed("elapsed_sec", elapsed, 3).Array("cells");
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const elsc::RunStats& s = runs[i].stats;
+    json.Object()
+        .Field("kernel", elsc::KernelConfigLabel(cells[i].kernel))
+        .Field("scheduler", elsc::SchedulerKindName(cells[i].scheduler))
+        .Field("completed", runs[i].result.completed)
+        .Counters("audit", s.audit, elsc::kAuditCounters)
+        .Counters("faults", s.faults, elsc::kFaultCounters)
+        .Field("failed", s.failed)
+        .Field("failure", s.failure)
+        .End();
+  }
+  json.End()
+      .Counters("supervision", elsc::GlobalSupervisionStats(), elsc::kSupervisionCounters)
+      .Field("all_green", all_green);
   const char* json_path = "BENCH_chaos_smoke.json";
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
+  if (!elsc::WriteBenchJson(json_path, json.Finish())) {
     return elsc::BenchExit(1);
   }
-  std::fprintf(out, "{\n  \"seed\": %llu,\n  \"elapsed_sec\": %.3f,\n  \"cells\": [\n",
-               static_cast<unsigned long long>(seed), elapsed);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const elsc::AuditStats& a = runs[i].stats.audit;
-    const elsc::FaultStats& f = runs[i].stats.faults;
-    std::fprintf(
-        out,
-        "    {\"kernel\": \"%s\", \"scheduler\": \"%s\", \"completed\": %s,\n"
-        "     \"audits\": %llu, \"picks_audited\": %llu,\n"
-        "     \"violations\": {\"conservation\": %llu, \"counter\": %llu, "
-        "\"structure\": %llu, \"table\": %llu, \"ordering\": %llu},\n"
-        "     \"watchdog\": {\"starvation\": %llu, \"livelock\": %llu},\n"
-        "     \"injected\": {\"tick_drops\": %llu, \"tick_jitters\": %llu, "
-        "\"storm_bursts\": %llu, \"storm_tasks\": %llu, \"spurious_wakes\": %llu, "
-        "\"yield_tasks\": %llu, \"cpu_stalls\": %llu, \"lock_stalls\": %llu},\n"
-        "     \"failed\": %s, \"failure\": \"%s\"}%s\n",
-        elsc::KernelConfigLabel(cells[i].kernel),
-        elsc::SchedulerKindName(cells[i].scheduler),
-        runs[i].result.completed ? "true" : "false",
-        static_cast<unsigned long long>(a.audits),
-        static_cast<unsigned long long>(a.picks_audited),
-        static_cast<unsigned long long>(a.conservation_violations),
-        static_cast<unsigned long long>(a.counter_violations),
-        static_cast<unsigned long long>(a.structure_violations),
-        static_cast<unsigned long long>(a.table_violations),
-        static_cast<unsigned long long>(a.ordering_violations),
-        static_cast<unsigned long long>(a.starvation_reports),
-        static_cast<unsigned long long>(a.livelock_reports),
-        static_cast<unsigned long long>(f.tick_drops),
-        static_cast<unsigned long long>(f.tick_jitters),
-        static_cast<unsigned long long>(f.storm_bursts),
-        static_cast<unsigned long long>(f.storm_tasks),
-        static_cast<unsigned long long>(f.spurious_wakes),
-        static_cast<unsigned long long>(f.yield_tasks),
-        static_cast<unsigned long long>(f.cpu_stalls),
-        static_cast<unsigned long long>(f.lock_stalls),
-        runs[i].stats.failed ? "true" : "false", runs[i].stats.failure.c_str(),
-        i + 1 < cells.size() ? "," : "");
-  }
-  const elsc::SupervisionStats& sup = elsc::GlobalSupervisionStats();
-  std::fprintf(out,
-               "  ],\n"
-               "  \"supervision\": {\"cells\": %llu, \"completed\": %llu, "
-               "\"quarantined\": %llu, \"skipped\": %llu, \"resumed\": %llu, "
-               "\"retries\": %llu, \"timeouts\": %llu},\n"
-               "  \"all_green\": %s\n}\n",
-               static_cast<unsigned long long>(sup.cells),
-               static_cast<unsigned long long>(sup.completed),
-               static_cast<unsigned long long>(sup.quarantined),
-               static_cast<unsigned long long>(sup.skipped),
-               static_cast<unsigned long long>(sup.resumed),
-               static_cast<unsigned long long>(sup.retries),
-               static_cast<unsigned long long>(sup.timeouts),
-               all_green ? "true" : "false");
-  std::fclose(out);
   std::printf("wrote %s\n", json_path);
 
   if (!all_green) {

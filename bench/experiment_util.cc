@@ -1,13 +1,17 @@
 #include "bench/experiment_util.h"
 
+#include <strings.h>
+
 #include <cerrno>  // program_invocation_name (glibc) for repro commands.
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 
+#include "src/base/atomic_file.h"
 #include "src/base/string_util.h"
-#include "src/harness/journal.h"
 #include "src/harness/shutdown.h"
 #include "src/sched/factory.h"
 #include "src/stats/proc_report.h"
@@ -26,11 +30,34 @@ std::string BenchCommand() {
 #endif
 }
 
+// The per-bench prefixes the shared knob names replaced.
+constexpr const char* kRetiredKnobPrefixes[] = {"ELSC_SCALE_", "ELSC_FED_", "ELSC_O1_",
+                                                "ELSC_OVERLOAD_"};
+
+// Knob `name`'s value, or `fallback` when it is unset or empty. Exits 2 when
+// the knob is set under a retired name, ELSC_<BENCH>_<rest of name>.
+std::string KnobValue(const char* name, const std::string& fallback) {
+  for (const char* prefix : kRetiredKnobPrefixes) {
+    const std::string retired = prefix + std::string(name + std::strlen("ELSC_"));
+    if (std::getenv(retired.c_str()) != nullptr) {
+      std::fprintf(stderr, "elsc-bench: %s is retired; set %s instead\n", retired.c_str(), name);
+      std::exit(2);
+    }
+  }
+  const char* env = std::getenv(name);
+  return env != nullptr && env[0] != '\0' ? env : fallback;
+}
+
 }  // namespace
 
+void BadKnob(const char* name, const std::string& value, const std::string& want) {
+  std::fprintf(stderr, "elsc-bench: bad %s value \"%s\": want %s\n", name, value.c_str(),
+               want.c_str());
+  std::exit(2);
+}
+
 std::vector<std::string> EnvFields(const char* name, const std::string& fallback) {
-  const char* env = std::getenv(name);
-  const std::string spec = env != nullptr && env[0] != '\0' ? env : fallback;
+  const std::string spec = KnobValue(name, fallback);
   std::vector<std::string> fields;
   size_t pos = 0;
   while (pos < spec.size()) {
@@ -50,11 +77,7 @@ SupervisionStats& GlobalSupervisionStats() {
 }
 
 void AccumulateSupervision(const SupervisionStats& stats) {
-  GlobalSupervisionStats().Accumulate(stats);
-}
-
-uint64_t RunJournalFingerprint(const std::string& what) {
-  return RunJournal::Fingerprint(what);
+  AddCounters(&GlobalSupervisionStats(), stats, kSupervisionCounters);
 }
 
 uint64_t VolanoMatrixId(const std::vector<VolanoCellSpec>& cells, int replicates) {
@@ -64,7 +87,7 @@ uint64_t VolanoMatrixId(const std::vector<VolanoCellSpec>& cells, int replicates
                           static_cast<unsigned long long>(VolanoCellKey(spec)),
                           static_cast<unsigned long long>(spec.seed));
   }
-  return RunJournal::Fingerprint(identity);
+  return Fnv1a64(identity);
 }
 
 CellCodec<VolanoRun> VolanoRunCodec() {
@@ -261,6 +284,15 @@ double NowSec() {
       .count();
 }
 
+bool WriteBenchJson(const char* path, const std::string& json) {
+  std::string error;
+  if (!AtomicWriteFile(path, json, &error)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path, error.c_str());
+    return false;
+  }
+  return true;
+}
+
 ScaleCell RunTimedScaleCell(const ScaleConfig& config, int shards) {
   ScaleCell cell;
   cell.config = config;
@@ -278,10 +310,13 @@ ScaleCell RunTimedScaleCell(const ScaleConfig& config, int shards) {
 std::vector<int> IntList(const char* name, const std::string& fallback, int min_value) {
   std::vector<int> values;
   for (const std::string& field : EnvFields(name, fallback)) {
-    const int value = std::atoi(field.c_str());
-    if (value >= min_value) {
-      values.push_back(value);
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(field.c_str(), &end, 10);
+    if (field.empty() || *end != '\0' || errno != 0 || value < min_value || value > INT_MAX) {
+      BadKnob(name, field, StrFormat("integers >= %d", min_value));
     }
+    values.push_back(static_cast<int>(value));
   }
   return values;
 }
@@ -294,15 +329,30 @@ std::vector<SchedulerKind> Schedulers(const char* name, const std::string& fallb
   return kinds;
 }
 
-int IntEnv(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && env[0] != '\0') {
-    const int value = std::atoi(env);
-    if (value > 0) {
-      return value;
+int IntEnv(const char* name, int fallback, int min_value) {
+  const std::vector<int> values = IntList(name, std::to_string(fallback), min_value);
+  if (values.size() != 1) {
+    BadKnob(name, std::getenv(name), "one integer");
+  }
+  return values[0];
+}
+
+KernelConfig KernelEnv(const char* name, const char* fallback) {
+  const std::string spec = KnobValue(name, fallback);
+  for (const KernelConfig kernel : PaperConfigs()) {
+    if (strcasecmp(spec.c_str(), KernelConfigLabel(kernel)) == 0) {
+      return kernel;
     }
   }
-  return fallback;
+  BadKnob(name, spec, "UP, 1P, 2P or 4P");
+}
+
+bool FlagEnv(const char* name, bool fallback) {
+  const std::string spec = KnobValue(name, fallback ? "1" : "0");
+  if (spec != "0" && spec != "1") {
+    BadKnob(name, spec, "0 or 1");
+  }
+  return spec == "1";
 }
 
 void PrintBenchHeader(const std::string& experiment, const std::string& description) {

@@ -22,6 +22,7 @@
 
 #include "src/api/scale.h"
 #include "src/api/simulation.h"
+#include "src/base/fnv.h"
 #include "src/base/string_util.h"
 #include "src/harness/run_matrix.h"
 #include "src/harness/supervisor.h"
@@ -109,21 +110,34 @@ void MaybeExportCsv(const std::string& name, const TextTable& table);
 // Host wall-clock seconds on the steady clock, for timing blocks.
 double NowSec();
 
+// Writes a bench's JSON file atomically (src/base/atomic_file.h); on failure
+// prints why and returns false.
+bool WriteBenchJson(const char* path, const std::string& json);
+
 // Runs one federation cell on `shards` threads and fills in its wall time
 // and per-wall-second rates (RenderScaleJson's timing block).
 ScaleCell RunTimedScaleCell(const ScaleConfig& config, int shards);
 
-// Sweep knobs read from the environment; each bench passes its own
-// ELSC_<BENCH>_* name and default spec, used when the variable is unset or
-// empty. Lists are comma-separated.
+// Sweep knobs read from the environment. One name spells one setting in
+// every bench that has it (ELSC_ROOMS, ELSC_SHARDS, ELSC_SCHEDS, ELSC_USERS,
+// ELSC_MSGS, ELSC_KERNEL, ELSC_TIMING), and the default applies when the
+// variable is unset or empty. Lists are comma-separated.
 //   EnvFields   the fields as written;
-//   IntList     the integers >= min_value;
+//   IntList     the integers, each >= min_value;
 //   Schedulers  the scheduler names (SchedulerKindFromName);
-//   IntEnv      a positive integer.
+//   IntEnv      one integer >= min_value;
+//   KernelEnv   a kernel label, UP|1P|2P|4P;
+//   FlagEnv     0 or 1.
+// A malformed value exits 2 through BadKnob, and so does a knob still set
+// under its retired per-bench name (ELSC_SCALE_ROOMS for ELSC_ROOMS, ...).
 std::vector<std::string> EnvFields(const char* name, const std::string& fallback);
 std::vector<int> IntList(const char* name, const std::string& fallback, int min_value = 1);
 std::vector<SchedulerKind> Schedulers(const char* name, const std::string& fallback);
-int IntEnv(const char* name, int fallback);
+int IntEnv(const char* name, int fallback, int min_value = 1);
+KernelConfig KernelEnv(const char* name, const char* fallback);
+bool FlagEnv(const char* name, bool fallback);
+// Prints the knob, the bad value and what it wants to stderr; exits 2.
+[[noreturn]] void BadKnob(const char* name, const std::string& value, const std::string& want);
 
 // ---------------------------------------------------------------------------
 // Supervision plumbing shared by every bench main.
@@ -148,9 +162,6 @@ CellCodec<VolanoRun> VolanoRunCodec();
 SupervisorOptions MakeBenchSupervisorOptions(
     uint64_t matrix_id, std::function<std::string(size_t)> describe_cell);
 
-// FNV-1a 64 of `what` (exposed so RunBenchMatrix can live in the header).
-uint64_t RunJournalFingerprint(const std::string& what);
-
 // Supervised drop-in for RunMatrix in bench mains whose cell results have no
 // round-trip codec (kcompile, webserver, ablations...): watchdog + retry +
 // quarantine, but no journal. `what` names the matrix in quarantine lines.
@@ -159,7 +170,7 @@ template <typename Fn>
 auto RunBenchMatrix(const std::string& what, size_t cells, Fn&& run_cell,
                     int jobs = 0) -> std::vector<std::decay_t<decltype(run_cell(size_t{0}))>> {
   SupervisorOptions options = MakeBenchSupervisorOptions(
-      RunJournalFingerprint(what),
+      Fnv1a64(what),
       [what](size_t i) { return what + StrFormat(" cell=%zu", i); });
   auto run = RunSupervised(options, cells, std::forward<Fn>(run_cell), {}, jobs);
   AccumulateSupervision(run.stats);

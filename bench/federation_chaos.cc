@@ -18,16 +18,16 @@
 //
 //   usage: federation_chaos [seed]
 //
-// Knobs (environment):
-//   ELSC_FED_ROOMS    rooms in the federation          (default 8)
-//   ELSC_FED_SHARDS   comma-separated shard counts     (default "1,2,4")
-//   ELSC_FED_SCHEDS   comma-separated schedulers       (default "linux,elsc")
-//   ELSC_FED_CRASH    comma-separated crash rates x100 (default "0,50,100")
-//   ELSC_FED_LOSS     fabric loss rate x100            (default 10)
-//   ELSC_FED_USERS    users per room                   (default 8)
-//   ELSC_FED_MSGS     messages per user                (default 16)
-//   ELSC_FED_KERNEL   per-node machine: UP|1P|2P|4P    (default 1P)
-//   ELSC_FED_TIMING   0 -> omit the wall-clock timing block from the JSON
+// Knobs (environment; a malformed value exits 2):
+//   ELSC_ROOMS    rooms in the federation          (default 8)
+//   ELSC_SHARDS   comma-separated shard counts     (default "1,2,4")
+//   ELSC_SCHEDS   comma-separated schedulers       (default "linux,elsc")
+//   ELSC_CRASH    comma-separated crash rates x100 (default "0,50,100")
+//   ELSC_LOSS     fabric loss rate x100            (default 10)
+//   ELSC_USERS    users per room                   (default 8)
+//   ELSC_MSGS     messages per user                (default 16)
+//   ELSC_KERNEL   per-node machine: UP|1P|2P|4P    (default 1P)
+//   ELSC_TIMING   0 -> omit the wall-clock timing block from the JSON
 //
 // The scale layer's checkpoint/restore knobs apply here too (cells run
 // through RunShardedVolano): ELSC_SCALE_CKPT / _EVERY / _KEEP and
@@ -43,7 +43,6 @@
 
 #include "bench/experiment_util.h"
 #include "src/api/scale.h"
-#include "src/base/atomic_file.h"
 
 namespace {
 
@@ -87,21 +86,16 @@ elsc::ScaleConfig PointConfig(const Point& point, uint64_t seed, int rooms,
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
-  std::vector<int> shard_counts = elsc::IntList("ELSC_FED_SHARDS", "1,2,4", 1);
-  std::vector<int> crash_pcts = elsc::IntList("ELSC_FED_CRASH", "0,50,100", 0);
-  if (shard_counts.empty()) shard_counts = {1};
-  if (crash_pcts.empty()) crash_pcts = {0};
+  const std::vector<int> shard_counts = elsc::IntList("ELSC_SHARDS", "1,2,4");
+  const std::vector<int> crash_pcts = elsc::IntList("ELSC_CRASH", "0,50,100", 0);
   const std::vector<elsc::SchedulerKind> schedulers =
-      elsc::Schedulers("ELSC_FED_SCHEDS", "linux,elsc");
-  const int rooms = elsc::IntEnv("ELSC_FED_ROOMS", 8);
-  const int users = elsc::IntEnv("ELSC_FED_USERS", 8);
-  const int msgs = elsc::IntEnv("ELSC_FED_MSGS", 16);
-  const int loss_pct = elsc::IntEnv("ELSC_FED_LOSS", 10);
-  const char* kernel_env = std::getenv("ELSC_FED_KERNEL");
-  const elsc::KernelConfig kernel =
-      elsc::KernelConfigFromLabel(kernel_env != nullptr ? kernel_env : "1P");
-  const char* timing_env = std::getenv("ELSC_FED_TIMING");
-  const bool include_timing = timing_env == nullptr || timing_env[0] != '0';
+      elsc::Schedulers("ELSC_SCHEDS", "linux,elsc");
+  const int rooms = elsc::IntEnv("ELSC_ROOMS", 8);
+  const int users = elsc::IntEnv("ELSC_USERS", 8);
+  const int msgs = elsc::IntEnv("ELSC_MSGS", 16);
+  const int loss_pct = elsc::IntEnv("ELSC_LOSS", 10, 0);
+  const elsc::KernelConfig kernel = elsc::KernelEnv("ELSC_KERNEL", "1P");
+  const bool include_timing = elsc::FlagEnv("ELSC_TIMING", true);
 
   elsc::PrintBenchHeader(
       "Federation chaos sweep (failure model + recovery protocol)",
@@ -215,10 +209,7 @@ int main(int argc, char** argv) {
               protocol_ok ? "never loses to" : "LOSES to");
 
   const char* json_path = "BENCH_federation_chaos.json";
-  std::string error;
-  if (!elsc::AtomicWriteFile(json_path, elsc::RenderScaleJson(cells, seed, include_timing),
-                             &error)) {
-    std::fprintf(stderr, "cannot write %s: %s\n", json_path, error.c_str());
+  if (!elsc::WriteBenchJson(json_path, elsc::RenderScaleJson(cells, seed, include_timing))) {
     return elsc::BenchExit(1);
   }
   std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, cells.size(),

@@ -15,13 +15,13 @@
 //
 //   usage: o1_scaling [seed]
 //
-// Knobs (environment):
-//   ELSC_O1_CPUS     comma-separated CPU counts     (default "1,2,4,8,16,64")
-//   ELSC_O1_ROOMS    comma-separated room counts    (default "2,8")
-//   ELSC_O1_SCHEDS   comma-separated schedulers     (default "linux,elsc,multiqueue,o1")
-//   ELSC_O1_USERS    users per room                 (default 8)
-//   ELSC_O1_MSGS     messages per user              (default 10)
-//   ELSC_O1_TIMING   0 -> omit the wall-clock timing block from the JSON
+// Knobs (environment; a malformed value exits 2):
+//   ELSC_CPUS     comma-separated CPU counts     (default "1,2,4,8,16,64")
+//   ELSC_ROOMS    comma-separated room counts    (default "2,8")
+//   ELSC_SCHEDS   comma-separated schedulers     (default "linux,elsc,multiqueue,o1")
+//   ELSC_USERS    users per room                 (default 8)
+//   ELSC_MSGS     messages per user              (default 10)
+//   ELSC_TIMING   0 -> omit the wall-clock timing block from the JSON
 
 #include <cstdint>
 #include <cstdio>
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "bench/experiment_util.h"
-#include "src/base/atomic_file.h"
+#include "src/base/json_writer.h"
 #include "src/sched/factory.h"
 #include "src/stats/ascii_chart.h"
 
@@ -53,16 +53,13 @@ struct Cell {
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
-  std::vector<int> cpu_counts = elsc::IntList("ELSC_O1_CPUS", "1,2,4,8,16,64");
-  std::vector<int> room_counts = elsc::IntList("ELSC_O1_ROOMS", "2,8");
-  if (cpu_counts.empty()) cpu_counts = {1};
-  if (room_counts.empty()) room_counts = {2};
+  const std::vector<int> cpu_counts = elsc::IntList("ELSC_CPUS", "1,2,4,8,16,64");
+  const std::vector<int> room_counts = elsc::IntList("ELSC_ROOMS", "2,8");
   const std::vector<elsc::SchedulerKind> schedulers =
-      elsc::Schedulers("ELSC_O1_SCHEDS", "linux,elsc,multiqueue,o1");
-  const int users = elsc::IntEnv("ELSC_O1_USERS", 8);
-  const int msgs = elsc::IntEnv("ELSC_O1_MSGS", 10);
-  const char* timing_env = std::getenv("ELSC_O1_TIMING");
-  const bool include_timing = timing_env == nullptr || timing_env[0] != '0';
+      elsc::Schedulers("ELSC_SCHEDS", "linux,elsc,multiqueue,o1");
+  const int users = elsc::IntEnv("ELSC_USERS", 8);
+  const int msgs = elsc::IntEnv("ELSC_MSGS", 10);
+  const bool include_timing = elsc::FlagEnv("ELSC_TIMING", true);
 
   elsc::PrintBenchHeader(
       "O(1) scaling sweep (beyond the paper's 4P ceiling)",
@@ -164,65 +161,33 @@ int main(int argc, char** argv) {
               chart_rooms,
               elsc::RenderSeriesChart(x_labels, series).c_str());
 
-  std::string json;
-  json += "{\n";
-  json += "  \"bench\": \"o1_scaling\",\n";
-  json += elsc::StrFormat("  \"seed\": %llu,\n", (unsigned long long)seed);
-  json += elsc::StrFormat("  \"users_per_room\": %d,\n", users);
-  json += elsc::StrFormat("  \"messages_per_user\": %d,\n", msgs);
-  json += "  \"cells\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
+  elsc::JsonWriter json;
+  json.Field("bench", "o1_scaling")
+      .Field("seed", seed)
+      .Field("users_per_room", users)
+      .Field("messages_per_user", msgs)
+      .Array("cells");
+  for (const Cell& cell : cells) {
     const elsc::RunStats& s = cell.run.stats;
-    json += "    {\n";
-    json += elsc::StrFormat("      \"scheduler\": \"%s\",\n",
-                            elsc::SchedulerKindName(cell.spec.scheduler));
-    json += elsc::StrFormat("      \"cpus\": %d,\n", cell.spec.cpus);
-    json += elsc::StrFormat("      \"rooms\": %d,\n", cell.spec.rooms);
-    json += elsc::StrFormat("      \"completed\": %d,\n",
-                            cell.run.result.completed ? 1 : 0);
-    json += elsc::StrFormat("      \"schedule_calls\": %llu,\n",
-                            (unsigned long long)s.sched.schedule_calls);
-    json += elsc::StrFormat("      \"cycles_in_schedule\": %llu,\n",
-                            (unsigned long long)s.sched.cycles_in_schedule);
-    json += elsc::StrFormat("      \"lock_wait_cycles\": %llu,\n",
-                            (unsigned long long)s.sched.lock_wait_cycles);
-    json += elsc::StrFormat("      \"percpu_lock_wait_cycles\": %llu,\n",
-                            (unsigned long long)s.sched.percpu_lock_wait_cycles);
-    json += elsc::StrFormat("      \"percpu_lock_contended\": %llu,\n",
-                            (unsigned long long)s.sched.percpu_lock_contended);
-    json += elsc::StrFormat("      \"tasks_examined\": %llu,\n",
-                            (unsigned long long)s.sched.tasks_examined);
-    json += elsc::StrFormat("      \"double_locks\": %llu,\n",
-                            (unsigned long long)s.sched.double_locks);
-    json += elsc::StrFormat("      \"load_balance_calls\": %llu,\n",
-                            (unsigned long long)s.sched.load_balance_calls);
-    json += elsc::StrFormat("      \"pull_migrations\": %llu,\n",
-                            (unsigned long long)s.sched.pull_migrations);
-    json += elsc::StrFormat("      \"array_swaps\": %llu,\n",
-                            (unsigned long long)s.sched.array_swaps);
-    json += elsc::StrFormat("      \"context_switches\": %llu,\n",
-                            (unsigned long long)s.machine.context_switches);
-    json += elsc::StrFormat("      \"migrations\": %llu,\n",
-                            (unsigned long long)s.machine.migrations);
-    json += elsc::StrFormat("      \"elapsed_sec\": \"%a\",\n", s.elapsed_sec);
-    json += elsc::StrFormat("      \"throughput\": \"%a\",\n",
-                            cell.run.result.throughput);
-    json += elsc::StrFormat("      \"digest\": \"%s\",\n", cell.digest.c_str());
-    json += elsc::StrFormat("      \"engine\": \"%s\"\n", elsc::EngineDigest(s).c_str());
-    json += i + 1 < cells.size() ? "    },\n" : "    }\n";
+    json.Object()
+        .Field("scheduler", elsc::SchedulerKindName(cell.spec.scheduler))
+        .Field("cpus", cell.spec.cpus)
+        .Field("rooms", cell.spec.rooms)
+        .Field("completed", cell.run.result.completed ? 1 : 0)
+        .Counters("sched", s.sched, elsc::kSchedCounters)
+        .Counters("machine", s.machine, elsc::kMachineCounters)
+        .HexFloat("elapsed_sec", s.elapsed_sec)
+        .HexFloat("throughput", cell.run.result.throughput)
+        .Field("digest", cell.digest)
+        .Field("engine", elsc::EngineDigest(s))
+        .End();
   }
-  json += "  ]";
+  json.End();
   if (include_timing) {
-    json += ",\n  \"timing\": {\n";
-    json += elsc::StrFormat("    \"sweep_wall_sec\": \"%a\"\n", sweep_elapsed);
-    json += "  }";
+    json.Object("timing").HexFloat("sweep_wall_sec", sweep_elapsed).End();
   }
-  json += "\n}\n";
   const char* json_path = "BENCH_o1_scaling.json";
-  std::string error;
-  if (!elsc::AtomicWriteFile(json_path, json, &error)) {
-    std::fprintf(stderr, "cannot write %s: %s\n", json_path, error.c_str());
+  if (!elsc::WriteBenchJson(json_path, json.Finish())) {
     return elsc::BenchExit(1);
   }
   std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, cells.size(),

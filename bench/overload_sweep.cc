@@ -7,16 +7,16 @@
 //
 //   usage: overload_sweep [seed]
 //
-// Knobs (environment):
-//   ELSC_OVERLOAD_LOADS         comma-separated load factors
-//                               (default "0.5,0.75,1.0,1.25,1.5,2.0")
-//   ELSC_OVERLOAD_DURATION_SEC  simulated measurement window (default 4)
-//   ELSC_OVERLOAD_KERNEL        UP | 1P | 2P | 4P (default 4P)
-//   ELSC_OVERLOAD_CHAOS         1 -> run every cell under the connection-
-//                               lifecycle chaos plan (resets, half-open
-//                               peers, slow peers, reconnect storms)
+// Knobs (environment; a malformed value exits 2):
+//   ELSC_LOADS         comma-separated load factors, each above 0
+//                      (default "0.5,0.75,1.0,1.25,1.5,2.0")
+//   ELSC_DURATION_SEC  simulated measurement window (default 4)
+//   ELSC_KERNEL        UP | 1P | 2P | 4P (default 4P)
+//   ELSC_CHAOS         1 -> run every cell under the connection-
+//                      lifecycle chaos plan (resets, half-open
+//                      peers, slow peers, reconnect storms)
 
-#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,21 +25,18 @@
 
 #include "bench/experiment_util.h"
 #include "src/api/overload.h"
-#include "src/base/atomic_file.h"
 
 namespace {
 
 std::vector<double> LoadFactors() {
   std::vector<double> loads;
-  for (const std::string& field :
-       elsc::EnvFields("ELSC_OVERLOAD_LOADS", "0.5,0.75,1.0,1.25,1.5,2.0")) {
-    const double value = std::atof(field.c_str());
-    if (value > 0.0) {
-      loads.push_back(value);
+  for (const std::string& field : elsc::EnvFields("ELSC_LOADS", "0.5,0.75,1.0,1.25,1.5,2.0")) {
+    char* end = nullptr;
+    const double value = std::strtod(field.c_str(), &end);
+    if (field.empty() || *end != '\0' || !std::isfinite(value) || value <= 0.0) {
+      elsc::BadKnob("ELSC_LOADS", field, "numbers above 0");
     }
-  }
-  if (loads.empty()) {
-    loads = {1.0};
+    loads.push_back(value);
   }
   return loads;
 }
@@ -48,14 +45,10 @@ std::vector<double> LoadFactors() {
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
-  const char* kernel_env = std::getenv("ELSC_OVERLOAD_KERNEL");
-  const elsc::KernelConfig kernel =
-      elsc::KernelConfigFromLabel(kernel_env != nullptr ? kernel_env : "4P");
-  const char* duration_env = std::getenv("ELSC_OVERLOAD_DURATION_SEC");
-  const int duration_sec =
-      duration_env != nullptr ? std::max(1, std::atoi(duration_env)) : 4;
-  const char* chaos_env = std::getenv("ELSC_OVERLOAD_CHAOS");
-  const bool chaos_on = chaos_env != nullptr && chaos_env[0] == '1';
+  const elsc::KernelConfig kernel = elsc::KernelEnv("ELSC_KERNEL", "4P");
+  const int duration_sec = elsc::IntEnv("ELSC_DURATION_SEC", 4);
+  const bool chaos_on = elsc::FlagEnv("ELSC_CHAOS", false);
+  const std::vector<double> loads = LoadFactors();
 
   elsc::PrintBenchHeader(
       "Overload sweep",
@@ -67,7 +60,6 @@ int main(int argc, char** argv) {
   const std::vector<elsc::SchedulerKind> schedulers = {
       elsc::SchedulerKind::kLinux, elsc::SchedulerKind::kElsc,
       elsc::SchedulerKind::kHeap, elsc::SchedulerKind::kMultiQueue};
-  const std::vector<double> loads = LoadFactors();
 
   std::vector<elsc::OverloadCellSpec> cells;
   for (const elsc::SchedulerKind kind : schedulers) {
@@ -122,10 +114,7 @@ int main(int argc, char** argv) {
   }
 
   const char* json_path = "BENCH_overload.json";
-  std::string error;
-  if (!elsc::AtomicWriteFile(json_path, elsc::RenderOverloadJson(runs, seed, chaos_on),
-                             &error)) {
-    std::fprintf(stderr, "cannot write %s: %s\n", json_path, error.c_str());
+  if (!elsc::WriteBenchJson(json_path, elsc::RenderOverloadJson(runs, seed, chaos_on))) {
     return elsc::BenchExit(1);
   }
   std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, runs.size(), elapsed);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/experiment_util.h"
+#include "src/base/json_writer.h"
 #include "src/base/rng.h"
 #include "src/harness/run_matrix.h"
 #include "src/sim/event_queue.h"
@@ -151,54 +152,23 @@ int main(int argc, char** argv) {
               tasks_per_wall_sec,
               static_cast<unsigned long long>(matrix_tasks));
 
+  elsc::JsonWriter json;
+  json.Fixed("events_per_sec", events_per_sec, 0)
+      .Field("churn_events", churn_events)
+      .Counters("events", churn_stats, elsc::kEventQueueCounters)
+      .Field("matrix_cells", cells.size())
+      .Field("matrix_jobs", jobs)
+      .Field("host_cpus", std::thread::hardware_concurrency())
+      .Fixed("matrix_serial_sec", serial_sec, 3)
+      .Fixed("matrix_parallel_sec", parallel_sec, 3)
+      .Fixed("matrix_speedup", serial_sec / parallel_sec, 3)
+      .Field("matrix_tasks_simulated", matrix_tasks)
+      .Fixed("tasks_per_wall_sec", tasks_per_wall_sec, 1)
+      .Counters("supervision", elsc::GlobalSupervisionStats(), elsc::kSupervisionCounters);
   const char* json_path = "BENCH_perf_smoke.json";
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
+  if (!elsc::WriteBenchJson(json_path, json.Finish())) {
     return elsc::BenchExit(1);
   }
-  const elsc::SupervisionStats& sup = elsc::GlobalSupervisionStats();
-  std::fprintf(out,
-               "{\n"
-               "  \"events_per_sec\": %.0f,\n"
-               "  \"churn_events\": %llu,\n"
-               "  \"callback_heap_allocs\": %llu,\n"
-               "  \"slot_allocs\": %llu,\n"
-               "  \"max_heap_depth\": %llu,\n"
-               "  \"matrix_cells\": %zu,\n"
-               "  \"matrix_jobs\": %d,\n"
-               "  \"host_cpus\": %u,\n"
-               "  \"matrix_serial_sec\": %.3f,\n"
-               "  \"matrix_parallel_sec\": %.3f,\n"
-               "  \"matrix_speedup\": %.3f,\n"
-               "  \"matrix_tasks_simulated\": %llu,\n"
-               "  \"tasks_per_wall_sec\": %.1f,\n"
-               "  \"supervision\": {\n"
-               "    \"cells\": %llu,\n"
-               "    \"completed\": %llu,\n"
-               "    \"quarantined\": %llu,\n"
-               "    \"skipped\": %llu,\n"
-               "    \"resumed\": %llu,\n"
-               "    \"retries\": %llu,\n"
-               "    \"timeouts\": %llu\n"
-               "  }\n"
-               "}\n",
-               events_per_sec, static_cast<unsigned long long>(churn_events),
-               static_cast<unsigned long long>(churn_stats.callback_heap_allocs),
-               static_cast<unsigned long long>(churn_stats.slot_allocs),
-               static_cast<unsigned long long>(churn_stats.max_heap_depth),
-               cells.size(), jobs, std::thread::hardware_concurrency(), serial_sec, parallel_sec,
-               serial_sec / parallel_sec,
-               static_cast<unsigned long long>(matrix_tasks),
-               tasks_per_wall_sec,
-               static_cast<unsigned long long>(sup.cells),
-               static_cast<unsigned long long>(sup.completed),
-               static_cast<unsigned long long>(sup.quarantined),
-               static_cast<unsigned long long>(sup.skipped),
-               static_cast<unsigned long long>(sup.resumed),
-               static_cast<unsigned long long>(sup.retries),
-               static_cast<unsigned long long>(sup.timeouts));
-  std::fclose(out);
   std::printf("wrote %s\n", json_path);
   return elsc::BenchExit(g_incomplete_cells > 0 ? 1 : 0);
 }

@@ -9,19 +9,19 @@
 // byte-identical at any shard count and any ELSC_BENCH_JOBS; the bench
 // additionally asserts in-process that every (rooms, scheduler) scenario
 // produced the same digest at every shard count. Wall-clock numbers live in
-// a separate "timing" block, omitted when ELSC_SCALE_TIMING=0 so CI can
+// a separate "timing" block, omitted when ELSC_TIMING=0 so CI can
 // byte-compare the files.
 //
 //   usage: scale_sweep [seed]
 //
-// Knobs (environment):
-//   ELSC_SCALE_ROOMS    comma-separated room counts   (default "40,200")
-//   ELSC_SCALE_SHARDS   comma-separated shard counts  (default "1,2,4")
-//   ELSC_SCALE_SCHEDS   comma-separated schedulers    (default "linux,elsc")
-//   ELSC_SCALE_USERS    users per room                (default 20)
-//   ELSC_SCALE_MSGS     messages per user             (default 10)
-//   ELSC_SCALE_KERNEL   per-node machine: UP|1P|2P|4P (default 1P)
-//   ELSC_SCALE_TIMING   0 -> omit the wall-clock timing block from the JSON
+// Knobs (environment; a malformed value exits 2):
+//   ELSC_ROOMS    comma-separated room counts   (default "40,200")
+//   ELSC_SHARDS   comma-separated shard counts  (default "1,2,4")
+//   ELSC_SCHEDS   comma-separated schedulers    (default "linux,elsc")
+//   ELSC_USERS    users per room                (default 20)
+//   ELSC_MSGS     messages per user             (default 10)
+//   ELSC_KERNEL   per-node machine: UP|1P|2P|4P (default 1P)
+//   ELSC_TIMING   0 -> omit the wall-clock timing block from the JSON
 //
 // Checkpoint/restore (docs/SCALE.md "Checkpoint & recovery"): with
 // ELSC_SCALE_CKPT=<prefix> each cell writes checksummed segment files every
@@ -41,23 +41,17 @@
 
 #include "bench/experiment_util.h"
 #include "src/api/scale.h"
-#include "src/base/atomic_file.h"
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
-  std::vector<int> room_counts = elsc::IntList("ELSC_SCALE_ROOMS", "40,200");
-  std::vector<int> shard_counts = elsc::IntList("ELSC_SCALE_SHARDS", "1,2,4");
-  if (room_counts.empty()) room_counts = {40};
-  if (shard_counts.empty()) shard_counts = {1};
+  const std::vector<int> room_counts = elsc::IntList("ELSC_ROOMS", "40,200");
+  const std::vector<int> shard_counts = elsc::IntList("ELSC_SHARDS", "1,2,4");
   const std::vector<elsc::SchedulerKind> schedulers =
-      elsc::Schedulers("ELSC_SCALE_SCHEDS", "linux,elsc");
-  const int users = elsc::IntEnv("ELSC_SCALE_USERS", 20);
-  const int msgs = elsc::IntEnv("ELSC_SCALE_MSGS", 10);
-  const char* kernel_env = std::getenv("ELSC_SCALE_KERNEL");
-  const elsc::KernelConfig kernel =
-      elsc::KernelConfigFromLabel(kernel_env != nullptr ? kernel_env : "1P");
-  const char* timing_env = std::getenv("ELSC_SCALE_TIMING");
-  const bool include_timing = timing_env == nullptr || timing_env[0] != '0';
+      elsc::Schedulers("ELSC_SCHEDS", "linux,elsc");
+  const int users = elsc::IntEnv("ELSC_USERS", 20);
+  const int msgs = elsc::IntEnv("ELSC_MSGS", 10);
+  const elsc::KernelConfig kernel = elsc::KernelEnv("ELSC_KERNEL", "1P");
+  const bool include_timing = elsc::FlagEnv("ELSC_TIMING", true);
 
   elsc::PrintBenchHeader(
       "Scale sweep (sharded parallel discrete-event mode)",
@@ -140,10 +134,7 @@ int main(int argc, char** argv) {
               deterministic ? "bit-identical" : "MISMATCH");
 
   const char* json_path = "BENCH_scale.json";
-  std::string error;
-  if (!elsc::AtomicWriteFile(json_path, elsc::RenderScaleJson(cells, seed, include_timing),
-                             &error)) {
-    std::fprintf(stderr, "cannot write %s: %s\n", json_path, error.c_str());
+  if (!elsc::WriteBenchJson(json_path, elsc::RenderScaleJson(cells, seed, include_timing))) {
     return elsc::BenchExit(1);
   }
   std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, cells.size(),

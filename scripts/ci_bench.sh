@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Perf gate for the simulator hot path: builds the default tree, runs the two
 # perf benchmarks, and compares the fresh BENCH_perf_smoke.json against the
-# committed baseline (bench/baselines/BENCH_perf_smoke.json).
+# committed baseline (bench/baselines/BENCH_perf_smoke.json). On the way it
+# runs short smokes of the sweep benches and chaos_smoke, and checks that
+# every BENCH_*.json they wrote is valid JSON.
 #
 # The comparison WARNS and exits 0 on regressions — wall-clock numbers from
 # CI machines are too noisy for a hard gate (this container shows +/-15% on
@@ -24,7 +26,7 @@ baseline="bench/baselines/BENCH_perf_smoke.json"
 
 echo "=== build (build/) ==="
 cmake -B build -S . >/dev/null
-cmake --build build -j "${jobs}" --target perf_smoke micro_sched_ops overload_sweep scale_sweep federation_chaos o1_scaling
+cmake --build build -j "${jobs}" --target perf_smoke micro_sched_ops overload_sweep scale_sweep federation_chaos o1_scaling chaos_smoke
 
 echo "=== perf_smoke (${churn_events} churn events, ${rooms} rooms) ==="
 (cd build && ./bench/perf_smoke "${churn_events}" "${rooms}")
@@ -34,10 +36,10 @@ echo "=== overload_sweep smoke (short sweep; JSON must be job-count invariant) =
 # emitted JSON contains only simulated data, so the two files must be
 # byte-identical (the determinism contract the supervised harness preserves).
 (cd build &&
-  ELSC_OVERLOAD_DURATION_SEC=1 ELSC_OVERLOAD_LOADS=0.5,1.0,2.0 \
+  ELSC_DURATION_SEC=1 ELSC_LOADS=0.5,1.0,2.0 \
     ELSC_BENCH_JOBS=1 ./bench/overload_sweep >/dev/null &&
   mv BENCH_overload.json BENCH_overload.jobs1.json &&
-  ELSC_OVERLOAD_DURATION_SEC=1 ELSC_OVERLOAD_LOADS=0.5,1.0,2.0 \
+  ELSC_DURATION_SEC=1 ELSC_LOADS=0.5,1.0,2.0 \
     ELSC_BENCH_JOBS=4 ./bench/overload_sweep &&
   cmp BENCH_overload.jobs1.json BENCH_overload.json &&
   echo "overload JSON identical at jobs 1 vs 4")
@@ -47,14 +49,14 @@ echo "=== scale_sweep smoke (sharded mode; JSON must be shard- and job-count inv
 # With the timing block off, the JSON is pure simulated data — all three
 # files must be byte-identical (the sharded mode's determinism contract;
 # the binary additionally digest-checks every shard count in-process).
-scale_env="ELSC_SCALE_ROOMS=8 ELSC_SCALE_USERS=4 ELSC_SCALE_MSGS=4 ELSC_SCALE_SCHEDS=elsc ELSC_SCALE_TIMING=0"
+scale_env="ELSC_ROOMS=8 ELSC_USERS=4 ELSC_MSGS=4 ELSC_SCHEDS=elsc ELSC_TIMING=0"
 (cd build &&
-  env ${scale_env} ELSC_SCALE_SHARDS=1 ELSC_BENCH_JOBS=1 ./bench/scale_sweep >/dev/null &&
+  env ${scale_env} ELSC_SHARDS=1 ELSC_BENCH_JOBS=1 ./bench/scale_sweep >/dev/null &&
   mv BENCH_scale.json BENCH_scale.shards1.json &&
-  env ${scale_env} ELSC_SCALE_SHARDS=4 ELSC_BENCH_JOBS=1 ./bench/scale_sweep >/dev/null &&
+  env ${scale_env} ELSC_SHARDS=4 ELSC_BENCH_JOBS=1 ./bench/scale_sweep >/dev/null &&
   cmp BENCH_scale.shards1.json BENCH_scale.json &&
   mv BENCH_scale.json BENCH_scale.jobs1.json &&
-  env ${scale_env} ELSC_SCALE_SHARDS=4 ELSC_BENCH_JOBS=4 ./bench/scale_sweep >/dev/null &&
+  env ${scale_env} ELSC_SHARDS=4 ELSC_BENCH_JOBS=4 ./bench/scale_sweep >/dev/null &&
   cmp BENCH_scale.jobs1.json BENCH_scale.json &&
   echo "scale JSON identical at shards 1 vs 4 and jobs 1 vs 4")
 
@@ -65,21 +67,21 @@ echo "=== federation_chaos smoke (failure model; JSON must be shard- and job-cou
 # binary additionally digest-checks every shard count and asserts the
 # retransmit column never loses more deliveries than its no-retransmit
 # control in-process.
-fed_env="ELSC_FED_ROOMS=4 ELSC_FED_USERS=4 ELSC_FED_MSGS=8 ELSC_FED_CRASH=0,100 ELSC_FED_SCHEDS=elsc ELSC_FED_TIMING=0"
+fed_env="ELSC_ROOMS=4 ELSC_USERS=4 ELSC_MSGS=8 ELSC_CRASH=0,100 ELSC_SCHEDS=elsc ELSC_TIMING=0"
 (cd build &&
-  env ${fed_env} ELSC_FED_SHARDS=1 ELSC_BENCH_JOBS=1 ./bench/federation_chaos >/dev/null &&
+  env ${fed_env} ELSC_SHARDS=1 ELSC_BENCH_JOBS=1 ./bench/federation_chaos >/dev/null &&
   mv BENCH_federation_chaos.json BENCH_federation_chaos.shards1.json &&
-  env ${fed_env} ELSC_FED_SHARDS=4 ELSC_BENCH_JOBS=1 ./bench/federation_chaos >/dev/null &&
+  env ${fed_env} ELSC_SHARDS=4 ELSC_BENCH_JOBS=1 ./bench/federation_chaos >/dev/null &&
   cmp BENCH_federation_chaos.shards1.json BENCH_federation_chaos.json &&
   mv BENCH_federation_chaos.json BENCH_federation_chaos.jobs1.json &&
-  env ${fed_env} ELSC_FED_SHARDS=4 ELSC_BENCH_JOBS=4 ./bench/federation_chaos >/dev/null &&
+  env ${fed_env} ELSC_SHARDS=4 ELSC_BENCH_JOBS=4 ./bench/federation_chaos >/dev/null &&
   cmp BENCH_federation_chaos.jobs1.json BENCH_federation_chaos.json &&
   echo "federation chaos JSON identical at shards 1 vs 4 and jobs 1 vs 4")
 
 echo "=== o1_scaling smoke (per-CPU lock model; JSON must be job-count invariant) ==="
 # A reduced CPU sweep run at harness jobs 1 vs 4. With the timing block off,
 # the JSON is pure simulated data, so the two files must be byte-identical.
-o1_env="ELSC_O1_CPUS=1,4,16 ELSC_O1_ROOMS=2 ELSC_O1_TIMING=0"
+o1_env="ELSC_CPUS=1,4,16 ELSC_ROOMS=2 ELSC_TIMING=0"
 (cd build &&
   env ${o1_env} ELSC_BENCH_JOBS=1 ./bench/o1_scaling >/dev/null &&
   mv BENCH_o1_scaling.json BENCH_o1_scaling.jobs1.json &&
@@ -87,13 +89,22 @@ o1_env="ELSC_O1_CPUS=1,4,16 ELSC_O1_ROOMS=2 ELSC_O1_TIMING=0"
   cmp BENCH_o1_scaling.jobs1.json BENCH_o1_scaling.json &&
   echo "o1 scaling JSON identical at jobs 1 vs 4")
 
+echo "=== chaos_smoke (every injector x every scheduler under strict audit) ==="
+(cd build && ./bench/chaos_smoke >/dev/null && echo "chaos smoke green")
+
+echo "=== every BENCH_*.json written above is valid JSON ==="
+for file in build/BENCH_*.json; do
+  python3 -m json.tool "${file}" >/dev/null
+done
+echo "all $(ls build/BENCH_*.json | wc -l) files parse"
+
 echo "=== micro_sched_ops (table search + task alloc + schedule/add-del + o1 pick) ==="
 ./build/bench/micro_sched_ops --benchmark_min_time=0.05 2>/dev/null |
   grep -E "BM_TableSearch|BM_TaskAlloc|BM_Schedule|BM_GoodnessScanPick|BM_O1BitmapPick" || true
 
 json_field() {
-  # json_field <file> <key>: extracts a bare numeric field from the flat JSON
-  # perf_smoke writes (no jq in the image).
+  # json_field <file> <key>: extracts a bare numeric member, at any depth,
+  # from the one-member-per-line JSON perf_smoke writes (no jq in the image).
   sed -n "s/^ *\"$2\": \([0-9.][0-9.]*\),*$/\1/p" "$1"
 }
 

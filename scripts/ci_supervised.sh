@@ -92,12 +92,12 @@ echo "=== 3. kill-at-window recovery drill: checkpoint -> SIGKILL -> resume ==="
 # control — at both ends of the shard axis and the harness job axis, and at
 # every barrier with a node still live: windows 1 to W-1, where W is the
 # control's window count (at W every node has folded, so nothing kills).
-scale_env=(ELSC_SCALE_ROOMS=8 ELSC_SCALE_USERS=4 ELSC_SCALE_MSGS=4
-           ELSC_SCALE_SCHEDS=elsc ELSC_SCALE_TIMING=0)
+scale_env=(ELSC_ROOMS=8 ELSC_USERS=4 ELSC_MSGS=4
+           ELSC_SCHEDS=elsc ELSC_TIMING=0)
 
 mkdir -p "${scratch}/scale_control"
 (cd "${scratch}/scale_control" &&
- env "${scale_env[@]}" ELSC_SCALE_SHARDS=1,4 \
+ env "${scale_env[@]}" ELSC_SHARDS=1,4 \
  ../../bench/scale_sweep >stdout.log 2>stderr.log)
 windows="$(sed -n 's/.*"windows": \([0-9][0-9]*\).*/\1/p' \
   "${scratch}/scale_control/BENCH_scale.json" | head -n 1)"
@@ -118,7 +118,7 @@ for drill in "shards1:1,1:1" "shards4:4,4:1" "jobs4:1,4:4"; do
 
     status=0
     (cd "${dir}" &&
-     env "${scale_env[@]}" ELSC_SCALE_SHARDS="${shards}" \
+     env "${scale_env[@]}" ELSC_SHARDS="${shards}" \
      ELSC_BENCH_JOBS="${bench_jobs}" \
      ELSC_SCALE_CKPT=ck ELSC_SCALE_CKPT_EVERY=2 ELSC_SCALE_INJECT_KILL="${kill}" \
      ../../bench/scale_sweep >stdout_kill.log 2>stderr_kill.log) || status=$?
@@ -132,7 +132,7 @@ for drill in "shards1:1,1:1" "shards4:4,4:1" "jobs4:1,4:4"; do
     fi
 
     (cd "${dir}" &&
-     env "${scale_env[@]}" ELSC_SCALE_SHARDS="${shards}" \
+     env "${scale_env[@]}" ELSC_SHARDS="${shards}" \
      ELSC_BENCH_JOBS="${bench_jobs}" \
      ELSC_SCALE_CKPT=ck ELSC_SCALE_CKPT_EVERY=2 \
      ../../bench/scale_sweep >stdout_resume.log 2>stderr_resume.log)

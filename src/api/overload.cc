@@ -1,6 +1,6 @@
 #include "src/api/overload.h"
 
-#include "src/base/string_util.h"
+#include "src/base/json_writer.h"
 
 namespace elsc {
 
@@ -50,46 +50,40 @@ OverloadCell RunOverloadCell(const OverloadCellSpec& spec, const WebserverConfig
 
 std::string RenderOverloadJson(const std::vector<OverloadCell>& cells, uint64_t seed,
                                bool chaos) {
-  std::string out;
-  out += StrFormat("{\n  \"seed\": %llu,\n  \"chaos\": %s,\n  \"cells\": [\n",
-                   static_cast<unsigned long long>(seed), chaos ? "true" : "false");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const OverloadCell& cell = cells[i];
+  JsonWriter json;
+  json.Field("seed", seed).Field("chaos", chaos).Array("cells");
+  for (const OverloadCell& cell : cells) {
     const WebserverResult& r = cell.run.result;
-    const FaultStats& f = cell.run.stats.faults;
-    out += StrFormat(
-        "    {\"kernel\": \"%s\", \"scheduler\": \"%s\", \"load_factor\": %.4f,\n"
-        "     \"saturation_rate\": %.4f, \"offered_rate\": %.4f, \"goodput\": %.4f,\n"
-        "     \"arrived\": %llu, \"completed\": %llu, \"dropped\": %llu,\n"
-        "     \"drops\": {\"backlog\": %llu, \"shed\": %llu, \"reset\": %llu},\n"
-        "     \"retries\": %llu, \"abandons\": %llu,\n"
-        "     \"latency_us\": {\"mean\": %.4f, \"p50\": %llu, \"p95\": %llu, "
-        "\"p99\": %llu, \"p999\": %llu},\n"
-        "     \"injected\": {\"conn_resets\": %llu, \"conn_half_opens\": %llu, "
-        "\"slow_peer_windows\": %llu, \"reconnect_storms\": %llu},\n"
-        "     \"elapsed_sim_sec\": %.6f, \"failed\": %s}%s\n",
-        KernelConfigLabel(cell.spec.kernel), SchedulerKindName(cell.spec.scheduler),
-        cell.spec.load_factor, cell.saturation_rate, cell.offered_rate, r.throughput,
-        static_cast<unsigned long long>(r.requests_arrived),
-        static_cast<unsigned long long>(r.requests_completed),
-        static_cast<unsigned long long>(r.requests_dropped),
-        static_cast<unsigned long long>(r.dropped_backlog),
-        static_cast<unsigned long long>(r.dropped_shed),
-        static_cast<unsigned long long>(r.dropped_reset),
-        static_cast<unsigned long long>(r.retries),
-        static_cast<unsigned long long>(r.abandons), r.latency_mean_us,
-        static_cast<unsigned long long>(r.latency_p50_us),
-        static_cast<unsigned long long>(r.latency_p95_us),
-        static_cast<unsigned long long>(r.latency_p99_us),
-        static_cast<unsigned long long>(r.latency_p999_us),
-        static_cast<unsigned long long>(f.conn_resets),
-        static_cast<unsigned long long>(f.conn_half_opens),
-        static_cast<unsigned long long>(f.slow_peer_windows),
-        static_cast<unsigned long long>(f.reconnect_storms), r.elapsed_sec,
-        cell.run.stats.failed ? "true" : "false", i + 1 < cells.size() ? "," : "");
+    json.Object()
+        .Field("kernel", KernelConfigLabel(cell.spec.kernel))
+        .Field("scheduler", SchedulerKindName(cell.spec.scheduler))
+        .Fixed("load_factor", cell.spec.load_factor, 4)
+        .Fixed("saturation_rate", cell.saturation_rate, 4)
+        .Fixed("offered_rate", cell.offered_rate, 4)
+        .Fixed("goodput", r.throughput, 4)
+        .Field("arrived", r.requests_arrived)
+        .Field("completed", r.requests_completed)
+        .Field("dropped", r.requests_dropped);
+    json.Object("drops")
+        .Field("backlog", r.dropped_backlog)
+        .Field("shed", r.dropped_shed)
+        .Field("reset", r.dropped_reset)
+        .End();
+    json.Field("retries", r.retries).Field("abandons", r.abandons);
+    json.Object("latency_us")
+        .Fixed("mean", r.latency_mean_us, 4)
+        .Field("p50", r.latency_p50_us)
+        .Field("p95", r.latency_p95_us)
+        .Field("p99", r.latency_p99_us)
+        .Field("p999", r.latency_p999_us)
+        .End();
+    json.Counters("faults", cell.run.stats.faults, kFaultCounters)
+        .Fixed("elapsed_sim_sec", r.elapsed_sec, 6)
+        .Field("failed", cell.run.stats.failed)
+        .End();
   }
-  out += "  ]\n}\n";
-  return out;
+  json.End();
+  return json.Finish();
 }
 
 }  // namespace elsc

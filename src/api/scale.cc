@@ -15,6 +15,7 @@
 #include "src/base/assert.h"
 #include "src/base/atomic_file.h"
 #include "src/base/fnv.h"
+#include "src/base/json_writer.h"
 #include "src/base/string_util.h"
 #include "src/base/token_codec.h"
 #include "src/base/watchdog.h"
@@ -1269,103 +1270,69 @@ std::string ScaleRunSignature(const ScaleRun& run) {
 
 std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
                             bool include_timing) {
-  std::string out;
-  out += StrFormat("{\n  \"seed\": %llu,\n  \"cells\": [\n",
-                   static_cast<unsigned long long>(seed));
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const ScaleCell& cell = cells[i];
+  JsonWriter json;
+  json.Field("seed", seed).Array("cells");
+  for (const ScaleCell& cell : cells) {
     const ScaleRun& r = cell.run;
-    out += StrFormat(
-        "    {\"kernel\": \"%s\", \"scheduler\": \"%s\", \"rooms\": %llu, "
-        "\"connections\": %llu,\n"
-        "     \"nodes\": %d, \"windows\": %llu,\n"
-        "     \"messages_sent\": %llu, \"messages_delivered\": %llu, "
-        "\"throughput\": %.4f, \"elapsed_sim_sec\": %.6f,\n"
-        "     \"tasks_simulated\": %llu, \"events_simulated\": %llu,\n"
-        "     \"federation\": {\"beacons_sent\": %llu, \"beacons_received\": %llu, "
-        "\"inbox_overflows\": %llu, \"late_writes\": %llu, "
-        "\"fabric_routed\": %llu, \"fabric_dropped_closed\": %llu},\n"
-        "     \"failure_model\": {\"node_crashes\": %llu, "
-        "\"node_restarts\": %llu, \"windows_degraded\": %llu, "
-        "\"deliveries_lost\": %llu, \"retransmits\": %llu, "
-        "\"retx_abandoned\": %llu, \"dup_discards\": %llu, "
-        "\"acks_sent\": %llu, \"acks_received\": %llu, "
-        "\"crash_inflight_dropped\": %llu, \"chat_messages_lost\": %llu, "
-        "\"goodput\": %.4f,\n"
-        "      \"fabric_drops\": {\"loss\": %llu, \"partition\": %llu, "
-        "\"crashed\": %llu, \"lane_overflow\": %llu, "
-        "\"duplicated\": %llu}},\n"
-        "     \"memory\": {\"peak_live_tasks\": %llu, \"peak_live_nodes\": %llu, "
-        "\"peak_task_arena_bytes\": %llu, \"peak_live_sockets\": %llu, "
-        "\"total_task_arena_bytes\": %llu, \"total_arena_chunks\": %llu},\n"
-        "     \"digest\": \"%016llx\", \"engine\": \"%s\", \"completed\": %s}%s\n",
-        KernelConfigLabel(cell.config.kernel),
-        SchedulerKindName(cell.config.scheduler),
-        static_cast<unsigned long long>(r.rooms),
-        static_cast<unsigned long long>(r.connections), r.nodes,
-        static_cast<unsigned long long>(r.windows),
-        static_cast<unsigned long long>(r.messages_sent),
-        static_cast<unsigned long long>(r.messages_delivered), r.throughput,
-        r.elapsed_sec,
-        static_cast<unsigned long long>(r.stats.machine.tasks_created),
-        static_cast<unsigned long long>(r.stats.events.fired),
-        static_cast<unsigned long long>(r.fed.beacons_sent),
-        static_cast<unsigned long long>(r.fed.beacons_received),
-        static_cast<unsigned long long>(r.fed.inbox_overflows),
-        static_cast<unsigned long long>(r.fed.late_writes),
-        static_cast<unsigned long long>(r.fabric.routed),
-        static_cast<unsigned long long>(r.fabric.dropped_closed),
-        static_cast<unsigned long long>(r.node_crashes),
-        static_cast<unsigned long long>(r.node_restarts),
-        static_cast<unsigned long long>(r.windows_degraded),
-        static_cast<unsigned long long>(r.deliveries_lost),
-        static_cast<unsigned long long>(r.fed.retransmits),
-        static_cast<unsigned long long>(r.fed.retx_abandoned),
-        static_cast<unsigned long long>(r.fed.dup_discards),
-        static_cast<unsigned long long>(r.fed.acks_sent),
-        static_cast<unsigned long long>(r.fed.acks_received),
-        static_cast<unsigned long long>(r.fed.crash_inflight_dropped),
-        static_cast<unsigned long long>(r.fed.chat_messages_lost), r.goodput,
-        static_cast<unsigned long long>(r.fabric.dropped_loss),
-        static_cast<unsigned long long>(r.fabric.dropped_partition),
-        static_cast<unsigned long long>(r.fabric.dropped_crashed),
-        static_cast<unsigned long long>(r.fabric.dropped_lane_overflow),
-        static_cast<unsigned long long>(r.fabric.duplicated),
-        static_cast<unsigned long long>(r.peak_live_tasks),
-        static_cast<unsigned long long>(r.peak_live_nodes),
-        static_cast<unsigned long long>(r.peak_task_arena_bytes),
-        static_cast<unsigned long long>(r.peak_live_sockets),
-        static_cast<unsigned long long>(r.stats.memory.task_arena_bytes),
-        static_cast<unsigned long long>(r.stats.memory.task_arena_chunks),
-        static_cast<unsigned long long>(r.digest), EngineDigest(r.stats).c_str(),
-        r.completed ? "true" : "false", i + 1 < cells.size() ? "," : "");
+    json.Object()
+        .Field("kernel", KernelConfigLabel(cell.config.kernel))
+        .Field("scheduler", SchedulerKindName(cell.config.scheduler))
+        .Field("rooms", r.rooms)
+        .Field("connections", r.connections)
+        .Field("nodes", r.nodes)
+        .Field("windows", r.windows)
+        .Field("messages_sent", r.messages_sent)
+        .Field("messages_delivered", r.messages_delivered)
+        .Fixed("throughput", r.throughput, 4)
+        .Fixed("elapsed_sim_sec", r.elapsed_sec, 6)
+        .Field("tasks_simulated", r.stats.machine.tasks_created)
+        .Field("events_simulated", r.stats.events.fired)
+        .Counters("fed", r.fed, kFederationCounterFields)
+        .Counters("fabric", r.fabric, kFabricCounters);
+    json.Object("failure_model")
+        .Field("node_crashes", r.node_crashes)
+        .Field("node_restarts", r.node_restarts)
+        .Field("windows_degraded", r.windows_degraded)
+        .Field("deliveries_lost", r.deliveries_lost)
+        .Fixed("goodput", r.goodput, 4)
+        .End();
+    json.Object("memory")
+        .Field("peak_live_tasks", r.peak_live_tasks)
+        .Field("peak_live_nodes", r.peak_live_nodes)
+        .Field("peak_task_arena_bytes", r.peak_task_arena_bytes)
+        .Field("peak_live_sockets", r.peak_live_sockets)
+        .Field("total_task_arena_bytes", r.stats.memory.task_arena_bytes)
+        .Field("total_arena_chunks", r.stats.memory.task_arena_chunks)
+        .End();
+    json.Field("digest", StrFormat("%016llx", static_cast<unsigned long long>(r.digest)))
+        .Field("engine", EngineDigest(r.stats))
+        .Field("completed", r.completed)
+        .End();
   }
-  out += "  ]";
+  json.End();
   if (include_timing) {
     // Host measurements — everything above this block is simulated data and
     // byte-identical across shard/job counts; the CI determinism gate
     // renders with include_timing == false.
     struct rusage usage = {};
     getrusage(RUSAGE_SELF, &usage);
-    out += StrFormat(
-        ",\n  \"timing\": {\n    \"host_cpus\": %u, \"peak_rss_kb\": %llu,\n"
-        "    \"cells\": [\n",
-        std::thread::hardware_concurrency(),
-        static_cast<unsigned long long>(usage.ru_maxrss));
-    for (size_t i = 0; i < cells.size(); ++i) {
-      const ScaleCell& cell = cells[i];
-      out += StrFormat(
-          "      {\"scheduler\": \"%s\", \"rooms\": %d, \"shards\": %d, "
-          "\"wall_sec\": %.4f, \"tasks_per_wall_sec\": %.1f, "
-          "\"events_per_wall_sec\": %.1f}%s\n",
-          SchedulerKindName(cell.config.scheduler), cell.config.rooms,
-          cell.run.shards, cell.wall_sec, cell.tasks_per_wall_sec,
-          cell.events_per_wall_sec, i + 1 < cells.size() ? "," : "");
+    json.Object("timing")
+        .Field("host_cpus", std::thread::hardware_concurrency())
+        .Field("peak_rss_kb", usage.ru_maxrss)
+        .Array("cells");
+    for (const ScaleCell& cell : cells) {
+      json.Object()
+          .Field("scheduler", SchedulerKindName(cell.config.scheduler))
+          .Field("rooms", cell.config.rooms)
+          .Field("shards", cell.run.shards)
+          .Fixed("wall_sec", cell.wall_sec, 4)
+          .Fixed("tasks_per_wall_sec", cell.tasks_per_wall_sec, 1)
+          .Fixed("events_per_wall_sec", cell.events_per_wall_sec, 1)
+          .End();
     }
-    out += "    ]\n  }";
+    json.End().End();
   }
-  out += "\n}\n";
-  return out;
+  return json.Finish();
 }
 
 }  // namespace elsc

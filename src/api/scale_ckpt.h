@@ -67,6 +67,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/token_codec.h"
 #include "src/sim/fabric.h"
 
 namespace elsc {
@@ -116,13 +117,16 @@ struct FederationCounters {
 };
 
 // Every counter, in codec order.
-inline constexpr uint64_t FederationCounters::*kFederationCounterFields[] = {
-    &FederationCounters::beacons_sent,       &FederationCounters::beacons_received,
-    &FederationCounters::inbox_overflows,    &FederationCounters::late_writes,
-    &FederationCounters::retransmits,        &FederationCounters::retx_abandoned,
-    &FederationCounters::dup_discards,       &FederationCounters::acks_sent,
-    &FederationCounters::acks_received,      &FederationCounters::chat_messages_lost,
-    &FederationCounters::crash_inflight_dropped,
+inline constexpr Counter<FederationCounters> kFederationCounterFields[] = {
+    ELSC_COUNTER(FederationCounters, beacons_sent),
+    ELSC_COUNTER(FederationCounters, beacons_received),
+    ELSC_COUNTER(FederationCounters, inbox_overflows),
+    ELSC_COUNTER(FederationCounters, late_writes), ELSC_COUNTER(FederationCounters, retransmits),
+    ELSC_COUNTER(FederationCounters, retx_abandoned),
+    ELSC_COUNTER(FederationCounters, dup_discards), ELSC_COUNTER(FederationCounters, acks_sent),
+    ELSC_COUNTER(FederationCounters, acks_received),
+    ELSC_COUNTER(FederationCounters, chat_messages_lost),
+    ELSC_COUNTER(FederationCounters, crash_inflight_dropped),
 };
 
 // One logged fabric delivery: enough to re-schedule it during replay at the

@@ -145,60 +145,11 @@ RunStats RunWithChaos(Machine& machine, Workload& workload, Cycles deadline,
   return stats;
 }
 
-// Each RunStats record's counters, listed once in codec order.
-constexpr uint64_t SchedStats::*kSchedCounters[] = {
-    &SchedStats::schedule_calls,          &SchedStats::idle_schedules,
-    &SchedStats::cycles_in_schedule,      &SchedStats::lock_wait_cycles,
-    &SchedStats::tasks_examined,          &SchedStats::recalc_entries,
-    &SchedStats::recalc_tasks_touched,    &SchedStats::picks_new_processor,
-    &SchedStats::picks_prev,              &SchedStats::picks_no_affinity,
-    &SchedStats::yield_reruns,            &SchedStats::wakeups,
-    &SchedStats::preemption_ipis,         &SchedStats::percpu_lock_acquisitions,
-    &SchedStats::percpu_lock_contended,   &SchedStats::percpu_lock_hold_cycles,
-    &SchedStats::percpu_lock_wait_cycles, &SchedStats::double_locks,
-    &SchedStats::load_balance_calls,      &SchedStats::pull_migrations,
-    &SchedStats::array_swaps,
-};
-// peak_live_tasks comes last here, not where MachineStats declares it: it
-// joined the codec after the others, and the digest keeps the codec order.
-constexpr uint64_t MachineStats::*kMachineCounters[] = {
-    &MachineStats::ticks,             &MachineStats::context_switches,
-    &MachineStats::migrations,        &MachineStats::wakeups,
-    &MachineStats::tasks_created,     &MachineStats::tasks_exited,
-    &MachineStats::quantum_expiries,  &MachineStats::preempt_requests,
-    &MachineStats::ticks_dropped,     &MachineStats::cpu_stalls,
-    &MachineStats::lock_stall_cycles, &MachineStats::peak_live_tasks,
-};
-constexpr uint64_t EventQueueStats::*kEventQueueCounters[] = {
-    &EventQueueStats::scheduled,   &EventQueueStats::fired,
-    &EventQueueStats::cancelled,   &EventQueueStats::callback_heap_allocs,
-    &EventQueueStats::slot_allocs, &EventQueueStats::max_heap_depth,
-};
-constexpr uint64_t FaultStats::*kFaultCounters[] = {
-    &FaultStats::tick_drops,        &FaultStats::tick_jitters,
-    &FaultStats::storm_bursts,      &FaultStats::storm_tasks,
-    &FaultStats::spurious_wakes,    &FaultStats::yield_tasks,
-    &FaultStats::cpu_stalls,        &FaultStats::lock_stalls,
-    &FaultStats::conn_resets,       &FaultStats::conn_half_opens,
-    &FaultStats::slow_peer_windows, &FaultStats::reconnect_storms,
-};
-constexpr uint64_t AuditStats::*kAuditCounters[] = {
-    &AuditStats::audits,                  &AuditStats::picks_audited,
-    &AuditStats::conservation_violations, &AuditStats::counter_violations,
-    &AuditStats::structure_violations,    &AuditStats::table_violations,
-    &AuditStats::ordering_violations,     &AuditStats::starvation_reports,
-    &AuditStats::livelock_reports,
-};
-constexpr uint64_t MemoryStats::*kMemoryCounters[] = {
-    &MemoryStats::task_arena_bytes,  &MemoryStats::task_arena_chunks,
-    &MemoryStats::peak_live_sockets,
-};
-
 // Appends "name:c0,c1,..." over every counter of `record`, after a '|'
 // unless `out` is empty.
 template <typename T, size_t N>
 void AppendDigestSection(std::string* out, const char* name, const T& record,
-                         uint64_t T::* const (&fields)[N]) {
+                         const Counter<T> (&table)[N]) {
   static_assert(kTableCoversRecord<T, N>, "a counter is missing from its table");
   if (!out->empty()) {
     *out += '|';
@@ -206,7 +157,7 @@ void AppendDigestSection(std::string* out, const char* name, const T& record,
   *out += name;
   for (size_t i = 0; i < N; ++i) {
     *out += i == 0 ? ':' : ',';
-    *out += std::to_string(record.*fields[i]);
+    *out += std::to_string(record.*table[i].field);
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "src/base/token_codec.h"
 #include "src/faults/auditor.h"
 #include "src/faults/fault_plan.h"
 #include "src/sched/sched_stats.h"
@@ -55,6 +56,12 @@ struct MemoryStats {
   // Workload sockets alive at end of run. Today's workloads build their
   // sockets at Setup() and never destroy them, so this is also the peak.
   uint64_t peak_live_sockets = 0;
+};
+
+// Every MemoryStats counter, in codec order.
+inline constexpr Counter<MemoryStats> kMemoryCounters[] = {
+    ELSC_COUNTER(MemoryStats, task_arena_bytes), ELSC_COUNTER(MemoryStats, task_arena_chunks),
+    ELSC_COUNTER(MemoryStats, peak_live_sockets),
 };
 
 struct RunStats {

@@ -6,10 +6,11 @@
 // torn or glued line is rejected instead of read as garbage.
 //
 // A counter record (a struct of uint64_t counters and nothing else) is
-// listed once, as an array of member pointers in codec order, and
-// AppendCounters, ReadCounters and AddCounters walk that array. Each checks
-// that the array has one entry per counter, so a counter added to a record
-// but missing from its table does not compile.
+// listed once, beside its record, as a table of named counters in codec
+// order. AppendCounters, ReadCounters and AddCounters walk that table, and
+// so do the JSON writer (src/base/json_writer.h) and the /proc-style
+// reports. Each checks that the table has one entry per counter, so a
+// counter added to a record but missing from its table does not compile.
 
 #ifndef SRC_BASE_TOKEN_CODEC_H_
 #define SRC_BASE_TOKEN_CODEC_H_
@@ -121,25 +122,36 @@ class TokenReader {
   size_t pos_ = 0;
 };
 
-// True when a table of N member pointers names every counter of T.
+// One counter of record T: its field's name and a pointer to it.
+template <typename T>
+struct Counter {
+  const char* name;
+  uint64_t T::* field;
+};
+
+// A table entry whose name is its field's own spelling, so the two cannot
+// drift apart.
+#define ELSC_COUNTER(Record, field) {#field, &Record::field}
+
+// True when a table of N counters names every counter of T.
 template <typename T, size_t N>
 inline constexpr bool kTableCoversRecord = sizeof(T) == N * sizeof(uint64_t);
 
 // Writes the counters of `record` in table order.
 template <typename T, size_t N>
-void AppendCounters(std::string* out, const T& record, uint64_t T::* const (&fields)[N]) {
+void AppendCounters(std::string* out, const T& record, const Counter<T> (&table)[N]) {
   static_assert(kTableCoversRecord<T, N>, "a counter is missing from its table");
-  for (const auto field : fields) {
-    AppendU64(out, record.*field);
+  for (const Counter<T>& c : table) {
+    AppendU64(out, record.*c.field);
   }
 }
 
 // Reads back what AppendCounters wrote.
 template <typename T, size_t N>
-bool ReadCounters(TokenReader* in, T* record, uint64_t T::* const (&fields)[N]) {
+bool ReadCounters(TokenReader* in, T* record, const Counter<T> (&table)[N]) {
   static_assert(kTableCoversRecord<T, N>, "a counter is missing from its table");
-  for (const auto field : fields) {
-    if (!in->U64(&(record->*field))) {
+  for (const Counter<T>& c : table) {
+    if (!in->U64(&(record->*c.field))) {
       return false;
     }
   }
@@ -148,10 +160,10 @@ bool ReadCounters(TokenReader* in, T* record, uint64_t T::* const (&fields)[N]) 
 
 // Adds every counter of `from` into `into`.
 template <typename T, size_t N>
-void AddCounters(T* into, const T& from, uint64_t T::* const (&fields)[N]) {
+void AddCounters(T* into, const T& from, const Counter<T> (&table)[N]) {
   static_assert(kTableCoversRecord<T, N>, "a counter is missing from its table");
-  for (const auto field : fields) {
-    into->*field += from.*field;
+  for (const Counter<T>& c : table) {
+    into->*c.field += from.*c.field;
   }
 }
 

@@ -32,6 +32,7 @@
 #include <string>
 
 #include "src/base/time_units.h"
+#include "src/base/token_codec.h"
 #include "src/smp/machine.h"
 
 namespace elsc {
@@ -80,6 +81,15 @@ struct AuditStats {
   uint64_t watchdog_firings() const {
     return starvation_reports + livelock_reports;
   }
+};
+
+// Every AuditStats counter, in codec order.
+inline constexpr Counter<AuditStats> kAuditCounters[] = {
+    ELSC_COUNTER(AuditStats, audits), ELSC_COUNTER(AuditStats, picks_audited),
+    ELSC_COUNTER(AuditStats, conservation_violations), ELSC_COUNTER(AuditStats, counter_violations),
+    ELSC_COUNTER(AuditStats, structure_violations), ELSC_COUNTER(AuditStats, table_violations),
+    ELSC_COUNTER(AuditStats, ordering_violations), ELSC_COUNTER(AuditStats, starvation_reports),
+    ELSC_COUNTER(AuditStats, livelock_reports),
 };
 
 class SchedulerAuditor {

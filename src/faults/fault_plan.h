@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "src/base/time_units.h"
+#include "src/base/token_codec.h"
 
 namespace elsc {
 
@@ -115,6 +116,16 @@ struct FaultStats {
   uint64_t conn_half_opens = 0;    // Peer readers killed.
   uint64_t slow_peer_windows = 0;  // Throttle windows opened.
   uint64_t reconnect_storms = 0;   // Mass-reset storms launched.
+};
+
+// Every FaultStats counter, in codec order.
+inline constexpr Counter<FaultStats> kFaultCounters[] = {
+    ELSC_COUNTER(FaultStats, tick_drops), ELSC_COUNTER(FaultStats, tick_jitters),
+    ELSC_COUNTER(FaultStats, storm_bursts), ELSC_COUNTER(FaultStats, storm_tasks),
+    ELSC_COUNTER(FaultStats, spurious_wakes), ELSC_COUNTER(FaultStats, yield_tasks),
+    ELSC_COUNTER(FaultStats, cpu_stalls), ELSC_COUNTER(FaultStats, lock_stalls),
+    ELSC_COUNTER(FaultStats, conn_resets), ELSC_COUNTER(FaultStats, conn_half_opens),
+    ELSC_COUNTER(FaultStats, slow_peer_windows), ELSC_COUNTER(FaultStats, reconnect_storms),
 };
 
 // ---------------------------------------------------------------------------

@@ -43,8 +43,6 @@ bool JournalUnescape(const std::string& escaped, std::string* raw) {
   return true;
 }
 
-uint64_t RunJournal::Fingerprint(const std::string& data) { return Fnv1a64(data); }
-
 bool RunJournal::Open(const std::string& path, uint64_t matrix_id, size_t cells) {
   entries_.clear();
   error_.clear();
@@ -89,7 +87,7 @@ bool RunJournal::Open(const std::string& path, uint64_t matrix_id, size_t cells)
       }
       std::string payload;
       if (!JournalUnescape(line.substr(static_cast<size_t>(consumed)), &payload) ||
-          Fingerprint(payload) != sum) {
+          Fnv1a64(payload) != sum) {
         break;  // Torn or corrupt: stop here.
       }
       if (index < cells) {  // Ignore out-of-range records (id collision guard).
@@ -119,7 +117,7 @@ void RunJournal::Append(size_t index, int attempts, const std::string& payload) 
   }
   char prefix[64];
   std::snprintf(prefix, sizeof(prefix), "cell %zu %d %016" PRIx64 " ", index,
-                attempts, Fingerprint(payload));
+                attempts, Fnv1a64(payload));
   contents_ += prefix;
   contents_ += JournalEscape(payload);
   contents_ += '\n';

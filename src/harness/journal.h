@@ -70,9 +70,6 @@ class RunJournal {
     return entries_;
   }
 
-  // FNV-1a 64 over `data` (the payload checksum used in journal lines).
-  static uint64_t Fingerprint(const std::string& data);
-
  private:
   bool opened_ = false;
   std::mutex mu_;

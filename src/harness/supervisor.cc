@@ -337,7 +337,7 @@ EncodedSupervisedRun RunSupervisedEncoded(
   });
 
   out.stats = SummarizeOutcomes(out.outcomes);
-  out.stats.interrupted = stop.load(std::memory_order_acquire);
+  out.stats.interrupted = stop.load(std::memory_order_acquire) ? 1 : 0;
   return out;
 }
 

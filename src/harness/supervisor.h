@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "src/base/failure.h"
+#include "src/base/token_codec.h"
 
 namespace elsc {
 
@@ -103,7 +104,8 @@ struct CellOutcome {
   std::string error;                      // Final failure message ("" if ok).
 };
 
-// Aggregate counters surfaced in bench JSON and the /proc-style report.
+// Aggregate counters surfaced in bench JSON and the /proc-style report;
+// AddCounters over kSupervisionCounters folds several matrices into one.
 struct SupervisionStats {
   uint64_t cells = 0;
   uint64_t completed = 0;
@@ -114,22 +116,17 @@ struct SupervisionStats {
   uint64_t timeouts = 0;
   uint64_t violations = 0;
   uint64_t exceptions = 0;
-  bool interrupted = false;  // The interrupt hook stopped the run early.
-
-  void Accumulate(const SupervisionStats& other) {
-    cells += other.cells;
-    completed += other.completed;
-    quarantined += other.quarantined;
-    skipped += other.skipped;
-    resumed += other.resumed;
-    retries += other.retries;
-    timeouts += other.timeouts;
-    violations += other.violations;
-    exceptions += other.exceptions;
-    interrupted = interrupted || other.interrupted;
-  }
+  uint64_t interrupted = 0;  // Matrices the interrupt hook stopped early.
 
   bool AllOk() const { return quarantined == 0 && skipped == 0; }
+};
+
+inline constexpr Counter<SupervisionStats> kSupervisionCounters[] = {
+    ELSC_COUNTER(SupervisionStats, cells), ELSC_COUNTER(SupervisionStats, completed),
+    ELSC_COUNTER(SupervisionStats, quarantined), ELSC_COUNTER(SupervisionStats, skipped),
+    ELSC_COUNTER(SupervisionStats, resumed), ELSC_COUNTER(SupervisionStats, retries),
+    ELSC_COUNTER(SupervisionStats, timeouts), ELSC_COUNTER(SupervisionStats, violations),
+    ELSC_COUNTER(SupervisionStats, exceptions), ELSC_COUNTER(SupervisionStats, interrupted),
 };
 
 // Derives per-cell outcomes into aggregate stats.
@@ -168,36 +165,6 @@ struct SupervisedRun {
   bool AllOk() const { return stats.AllOk(); }
 };
 
-// Supervised drop-in for RunMatrix: runs `cells` cells with watchdog, retry,
-// quarantine, and (when a valid codec is supplied) journaled resume. Results
-// are index-ordered; a failed cell leaves a default-constructed result and a
-// non-kOk outcome. jobs = 0 means BenchJobs().
-template <typename Fn,
-          typename R = std::decay_t<std::invoke_result_t<Fn&, size_t>>>
-SupervisedRun<R> RunSupervised(const SupervisorOptions& options, size_t cells,
-                               Fn&& run_cell, CellCodec<R> codec = {},
-                               int jobs = 0) {
-  SupervisedRun<R> out;
-  out.results.resize(cells);
-  std::function<std::string(size_t)> run_encoded = [&](size_t i) {
-    R result = run_cell(i);
-    std::string payload = codec.encode ? codec.encode(result) : std::string();
-    out.results[i] = std::move(result);
-    return payload;
-  };
-  std::function<bool(size_t, const std::string&)> load_encoded;
-  if (codec.valid()) {
-    load_encoded = [&](size_t i, const std::string& payload) {
-      return codec.decode(payload, &out.results[i]);
-    };
-  }
-  EncodedSupervisedRun enc =
-      RunSupervisedEncoded(options, cells, run_encoded, load_encoded, jobs);
-  out.outcomes = std::move(enc.outcomes);
-  out.stats = enc.stats;
-  return out;
-}
-
 // Streaming variant of RunSupervised: instead of materializing every result
 // in an index-ordered vector, each completed cell is handed to
 // `consume(index, R&&)` the moment it finishes and then destroyed — memory
@@ -232,6 +199,26 @@ EncodedSupervisedRun RunSupervisedStream(const SupervisorOptions& options,
     };
   }
   return RunSupervisedEncoded(options, cells, run_encoded, load_encoded, jobs);
+}
+
+// Supervised drop-in for RunMatrix: runs `cells` cells with watchdog, retry,
+// quarantine, and (when a valid codec is supplied) journaled resume. Results
+// are index-ordered; a failed cell leaves a default-constructed result and a
+// non-kOk outcome. jobs = 0 means BenchJobs().
+template <typename Fn,
+          typename R = std::decay_t<std::invoke_result_t<Fn&, size_t>>>
+SupervisedRun<R> RunSupervised(const SupervisorOptions& options, size_t cells,
+                               Fn&& run_cell, CellCodec<R> codec = {},
+                               int jobs = 0) {
+  SupervisedRun<R> out;
+  out.results.resize(cells);
+  EncodedSupervisedRun enc = RunSupervisedStream(
+      options, cells, std::forward<Fn>(run_cell),
+      [&out](size_t i, R&& result) { out.results[i] = std::move(result); },
+      std::move(codec), jobs);
+  out.outcomes = std::move(enc.outcomes);
+  out.stats = enc.stats;
+  return out;
 }
 
 }  // namespace elsc

@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "src/base/time_units.h"
+#include "src/base/token_codec.h"
 
 namespace elsc {
 
@@ -53,6 +54,22 @@ struct SchedStats {
   }
 
   void Reset() { *this = SchedStats{}; }
+};
+
+// Every SchedStats counter, in codec order.
+inline constexpr Counter<SchedStats> kSchedCounters[] = {
+    ELSC_COUNTER(SchedStats, schedule_calls), ELSC_COUNTER(SchedStats, idle_schedules),
+    ELSC_COUNTER(SchedStats, cycles_in_schedule), ELSC_COUNTER(SchedStats, lock_wait_cycles),
+    ELSC_COUNTER(SchedStats, tasks_examined), ELSC_COUNTER(SchedStats, recalc_entries),
+    ELSC_COUNTER(SchedStats, recalc_tasks_touched), ELSC_COUNTER(SchedStats, picks_new_processor),
+    ELSC_COUNTER(SchedStats, picks_prev), ELSC_COUNTER(SchedStats, picks_no_affinity),
+    ELSC_COUNTER(SchedStats, yield_reruns), ELSC_COUNTER(SchedStats, wakeups),
+    ELSC_COUNTER(SchedStats, preemption_ipis), ELSC_COUNTER(SchedStats, percpu_lock_acquisitions),
+    ELSC_COUNTER(SchedStats, percpu_lock_contended),
+    ELSC_COUNTER(SchedStats, percpu_lock_hold_cycles),
+    ELSC_COUNTER(SchedStats, percpu_lock_wait_cycles), ELSC_COUNTER(SchedStats, double_locks),
+    ELSC_COUNTER(SchedStats, load_balance_calls), ELSC_COUNTER(SchedStats, pull_migrations),
+    ELSC_COUNTER(SchedStats, array_swaps),
 };
 
 }  // namespace elsc

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/base/assert.h"
+#include "src/base/token_codec.h"
 #include "src/base/time_units.h"
 #include "src/sim/event_callback.h"
 
@@ -47,6 +48,13 @@ struct EventQueueStats {
   uint64_t callback_heap_allocs = 0;
   uint64_t slot_allocs = 0;
   uint64_t max_heap_depth = 0;
+};
+
+// Every EventQueueStats counter, in codec order.
+inline constexpr Counter<EventQueueStats> kEventQueueCounters[] = {
+    ELSC_COUNTER(EventQueueStats, scheduled), ELSC_COUNTER(EventQueueStats, fired),
+    ELSC_COUNTER(EventQueueStats, cancelled), ELSC_COUNTER(EventQueueStats, callback_heap_allocs),
+    ELSC_COUNTER(EventQueueStats, slot_allocs), ELSC_COUNTER(EventQueueStats, max_heap_depth),
 };
 
 class EventQueue {

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/base/time_units.h"
+#include "src/base/token_codec.h"
 #include "src/faults/fault_plan.h"
 #include "src/net/socket.h"
 
@@ -68,13 +69,13 @@ struct FabricStats {
 
 // Every FabricStats counter, in codec order: the checkpoint's fabric record
 // and the federation digest's trailer walk it (src/base/token_codec.h).
-inline constexpr uint64_t FabricStats::*kFabricCounters[] = {
-    &FabricStats::emitted,         &FabricStats::routed,
-    &FabricStats::refused,         &FabricStats::dropped_closed,
-    &FabricStats::exchanges,       &FabricStats::max_window_backlog,
-    &FabricStats::dropped_loss,    &FabricStats::dropped_partition,
-    &FabricStats::dropped_crashed, &FabricStats::dropped_lane_overflow,
-    &FabricStats::duplicated,
+inline constexpr Counter<FabricStats> kFabricCounters[] = {
+    ELSC_COUNTER(FabricStats, emitted), ELSC_COUNTER(FabricStats, routed),
+    ELSC_COUNTER(FabricStats, refused), ELSC_COUNTER(FabricStats, dropped_closed),
+    ELSC_COUNTER(FabricStats, exchanges), ELSC_COUNTER(FabricStats, max_window_backlog),
+    ELSC_COUNTER(FabricStats, dropped_loss), ELSC_COUNTER(FabricStats, dropped_partition),
+    ELSC_COUNTER(FabricStats, dropped_crashed), ELSC_COUNTER(FabricStats, dropped_lane_overflow),
+    ELSC_COUNTER(FabricStats, duplicated),
 };
 
 // Checkpointable fabric state. Lanes are deliberately absent: checkpoints

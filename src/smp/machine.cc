@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/base/assert.h"
-#include "src/base/log.h"
 
 namespace elsc {
 
@@ -320,11 +319,6 @@ void Machine::Dispatch(int cpu_id, Task* next) {
   ++c.stats.context_switches;
   ++stats_.context_switches;
 
-  if (LogEnabled(LogLevel::kTrace)) {
-    ELSC_LOG_TRACE("[%llu] cpu%d dispatch %s (pid %d, counter %ld)",
-                   static_cast<unsigned long long>(Now()), cpu_id, next->name.c_str(), next->pid,
-                   next->counter);
-  }
   trace_.Record(Now(), TraceEventType::kDispatch, cpu_id, next->pid);
 
   InstallSegment(cpu_id, overhead);
@@ -504,11 +498,6 @@ void Machine::OnSegmentEnd(int cpu_id, uint64_t generation) {
 void Machine::ExitTask(int cpu_id, Task* task) {
   task->state = TaskState::kZombie;
   ++task->stats.voluntary_switches;
-  if (LogEnabled(LogLevel::kTrace)) {
-    ELSC_LOG_TRACE("[%llu] exit %s (pid %d) after %.3f ms cpu",
-                   static_cast<unsigned long long>(Now()), task->name.c_str(), task->pid,
-                   CyclesToMs(task->stats.cpu_cycles));
-  }
   trace_.Record(Now(), TraceEventType::kExit, cpu_id, task->pid);
   task_list_.Remove(task);
   ELSC_CHECK(live_tasks_ > 0);
@@ -639,10 +628,6 @@ void Machine::WakeUpProcess(Task* task) {
   task->state = TaskState::kRunning;
   task->became_runnable_at = Now();
   ++stats_.wakeups;
-  if (LogEnabled(LogLevel::kTrace)) {
-    ELSC_LOG_TRACE("[%llu] wake %s (pid %d)", static_cast<unsigned long long>(Now()),
-                   task->name.c_str(), task->pid);
-  }
   trace_.Record(Now(), TraceEventType::kWake, -1, task->pid);
   if (!task->OnRunQueue()) {
     scheduler_->AddToRunQueue(task);

@@ -30,6 +30,7 @@
 #include "src/base/bitmap.h"
 #include "src/base/rng.h"
 #include "src/base/time_units.h"
+#include "src/base/token_codec.h"
 #include "src/kernel/behavior.h"
 #include "src/kernel/pid_allocator.h"
 #include "src/kernel/task.h"
@@ -86,6 +87,18 @@ struct MachineStats {
   uint64_t ticks_dropped = 0;      // Timer ticks lost to injected tick loss.
   uint64_t cpu_stalls = 0;         // StallCpu() stall windows entered.
   Cycles lock_stall_cycles = 0;    // Injected lock-holder preemption time.
+};
+
+// Every MachineStats counter, in codec order. peak_live_tasks comes last
+// here, not where MachineStats declares it: it joined the codec after the
+// others, and the digest keeps the codec order.
+inline constexpr Counter<MachineStats> kMachineCounters[] = {
+    ELSC_COUNTER(MachineStats, ticks), ELSC_COUNTER(MachineStats, context_switches),
+    ELSC_COUNTER(MachineStats, migrations), ELSC_COUNTER(MachineStats, wakeups),
+    ELSC_COUNTER(MachineStats, tasks_created), ELSC_COUNTER(MachineStats, tasks_exited),
+    ELSC_COUNTER(MachineStats, quantum_expiries), ELSC_COUNTER(MachineStats, preempt_requests),
+    ELSC_COUNTER(MachineStats, ticks_dropped), ELSC_COUNTER(MachineStats, cpu_stalls),
+    ELSC_COUNTER(MachineStats, lock_stall_cycles), ELSC_COUNTER(MachineStats, peak_live_tasks),
 };
 
 // Per-CPU run-queue lock accounting (per-CPU-queue schedulers only; every

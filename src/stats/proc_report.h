@@ -10,7 +10,6 @@
 #include <string>
 
 #include "src/harness/supervisor.h"
-#include "src/net/socket.h"
 #include "src/smp/machine.h"
 
 namespace elsc {
@@ -18,13 +17,6 @@ namespace elsc {
 // Renders /proc/elsc_sched_stats-style text for a machine after (or during)
 // a run.
 std::string RenderProcSchedStats(const Machine& machine);
-
-// Renders one socket's counters in the same `key: value` style, including
-// the connection-lifecycle causes (closes, peer resets, half-opens, reopens,
-// EOF/reset/EPIPE-analog outcomes, discarded messages). Lifecycle lines are
-// omitted when every lifecycle counter is zero, so pre-lifecycle reports
-// render unchanged.
-std::string RenderSocketStats(const std::string& name, const SocketStats& stats);
 
 // Renders the run-supervisor's aggregate counters (retries, quarantines,
 // timeouts, resumed-from-journal cells) in the same `key: value` style; the

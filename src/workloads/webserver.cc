@@ -210,28 +210,4 @@ WebserverResult WebserverWorkload::Result() const {
   return result;
 }
 
-std::string RenderWebserverReport(const WebserverResult& r) {
-  std::string out;
-  out += StrFormat("requests_arrived:     %llu\n", (unsigned long long)r.requests_arrived);
-  out += StrFormat("requests_completed:   %llu\n", (unsigned long long)r.requests_completed);
-  out += StrFormat("requests_dropped:     %llu\n", (unsigned long long)r.requests_dropped);
-  if (r.requests_dropped > 0) {
-    out += StrFormat("dropped_backlog:      %llu\n", (unsigned long long)r.dropped_backlog);
-    out += StrFormat("dropped_shed:         %llu\n", (unsigned long long)r.dropped_shed);
-    out += StrFormat("dropped_reset:        %llu\n", (unsigned long long)r.dropped_reset);
-  }
-  if (r.retries > 0 || r.abandons > 0) {
-    out += StrFormat("retries:              %llu\n", (unsigned long long)r.retries);
-    out += StrFormat("abandons:             %llu\n", (unsigned long long)r.abandons);
-  }
-  out += StrFormat("elapsed_sec:          %.3f\n", r.elapsed_sec);
-  out += StrFormat("throughput_rps:       %.1f\n", r.throughput);
-  out += StrFormat("latency_mean_us:      %.1f\n", r.latency_mean_us);
-  out += StrFormat("latency_p50_us:       %llu\n", (unsigned long long)r.latency_p50_us);
-  out += StrFormat("latency_p95_us:       %llu\n", (unsigned long long)r.latency_p95_us);
-  out += StrFormat("latency_p99_us:       %llu\n", (unsigned long long)r.latency_p99_us);
-  out += StrFormat("latency_p999_us:      %llu\n", (unsigned long long)r.latency_p999_us);
-  return out;
-}
-
 }  // namespace elsc

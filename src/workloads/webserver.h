@@ -81,12 +81,6 @@ struct WebserverResult {
   uint64_t latency_p999_us = 0;
 };
 
-// Proc-style `key: value` report of a webserver run: goodput, the per-cause
-// drop breakdown, retry/abandon counters, and the latency tail through
-// p99.9. Resilience lines (drop causes, retries) appear only when nonzero,
-// so classic runs render exactly as before the overload layer existed.
-std::string RenderWebserverReport(const WebserverResult& result);
-
 class WebserverWorkload {
  public:
   WebserverWorkload(Machine& machine, const WebserverConfig& config);

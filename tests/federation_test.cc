@@ -231,21 +231,38 @@ TEST(FederationTest, FaultFreeRunReportsZeroFaultCounters) {
       << sig;
   EXPECT_EQ(sig.find("failure:"), std::string::npos);
   const std::string json = RenderOneCell(config, run);
-  EXPECT_NE(json.find("\"failure_model\": {\"node_crashes\": 0, \"node_restarts\": 0, "
-                      "\"windows_degraded\": 0, \"deliveries_lost\": 0, \"retransmits\": 0, "
-                      "\"retx_abandoned\": 0, \"dup_discards\": 0, \"acks_sent\": 0, "
-                      "\"acks_received\": 0, \"crash_inflight_dropped\": 0, "
-                      "\"chat_messages_lost\": 0,"),
+  EXPECT_NE(json.find("\"failure_model\": {\n"
+                      "        \"node_crashes\": 0,\n"
+                      "        \"node_restarts\": 0,\n"
+                      "        \"windows_degraded\": 0,\n"
+                      "        \"deliveries_lost\": 0,\n"),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"fabric_drops\": {\"loss\": 0, \"partition\": 0, \"crashed\": 0, "
-                      "\"lane_overflow\": 0, \"duplicated\": 0}"),
+  // The recovery counters close the "fed" block, the drop causes "fabric".
+  EXPECT_NE(json.find("        \"retransmits\": 0,\n"
+                      "        \"retx_abandoned\": 0,\n"
+                      "        \"dup_discards\": 0,\n"
+                      "        \"acks_sent\": 0,\n"
+                      "        \"acks_received\": 0,\n"
+                      "        \"chat_messages_lost\": 0,\n"
+                      "        \"crash_inflight_dropped\": 0\n"
+                      "      },\n"
+                      "      \"fabric\": {\n"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("        \"dropped_loss\": 0,\n"
+                      "        \"dropped_partition\": 0,\n"
+                      "        \"dropped_crashed\": 0,\n"
+                      "        \"dropped_lane_overflow\": 0,\n"
+                      "        \"duplicated\": 0\n"
+                      "      },\n"
+                      "      \"failure_model\""),
             std::string::npos)
       << json;
 }
 
 // A bounded fabric lane drops beacons with no fault plan armed. The
-// signature's lost: and the JSON's lane_overflow must say so.
+// signature's lost: and the JSON's dropped_lane_overflow must say so.
 TEST(FederationTest, FaultFreeLaneOverflowIsReported) {
   ScaleConfig config = TinyConfig();
   config.gossip_period = UsToCycles(200);
@@ -262,7 +279,7 @@ TEST(FederationTest, FaultFreeLaneOverflowIsReported) {
       << sig;
   EXPECT_EQ(run.fabric.dropped_lane_overflow, lost);
   const std::string json = RenderOneCell(config, run);
-  EXPECT_NE(json.find(StrFormat("\"lane_overflow\": %llu,",
+  EXPECT_NE(json.find(StrFormat("\"dropped_lane_overflow\": %llu,",
                                 static_cast<unsigned long long>(lost))),
             std::string::npos)
       << json;

@@ -8,10 +8,8 @@
 #include "src/sched/linux_scheduler.h"
 #include "src/sched/multiqueue_scheduler.h"
 #include "src/smp/machine.h"
-#include "src/stats/proc_report.h"
 #include "src/stats/ps_report.h"
 #include "src/stats/table.h"
-#include "src/workloads/webserver.h"
 #include "src/workloads/micro_behaviors.h"
 #include "tests/sched_test_util.h"
 
@@ -147,62 +145,6 @@ TEST(PsReportTest, ZombiesHiddenUnlessRequested) {
   PsOptions with_zombies;
   with_zombies.include_zombies = true;
   EXPECT_NE(RenderPs(machine, with_zombies).find("ephemeral"), std::string::npos);
-}
-
-TEST(SocketReportTest, LifecycleBlockOnlyWhenEventsHappened) {
-  SocketStats quiet;
-  quiet.writes = 10;
-  quiet.reads = 10;
-  const std::string quiet_report = RenderSocketStats("httpd.accept", quiet);
-  EXPECT_NE(quiet_report.find("socket:               httpd.accept"), std::string::npos);
-  EXPECT_NE(quiet_report.find("writes:               10"), std::string::npos);
-  // No lifecycle event => the classic report, byte-for-byte: no cause lines.
-  EXPECT_EQ(quiet_report.find("peer_resets"), std::string::npos);
-  EXPECT_EQ(quiet_report.find("discarded"), std::string::npos);
-
-  SocketStats churned = quiet;
-  churned.peer_resets = 3;
-  churned.reopens = 3;
-  churned.read_eofs = 2;
-  churned.write_closed = 1;
-  churned.discarded = 5;
-  const std::string churned_report = RenderSocketStats("volano.c2s", churned);
-  EXPECT_NE(churned_report.find("peer_resets:          3"), std::string::npos);
-  EXPECT_NE(churned_report.find("reopens:              3"), std::string::npos);
-  EXPECT_NE(churned_report.find("read_eofs:            2"), std::string::npos);
-  EXPECT_NE(churned_report.find("write_closed:         1"), std::string::npos);
-  EXPECT_NE(churned_report.find("discarded:            5"), std::string::npos);
-}
-
-TEST(WebserverReportTest, SurfacesDropCausesAndTail) {
-  WebserverResult r;
-  r.requests_arrived = 1000;
-  r.requests_completed = 900;
-  r.dropped_backlog = 60;
-  r.dropped_shed = 30;
-  r.dropped_reset = 10;
-  r.requests_dropped = 100;
-  r.retries = 40;
-  r.abandons = 7;
-  r.latency_p50_us = 700;
-  r.latency_p99_us = 9000;
-  r.latency_p999_us = 20000;
-  const std::string report = RenderWebserverReport(r);
-  EXPECT_NE(report.find("dropped_backlog:      60"), std::string::npos);
-  EXPECT_NE(report.find("dropped_shed:         30"), std::string::npos);
-  EXPECT_NE(report.find("dropped_reset:        10"), std::string::npos);
-  EXPECT_NE(report.find("retries:              40"), std::string::npos);
-  EXPECT_NE(report.find("abandons:             7"), std::string::npos);
-  EXPECT_NE(report.find("latency_p999_us:      20000"), std::string::npos);
-
-  // A classic run (no drops, no retries) renders no resilience lines.
-  WebserverResult clean;
-  clean.requests_arrived = 10;
-  clean.requests_completed = 10;
-  const std::string clean_report = RenderWebserverReport(clean);
-  EXPECT_EQ(clean_report.find("dropped_backlog"), std::string::npos);
-  EXPECT_EQ(clean_report.find("retries"), std::string::npos);
-  EXPECT_NE(clean_report.find("latency_p999_us"), std::string::npos);
 }
 
 TEST(TableCsvTest, RendersCsvAndWritesFile) {
