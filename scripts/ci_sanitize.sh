@@ -6,8 +6,9 @@
 # the auditor's pick observer — which is exactly where a latent race or
 # lifetime bug would hide. The storage tests cover the code that
 # placement-news objects into byte buffers (task arena slots, InlineFunction
-# and EventCallback storage, socket rings), where a misaligned or
-# double-destroyed object would hide.
+# and EventCallback storage, event slots and the engine tests that build
+# closures in them and cancel events from inside handlers, socket rings),
+# where a misaligned or double-destroyed object would hide.
 #
 #   usage: scripts/ci_sanitize.sh [thread|address|all]   (default: all)
 #

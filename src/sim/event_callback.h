@@ -8,6 +8,10 @@
 // captures in place and only falls back to the heap for oversized or
 // throwing-move callables (the EventQueue counts those fallbacks in its
 // stats so regressions are visible).
+//
+// The EventQueue builds each closure directly in its slot's callback with
+// Emplace(), so an event's closure is constructed once, moved once (out of
+// the slot when it fires or is cancelled) and destroyed once.
 
 #ifndef SRC_SIM_EVENT_CALLBACK_H_
 #define SRC_SIM_EVENT_CALLBACK_H_
@@ -33,15 +37,7 @@ class EventCallback {
                 !std::is_same_v<std::decay_t<F>, EventCallback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventCallback(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::kOps;
-    } else {
-      *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
-      ops_ = &HeapOps<Fn>::kOps;
-    }
+    Construct(std::forward<F>(f));
   }
 
   EventCallback(EventCallback&& other) noexcept : ops_(other.ops_) {
@@ -70,6 +66,20 @@ class EventCallback {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
+  // Replaces the held callable with `f`: a callable is constructed directly
+  // in this callback's storage, an EventCallback rvalue moves in. Like the
+  // constructors, it rejects an lvalue EventCallback (the type is move-only).
+  template <typename F>
+    requires std::is_constructible_v<EventCallback, F>
+  void Emplace(F&& f) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, EventCallback>) {
+      *this = std::move(f);
+    } else {
+      Reset();
+      Construct(std::forward<F>(f));
+    }
+  }
+
   // True when the callable did not fit the inline buffer.
   bool heap_allocated() const { return ops_ != nullptr && ops_->heap; }
 
@@ -82,10 +92,10 @@ class EventCallback {
     bool heap;
     // Trivially-copyable inline callables (almost every closure the Machine
     // schedules: captures of pointers and integers only) relocate by plain
-    // memcpy and need no destructor call. Each event is scheduled, moved into
-    // its queue slot, moved back out, fired, and destroyed — skipping the
-    // indirect relocate/destroy calls on that round trip is a measurable
-    // share of the simulator's host time.
+    // memcpy and need no destructor call. Each event is built in its queue
+    // slot, moved out, fired, and destroyed — skipping the indirect
+    // relocate/destroy calls on that path is a measurable share of the
+    // simulator's host time.
     bool trivial;
   };
 
@@ -112,6 +122,21 @@ class EventCallback {
     static void Destroy(void* storage) { delete Get(storage); }
     static constexpr Ops kOps{&Invoke, &Relocate, &Destroy, true, false};
   };
+
+  // Precondition: empty. ops_ is set last, so a throwing construction
+  // leaves the callback empty.
+  template <typename F>
+  void Construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      ops_ = &InlineOps<Fn>::kOps;
+    } else {
+      *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
+      ops_ = &HeapOps<Fn>::kOps;
+    }
+  }
 
   // Precondition: ops_ == other.ops_ != nullptr. Leaves `other` empty.
   void MoveFrom(EventCallback& other) noexcept {
@@ -142,6 +167,12 @@ class EventCallback {
   const Ops* ops_ = nullptr;
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
 };
+
+// What an event can be scheduled with (EventQueue::Schedule,
+// Engine::ScheduleAfter/ScheduleAt): a void() callable, or an EventCallback
+// rvalue. An lvalue EventCallback is rejected, because the type is move-only.
+template <typename F>
+concept EventCallable = std::is_constructible_v<EventCallback, F>;
 
 }  // namespace elsc
 

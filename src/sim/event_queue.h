@@ -2,22 +2,32 @@
 //
 // Events with equal timestamps fire in insertion order (a strict requirement
 // for reproducibility: a timer tick and a segment end at the same cycle must
-// resolve deterministically).
+// resolve deterministically). Every event sorts by (when, seq), where seq is
+// its insertion number.
 //
-// Hot-path design: event state lives in a slab of reusable slots indexed by
-// a 4-ary min-heap of slot indices, and callbacks use the small-buffer
-// EventCallback type — so scheduling, firing, and cancelling events allocate
-// nothing in steady state (the slab and heap arrays grow to the high-water
-// mark once and are then recycled). Event ids carry the slot's generation
-// counter, which makes Cancel() exact and O(log n): ids of events that
-// already fired or were cancelled never match a live slot, so there is no
-// tombstone set and no way to corrupt the live count by cancelling a stale
-// id.
+// Two tiers. Most events the simulator schedules are due before almost
+// everything already pending (a pick completion, the end of the segment just
+// dispatched), so, much as the ELSC table keeps its likely next pick in
+// top/next_top, a small sorted front tier of kFrontCapacity entries takes
+// every new event and a 4-ary min-heap holds the rest. When the front is
+// full, its latest entry spills to the heap (or the new event goes there, if
+// it is later still); nothing moves back. The tiers keep no ordering
+// invariant between them: PopNext() and NextTime() take whichever of the
+// front's earliest entry and the heap's root sorts first. An event that
+// fires from the front never pays a heap push or pop.
 //
-// Everything is defined in this header: schedule/pop/sift are called once or
-// more per simulated event from several translation units (engine, machine,
-// benches), and cross-TU inlining of this path is a measurable share of the
-// simulator's host time.
+// Allocation: event state lives in a slab of reusable slots, and each
+// callback is built directly in its slot's small-buffer EventCallback — so
+// scheduling, firing, and cancelling events allocate nothing in steady state
+// (the slab and heap arrays grow to the high-water mark once and are then
+// recycled). Event ids carry the slot's generation counter, which makes
+// Cancel() exact: ids of events that already fired or were cancelled never
+// match a live slot, so there is no tombstone set and no way to corrupt the
+// live count by cancelling a stale id. A slot's heap_index says where its
+// entry is: a heap position, the front tier, or free.
+//
+// Everything is defined in this header, as templates or inline functions, so
+// each call site builds its closure straight into the slot.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -47,6 +57,9 @@ struct EventQueueStats {
   uint64_t cancelled = 0;
   uint64_t callback_heap_allocs = 0;
   uint64_t slot_allocs = 0;
+  // Peak number of pending events, front tier and heap together. The name
+  // predates the front tier; it is kept because it is a JSON key and a field
+  // of EngineDigest.
   uint64_t max_heap_depth = 0;
 };
 
@@ -59,27 +72,42 @@ inline constexpr Counter<EventQueueStats> kEventQueueCounters[] = {
 
 class EventQueue {
  public:
+  // Entries in the front tier. Counted on the repository benchmark's three
+  // workloads (perfbench, seed 42; docs/PERF.md): with 16 entries, 1.0% of
+  // the 4P web server's 13.2M events pass through the heap (15% with 4, 4.5%
+  // with 8, 0.02% with 32), and VolanoMark and the federation never reach it
+  // (nor do they with 8). Run time did not separate 4 to 32 entries beyond
+  // host noise. 16 entries cost 384 bytes per queue; 32 would double that,
+  // to 0.9% of the federation's peak RSS, for 1% of the web server's events.
+  static constexpr uint32_t kFrontCapacity = 16;
+
   struct Fired {
     Cycles when = 0;
     EventId id = 0;
     EventCallback fn;
   };
 
-  // Schedules `fn` to fire at absolute time `when`. Returns an id usable with
-  // Cancel().
-  EventId Schedule(Cycles when, EventCallback fn) {
-    const uint32_t index = AcquireSlot();
+  // Schedules `fn` to fire at absolute time `when`, building it directly in
+  // the event's slot. Returns an id usable with Cancel().
+  template <EventCallable F>
+  EventId Schedule(Cycles when, F&& fn) {
+    if (free_head_ == kNullIndex) {
+      GrowSlab();
+    }
+    const uint32_t index = free_head_;
     Slot& slot = slots_[index];
-    if (fn.heap_allocated()) {
+    // Built while the slot is still on the free list, so a closure that
+    // throws on construction leaves the queue as it was.
+    slot.fn.Emplace(std::forward<F>(fn));
+    free_head_ = slot.next_free;
+    slot.next_free = kNullIndex;
+    if (slot.fn.heap_allocated()) {
       ++stats_.callback_heap_allocs;
     }
-    slot.fn = std::move(fn);
-    heap_.push_back(HeapEntry{when, next_seq_++, index});
-    slot.heap_index = static_cast<uint32_t>(heap_.size() - 1);
-    SiftUp(heap_.size() - 1);
+    FrontInsert(HeapEntry{when, next_seq_++, index});
     ++stats_.scheduled;
-    if (heap_.size() > stats_.max_heap_depth) {
-      stats_.max_heap_depth = heap_.size();
+    if (Size() > stats_.max_heap_depth) {
+      stats_.max_heap_depth = Size();
     }
     return MakeId(index, slot.generation);
   }
@@ -96,29 +124,41 @@ class EventQueue {
     if (slot.generation != static_cast<uint32_t>(id >> 32) || slot.heap_index == kNullIndex) {
       return false;  // Already fired, already cancelled, or never issued.
     }
-    HeapRemoveAt(slot.heap_index);
+    if (slot.heap_index == kFrontIndex) {
+      FrontRemove(index);
+    } else {
+      HeapRemoveAt(slot.heap_index);
+    }
+    // Destroyed on return, once the queue is consistent again: a closure's
+    // destructor may run arbitrary code.
+    const EventCallback cancelled = std::move(slot.fn);
     ReleaseSlot(index);
     ++stats_.cancelled;
     return true;
   }
 
-  bool Empty() const { return heap_.empty(); }
-  size_t Size() const { return heap_.size(); }
+  bool Empty() const { return front_size_ == 0 && heap_.empty(); }
+  size_t Size() const { return front_size_ + heap_.size(); }
 
   // Time of the earliest pending event. Only valid when !Empty().
   Cycles NextTime() const {
-    ELSC_CHECK_MSG(!heap_.empty(), "NextTime() on empty event queue");
-    return heap_[0].when;
+    ELSC_CHECK_MSG(!Empty(), "NextTime() on empty event queue");
+    return FrontIsNext() ? front_[front_size_ - 1].when : heap_[0].when;
   }
 
   // Pops and returns the earliest pending event. Only valid when !Empty().
   Fired PopNext() {
-    ELSC_CHECK_MSG(!heap_.empty(), "PopNext() on empty event queue");
-    const uint32_t index = heap_[0].slot;
-    Slot& slot = slots_[index];
-    Fired fired{heap_[0].when, MakeId(index, slot.generation), std::move(slot.fn)};
-    HeapRemoveAt(0);
-    ReleaseSlot(index);
+    ELSC_CHECK_MSG(!Empty(), "PopNext() on empty event queue");
+    const bool from_front = FrontIsNext();
+    const HeapEntry next = from_front ? front_[front_size_ - 1] : heap_[0];
+    if (from_front) {
+      --front_size_;
+    } else {
+      HeapRemoveAt(0);
+    }
+    Slot& slot = slots_[next.slot];
+    Fired fired{next.when, MakeId(next.slot, slot.generation), std::move(slot.fn)};
+    ReleaseSlot(next.slot);
     ++stats_.fired;
     return fired;
   }
@@ -126,17 +166,20 @@ class EventQueue {
   const EventQueueStats& stats() const { return stats_; }
 
  private:
-  static constexpr uint32_t kNullIndex = 0xffffffffu;
+  // Slot::heap_index values that are not heap positions.
+  static constexpr uint32_t kNullIndex = 0xffffffffu;   // Free slot.
+  static constexpr uint32_t kFrontIndex = 0xfffffffeu;  // Entry in the front tier.
   // A 4-ary heap trades slightly more comparisons per level for half the
   // levels and far better cache behavior than a binary heap: the four
   // children of a node are adjacent in one cache line of indices.
   static constexpr size_t kArity = 4;
 
   struct Slot {
-    // The (when, seq) sort key lives in the heap entry, not here.
+    // The (when, seq) sort key lives in the tier entry, not here. Empty
+    // while the slot is free.
     EventCallback fn;
     uint32_t generation = 1;     // Bumped on release; stale ids never match.
-    uint32_t heap_index = kNullIndex;  // kNullIndex when free.
+    uint32_t heap_index = kNullIndex;
     uint32_t next_free = kNullIndex;
   };
 
@@ -144,10 +187,11 @@ class EventQueue {
     return (static_cast<uint64_t>(generation) << 32) | (index + 1);
   }
 
-  // Heap entries carry the full sort key alongside the slot index, so sift
-  // comparisons read only the (hot, densely packed) heap array and never
-  // touch the slot slab — a Slot is dominated by its callback buffer, and
-  // chasing it per comparison was the queue's main cache-miss source.
+  // Tier entries carry the full sort key alongside the slot index, so
+  // comparisons read only the (hot, densely packed) front and heap arrays
+  // and never touch the slot slab — a Slot is dominated by its callback
+  // buffer, and chasing it per comparison was the queue's main cache-miss
+  // source.
   struct HeapEntry {
     Cycles when;
     uint64_t seq;
@@ -159,25 +203,69 @@ class EventQueue {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
 
-  uint32_t AcquireSlot() {
-    if (free_head_ != kNullIndex) {
-      const uint32_t index = free_head_;
-      free_head_ = slots_[index].next_free;
-      slots_[index].next_free = kNullIndex;
-      return index;
-    }
-    slots_.emplace_back();
-    ++stats_.slot_allocs;
-    return static_cast<uint32_t>(slots_.size() - 1);
+  // Whether the next event to fire is the front tier's earliest entry rather
+  // than the heap's root. Only valid when !Empty().
+  bool FrontIsNext() const {
+    return front_size_ != 0 && (heap_.empty() || Before(front_[front_size_ - 1], heap_[0]));
   }
 
+  // Inserts `entry` into the front tier, which is sorted latest-first so
+  // that its earliest entry sits at the back. A full front spills its latest
+  // entry to the heap, or `entry` itself if that is later still.
+  void FrontInsert(const HeapEntry& entry) {
+    uint32_t pos = front_size_;
+    if (pos == kFrontCapacity) {
+      if (Before(front_[0], entry)) {
+        HeapPush(entry);
+        return;
+      }
+      HeapPush(front_[0]);
+      // Entries [1, pos) are later than `entry`: they close the gap at 0.
+      while (pos > 1 && Before(front_[pos - 1], entry)) {
+        --pos;
+      }
+      std::copy(front_ + 1, front_ + pos, front_);
+      front_[pos - 1] = entry;
+    } else {
+      while (pos > 0 && Before(front_[pos - 1], entry)) {
+        front_[pos] = front_[pos - 1];
+        --pos;
+      }
+      front_[pos] = entry;
+      ++front_size_;
+    }
+    slots_[entry.slot].heap_index = kFrontIndex;
+  }
+
+  void FrontRemove(uint32_t slot) {
+    HeapEntry* const end = front_ + front_size_;
+    HeapEntry* const at =
+        std::find_if(front_, end, [slot](const HeapEntry& e) { return e.slot == slot; });
+    ELSC_DCHECK(at != end);
+    std::copy(at + 1, end, at);
+    --front_size_;
+  }
+
+  // Precondition: the free list is empty. Appends a slot and makes it the
+  // free list.
+  void GrowSlab() {
+    slots_.emplace_back();
+    ++stats_.slot_allocs;
+    free_head_ = static_cast<uint32_t>(slots_.size() - 1);
+  }
+
+  // Precondition: the slot's callback has been moved out.
   void ReleaseSlot(uint32_t index) {
     Slot& slot = slots_[index];
     ++slot.generation;  // Invalidate every outstanding id for this slot.
     slot.heap_index = kNullIndex;
-    slot.fn = EventCallback();
     slot.next_free = free_head_;
     free_head_ = index;
+  }
+
+  void HeapPush(const HeapEntry& entry) {
+    heap_.push_back(entry);
+    SiftUp(heap_.size() - 1);
   }
 
   void SiftUp(size_t pos) {
@@ -236,6 +324,8 @@ class EventQueue {
   }
 
   std::vector<Slot> slots_;
+  HeapEntry front_[kFrontCapacity] = {};  // Sorted latest-first; [0, front_size_) live.
+  uint32_t front_size_ = 0;
   std::vector<HeapEntry> heap_;  // 4-ary min-heap keyed by (when, seq).
   uint32_t free_head_ = kNullIndex;
   uint64_t next_seq_ = 0;

@@ -5,10 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 namespace elsc {
 namespace {
+
+// ScheduleAfter/ScheduleAt take a callable by forwarding reference and build
+// it in its queue slot; an EventCallback must be moved in.
+template <typename F>
+concept SchedulableAfter = requires(Engine& e, F&& f) { e.ScheduleAfter(Cycles{0}, std::forward<F>(f)); };
+template <typename F>
+concept SchedulableAt = requires(Engine& e, F&& f) { e.ScheduleAt(Cycles{0}, std::forward<F>(f)); };
+static_assert(SchedulableAfter<EventCallback> && SchedulableAt<EventCallback>);
+static_assert(!SchedulableAfter<EventCallback&> && !SchedulableAt<EventCallback&>);
+static_assert(SchedulableAfter<std::function<void()>&> && SchedulableAt<std::function<void()>&>);
 
 TEST(EngineTest, ClockStartsAtZero) {
   Engine engine;
@@ -101,6 +113,22 @@ TEST(EngineTest, StopEndsRunAfterCurrentEvent) {
   engine.ScheduleAfter(20, [&] { ++fired; });
   engine.RunUntil(1000);
   EXPECT_EQ(fired, 1);
+}
+
+TEST(EngineTest, SchedulesLvalueClosuresAndMovedCallbacks) {
+  Engine engine;
+  std::vector<int> order;
+  const auto lvalue = [&order] { order.push_back(1); };
+  std::function<void()> function = [&order] { order.push_back(2); };
+  EventCallback callback = [&order] { order.push_back(3); };
+  engine.ScheduleAfter(10, lvalue);
+  engine.ScheduleAfter(10, function);
+  engine.ScheduleAt(10, std::move(callback));
+  EXPECT_FALSE(callback);  // Moved into the queue slot.
+  EXPECT_TRUE(function);   // Copied: an lvalue is left as it was.
+  engine.RunToCompletion();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(engine.queue_stats().callback_heap_allocs, 0u);
 }
 
 TEST(EngineTest, EventsProcessedAccumulates) {
