@@ -20,7 +20,7 @@ rooms=2
 
 echo "=== build (build/) ==="
 cmake -B build -S . >/dev/null
-cmake --build build -j "${jobs}" --target perf_smoke scale_sweep
+cmake --build build -j "${jobs}" --target perf_smoke scale_sweep federation_chaos
 
 scratch="build/ci_supervised"
 rm -rf "${scratch}"
@@ -151,5 +151,66 @@ for drill in "shards1:1,1:1" "shards4:4,4:1" "jobs4:1,4:4"; do
   done
   echo "  ${name}: killed at each of windows 1-$((windows - 1)), resumed, JSON byte-identical, segments cleaned"
 done
+
+echo "=== 4. kill-at-window drill on a crash-armed federation ==="
+# The fault-free drill above never checkpoints a down node, a dead
+# incarnation's stats or banked chat totals. Every node of this
+# federation_chaos scenario crashes and restarts, so its segments hold them:
+# kill at every window with a node live, resume, and cmp against the
+# control. At least one kill must leave a segment with a down-node record
+# ("node <i> 2 ...").
+chaos_env=(ELSC_ROOMS=4 ELSC_USERS=4 ELSC_MSGS=32 ELSC_CRASH=100
+           ELSC_SHARDS=1 ELSC_SCHEDS=elsc ELSC_TIMING=0)
+json=BENCH_federation_chaos.json
+
+mkdir -p "${scratch}/chaos_control"
+(cd "${scratch}/chaos_control" &&
+ env "${chaos_env[@]}" ../../bench/federation_chaos >stdout.log 2>stderr.log)
+windows="$(sed -n 's/.*"windows": \([0-9][0-9]*\).*/\1/p' \
+  "${scratch}/chaos_control/${json}" | sort -n | tail -n 1)"
+if [[ -z "${windows}" || "${windows}" -lt 2 ]]; then
+  echo "FAIL: control ${json} reports windows=${windows:-missing}, want >= 2"
+  exit 1
+fi
+if grep -q '"node_crashes": 0,' "${scratch}/chaos_control/${json}"; then
+  echo "FAIL: a control cell crashed no node; the drill would not cover down nodes"
+  exit 1
+fi
+
+down_segments=0
+for ((kill = 1; kill < windows; ++kill)); do
+  dir="${scratch}/chaos_w${kill}"
+  mkdir -p "${dir}"
+  status=0
+  (cd "${dir}" &&
+   env "${chaos_env[@]}" ELSC_SCALE_CKPT=ck ELSC_SCALE_CKPT_EVERY=2 \
+   ELSC_SCALE_INJECT_KILL="${kill}" \
+   ../../bench/federation_chaos >stdout_kill.log 2>stderr_kill.log) || status=$?
+  if [[ "${status}" -ne 137 ]]; then
+    echo "FAIL: chaos: kill run at window ${kill} exited ${status}, want 137 (injected kill)"
+    exit 1
+  fi
+  if grep -Eq '^node [0-9]+ 2 ' "${dir}"/ck.*.ckpt; then
+    down_segments=$((down_segments + 1))
+  fi
+
+  (cd "${dir}" &&
+   env "${chaos_env[@]}" ELSC_SCALE_CKPT=ck ELSC_SCALE_CKPT_EVERY=2 \
+   ../../bench/federation_chaos >stdout_resume.log 2>stderr_resume.log)
+  if ! grep -q "elsc-scale: resumed from" "${dir}/stderr_resume.log"; then
+    echo "FAIL: chaos: resume run after the kill at window ${kill} never restored a segment"
+    exit 1
+  fi
+  if ! cmp -s "${dir}/${json}" "${scratch}/chaos_control/${json}"; then
+    echo "FAIL: chaos: resumed ${json} (kill at window ${kill}) differs from the control"
+    exit 1
+  fi
+done
+if [[ "${down_segments}" -lt 1 ]]; then
+  echo "FAIL: chaos: no kill left a segment holding a down node"
+  exit 1
+fi
+echo "  chaos: killed at each of windows 1-$((windows - 1)), resumed, JSON byte-identical;"
+echo "  ${down_segments} kill(s) left a segment holding a down node"
 
 echo "supervised gate: green"

@@ -12,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "src/api/scale_ckpt.h"
 #include "src/base/assert.h"
 #include "src/base/atomic_file.h"
 #include "src/base/fnv.h"
@@ -29,6 +30,11 @@
 #include "src/workloads/volano.h"
 
 namespace elsc {
+
+FederationCounters& FederationCounters::operator+=(const FederationCounters& other) {
+  AddCounters(this, other, kFederationCounterFields);
+  return *this;
+}
 
 namespace {
 
@@ -136,10 +142,10 @@ class FederationRx : public TaskBehavior {
 // one shard thread per window; destroyed (streaming fold) at the barrier
 // where its workload completes. Under the failure model a node can
 // additionally be torn down mid-scenario (crash) and rebuilt with a derived
-// seed (restart) — the counters below deliberately live here, not in the
-// machine, so they survive incarnations.
+// seed (restart) — `life` and the counters deliberately live here, not in
+// the machine, so they survive incarnations.
 struct ScaleNode {
-  int index = 0;
+  NodeLifecycle life;
   int dst_node = 0;  // Ring successor receiving this node's beacons.
   int src_node = 0;  // Ring predecessor; acks flow back to it.
   const ScaleConfig* config = nullptr;
@@ -152,35 +158,16 @@ struct ScaleNode {
   std::unique_ptr<FederationTx> tx;
   std::unique_ptr<FederationRx> rx;
 
-  // Global room ids this incarnation simulates (restart re-runs only the
-  // unfinished rooms; index 0 pairs with volano room 0, and so on).
-  std::vector<int> room_ids;
-  // A restarted machine starts at local t = 0; global time = offset + local.
-  Cycles clock_offset = 0;
-  int incarnation = 0;
-
   // Single-writer: this node's tasks and delivery events (on its shard
   // thread) and the coordinator's crash step (at a barrier, when no shard
   // runs). They persist across restarts.
   FederationCounters fed;
   uint64_t tx_acked = 0;  // Cumulative ack from the ring successor.
 
-  // Crash lifecycle (coordinator-side).
-  bool down = false;
-  uint64_t restart_window = 0;
-  uint64_t crashes = 0;
-  // Finished-room quotas banked from dead incarnations — their deliveries
-  // happened and stay counted; only unfinished rooms re-run.
-  uint64_t banked_sent = 0;
-  uint64_t banked_delivered = 0;
   // Arrivals scheduled on this incarnation's engine that have not landed
   // yet (incremented by the coordinator sink at barriers, decremented by
   // the delivery event on the shard thread — phases never overlap).
   uint64_t pending_deliveries = 0;
-  RunStats carried_stats;  // Stats of dead incarnations, merged at fold.
-  bool has_carried_stats = false;
-
-  bool chat_done = false;
 
   // --- Checkpoint support (scale_ckpt.h) ---
   // Fabric deliveries the coordinator sink scheduled onto this incarnation's
@@ -198,12 +185,12 @@ struct ScaleNode {
 
 // Jitter key for one unacked beacon's retransmission schedule.
 uint64_t RetxKey(const ScaleNode& node, uint64_t id) {
-  return (static_cast<uint64_t>(node.index) << 32) ^ id;
+  return (static_cast<uint64_t>(node.life.index) << 32) ^ id;
 }
 
 FederationTx::FederationTx(ScaleNode* node)
     : node_(node),
-      next_beacon_id_(static_cast<uint64_t>(node->incarnation)
+      next_beacon_id_(static_cast<uint64_t>(node->life.incarnation)
                       << kIncarnationShift) {}
 
 Segment FederationTx::NextSegment(Machine& machine, Task& task) {
@@ -233,7 +220,7 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
   if (now < next_beacon_at_) {
     return Segment::Sleep(cfg.chat.syscall_cycles, next_beacon_at_ - now);
   }
-  const Cycles global_now = node_->clock_offset + now;
+  const Cycles global_now = node_->life.clock_offset + now;
   Cycles emissions = 0;
   if (armed && cfg.retransmit) {
     // Timeout-driven retransmission: anything unacked past its deadline is
@@ -250,7 +237,7 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
         continue;
       }
       u.msg.sent_at = global_now;
-      node_->router->Emit(node_->index, node_->dst_node, global_now, u.msg);
+      node_->router->Emit(node_->life.index, node_->dst_node, global_now, u.msg);
       ++node_->fed.retransmits;
       ++u.attempts;
       u.next_retx_at =
@@ -265,11 +252,11 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
     for (int r = 0; r < owned_rooms; ++r) {
       Message beacon;
       beacon.id = ++next_beacon_id_;
-      beacon.sender = node_->index;
-      beacon.room = node_->room_ids[static_cast<size_t>(r)];
+      beacon.sender = node_->life.index;
+      beacon.room = node_->life.room_ids[static_cast<size_t>(r)];
       beacon.sent_at = global_now;
       beacon.payload = node_->volano->messages_delivered();
-      node_->router->Emit(node_->index, node_->dst_node, global_now, beacon);
+      node_->router->Emit(node_->life.index, node_->dst_node, global_now, beacon);
       ++node_->fed.beacons_sent;
       ++emissions;
       if (armed && cfg.retransmit) {
@@ -310,12 +297,12 @@ Segment FederationRx::NextSegment(Machine& machine, Task& task) {
         // processed since the last ack (delayed-ack batching for free).
         Message ack;
         ack.id = cum_;
-        ack.sender = node_->index;
+        ack.sender = node_->life.index;
         ack.room = kAckRoom;
-        const Cycles global_now = node_->clock_offset + machine.Now();
+        const Cycles global_now = node_->life.clock_offset + machine.Now();
         ack.sent_at = global_now;
         ack.payload = cum_;
-        node_->router->Emit(node_->index, node_->src_node, global_now, ack);
+        node_->router->Emit(node_->life.index, node_->src_node, global_now, ack);
         last_acked_ = cum_;
         ++node_->fed.acks_sent;
         return Segment::RunAgain(cfg.beacon_cycles);
@@ -378,14 +365,10 @@ RunStats NodeRunStats(const ScaleNode& node) {
 
 // The node's stats over every incarnation: the live machine's (none while
 // down) merged onto the dead incarnations' carried stats.
-RunStats LifetimeStats(ScaleNode* node) {
-  RunStats stats;
-  if (node->machine != nullptr) {
-    stats = NodeRunStats(*node);
-  }
-  if (node->has_carried_stats) {
-    MergeRunStats(&node->carried_stats, stats);
-    stats = node->carried_stats;
+RunStats LifetimeStats(const ScaleNode& node) {
+  RunStats stats = node.life.carried_stats.value_or(RunStats{});
+  if (node.machine != nullptr) {
+    MergeRunStats(&stats, NodeRunStats(node));
   }
   return stats;
 }
@@ -394,8 +377,8 @@ RunStats LifetimeStats(ScaleNode* node) {
 // incarnation, the deliveries banked from dead incarnations, and every
 // FederationCounters entry.
 std::string FedDigestTuple(const ScaleNode& node) {
-  std::string tuple = StrFormat("|rec:%d,%llu|fed:", node.incarnation,
-                                static_cast<unsigned long long>(node.banked_delivered));
+  std::string tuple = StrFormat("|rec:%d,%llu|fed:", node.life.incarnation,
+                                static_cast<unsigned long long>(node.life.banked_delivered));
   AppendCounters(&tuple, node.fed, kFederationCounterFields);
   return tuple;
 }
@@ -426,7 +409,7 @@ void ScheduleArrivalOn(ScaleNode* dst, Cycles arrival, const Message& payload) {
   static_assert(sizeof(deliver) <= EventCallback::kInlineSize,
                 "the delivery closure must fit EventCallback's inline storage");
   // A restarted machine's clock is offset: schedule at local time.
-  dst->machine->engine().ScheduleAt(arrival - dst->clock_offset, deliver);
+  dst->machine->engine().ScheduleAt(arrival - dst->life.clock_offset, deliver);
 }
 
 // Checkpoint verification line for a live node: every node-local value the
@@ -453,37 +436,37 @@ std::string VerifyLine(const ScaleNode& node) {
 }
 
 // Builds (or rebuilds, incarnation > 0) a node's simulated machine, chat
-// workload over node->room_ids, inbox, and federation relays, and starts it.
+// workload over its room_ids, inbox, and federation relays, and starts it.
 void BootNode(ScaleNode* node, const ScaleConfig& config) {
   const uint64_t seed_key =
-      node->incarnation == 0
+      node->life.incarnation == 0
           ? kScaleSeedKey
-          : kScaleRestartKey + static_cast<uint64_t>(node->incarnation);
+          : kScaleRestartKey + static_cast<uint64_t>(node->life.incarnation);
   MachineConfig mc = MakeMachineConfig(
       config.kernel, config.scheduler,
-      DeriveSeed(config.seed, seed_key, static_cast<uint64_t>(node->index)));
+      DeriveSeed(config.seed, seed_key, static_cast<uint64_t>(node->life.index)));
   node->machine = std::make_unique<Machine>(mc);
 
   VolanoConfig chat = config.chat;
-  chat.rooms = static_cast<int>(node->room_ids.size());
+  chat.rooms = static_cast<int>(node->life.room_ids.size());
   node->volano = std::make_unique<VolanoWorkload>(*node->machine, chat);
   node->volano->Setup();
 
   if (node->router != nullptr) {
     node->inbox = std::make_unique<SimSocket>(
-        node->incarnation == 0
-            ? StrFormat("node%d.fabric.in", node->index)
-            : StrFormat("node%d.fabric.in#%d", node->index, node->incarnation),
+        node->life.incarnation == 0
+            ? StrFormat("node%d.fabric.in", node->life.index)
+            : StrFormat("node%d.fabric.in#%d", node->life.index, node->life.incarnation),
         config.fabric_inbox_capacity);
     node->tx = std::make_unique<FederationTx>(node);
     node->rx = std::make_unique<FederationRx>(node);
     // The relays are server-process threads: share the server JVM's mm.
     TaskParams params;
     params.mm = node->volano->server_mm();
-    params.name = StrFormat("node%d.fedtx", node->index);
+    params.name = StrFormat("node%d.fedtx", node->life.index);
     params.behavior = node->tx.get();
     node->machine->CreateTask(params);
-    params.name = StrFormat("node%d.fedrx", node->index);
+    params.name = StrFormat("node%d.fedrx", node->life.index);
     params.behavior = node->rx.get();
     node->machine->CreateTask(params);
   }
@@ -538,6 +521,8 @@ class Federation {
   void CloseIfDone(Cycles barrier);
   void FoldFinished();
   void FoldFailed(const char* tag, const std::string& why);
+  void Fold(std::unique_ptr<ScaleNode>* owner, const RunStats& stats, const std::string& head,
+            const std::string& chat);
   ScaleCheckpoint Snapshot() const;
   bool Replay(ScaleNode* node, const CkptNode& cn);
   bool CheckpointPoint();
@@ -553,19 +538,14 @@ class Federation {
   const uint64_t config_fp_;
   const double wall_budget_;  // Per-window watchdog; 0 = off.
 
+  // What a checkpoint carries, besides the fabric cursor and each node's
+  // lifecycle (scale_ckpt.h).
   ScaleRun run_;
+  FederationLoop loop_;
+
   FabricRouter router_;
   std::vector<std::unique_ptr<ScaleNode>> nodes_;  // Null once folded.
   int live_ = 0;
-  int chats_done_ = 0;
-  bool all_completed_ = true;
-  bool inboxes_closed_;
-  Cycles inbox_close_at_ = 0;  // 0 = fabric still open.
-  uint64_t window_index_ = 0;
-  // Window indices the fabric closed / the inboxes EOF'd at (0 = not yet):
-  // checkpoint replay must re-apply both at exactly the original barriers.
-  uint64_t router_close_window_ = 0;
-  uint64_t inbox_close_window_ = 0;
 };
 
 Federation::Federation(const ScaleConfig& config, int shards,
@@ -580,24 +560,19 @@ Federation::Federation(const ScaleConfig& config, int shards,
       config_fp_(config_fp),
       wall_budget_(ResolveWindowBudget(config)),
       router_(num_nodes_, config.window, latency_),
-      nodes_(static_cast<size_t>(num_nodes_)),
-      inboxes_closed_(!gossip_) {
+      nodes_(static_cast<size_t>(num_nodes_)) {
   if (armed_) {
     router_.ArmFaults(&config.faults);
   }
   if (config.fabric_lane_capacity > 0) {
     router_.SetLaneCapacity(config.fabric_lane_capacity);
   }
-  run_.nodes = num_nodes_;
-  run_.shards = shards;
-  run_.rooms = static_cast<uint64_t>(config.rooms);
-  run_.connections = config.connections();
   run_.digest = kFnv1aOffset;
 }
 
 std::unique_ptr<ScaleNode> Federation::MakeNode(int index) {
   auto node = std::make_unique<ScaleNode>();
-  node->index = index;
+  node->life.index = index;
   node->dst_node = (index + 1) % num_nodes_;
   node->src_node = (index + num_nodes_ - 1) % num_nodes_;
   node->config = &config_;
@@ -612,9 +587,9 @@ void Federation::Build() {
     auto node = MakeNode(i);
     const int first_room = i * config_.rooms_per_node;
     const int owned = std::min(config_.rooms_per_node, config_.rooms - first_room);
-    node->room_ids.reserve(static_cast<size_t>(owned));
+    node->life.room_ids.reserve(static_cast<size_t>(owned));
     for (int r = 0; r < owned; ++r) {
-      node->room_ids.push_back(first_room + r);
+      node->life.room_ids.push_back(first_room + r);
     }
     BootNode(node.get(), config_);
     nodes_[static_cast<size_t>(i)] = std::move(node);
@@ -631,11 +606,11 @@ FabricRouter::Delivery Federation::Sink(const FabricMessage& msg, Cycles arrival
   if (dst == nullptr) {
     return FabricRouter::Delivery::kRefused;
   }
-  if (dst->down || dst->machine == nullptr) {
+  if (dst->life.down || dst->machine == nullptr) {
     return FabricRouter::Delivery::kDown;
   }
   if (dst->log_arrivals) {
-    dst->arrival_log.push_back(CkptArrival{window_index_, arrival, msg.payload});
+    dst->arrival_log.push_back(CkptArrival{loop_.window_index, arrival, msg.payload});
   }
   ScheduleArrivalOn(dst, arrival, msg.payload);
   return FabricRouter::Delivery::kDelivered;
@@ -672,8 +647,8 @@ void Federation::AdvanceShard(int shard, Cycles barrier) {
   for (size_t n = static_cast<size_t>(shard); n < nodes_.size();
        n += static_cast<size_t>(shards_)) {
     ScaleNode* node = nodes_[n].get();
-    if (node != nullptr && !node->down) {
-      node->machine->engine().RunUntil(barrier - node->clock_offset);
+    if (node != nullptr && !node->life.down) {
+      node->machine->engine().RunUntil(barrier - node->life.clock_offset);
     }
   }
 }
@@ -686,10 +661,10 @@ void Federation::AdvanceShard(int shard, Cycles barrier) {
 void Federation::CrashAndRestart(Cycles barrier) {
   for (auto& owner : nodes_) {
     ScaleNode* node = owner.get();
-    if (node == nullptr || node->down || node->machine == nullptr ||
-        node->crashes > 0 || node->volano->ChatComplete() ||
-        !config_.faults.NodeCrashes(node->index) ||
-        config_.faults.CrashWindow(node->index) != window_index_) {
+    if (node == nullptr || node->life.down || node->machine == nullptr ||
+        node->life.crashes > 0 || node->volano->ChatComplete() ||
+        !config_.faults.NodeCrashes(node->life.index) ||
+        config_.faults.CrashWindow(node->life.index) != loop_.window_index) {
       continue;
     }
     if (node->inbox != nullptr) {  // Null with gossip off: nothing in flight.
@@ -698,8 +673,7 @@ void Federation::CrashAndRestart(Cycles barrier) {
           node->pending_deliveries + node->inbox->stats().discarded;
     }
     node->pending_deliveries = 0;
-    MergeRunStats(&node->carried_stats, NodeRunStats(*node));
-    node->has_carried_stats = true;
+    node->life.carried_stats = LifetimeStats(*node);
     const VolanoConfig& chat = node->volano->config();
     const uint64_t room_quota_delivered =
         static_cast<uint64_t>(chat.users_per_room) * chat.users_per_room *
@@ -709,14 +683,14 @@ void Federation::CrashAndRestart(Cycles barrier) {
     std::vector<int> unfinished;
     for (int r = 0; r < chat.rooms; ++r) {
       if (node->volano->RoomComplete(r)) {
-        node->banked_delivered += room_quota_delivered;
-        node->banked_sent += room_quota_sent;
+        node->life.banked_delivered += room_quota_delivered;
+        node->life.banked_sent += room_quota_sent;
       } else {
         node->fed.chat_messages_lost += node->volano->RoomDelivered(r);
-        unfinished.push_back(node->room_ids[static_cast<size_t>(r)]);
+        unfinished.push_back(node->life.room_ids[static_cast<size_t>(r)]);
       }
     }
-    node->room_ids = std::move(unfinished);
+    node->life.room_ids = std::move(unfinished);
     node->arrival_log.clear();  // Dead incarnation: never replayed.
     // Teardown in the member-destruction order a folded node uses.
     node->rx.reset();
@@ -724,10 +698,10 @@ void Federation::CrashAndRestart(Cycles barrier) {
     node->inbox.reset();
     node->volano.reset();
     node->machine.reset();
-    node->down = true;
-    node->restart_window =
-        window_index_ + config_.faults.DownWindows(node->index);
-    ++node->crashes;
+    node->life.down = true;
+    node->life.restart_window =
+        loop_.window_index + config_.faults.DownWindows(node->life.index);
+    ++node->life.crashes;
     ++run_.node_crashes;
   }
   // Step 2 — restarts due this window: rebuild the node with a derived
@@ -735,18 +709,18 @@ void Federation::CrashAndRestart(Cycles barrier) {
   // t = 0, offset to the current barrier.
   for (auto& owner : nodes_) {
     ScaleNode* node = owner.get();
-    if (node == nullptr || !node->down || node->restart_window != window_index_) {
+    if (node == nullptr || !node->life.down || node->life.restart_window != loop_.window_index) {
       continue;
     }
-    ++node->incarnation;
-    node->clock_offset = barrier;
+    ++node->life.incarnation;
+    node->life.clock_offset = barrier;
     node->tx_acked = 0;  // The new incarnation's ids restart the link.
     BootNode(node, config_);
-    node->down = false;
+    node->life.down = false;
     ++run_.node_restarts;
   }
   for (const auto& node : nodes_) {
-    if (node != nullptr && node->down) {
+    if (node != nullptr && node->life.down) {
       ++run_.windows_degraded;
       break;
     }
@@ -786,25 +760,24 @@ void Federation::Exchange(Cycles barrier) {
 // relays drain whatever is still in flight and exit.
 void Federation::CloseIfDone(Cycles barrier) {
   for (const auto& node : nodes_) {
-    if (node != nullptr && node->machine != nullptr && !node->chat_done &&
+    if (node != nullptr && node->machine != nullptr && !node->life.chat_done &&
         node->volano->ChatComplete()) {
-      node->chat_done = true;
-      ++chats_done_;
+      node->life.chat_done = true;
+      ++loop_.chats_done;
     }
   }
-  if (gossip_ && !router_.closed() && chats_done_ == num_nodes_) {
+  if (gossip_ && !router_.closed() && loop_.chats_done == num_nodes_) {
     router_.Close();
-    inbox_close_at_ = barrier + latency_;
-    router_close_window_ = window_index_;
+    loop_.router_close_window = loop_.window_index;
   }
-  if (!inboxes_closed_ && inbox_close_at_ != 0 && barrier >= inbox_close_at_) {
+  if (gossip_ && loop_.router_close_window != 0 && loop_.inbox_close_window == 0 &&
+      barrier >= static_cast<Cycles>(loop_.router_close_window) * config_.window + latency_) {
     for (const auto& node : nodes_) {
       if (node != nullptr && node->machine != nullptr) {
         node->inbox->Close(*node->machine);
       }
     }
-    inboxes_closed_ = true;
-    inbox_close_window_ = window_index_;
+    loop_.inbox_close_window = loop_.window_index;
   }
 }
 
@@ -816,26 +789,15 @@ void Federation::FoldFinished() {
     if (node == nullptr || node->machine == nullptr || !node->volano->Done()) {
       continue;
     }
-    // Dead incarnations' partial stats ride along with the final one.
-    const RunStats node_stats = LifetimeStats(node);
+    const RunStats stats = LifetimeStats(*node);
     const VolanoResult result = node->volano->Result();
-    all_completed_ = all_completed_ && result.completed && !node_stats.failed;
-    run_.messages_sent += result.messages_sent + node->banked_sent;
-    run_.messages_delivered += result.messages_delivered + node->banked_delivered;
-    run_.fed += node->fed;
-    MergeRunStats(&run_.stats, node_stats);
-    const std::string record =
-        StrFormat("n%d@%llu|", node->index,
-                  static_cast<unsigned long long>(window_index_)) +
-        RunStatsDigest(node_stats) +
-        StrFormat("|chat:%llu,%llu,%d",
-                  static_cast<unsigned long long>(result.messages_sent),
-                  static_cast<unsigned long long>(result.messages_delivered),
-                  result.completed ? 1 : 0) +
-        FedDigestTuple(*node);
-    run_.digest = Fnv1a64(record, run_.digest);
-    owner.reset();
-    --live_;
+    loop_.all_completed = loop_.all_completed && result.completed && !stats.failed;
+    Fold(&owner, stats,
+         StrFormat("n%d@%llu|", node->life.index,
+                   static_cast<unsigned long long>(loop_.window_index)),
+         StrFormat("|chat:%llu,%llu,%d", static_cast<unsigned long long>(result.messages_sent),
+                   static_cast<unsigned long long>(result.messages_delivered),
+                   result.completed ? 1 : 0));
   }
 }
 
@@ -843,31 +805,38 @@ void Federation::FoldFinished() {
 // and stamps the run's failure — the deadline and watchdog exits.
 void Federation::FoldFailed(const char* tag, const std::string& why) {
   for (auto& owner : nodes_) {
-    ScaleNode* node = owner.get();
-    if (node == nullptr) {
+    if (owner == nullptr) {
       continue;
     }
-    RunStats node_stats = LifetimeStats(node);
-    node_stats.failed = true;
-    if (node->machine != nullptr) {
-      run_.messages_sent += node->volano->messages_sent();
-      run_.messages_delivered += node->volano->messages_delivered();
-    }
-    run_.messages_sent += node->banked_sent;
-    run_.messages_delivered += node->banked_delivered;
-    run_.fed += node->fed;
-    MergeRunStats(&run_.stats, node_stats);
-    run_.digest = Fnv1a64(StrFormat("n%d@%s|", node->index, tag) +
-                              RunStatsDigest(node_stats) + FedDigestTuple(*node),
-                          run_.digest);
-    owner.reset();
-    --live_;
+    RunStats stats = LifetimeStats(*owner);
+    stats.failed = true;
+    Fold(&owner, stats, StrFormat("n%d@%s|", owner->life.index, tag), "");
   }
-  all_completed_ = false;
+  loop_.all_completed = false;
   run_.stats.failed = true;
   if (run_.stats.failure.empty()) {
     run_.stats.failure = why;
   }
+}
+
+// The step both fold paths share: adds the node's chat totals (its running
+// incarnation's plus the banked ones), counters and lifetime `stats` to the
+// aggregate, chains its digest record — `head`, RunStatsDigest, `chat`,
+// FedDigestTuple — and destroys it.
+void Federation::Fold(std::unique_ptr<ScaleNode>* owner, const RunStats& stats,
+                      const std::string& head, const std::string& chat) {
+  const ScaleNode& node = **owner;
+  run_.messages_sent += node.life.banked_sent;
+  run_.messages_delivered += node.life.banked_delivered;
+  if (node.machine != nullptr) {
+    run_.messages_sent += node.volano->messages_sent();
+    run_.messages_delivered += node.volano->messages_delivered();
+  }
+  run_.fed += node.fed;
+  MergeRunStats(&run_.stats, stats);
+  run_.digest = Fnv1a64(head + RunStatsDigest(stats) + chat + FedDigestTuple(node), run_.digest);
+  owner->reset();
+  --live_;
 }
 
 // Serializes the coordinator-visible federation state at the current
@@ -876,54 +845,25 @@ ScaleCheckpoint Federation::Snapshot() const {
   ScaleCheckpoint c;
   c.config_fp = config_fp_;
   c.seed = config_.seed;
-  c.window_index = window_index_;
   c.num_nodes = num_nodes_;
-  c.chats_done = chats_done_;
-  c.all_completed = all_completed_;
-  c.inboxes_closed = inboxes_closed_;
-  c.inbox_close_at = inbox_close_at_;
-  c.router_close_window = router_close_window_;
-  c.inbox_close_window = inbox_close_window_;
-  c.digest = run_.digest;
-  c.messages_sent = run_.messages_sent;
-  c.messages_delivered = run_.messages_delivered;
-  c.node_crashes = run_.node_crashes;
-  c.node_restarts = run_.node_restarts;
-  c.windows_degraded = run_.windows_degraded;
-  c.fed = run_.fed;
-  c.peak_live_tasks = run_.peak_live_tasks;
-  c.peak_live_nodes = run_.peak_live_nodes;
-  c.peak_task_arena_bytes = run_.peak_task_arena_bytes;
-  c.peak_live_sockets = run_.peak_live_sockets;
-  c.agg_stats = EncodeRunStats(run_.stats);
+  c.loop = loop_;
+  c.run = run_;
   c.fabric = router_.ExportState();
   for (const auto& owner : nodes_) {
     const ScaleNode* node = owner.get();
     if (node == nullptr) {
-      continue;  // Folded: its contribution lives in digest/stats above.
+      continue;  // Folded: its contribution lives in the aggregate.
     }
     CkptNode cn;
-    cn.index = node->index;
-    cn.state = node->down ? 2 : 1;
-    cn.incarnation = node->incarnation;
-    cn.clock_offset = node->clock_offset;
-    cn.crashes = node->crashes;
-    cn.restart_window = node->restart_window;
-    cn.chat_done = node->chat_done;
-    cn.banked_sent = node->banked_sent;
-    cn.banked_delivered = node->banked_delivered;
+    cn.life = node->life;
     // A down node restores its current values directly. A live node stores
     // its boot values and replay re-adds the deltas — exact for the crash
     // counters too: the coordinator writes them only at a crash, which ends
     // the incarnation, so they cannot move while the node is live.
-    cn.fed = node->down ? node->fed : node->boot_fed;
-    if (!node->down) {
+    cn.fed = node->life.down ? node->fed : node->boot_fed;
+    if (!node->life.down) {
       cn.arrivals = node->arrival_log;
       cn.verify = VerifyLine(*node);
-    }
-    cn.room_ids = node->room_ids;
-    if (node->has_carried_stats) {
-      cn.carried_stats = EncodeRunStats(node->carried_stats);
     }
     c.nodes.push_back(std::move(cn));
   }
@@ -940,7 +880,7 @@ ScaleCheckpoint Federation::Snapshot() const {
 // transmit relay's exit condition) — and are discarded: the originals
 // already reached their destinations, which logged or folded them.
 bool Federation::Replay(ScaleNode* node, const CkptNode& cn) {
-  const uint64_t boot_window = node->incarnation == 0 ? 0 : cn.restart_window;
+  const uint64_t boot_window = node->life.incarnation == 0 ? 0 : node->life.restart_window;
   FabricRouter replay_router(num_nodes_, config_.window, latency_);
   if (gossip_) {
     node->router = &replay_router;
@@ -949,7 +889,7 @@ bool Federation::Replay(ScaleNode* node, const CkptNode& cn) {
     return FabricRouter::Delivery::kRefused;
   };
   size_t cursor = 0;
-  for (uint64_t w = boot_window; w <= window_index_; ++w) {
+  for (uint64_t w = boot_window; w <= loop_.window_index; ++w) {
     const Cycles replay_barrier = static_cast<Cycles>(w) * config_.window;
     if (w > boot_window) {
       // The original run advanced the node through window w before the
@@ -957,7 +897,7 @@ bool Federation::Replay(ScaleNode* node, const CkptNode& cn) {
       // run yet: arrivals landed on the untouched fresh engine, and
       // stepping it here would fire t=0 start events too early, changing
       // event insertion order.
-      node->machine->engine().RunUntil(replay_barrier - node->clock_offset);
+      node->machine->engine().RunUntil(replay_barrier - node->life.clock_offset);
       if (gossip_) {
         replay_router.Exchange(replay_barrier, discard);
       }
@@ -967,10 +907,10 @@ bool Federation::Replay(ScaleNode* node, const CkptNode& cn) {
                         cn.arrivals[cursor].payload);
       ++cursor;
     }
-    if (gossip_ && router_close_window_ != 0 && w == router_close_window_) {
+    if (gossip_ && loop_.router_close_window != 0 && w == loop_.router_close_window) {
       replay_router.Close();
     }
-    if (gossip_ && inbox_close_window_ != 0 && w == inbox_close_window_) {
+    if (gossip_ && loop_.inbox_close_window != 0 && w == loop_.inbox_close_window) {
       node->inbox->Close(*node->machine);
     }
   }
@@ -984,70 +924,33 @@ bool Federation::Replay(ScaleNode* node, const CkptNode& cn) {
 }
 
 bool Federation::Restore(const ScaleCheckpoint& c) {
-  run_.digest = c.digest;
-  run_.messages_sent = c.messages_sent;
-  run_.messages_delivered = c.messages_delivered;
-  run_.node_crashes = c.node_crashes;
-  run_.node_restarts = c.node_restarts;
-  run_.windows_degraded = c.windows_degraded;
-  run_.fed = c.fed;
-  run_.peak_live_tasks = c.peak_live_tasks;
-  run_.peak_live_nodes = c.peak_live_nodes;
-  run_.peak_task_arena_bytes = c.peak_task_arena_bytes;
-  run_.peak_live_sockets = c.peak_live_sockets;
-  if (!DecodeRunStats(c.agg_stats, &run_.stats)) {
-    return false;
-  }
-  chats_done_ = c.chats_done;
-  all_completed_ = c.all_completed;
-  inboxes_closed_ = c.inboxes_closed;
-  inbox_close_at_ = c.inbox_close_at;
-  router_close_window_ = c.router_close_window;
-  inbox_close_window_ = c.inbox_close_window;
-  window_index_ = c.window_index;
+  run_ = c.run;
+  loop_ = c.loop;
   router_.ImportState(c.fabric);
   for (const CkptNode& cn : c.nodes) {
-    auto node = MakeNode(cn.index);
-    node->incarnation = cn.incarnation;
-    node->clock_offset = cn.clock_offset;
-    node->crashes = cn.crashes;
-    node->restart_window = cn.restart_window;
-    node->chat_done = cn.chat_done;
-    node->banked_sent = cn.banked_sent;
-    node->banked_delivered = cn.banked_delivered;
-    node->fed = cn.fed;
-    node->room_ids = cn.room_ids;
-    if (!cn.carried_stats.empty()) {
-      if (!DecodeRunStats(cn.carried_stats, &node->carried_stats)) {
-        return false;
-      }
-      node->has_carried_stats = true;
-    }
+    const NodeLifecycle& life = cn.life;
     // Cheap structural sanity before committing to a replay: a live
     // node's boot barrier must match its clock offset and lie at or
     // before the checkpoint window; a down node's restart must still be
     // in the future.
     const Cycles expect_offset =
-        cn.incarnation == 0 ? 0 : static_cast<Cycles>(cn.restart_window) * config_.window;
-    if (node->clock_offset != expect_offset || cn.room_ids.empty()) {
+        life.incarnation == 0 ? 0 : static_cast<Cycles>(life.restart_window) * config_.window;
+    if (life.clock_offset != expect_offset || life.room_ids.empty() ||
+        (life.down ? life.restart_window <= loop_.window_index
+                   : life.incarnation > 0 && life.restart_window > loop_.window_index)) {
       return false;
     }
-    if (cn.state == 2) {
-      if (cn.restart_window <= c.window_index) {
-        return false;
-      }
-      node->down = true;
-    } else {
-      if (cn.incarnation > 0 && cn.restart_window > c.window_index) {
-        return false;
-      }
+    auto node = MakeNode(life.index);
+    node->life = life;
+    node->fed = cn.fed;
+    if (!life.down) {
       BootNode(node.get(), config_);
       if (!Replay(node.get(), cn)) {
         return false;
       }
       node->arrival_log = cn.arrivals;  // The next segment still needs it.
     }
-    nodes_[static_cast<size_t>(cn.index)] = std::move(node);
+    nodes_[static_cast<size_t>(life.index)] = std::move(node);
     ++live_;
   }
   return live_ > 0;
@@ -1059,14 +962,14 @@ bool Federation::Restore(const ScaleCheckpoint& c) {
 bool Federation::CheckpointPoint() {
   const bool stop =
       ckpt_.armed() && ckpt_.stop_after_window != 0 &&
-      window_index_ == ckpt_.stop_after_window;
+      loop_.window_index == ckpt_.stop_after_window;
   if (ckpt_.armed()) {
-    const bool due = ckpt_.every > 0 && window_index_ % ckpt_.every == 0;
+    const bool due = ckpt_.every > 0 && loop_.window_index % ckpt_.every == 0;
     // Forced segments: the stop-after test hook, a pending graceful
     // shutdown (flush state before unwinding), and the kill injector (the
     // drill resumes from this very segment).
     const bool forced = stop || ShutdownRequested() ||
-                        ScaleKillWindow() == static_cast<int64_t>(window_index_);
+                        ScaleKillWindow() == static_cast<int64_t>(loop_.window_index);
     std::string error;
     if ((due || forced) && !WriteCheckpointSegment(ckpt_, Snapshot(), &error)) {
       std::fprintf(stderr,
@@ -1075,7 +978,7 @@ bool Federation::CheckpointPoint() {
                    error.c_str());
     }
   }
-  MaybeKillAtScaleWindow(window_index_);
+  MaybeKillAtScaleWindow(loop_.window_index);
   if (ShutdownRequested()) {
     throw GracefulShutdownRequested{};
   }
@@ -1088,13 +991,13 @@ ScaleRun Federation::Run() {
     pool = std::make_unique<ThreadPool>(shards_);
   }
   while (live_ > 0) {
-    ++window_index_;
-    const Cycles barrier = static_cast<Cycles>(window_index_) * config_.window;
+    ++loop_.window_index;
+    const Cycles barrier = static_cast<Cycles>(loop_.window_index) * config_.window;
     if (!Advance(pool.get(), barrier)) {
       FoldFailed("watchdog",
                  StrFormat("federation watchdog: window %llu exceeded %.3fs "
                            "wall-clock",
-                           static_cast<unsigned long long>(window_index_),
+                           static_cast<unsigned long long>(loop_.window_index),
                            wall_budget_));
       break;
     }
@@ -1112,8 +1015,8 @@ ScaleRun Federation::Run() {
       FoldFailed("deadline",
                  StrFormat("scale deadline exceeded: %d node(s) still live "
                            "at window %llu",
-                           num_nodes_ - chats_done_,
-                           static_cast<unsigned long long>(window_index_)));
+                           num_nodes_ - loop_.chats_done,
+                           static_cast<unsigned long long>(loop_.window_index)));
       break;
     }
     if (live_ > 0 && CheckpointPoint()) {
@@ -1123,10 +1026,15 @@ ScaleRun Federation::Run() {
   return Finish();
 }
 
-// Stamps the end-of-run totals and the scenario trailer onto the digest.
+// Stamps every field the config, the shard count and the router determine,
+// and the scenario trailer onto the digest.
 ScaleRun Federation::Finish() {
-  run_.windows = window_index_;
-  run_.completed = all_completed_ && live_ == 0;
+  run_.nodes = num_nodes_;
+  run_.shards = shards_;
+  run_.rooms = static_cast<uint64_t>(config_.rooms);
+  run_.connections = config_.connections();
+  run_.windows = loop_.window_index;
+  run_.completed = loop_.all_completed && live_ == 0;
   run_.fabric = router_.stats();
   const FederationCounters& fed = run_.fed;
   run_.deliveries_lost = fed.beacons_sent > fed.beacons_received
@@ -1194,7 +1102,7 @@ std::unique_ptr<Federation> RestoreFederation(const ScaleConfig& config, int sha
       if (federation->Restore(c)) {
         std::fprintf(stderr,
                      "elsc-scale: resumed from %s (window %llu, %zu node(s) live)\n",
-                     seg.path.c_str(), static_cast<unsigned long long>(c.window_index),
+                     seg.path.c_str(), static_cast<unsigned long long>(c.loop.window_index),
                      c.nodes.size());
         return federation;
       }

@@ -41,12 +41,29 @@
 #include <string>
 #include <vector>
 
-#include "src/api/scale_ckpt.h"
 #include "src/api/simulation.h"
+#include "src/base/token_codec.h"
 #include "src/net/backoff.h"
 #include "src/sim/fabric.h"
 
 namespace elsc {
+
+// Checkpointing knobs (scale_ckpt.h), resolved from the environment when
+// ScaleConfig's copy has an empty path. Never part of the
+// digest/signature/JSON.
+struct ScaleCheckpointOptions {
+  std::string path;   // Segment path prefix; empty = checkpointing off.
+  uint64_t every = 16;  // Segment cadence in windows (0 = forced-only).
+  int keep = 2;         // Newest segments retained per scenario.
+  // Test hook: force a segment at this window and return a partial
+  // (completed == false) run instead of continuing — a process kill without
+  // killing the test process. 0 = off.
+  uint64_t stop_after_window = 0;
+
+  bool armed() const { return !path.empty(); }
+  // ELSC_SCALE_CKPT / ELSC_SCALE_CKPT_EVERY / ELSC_SCALE_CKPT_KEEP.
+  static ScaleCheckpointOptions FromEnv();
+};
 
 struct ScaleConfig {
   // Scenario shape: `rooms` total rooms, split into nodes of
@@ -118,8 +135,53 @@ struct ScaleConfig {
   }
 };
 
+// A federation node's traffic and recovery counters, and their sum over a
+// run. Every copy — the live node, its boot snapshot, the aggregate, both
+// checkpoint records, the verification line — is one assignment, one `+=`
+// or one codec call (AppendCounters/ReadCounters, src/base/token_codec.h),
+// so a new counter is one field here plus one entry in
+// kFederationCounterFields.
+struct FederationCounters {
+  uint64_t beacons_sent = 0;      // Unique beacons (retransmits not counted).
+  uint64_t beacons_received = 0;  // Unique beacons processed by receivers.
+  uint64_t inbox_overflows = 0;   // Deliveries refused by a full inbox.
+  uint64_t late_writes = 0;       // Deliveries landing on a closed inbox.
+  // Recovery protocol (failure model only; zero fault-free).
+  uint64_t retransmits = 0;       // Beacon re-emissions by the protocol.
+  uint64_t retx_abandoned = 0;    // Unacked beacons given up on (retries
+                                  // exhausted or buffer overflow).
+  uint64_t dup_discards = 0;      // Received beacons discarded as duplicates.
+  uint64_t acks_sent = 0;
+  uint64_t acks_received = 0;
+  // Crash accounting, written by the coordinator when a node crashes.
+  uint64_t chat_messages_lost = 0;      // Partial-room chat work thrown away
+                                        // (re-run after restart).
+  uint64_t crash_inflight_dropped = 0;  // Fabric deliveries destroyed with
+                                        // the node (inbox + scheduled).
+
+  FederationCounters& operator+=(const FederationCounters& other);
+  bool operator==(const FederationCounters&) const = default;
+};
+
+// Every counter, in codec order.
+inline constexpr Counter<FederationCounters> kFederationCounterFields[] = {
+    ELSC_COUNTER(FederationCounters, beacons_sent),
+    ELSC_COUNTER(FederationCounters, beacons_received),
+    ELSC_COUNTER(FederationCounters, inbox_overflows),
+    ELSC_COUNTER(FederationCounters, late_writes), ELSC_COUNTER(FederationCounters, retransmits),
+    ELSC_COUNTER(FederationCounters, retx_abandoned),
+    ELSC_COUNTER(FederationCounters, dup_discards), ELSC_COUNTER(FederationCounters, acks_sent),
+    ELSC_COUNTER(FederationCounters, acks_received),
+    ELSC_COUNTER(FederationCounters, chat_messages_lost),
+    ELSC_COUNTER(FederationCounters, crash_inflight_dropped),
+};
+
 // Aggregate result of one sharded scenario. Everything except `shards` is a
 // pure function of the ScaleConfig (shards is recorded for reporting only).
+// It is also the checkpoint's aggregate record (scale_ckpt.h): a segment
+// carries what the barriers accumulate (chat totals, crash accounting, fed,
+// stats, peaks, digest), and the end of the run stamps every other field
+// from the config, the shard count and the fabric router.
 struct ScaleRun {
   bool completed = false;
   int nodes = 0;
@@ -206,7 +268,7 @@ struct ScaleCell {
 // any ELSC_BENCH_JOBS. `include_timing` additionally appends a "timing"
 // block of wall-clock measurements (tasks/sec curves, peak RSS); CI's
 // determinism gate renders with include_timing == false (the
-// ELSC_SCALE_TIMING=0 knob) so the files can be byte-compared.
+// ELSC_TIMING=0 knob) so the files can be byte-compared.
 std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
                             bool include_timing);
 

@@ -23,11 +23,6 @@ bool StartsWith(const std::string& s, const char* prefix) {
 
 }  // namespace
 
-FederationCounters& FederationCounters::operator+=(const FederationCounters& other) {
-  AddCounters(this, other, kFederationCounterFields);
-  return *this;
-}
-
 uint64_t ScaleConfigFingerprint(const ScaleConfig& c) {
   std::string enc = "scalefp v1 ";
   // Scenario shape + per-node machine.
@@ -123,32 +118,31 @@ ScaleCheckpointOptions ScaleCheckpointOptions::FromEnv() {
 
 std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
   std::string out = StrFormat(
-      "elscscale v3 fp=%016llx seed=%llu window=%llu nodes=%d\n",
+      "elscscale v4 fp=%016llx seed=%llu window=%llu nodes=%d\n",
       static_cast<unsigned long long>(ck.config_fp),
       static_cast<unsigned long long>(ck.seed),
-      static_cast<unsigned long long>(ck.window_index), ck.num_nodes);
+      static_cast<unsigned long long>(ck.loop.window_index), ck.num_nodes);
 
+  const ScaleRun& run = ck.run;
   out += "run ";
-  AppendHex64(&out, ck.digest);
-  AppendU64(&out, ck.messages_sent);
-  AppendU64(&out, ck.messages_delivered);
-  AppendU64(&out, ck.node_crashes);
-  AppendU64(&out, ck.node_restarts);
-  AppendU64(&out, ck.windows_degraded);
-  AppendCounters(&out, ck.fed, kFederationCounterFields);
-  AppendU64(&out, ck.peak_live_tasks);
-  AppendU64(&out, ck.peak_live_nodes);
-  AppendU64(&out, ck.peak_task_arena_bytes);
-  AppendU64(&out, ck.peak_live_sockets);
-  AppendI64(&out, ck.chats_done);
-  AppendU64(&out, ck.all_completed ? 1 : 0);
-  AppendU64(&out, ck.inboxes_closed ? 1 : 0);
-  AppendU64(&out, ck.inbox_close_at);
-  AppendU64(&out, ck.router_close_window);
-  AppendU64(&out, ck.inbox_close_window);
+  AppendHex64(&out, run.digest);
+  AppendU64(&out, run.messages_sent);
+  AppendU64(&out, run.messages_delivered);
+  AppendU64(&out, run.node_crashes);
+  AppendU64(&out, run.node_restarts);
+  AppendU64(&out, run.windows_degraded);
+  AppendCounters(&out, run.fed, kFederationCounterFields);
+  AppendU64(&out, run.peak_live_tasks);
+  AppendU64(&out, run.peak_live_nodes);
+  AppendU64(&out, run.peak_task_arena_bytes);
+  AppendU64(&out, run.peak_live_sockets);
+  AppendI64(&out, ck.loop.chats_done);
+  AppendU64(&out, ck.loop.all_completed ? 1 : 0);
+  AppendU64(&out, ck.loop.router_close_window);
+  AppendU64(&out, ck.loop.inbox_close_window);
   out += '\n';
 
-  out += "stats " + JournalEscape(ck.agg_stats) + "\n";
+  out += "stats " + JournalEscape(EncodeRunStats(run.stats)) + "\n";
 
   out += "fabric ";
   AppendU64(&out, ck.fabric.closed ? 1 : 0);
@@ -160,29 +154,30 @@ std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
   out += '\n';
 
   for (const CkptNode& n : ck.nodes) {
+    const NodeLifecycle& life = n.life;
     out += "node ";
-    AppendI64(&out, n.index);
-    AppendI64(&out, n.state);
-    AppendI64(&out, n.incarnation);
-    AppendU64(&out, n.clock_offset);
-    AppendU64(&out, n.crashes);
-    AppendU64(&out, n.restart_window);
-    AppendU64(&out, n.chat_done ? 1 : 0);
-    AppendU64(&out, n.banked_sent);
-    AppendU64(&out, n.banked_delivered);
+    AppendI64(&out, life.index);
+    AppendI64(&out, life.down ? 2 : 1);
+    AppendI64(&out, life.incarnation);
+    AppendU64(&out, life.clock_offset);
+    AppendU64(&out, life.crashes);
+    AppendU64(&out, life.restart_window);
+    AppendU64(&out, life.chat_done ? 1 : 0);
+    AppendU64(&out, life.banked_sent);
+    AppendU64(&out, life.banked_delivered);
     AppendCounters(&out, n.fed, kFederationCounterFields);
-    AppendU64(&out, n.room_ids.size());
-    for (int room : n.room_ids) {
+    AppendU64(&out, life.room_ids.size());
+    for (int room : life.room_ids) {
       AppendI64(&out, room);
     }
     out += '\n';
-    if (!n.carried_stats.empty()) {
-      out += StrFormat("carried %d ", n.index) + JournalEscape(n.carried_stats) +
-             "\n";
+    if (life.carried_stats) {
+      out += StrFormat("carried %d ", life.index) +
+             JournalEscape(EncodeRunStats(*life.carried_stats)) + "\n";
     }
     for (const CkptArrival& a : n.arrivals) {
       out += "arr ";
-      AppendI64(&out, n.index);
+      AppendI64(&out, life.index);
       AppendU64(&out, a.window);
       AppendU64(&out, a.arrival);
       AppendU64(&out, a.payload.id);
@@ -193,7 +188,7 @@ std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
       out += '\n';
     }
     if (!n.verify.empty()) {
-      out += StrFormat("verify %d ", n.index) + JournalEscape(n.verify) + "\n";
+      out += StrFormat("verify %d ", life.index) + JournalEscape(n.verify) + "\n";
     }
   }
 
@@ -238,7 +233,7 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
       unsigned long long window = 0;
       int nodes = 0;
       int consumed = -1;
-      if (std::sscanf(line.c_str(), "elscscale v3 fp=%llx seed=%llu window=%llu nodes=%d%n",
+      if (std::sscanf(line.c_str(), "elscscale v4 fp=%llx seed=%llu window=%llu nodes=%d%n",
                       &fp, &seed, &window, &nodes, &consumed) != 4 ||
           consumed != static_cast<int>(line.size())) {
         return fail("bad header (wrong magic or version): \"" + line + "\"");
@@ -248,7 +243,7 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
       }
       ck->config_fp = fp;
       ck->seed = seed;
-      ck->window_index = window;
+      ck->loop.window_index = window;
       ck->num_nodes = nodes;
       saw_header = true;
       continue;
@@ -259,16 +254,17 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
         return fail("duplicate run record");
       }
       TokenReader tr(line.substr(4));
-      bool ok = tr.Hex64(&ck->digest) && tr.U64(&ck->messages_sent) &&
-                tr.U64(&ck->messages_delivered) && tr.U64(&ck->node_crashes) &&
-                tr.U64(&ck->node_restarts) && tr.U64(&ck->windows_degraded) &&
-                ReadCounters(&tr, &ck->fed, kFederationCounterFields) &&
-                tr.U64(&ck->peak_live_tasks) && tr.U64(&ck->peak_live_nodes) &&
-                tr.U64(&ck->peak_task_arena_bytes) &&
-                tr.U64(&ck->peak_live_sockets) && tr.Int(&ck->chats_done) &&
-                tr.Bool(&ck->all_completed) && tr.Bool(&ck->inboxes_closed) &&
-                tr.U64(&ck->inbox_close_at) && tr.U64(&ck->router_close_window) &&
-                tr.U64(&ck->inbox_close_window) && tr.Done();
+      ScaleRun& run = ck->run;
+      FederationLoop& loop = ck->loop;
+      bool ok = tr.Hex64(&run.digest) && tr.U64(&run.messages_sent) &&
+                tr.U64(&run.messages_delivered) && tr.U64(&run.node_crashes) &&
+                tr.U64(&run.node_restarts) && tr.U64(&run.windows_degraded) &&
+                ReadCounters(&tr, &run.fed, kFederationCounterFields) &&
+                tr.U64(&run.peak_live_tasks) && tr.U64(&run.peak_live_nodes) &&
+                tr.U64(&run.peak_task_arena_bytes) && tr.U64(&run.peak_live_sockets) &&
+                tr.Int(&loop.chats_done) && tr.Bool(&loop.all_completed) &&
+                tr.U64(&loop.router_close_window) && tr.U64(&loop.inbox_close_window) &&
+                tr.Done();
       if (!ok) {
         return fail(StrFormat("bad run record at line %zu", line_no));
       }
@@ -277,7 +273,9 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
     }
 
     if (StartsWith(line, "stats ")) {
-      if (saw_stats || !JournalUnescape(line.substr(6), &ck->agg_stats)) {
+      std::string payload;
+      if (saw_stats || !JournalUnescape(line.substr(6), &payload) ||
+          !DecodeRunStats(payload, &ck->run.stats)) {
         return fail(StrFormat("bad stats record at line %zu", line_no));
       }
       saw_stats = true;
@@ -311,24 +309,26 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
     if (StartsWith(line, "node ")) {
       TokenReader tr(line.substr(5));
       CkptNode n;
+      NodeLifecycle& life = n.life;
+      int state = 0;
       uint64_t rooms = 0;
-      bool ok = tr.Int(&n.index) && tr.Int(&n.state) &&
-                tr.Int(&n.incarnation) && tr.U64(&n.clock_offset) &&
-                tr.U64(&n.crashes) && tr.U64(&n.restart_window) &&
-                tr.Bool(&n.chat_done) && tr.U64(&n.banked_sent) &&
-                tr.U64(&n.banked_delivered) &&
+      bool ok = tr.Int(&life.index) && tr.Int(&state) && tr.Int(&life.incarnation) &&
+                tr.U64(&life.clock_offset) && tr.U64(&life.crashes) &&
+                tr.U64(&life.restart_window) && tr.Bool(&life.chat_done) &&
+                tr.U64(&life.banked_sent) && tr.U64(&life.banked_delivered) &&
                 ReadCounters(&tr, &n.fed, kFederationCounterFields) && tr.U64(&rooms);
-      if (!ok || n.index < 0 || n.index >= ck->num_nodes ||
-          (n.state != 1 && n.state != 2) || n.incarnation < 0 ||
+      if (!ok || life.index < 0 || life.index >= ck->num_nodes ||
+          (state != 1 && state != 2) || life.incarnation < 0 ||
           rooms > static_cast<uint64_t>(INT32_MAX)) {
         return fail(StrFormat("bad node record at line %zu", line_no));
       }
-      if (!ck->nodes.empty() && ck->nodes.back().index >= n.index) {
+      life.down = state == 2;
+      if (!ck->nodes.empty() && ck->nodes.back().life.index >= life.index) {
         return fail(StrFormat("node records out of order at line %zu", line_no));
       }
-      n.room_ids.resize(rooms);
+      life.room_ids.resize(rooms);
       for (uint64_t r = 0; r < rooms; ++r) {
-        if (!tr.Int(&n.room_ids[r])) {
+        if (!tr.Int(&life.room_ids[r])) {
           return fail(StrFormat("bad node record at line %zu", line_no));
         }
       }
@@ -339,40 +339,45 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
       continue;
     }
 
-    if (StartsWith(line, "carried ") || StartsWith(line, "arr ") ||
-        StartsWith(line, "verify ")) {
+    if (StartsWith(line, "carried ") || StartsWith(line, "verify ")) {
       const bool carried = StartsWith(line, "carried ");
-      const bool arr = StartsWith(line, "arr ");
-      const size_t skip = carried ? 8 : (arr ? 4 : 7);
+      const char* kind = carried ? "carried" : "verify";
+      const size_t skip = carried ? 8 : 7;
       // These records attach to the most recent node line.
-      int owner = -1;
-      if (carried || StartsWith(line, "verify ")) {
-        char* end = nullptr;
-        owner = static_cast<int>(std::strtol(line.c_str() + skip, &end, 10));
-        const size_t payload_at = static_cast<size_t>(end - line.c_str()) + 1;
-        if (end == line.c_str() + skip || *end != ' ' ||
-            ck->nodes.empty() || ck->nodes.back().index != owner) {
-          return fail(StrFormat("orphaned %s record at line %zu",
-                                carried ? "carried" : "verify", line_no));
-        }
-        std::string* dst =
-            carried ? &ck->nodes.back().carried_stats : &ck->nodes.back().verify;
-        if (!dst->empty() ||
-            !JournalUnescape(line.substr(payload_at), dst)) {
-          return fail(StrFormat("bad %s record at line %zu",
-                                carried ? "carried" : "verify", line_no));
-        }
-        continue;
+      char* end = nullptr;
+      const int owner = static_cast<int>(std::strtol(line.c_str() + skip, &end, 10));
+      const size_t payload_at = static_cast<size_t>(end - line.c_str()) + 1;
+      if (end == line.c_str() + skip || *end != ' ' || ck->nodes.empty() ||
+          ck->nodes.back().life.index != owner) {
+        return fail(StrFormat("orphaned %s record at line %zu", kind, line_no));
       }
-      TokenReader tr(line.substr(skip));
+      CkptNode& n = ck->nodes.back();
+      std::string payload;
+      bool ok = JournalUnescape(line.substr(payload_at), &payload);
+      if (carried) {
+        ok = ok && !n.life.carried_stats &&
+             DecodeRunStats(payload, &n.life.carried_stats.emplace());
+      } else {
+        ok = ok && n.verify.empty();
+        n.verify = std::move(payload);
+      }
+      if (!ok) {
+        return fail(StrFormat("bad %s record at line %zu", kind, line_no));
+      }
+      continue;
+    }
+
+    if (StartsWith(line, "arr ")) {
+      TokenReader tr(line.substr(4));
       CkptArrival a;
+      int owner = -1;
       int64_t sender = 0;
       int64_t room = 0;
       bool ok = tr.Int(&owner) && tr.U64(&a.window) && tr.U64(&a.arrival) &&
                 tr.U64(&a.payload.id) && tr.I64(&sender) && tr.I64(&room) &&
                 tr.U64(&a.payload.sent_at) && tr.U64(&a.payload.payload) &&
                 tr.Done();
-      if (!ok || ck->nodes.empty() || ck->nodes.back().index != owner) {
+      if (!ok || ck->nodes.empty() || ck->nodes.back().life.index != owner) {
         return fail(StrFormat("bad arr record at line %zu", line_no));
       }
       a.payload.sender = static_cast<int>(sender);
@@ -459,7 +464,7 @@ std::vector<CheckpointSegmentInfo> ListCheckpointSegments(
 bool WriteCheckpointSegment(const ScaleCheckpointOptions& options,
                             const ScaleCheckpoint& ckpt, std::string* error) {
   const std::string path =
-      CheckpointSegmentPath(options.path, ckpt.config_fp, ckpt.window_index);
+      CheckpointSegmentPath(options.path, ckpt.config_fp, ckpt.loop.window_index);
   if (!AtomicWriteFile(path, EncodeScaleCheckpoint(ckpt), error)) {
     return false;
   }

@@ -11,20 +11,27 @@
 // newest valid segment, producing a digest and bench JSON byte-identical to
 // an uninterrupted run.
 //
-// What a segment holds (see docs/SCALE.md "Checkpoint & recovery"):
+// A segment holds three records that the live federation holds too, so
+// taking a checkpoint and restoring one each copy them whole (see
+// docs/SCALE.md "Checkpoint & recovery"):
 //
-//   * the aggregate ScaleRun-so-far: the folded nodes' FederationCounters,
-//     the merged RunStats, the concurrent peaks, and the streaming FNV
-//     digest chain;
-//   * the fabric cursor: per-source emission counters (loss/dup fault coins
-//     are keyed by (src, dst, seq)), cumulative FabricStats, closed flag —
-//     lanes are always empty at a post-Exchange barrier, so in-flight
-//     traffic lives in destination arrival logs instead;
-//   * per live/down node: lifecycle (incarnation, clock offset, crash bank),
-//     the unfinished-room set, its FederationCounters (a live node's as of
-//     its boot), the current incarnation's fabric arrival log, and a
-//     verification line (counters + RunStatsDigest + EngineDigest +
-//     ack/retransmit/reorder buffer state).
+//   * the aggregate, ScaleRun itself (scale.h): chat totals, crash
+//     accounting, the folded nodes' FederationCounters and merged RunStats,
+//     the concurrent peaks, and the streaming FNV digest chain;
+//   * the coordinator's FederationLoop: window index, completion tally, and
+//     the windows the fabric closed and the inboxes reached EOF at;
+//   * per live or down node, its NodeLifecycle: incarnation, clock offset,
+//     crash state, banked chat totals, the unfinished-room set, and the dead
+//     incarnations' stats.
+//
+// Beside those, a segment carries the fabric cursor (per-source emission
+// counters, since loss/dup fault coins are keyed by (src, dst, seq);
+// cumulative FabricStats; the closed flag — lanes are always empty at a
+// post-Exchange barrier, so in-flight traffic lives in destination arrival
+// logs instead) and per node its FederationCounters (a live node's as of its
+// boot), the current incarnation's fabric arrival log, and a verification
+// line (counters + RunStatsDigest + EngineDigest + ack/retransmit/reorder
+// buffer state).
 //
 // Restore rebuilds live nodes by *deterministic replay*: the node is booted
 // exactly as the original incarnation was (same derived seed), stepped
@@ -40,16 +47,19 @@
 // File format (text, one record per line, journal-style escaping for
 // embedded payloads, FNV-1a-64 trailer over all preceding bytes):
 //
-//   elscscale v3 fp=<hex16> seed=<u64> window=<u64> nodes=<n>
+//   elscscale v4 fp=<hex16> seed=<u64> window=<window_index> nodes=<n>
 //   run <digest hex16> <sent> <delivered> <crashes> <restarts> <degraded>
-//       <counters> <peaks...> <loop state...>
-//   stats <escaped EncodeRunStats>
+//       <counters> <peak tasks> <peak nodes> <peak arena bytes>
+//       <peak sockets> <chats_done> <all_completed> <router_close_window>
+//       <inbox_close_window>
+//   stats <escaped EncodeRunStats of run.stats>
 //   fabric <closed> <stats...> <n> <next_seq...>
-//   node <index> <state> <lifecycle...> <banked sent/delivered> <counters>
-//       <n> <rooms...>
+//   node <index> <state: 1 live, 2 down> <incarnation> <clock_offset>
+//       <crashes> <restart_window> <chat_done> <banked_sent>
+//       <banked_delivered> <counters> <n> <rooms...>
 //   carried <index> <escaped EncodeRunStats>        (optional per node)
 //   arr <index> <window> <arrival> <id> <sender> <room> <sent_at> <payload>
-//   verify <index> <escaped verification line>
+//   verify <index> <escaped verification line>      (live nodes)
 //   end <fnv hex16>
 //
 // <counters> is one FederationCounters block, the same eleven tokens in
@@ -57,76 +67,58 @@
 // <stats...> are the eleven kFabricCounters tokens. An older segment is
 // rejected at the header and the run cold-starts (segments are transient,
 // so there is nothing to migrate): v1 ordered the run record differently,
-// and v2's run digest chains the previous fold-record layout, a mix no
-// verify line would catch when every unfolded node is down.
+// v2's run digest chains the previous fold-record layout, a mix no verify
+// line would catch when every unfolded node is down, and v3's run record
+// carries two more loop tokens (the inbox EOF flag and time, which v4
+// derives from the windows).
 
 #ifndef SRC_API_SCALE_CKPT_H_
 #define SRC_API_SCALE_CKPT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/base/token_codec.h"
+#include "src/api/scale.h"
+#include "src/api/simulation.h"
 #include "src/sim/fabric.h"
 
 namespace elsc {
 
-// Checkpointing knobs, resolved from the environment when ScaleConfig's
-// copy has an empty path. Never part of the digest/signature/JSON.
-struct ScaleCheckpointOptions {
-  std::string path;   // Segment path prefix; empty = checkpointing off.
-  uint64_t every = 16;  // Segment cadence in windows (0 = forced-only).
-  int keep = 2;         // Newest segments retained per scenario.
-  // Test hook: force a segment at this window and return a partial
-  // (completed == false) run instead of continuing — a process kill without
-  // killing the test process. 0 = off.
-  uint64_t stop_after_window = 0;
-
-  bool armed() const { return !path.empty(); }
-  // ELSC_SCALE_CKPT / ELSC_SCALE_CKPT_EVERY / ELSC_SCALE_CKPT_KEEP.
-  static ScaleCheckpointOptions FromEnv();
+// The coordinator's loop state at a barrier.
+struct FederationLoop {
+  uint64_t window_index = 0;
+  int chats_done = 0;          // Nodes whose chat has completed.
+  bool all_completed = true;   // Every node folded so far finished cleanly.
+  // Window indices the fabric closed / the inboxes EOF'd at (0 = not yet):
+  // the inboxes close one fabric latency after the fabric does, and
+  // checkpoint replay re-applies both at exactly the original barriers.
+  uint64_t router_close_window = 0;
+  uint64_t inbox_close_window = 0;
 };
 
-// A federation node's traffic and recovery counters, and their sum over a
-// run. Every copy — the live node, its boot snapshot, the aggregate, both
-// checkpoint records, the verification line — is one assignment, one `+=`
-// or one codec call (AppendCounters/ReadCounters, src/base/token_codec.h),
-// so a new counter is one field here plus one entry in
-// kFederationCounterFields.
-struct FederationCounters {
-  uint64_t beacons_sent = 0;      // Unique beacons (retransmits not counted).
-  uint64_t beacons_received = 0;  // Unique beacons processed by receivers.
-  uint64_t inbox_overflows = 0;   // Deliveries refused by a full inbox.
-  uint64_t late_writes = 0;       // Deliveries landing on a closed inbox.
-  // Recovery protocol (failure model only; zero fault-free).
-  uint64_t retransmits = 0;       // Beacon re-emissions by the protocol.
-  uint64_t retx_abandoned = 0;    // Unacked beacons given up on (retries
-                                  // exhausted or buffer overflow).
-  uint64_t dup_discards = 0;      // Received beacons discarded as duplicates.
-  uint64_t acks_sent = 0;
-  uint64_t acks_received = 0;
-  // Crash accounting, written by the coordinator when a node crashes.
-  uint64_t chat_messages_lost = 0;      // Partial-room chat work thrown away
-                                        // (re-run after restart).
-  uint64_t crash_inflight_dropped = 0;  // Fabric deliveries destroyed with
-                                        // the node (inbox + scheduled).
-
-  FederationCounters& operator+=(const FederationCounters& other);
-  bool operator==(const FederationCounters&) const = default;
-};
-
-// Every counter, in codec order.
-inline constexpr Counter<FederationCounters> kFederationCounterFields[] = {
-    ELSC_COUNTER(FederationCounters, beacons_sent),
-    ELSC_COUNTER(FederationCounters, beacons_received),
-    ELSC_COUNTER(FederationCounters, inbox_overflows),
-    ELSC_COUNTER(FederationCounters, late_writes), ELSC_COUNTER(FederationCounters, retransmits),
-    ELSC_COUNTER(FederationCounters, retx_abandoned),
-    ELSC_COUNTER(FederationCounters, dup_discards), ELSC_COUNTER(FederationCounters, acks_sent),
-    ELSC_COUNTER(FederationCounters, acks_received),
-    ELSC_COUNTER(FederationCounters, chat_messages_lost),
-    ELSC_COUNTER(FederationCounters, crash_inflight_dropped),
+// What a node carries across its incarnations: the part a crash leaves
+// behind and a checkpoint stores, as opposed to the machine the current
+// incarnation simulates.
+struct NodeLifecycle {
+  int index = 0;
+  int incarnation = 0;
+  // A restarted machine starts at local t = 0; global time = offset + local.
+  Cycles clock_offset = 0;
+  bool down = false;  // Crashed, awaiting restart at restart_window.
+  uint64_t crashes = 0;
+  uint64_t restart_window = 0;
+  bool chat_done = false;
+  // Finished-room quotas banked from dead incarnations — their deliveries
+  // happened and stay counted; only unfinished rooms re-run.
+  uint64_t banked_sent = 0;
+  uint64_t banked_delivered = 0;
+  // Global room ids this incarnation simulates (restart re-runs only the
+  // unfinished rooms; index 0 pairs with the workload's room 0, and so on).
+  std::vector<int> room_ids;
+  // Stats of dead incarnations, merged at fold; empty until the first crash.
+  std::optional<RunStats> carried_stats;
 };
 
 // One logged fabric delivery: enough to re-schedule it during replay at the
@@ -138,25 +130,14 @@ struct CkptArrival {
   Message payload;
 };
 
-// Per-node checkpoint record. Only live (state 1) and down (state 2) nodes
-// are recorded — a folded node's contribution already lives in the
-// aggregate digest/stats.
+// Per-node checkpoint record. Only live and down nodes are recorded — a
+// folded node's contribution already lives in the aggregate digest/stats.
 struct CkptNode {
-  int index = 0;
-  int state = 1;  // 1 = live (machine running), 2 = down (awaiting restart).
-  int incarnation = 0;
-  Cycles clock_offset = 0;
-  uint64_t crashes = 0;
-  uint64_t restart_window = 0;
-  bool chat_done = false;
-  uint64_t banked_sent = 0;
-  uint64_t banked_delivered = 0;
+  NodeLifecycle life;
   // Live nodes: the counters at the current incarnation's boot (replay
   // re-adds this incarnation's deltas). Down nodes: the current values
   // (nothing to replay).
   FederationCounters fed;
-  std::vector<int> room_ids;      // This incarnation's (unfinished) rooms.
-  std::string carried_stats;      // EncodeRunStats of dead incarnations; "" = none.
   std::vector<CkptArrival> arrivals;  // Live nodes: this incarnation's log.
   std::string verify;             // Live nodes: post-replay cross-check line.
 };
@@ -165,28 +146,9 @@ struct CkptNode {
 struct ScaleCheckpoint {
   uint64_t config_fp = 0;  // ScaleConfigFingerprint binding.
   uint64_t seed = 0;
-  uint64_t window_index = 0;
   int num_nodes = 0;
-  // Coordinator loop state.
-  int chats_done = 0;
-  bool all_completed = true;
-  bool inboxes_closed = false;
-  Cycles inbox_close_at = 0;
-  uint64_t router_close_window = 0;  // Window Close() ran at; 0 = still open.
-  uint64_t inbox_close_window = 0;   // Window inboxes EOF'd at; 0 = open.
-  // Aggregate run-so-far (folded nodes + coordinator accounting).
-  uint64_t digest = 0;  // The streaming FNV accumulator.
-  uint64_t messages_sent = 0;
-  uint64_t messages_delivered = 0;
-  uint64_t node_crashes = 0;
-  uint64_t node_restarts = 0;
-  uint64_t windows_degraded = 0;
-  FederationCounters fed;  // Folded nodes' counters.
-  uint64_t peak_live_tasks = 0;
-  uint64_t peak_live_nodes = 0;
-  uint64_t peak_task_arena_bytes = 0;
-  uint64_t peak_live_sockets = 0;
-  std::string agg_stats;  // EncodeRunStats of the folded RunStats.
+  FederationLoop loop;
+  ScaleRun run;  // The aggregate so far: folded nodes + coordinator accounting.
   FabricRouterState fabric;
   std::vector<CkptNode> nodes;  // Ascending index; missing = folded.
 };

@@ -15,6 +15,19 @@
 
 namespace elsc {
 
+// splitmix64 (Steele, Lea & Flood; public-domain reference constants):
+// advances *state by the golden-ratio increment and returns the mixed
+// output. From state 0 the outputs are e220a8397b1dcdaf, 6e789e6aa1b965f4.
+// Rng seeds from it and DeriveSeed chains it; the backoff jitter and the
+// federation fault coins use it as a hash of a key copied into the state.
+inline uint64_t SplitMix64(uint64_t* state) {
+  *state += 0x9e3779b97f4a7c15ull;
+  uint64_t z = *state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 // xoshiro256** 1.0 by Blackman & Vigna (public domain reference algorithm),
 // seeded via splitmix64 as recommended by the authors.
 class Rng {
@@ -98,14 +111,6 @@ class Rng {
   Rng Fork() { return Rng(Next() ^ 0x9e3779b97f4a7c15ull); }
 
  private:
-  static uint64_t SplitMix64(uint64_t* x) {
-    *x += 0x9e3779b97f4a7c15ull;
-    uint64_t z = *x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-
   static uint64_t Rotl(uint64_t v, int k) { return (v << k) | (v >> (64 - k)); }
 
   uint64_t state_[4] = {};

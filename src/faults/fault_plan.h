@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "src/base/rng.h"
 #include "src/base/time_units.h"
 #include "src/base/token_codec.h"
 
@@ -141,15 +142,6 @@ inline constexpr Counter<FaultStats> kFaultCounters[] = {
 // therefore bit-identical at any shard count and any ELSC_BENCH_JOBS, the
 // same discipline the in-machine injectors get from their private RNG.
 
-// splitmix64 finalizer (same public-domain constants as Rng's seeding mix
-// and BackoffMix64); duplicated so this header stays dependency-free.
-inline uint64_t FedMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 struct FederationFaultPlan {
   uint64_t seed = 1;
 
@@ -187,12 +179,18 @@ struct FederationFaultPlan {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
   }
 
+  // splitmix64 (src/base/rng.h) of `key` xor the splitmix64 of `value`:
+  // every decision below hashes one of these.
+  static uint64_t KeyedHash(uint64_t key, uint64_t value) {
+    uint64_t state = key ^ SplitMix64(&value);
+    return SplitMix64(&state);
+  }
+
   uint64_t NodeKey(int node, uint64_t salt) const {
-    return FedMix64(seed ^ FedMix64(static_cast<uint64_t>(node) * 0x9e3779b97f4a7c15ull + salt));
+    return KeyedHash(seed, static_cast<uint64_t>(node) * 0x9e3779b97f4a7c15ull + salt);
   }
   uint64_t LinkKey(int src, int dst, uint64_t salt) const {
-    return FedMix64(seed ^ FedMix64((static_cast<uint64_t>(src) << 32) ^
-                                    static_cast<uint64_t>(dst) ^ salt));
+    return KeyedHash(seed, (static_cast<uint64_t>(src) << 32) ^ static_cast<uint64_t>(dst) ^ salt);
   }
 
   bool NodeCrashes(int node) const {
@@ -230,11 +228,11 @@ struct FederationFaultPlan {
 
   bool DropMessage(int src, int dst, uint64_t seq) const {
     return loss_rate > 0.0 &&
-           U01(FedMix64(LinkKey(src, dst, 0x77) ^ FedMix64(seq))) < loss_rate;
+           U01(KeyedHash(LinkKey(src, dst, 0x77), seq)) < loss_rate;
   }
   bool DuplicateMessage(int src, int dst, uint64_t seq) const {
     return dup_rate > 0.0 &&
-           U01(FedMix64(LinkKey(src, dst, 0x88) ^ FedMix64(seq))) < dup_rate;
+           U01(KeyedHash(LinkKey(src, dst, 0x88), seq)) < dup_rate;
   }
 };
 

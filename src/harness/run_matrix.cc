@@ -4,21 +4,10 @@
 #include <cstdlib>
 #include <thread>
 
+#include "src/base/rng.h"
 #include "src/harness/thread_pool.h"
 
 namespace elsc {
-
-namespace {
-
-uint64_t SplitMix64(uint64_t* x) {
-  *x += 0x9e3779b97f4a7c15ull;
-  uint64_t z = *x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 uint64_t DeriveSeed(uint64_t base_seed, uint64_t cell_key, uint64_t replicate) {
   uint64_t x = base_seed;

@@ -106,10 +106,9 @@ struct Task {
   // events capture it so a stale deadline cannot wake a later, unrelated
   // sleep of the same task.
   uint64_t sleep_generation = 0;
-  // Dispatch bookkeeping for event invalidation and accounting.
-  Cycles last_dispatch_time = 0;
+  // When the task last became runnable: wait-time accounting and the
+  // auditor's starvation check.
   Cycles became_runnable_at = 0;
-  uint64_t dispatch_generation = 0;
   // What to do when the segment completes (indices into SegmentAfter; the
   // Machine caches the behavior's answer here).
   int pending_after = 0;

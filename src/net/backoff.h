@@ -5,11 +5,11 @@
 // storm. Real clients decorrelate with randomized exponential backoff; a
 // deterministic simulation needs the same decorrelation without consuming
 // draws from any RNG stream that other parts of the run depend on. So the
-// jitter here is a pure function of (key, attempt): the same splitmix64
-// finalizer the repo's Rng uses for seeding, applied to a per-connection key
-// mixed with the attempt number. Two clients with different keys spread out;
-// the same run replays bit-identically; and no shared RNG stream is
-// perturbed by how many retries happened.
+// jitter here is a pure function of (key, attempt): SplitMix64
+// (src/base/rng.h), the finalizer the repo's Rng seeds from, applied to a
+// per-connection key mixed with the attempt number. Two clients with
+// different keys spread out; the same run replays bit-identically; and no
+// shared RNG stream is perturbed by how many retries happened.
 //
 // Delay schedule (the standard AWS-style "full jitter"):
 //   cap    = min(base << attempt, max)        — bounded exponential ceiling
@@ -23,19 +23,10 @@
 
 #include <cstdint>
 
+#include "src/base/rng.h"
 #include "src/base/time_units.h"
 
 namespace elsc {
-
-// splitmix64 finalizer (Steele, Lea & Flood; public-domain reference
-// constants, identical to Rng's seeding mix). Duplicated here because
-// src/net must not grow dependencies for a three-line hash.
-inline uint64_t BackoffMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 struct BackoffPolicy {
   Cycles base = UsToCycles(200);  // First-retry floor.
@@ -64,7 +55,8 @@ struct BackoffPolicy {
       return base;
     }
     const uint64_t span = static_cast<uint64_t>(cap - base) + 1;
-    const uint64_t jitter = BackoffMix64(key ^ (0x6a09e667f3bcc909ull * static_cast<uint64_t>(attempt))) % span;
+    uint64_t state = key ^ (0x6a09e667f3bcc909ull * static_cast<uint64_t>(attempt));
+    const uint64_t jitter = SplitMix64(&state) % span;
     return base + static_cast<Cycles>(jitter);
   }
 };

@@ -197,9 +197,9 @@ class VolanoClientWriter : public VolanoThreadBase {
     conn.s2c->Reopen(machine);
     ack_spins_ = 0;
     phase_ = Phase::kWrite;  // Retransmit the in-flight message on wake.
-    return Segment::Sleep(
-        cfg().syscall_cycles,
-        cfg().backoff.Delay(BackoffMix64(static_cast<uint64_t>(user_)), attempts_));
+    uint64_t key = static_cast<uint64_t>(user_);
+    return Segment::Sleep(cfg().syscall_cycles,
+                          cfg().backoff.Delay(SplitMix64(&key), attempts_));
   }
 
   int user_;

@@ -27,20 +27,24 @@ ScaleCheckpoint SampleCheckpoint() {
   ScaleCheckpoint ck;
   ck.config_fp = 0x1122334455667788ULL;
   ck.seed = 7;
-  ck.window_index = 9;
+  ck.loop.window_index = 9;
   ck.num_nodes = 3;
-  ck.chats_done = 1;
-  ck.digest = 0xfeedfacecafebeefULL;
-  ck.messages_sent = 100;
-  ck.messages_delivered = 90;
-  ck.agg_stats = "stats with spaces\nand newline";
+  ck.loop.chats_done = 1;
+  ck.run.digest = 0xfeedfacecafebeefULL;
+  ck.run.messages_sent = 100;
+  ck.run.messages_delivered = 90;
+  ck.run.stats.sched.schedule_calls = 55;
+  ck.run.stats.elapsed_sec = 0.5;
+  ck.run.stats.failure = "stats with spaces\nand newline";
   ck.fabric.stats.emitted = 12;
   ck.fabric.next_seq = {1, 2, 3};
   CkptNode live;
-  live.index = 0;
-  live.state = 1;
-  live.room_ids = {0};
-  live.carried_stats = "carried\\escape";
+  live.life.index = 0;
+  live.life.room_ids = {0};
+  RunStats carried;
+  carried.machine.context_switches = 8;
+  carried.failure = "carried\\escape";
+  live.life.carried_stats = carried;
   CkptArrival arrival;
   arrival.window = 8;
   arrival.arrival = 123;
@@ -52,10 +56,10 @@ ScaleCheckpoint SampleCheckpoint() {
   live.arrivals = {arrival, arrival};
   live.verify = "fed:1|ack:0";
   CkptNode down;
-  down.index = 2;
-  down.state = 2;
-  down.restart_window = 11;
-  down.room_ids = {2};
+  down.life.index = 2;
+  down.life.down = true;
+  down.life.restart_window = 11;
+  down.life.room_ids = {2};
   ck.nodes = {live, down};
   return ck;
 }
@@ -100,21 +104,24 @@ TEST(CkptCorruptionTest, EveryBitFlipIsRejectedCleanly) {
 
 TEST(CkptCorruptionTest, VersionAndMagicSkewAreRejected) {
   // v1 is the pre-FederationCounters layout: its run record orders the
-  // counters differently. v2 has v3's records, but its run digest chains
-  // the previous fold-record layout. A current segment relabelled either
-  // way must be rejected at the header, not misread or continued.
+  // counters differently. v2's run digest chains the previous fold-record
+  // layout. v3's run record carries two more loop tokens. A current segment
+  // relabelled any of those ways, or as the next version, must be rejected
+  // at the header, not misread or continued.
   const ScaleCheckpoint sample = SampleCheckpoint();
   const std::string current = EncodeScaleCheckpoint(sample);
-  ASSERT_EQ(current.rfind("elscscale v3 ", 0), 0u);
+  ASSERT_EQ(current.rfind("elscscale v4 ", 0), 0u);
   std::string v1 = current;
-  v1.replace(v1.find("v3"), 2, "v1");
+  v1.replace(v1.find("v4"), 2, "v1");
   std::string v2 = current;
-  v2.replace(v2.find("v3"), 2, "v2");
-  std::string v4 = current;
-  v4.replace(v4.find("v3"), 2, "v4");
+  v2.replace(v2.find("v4"), 2, "v2");
+  std::string v3 = current;
+  v3.replace(v3.find("v4"), 2, "v3");
+  std::string v5 = current;
+  v5.replace(v5.find("v4"), 2, "v5");
   std::string wrong_magic = current;
   wrong_magic.replace(0, 9, "elscwrong");
-  for (const std::string& bad : {v1, v2, v4, wrong_magic}) {
+  for (const std::string& bad : {v1, v2, v3, v5, wrong_magic}) {
     ScaleCheckpoint ck;
     std::string error;
     EXPECT_FALSE(DecodeScaleCheckpoint(bad, &ck, &error));

@@ -10,6 +10,16 @@
 namespace elsc {
 namespace {
 
+// The reference splitmix64 outputs from state 0. Rng's seeding, every
+// DeriveSeed value, the backoff jitter and the federation fault coins rest
+// on this one function.
+TEST(RngTest, SplitMix64MatchesReferenceVector) {
+  uint64_t state = 0;
+  EXPECT_EQ(SplitMix64(&state), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(SplitMix64(&state), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(state, 2 * 0x9e3779b97f4a7c15ull);
+}
+
 TEST(RngTest, SameSeedSameSequence) {
   Rng a(7);
   Rng b(7);

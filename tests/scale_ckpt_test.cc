@@ -261,7 +261,7 @@ TEST(ScaleCkptTest, AllSegmentsCorruptFallsBackToColdStart) {
 
   const uint64_t fp = ScaleConfigFingerprint(config);
   for (const auto& segment : ListCheckpointSegments(config.ckpt.path, fp)) {
-    ASSERT_TRUE(AtomicWriteFile(segment.path, "elscscale v3 torn", nullptr));
+    ASSERT_TRUE(AtomicWriteFile(segment.path, "elscscale v4 torn", nullptr));
   }
 
   config.ckpt.stop_after_window = 0;
@@ -355,23 +355,47 @@ FederationCounters DistinctCounters(uint64_t base) {
   return c;
 }
 
+// A RunStats whose encoding differs per `base`, with a failure string that
+// needs escaping (spaces and a backslash).
+RunStats SampleStats(uint64_t base) {
+  RunStats s;
+  s.sched.schedule_calls = base + 1;
+  s.machine.context_switches = base + 2;
+  s.events.fired = base + 3;
+  s.memory.task_arena_bytes = base + 4;
+  s.elapsed_sec = 0.25;
+  s.failed = true;
+  s.failure = "stuck at window \\ " + std::to_string(base);
+  return s;
+}
+
+// No field of any record is zero, and any two fields of one record type
+// differ in at least one of its lines, so a decoder that swapped or dropped
+// two reads would move a pinned line.
 TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   ScaleCheckpoint ck;
   ck.config_fp = 0xabcdef0123456789ULL;
   ck.seed = 7;
-  ck.window_index = 42;
+  ck.loop.window_index = 42;
   ck.num_nodes = 3;
-  ck.chats_done = 1;
-  ck.all_completed = false;
-  ck.digest = 0xfeedfacecafebeefULL;
-  ck.messages_sent = 12345;
-  ck.messages_delivered = 123456789;
-  ck.node_crashes = 3;
-  ck.node_restarts = 2;
-  ck.windows_degraded = 5;
-  ck.fed = DistinctCounters(100);
-  ck.agg_stats = "line with spaces\nand a newline";
-  ck.fabric.closed = false;
+  ck.loop.chats_done = 2;
+  ck.loop.all_completed = true;
+  ck.loop.router_close_window = 38;
+  ck.loop.inbox_close_window = 40;
+  ck.run.digest = 0xfeedfacecafebeefULL;
+  ck.run.messages_sent = 12345;
+  ck.run.messages_delivered = 123456789;
+  ck.run.node_crashes = 6;
+  ck.run.node_restarts = 4;
+  ck.run.windows_degraded = 9;
+  ck.run.fed = DistinctCounters(100);
+  ck.run.peak_live_tasks = 336;
+  ck.run.peak_live_nodes = 8;
+  ck.run.peak_task_arena_bytes = 129024;
+  ck.run.peak_live_sockets = 52;
+  const RunStats agg = SampleStats(500);
+  ck.run.stats = agg;
+  ck.fabric.closed = true;
   FabricStats& fs = ck.fabric.stats;
   fs.emitted = 17;
   fs.routed = 18;
@@ -384,32 +408,45 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   fs.dropped_crashed = 25;
   fs.dropped_lane_overflow = 26;
   fs.duplicated = 27;
-  ck.fabric.next_seq = {3, 1, 4};
+  ck.fabric.next_seq = {31, 15, 92};
+  CkptNode down;
+  down.life.index = 1;
+  down.life.down = true;
+  down.life.incarnation = 3;
+  down.life.clock_offset = 120000;
+  down.life.crashes = 4;
+  down.life.restart_window = 44;
+  down.life.chat_done = true;
+  down.life.banked_sent = 24;
+  down.life.banked_delivered = 96;
+  down.fed = DistinctCounters(300);
+  down.life.room_ids = {21, 22, 23, 25, 26};
+  const RunStats down_carried = SampleStats(700);
+  down.life.carried_stats = down_carried;
   CkptNode live;
-  live.index = 0;
-  live.state = 1;
-  live.incarnation = 2;
-  live.clock_offset = 1000;
+  live.life.index = 2;
+  live.life.incarnation = 6;
+  live.life.clock_offset = 360000;
+  live.life.crashes = 7;
+  live.life.restart_window = 36;
+  live.life.chat_done = true;
+  live.life.banked_sent = 48;
+  live.life.banked_delivered = 192;
   live.fed = DistinctCounters(200);
-  live.room_ids = {0};
-  live.carried_stats = "carried\\payload";
+  live.life.room_ids = {12, 13, 14};
+  const RunStats live_carried = SampleStats(600);
+  live.life.carried_stats = live_carried;
   CkptArrival arrival;
   arrival.window = 41;
   arrival.arrival = 99;
   arrival.payload.id = 5;
   arrival.payload.sender = 1;
-  arrival.payload.room = 0;
+  arrival.payload.room = 13;
   arrival.payload.sent_at = 80;
   arrival.payload.payload = 1234;
   live.arrivals = {arrival};
   live.verify = "fed:1,2|ack:0";
-  CkptNode down;
-  down.index = 2;
-  down.state = 2;
-  down.restart_window = 44;
-  down.fed = DistinctCounters(300);
-  down.room_ids = {2};
-  ck.nodes = {live, down};
+  ck.nodes = {down, live};
 
   const std::string encoded = EncodeScaleCheckpoint(ck);
   ScaleCheckpoint decoded;
@@ -417,22 +454,29 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   ASSERT_TRUE(DecodeScaleCheckpoint(encoded, &decoded, &error)) << error;
   // Exact round-trip: re-encoding the decoded checkpoint is byte-identical.
   EXPECT_EQ(EncodeScaleCheckpoint(decoded), encoded);
-  // The fabric record's layout, pinned: distinct counters in codec order.
-  EXPECT_NE(encoded.find("\nfabric 0 17 18 19 20 21 22 23 24 25 26 27 3 3 1 4 \n"),
-            std::string::npos)
-      << encoded;
+  // Every fixed-layout record, pinned: distinct values in codec order.
+  for (const char* line : {
+           "\nrun feedfacecafebeef 12345 123456789 6 4 9 101 102 103 104 105 106 107 108 "
+           "109 110 111 336 8 129024 52 2 1 38 40 \n",
+           "\nfabric 1 17 18 19 20 21 22 23 24 25 26 27 3 31 15 92 \n",
+           "\nnode 1 2 3 120000 4 44 1 24 96 301 302 303 304 305 306 307 308 309 310 311 5 "
+           "21 22 23 25 26 \n",
+           "\nnode 2 1 6 360000 7 36 1 48 192 201 202 203 204 205 206 207 208 209 210 211 3 "
+           "12 13 14 \n",
+           "\narr 2 41 99 5 1 13 80 1234 \n"}) {
+    EXPECT_NE(encoded.find(line), std::string::npos) << line << "\nnot in\n" << encoded;
+  }
   ASSERT_EQ(decoded.nodes.size(), 2u);
-  EXPECT_TRUE(decoded.fed == ck.fed);
-  EXPECT_TRUE(decoded.nodes[0].fed == live.fed);
-  EXPECT_TRUE(decoded.nodes[1].fed == down.fed);
-  EXPECT_EQ(decoded.messages_sent, ck.messages_sent);
-  EXPECT_EQ(decoded.node_crashes, ck.node_crashes);
-  EXPECT_EQ(decoded.node_restarts, ck.node_restarts);
-  EXPECT_EQ(decoded.windows_degraded, ck.windows_degraded);
-  EXPECT_EQ(decoded.nodes[0].arrivals.size(), 1u);
-  EXPECT_EQ(decoded.nodes[0].arrivals[0].payload.payload, 1234u);
-  EXPECT_EQ(decoded.nodes[0].carried_stats, "carried\\payload");
-  EXPECT_EQ(decoded.agg_stats, ck.agg_stats);
+  EXPECT_TRUE(decoded.run.fed == ck.run.fed);
+  EXPECT_TRUE(decoded.nodes[0].fed == down.fed);
+  EXPECT_TRUE(decoded.nodes[1].fed == live.fed);
+  EXPECT_EQ(decoded.nodes[1].arrivals.size(), 1u);
+  EXPECT_EQ(decoded.nodes[1].verify, live.verify);
+  EXPECT_EQ(EncodeRunStats(decoded.run.stats), EncodeRunStats(agg));
+  ASSERT_TRUE(decoded.nodes[0].life.carried_stats.has_value());
+  EXPECT_EQ(EncodeRunStats(*decoded.nodes[0].life.carried_stats), EncodeRunStats(down_carried));
+  ASSERT_TRUE(decoded.nodes[1].life.carried_stats.has_value());
+  EXPECT_EQ(EncodeRunStats(*decoded.nodes[1].life.carried_stats), EncodeRunStats(live_carried));
 }
 
 TEST(ScaleCkptTest, UnarmedRunsWriteNothing) {
