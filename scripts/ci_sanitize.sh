@@ -7,8 +7,10 @@
 # lifetime bug would hide. The storage tests cover the code that
 # placement-news objects into byte buffers (task arena slots, InlineFunction
 # and EventCallback storage, event slots and the engine tests that build
-# closures in them and cancel events from inside handlers, socket rings),
-# where a misaligned or double-destroyed object would hide.
+# closures in them and cancel events from inside handlers, socket rings) or
+# builds objects inside a shared record (a Volano connection's four sockets
+# and four thread behaviors, run by the Volano and footprint tests), where a
+# misaligned or double-destroyed object would hide.
 #
 #   usage: scripts/ci_sanitize.sh [thread|address|all]   (default: all)
 #

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <iterator>
 #include <memory>
 #include <set>
@@ -96,7 +95,9 @@ class FederationTx : public TaskBehavior {
   };
 
   ScaleNode* node_;
-  std::deque<Unacked> unacked_;
+  // Oldest first. Filled only when a fault plan is armed, so a fault-free
+  // node never allocates it.
+  std::vector<Unacked> unacked_;
   Cycles next_beacon_at_ = 0;
   uint64_t next_beacon_id_ = 0;
 };
@@ -200,9 +201,10 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
   if (armed) {
     // Cumulative ack from the ring successor: everything at or below it
     // arrived — purge it from the retransmission buffer.
-    while (!unacked_.empty() && unacked_.front().id <= node_->tx_acked) {
-      unacked_.pop_front();
-    }
+    const auto first_unacked =
+        std::find_if(unacked_.begin(), unacked_.end(),
+                     [this](const Unacked& u) { return u.id > node_->tx_acked; });
+    unacked_.erase(unacked_.begin(), first_unacked);
   }
   if (node_->volano->ChatComplete() &&
       (!armed || !cfg.retransmit || unacked_.empty() ||
@@ -268,7 +270,7 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
         unacked_.push_back(u);
         while (unacked_.size() > cfg.retransmit_buffer) {
           // Bounded buffer: the oldest unacked beacon is given up on.
-          unacked_.pop_front();
+          unacked_.erase(unacked_.begin());
           ++node_->fed.retx_abandoned;
         }
       }
@@ -453,11 +455,7 @@ void BootNode(ScaleNode* node, const ScaleConfig& config) {
   node->volano->Setup();
 
   if (node->router != nullptr) {
-    node->inbox = std::make_unique<SimSocket>(
-        node->life.incarnation == 0
-            ? StrFormat("node%d.fabric.in", node->life.index)
-            : StrFormat("node%d.fabric.in#%d", node->life.index, node->life.incarnation),
-        config.fabric_inbox_capacity);
+    node->inbox = std::make_unique<SimSocket>(config.fabric_inbox_capacity);
     node->tx = std::make_unique<FederationTx>(node);
     node->rx = std::make_unique<FederationRx>(node);
     // The relays are server-process threads: share the server JVM's mm.

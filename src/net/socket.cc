@@ -22,19 +22,37 @@ const char* SockStatusName(SockStatus status) {
   return "unknown";
 }
 
-SimSocket::SimSocket(std::string name, size_t capacity)
-    : name_(std::move(name)), capacity_(capacity) {
+namespace {
+
+// The cold counters (lifecycle and failure; see SocketStats) are 32-bit. A
+// wrap would mean a runaway failure loop, so it stops the run instead of
+// hiding.
+void CountCold(uint32_t* counter, uint32_t n = 1) {
+  ELSC_CHECK(*counter <= UINT32_MAX - n);
+  *counter += n;
+}
+
+}  // namespace
+
+SimSocket::SimSocket(size_t capacity) : capacity_(static_cast<uint32_t>(capacity)) {
   ELSC_CHECK(capacity >= 1);
+  ELSC_CHECK(capacity <= UINT32_MAX);
   ring_ = std::make_unique<Message[]>(capacity);
+}
+
+void SimSocket::DiscardQueued() {
+  CountCold(&stats_.discarded, size_);
+  head_ = 0;
+  size_ = 0;
 }
 
 SockStatus SimSocket::TryWriteMsg(Waker& waker, const Message& msg) {
   switch (state_) {
     case SocketState::kClosed:
-      ++stats_.write_closed;
+      CountCold(&stats_.write_closed);
       return SockStatus::kClosed;
     case SocketState::kReset:
-      ++stats_.write_resets;
+      CountCold(&stats_.write_resets);
       return SockStatus::kReset;
     case SocketState::kOpen:
     case SocketState::kHalfOpen:
@@ -44,14 +62,14 @@ SockStatus SimSocket::TryWriteMsg(Waker& waker, const Message& msg) {
     ++stats_.write_blocks;
     return SockStatus::kWouldBlock;
   }
-  size_t tail = head_ + size_;
+  size_t tail = size_t{head_} + size_;
   if (tail >= capacity_) {
     tail -= capacity_;
   }
   ring_[tail] = msg;
   ++size_;
   ++stats_.writes;
-  stats_.max_depth = std::max<uint64_t>(stats_.max_depth, size_);
+  stats_.max_depth = std::max(stats_.max_depth, size_);
   read_wait_.WakeOne(waker);
   return SockStatus::kOk;
 }
@@ -59,7 +77,7 @@ SockStatus SimSocket::TryWriteMsg(Waker& waker, const Message& msg) {
 SockStatus SimSocket::TryReadMsg(Waker& waker, Message* out) {
   // A reset destroys in-flight data, so there is never anything to drain.
   if (state_ == SocketState::kReset) {
-    ++stats_.read_resets;
+    CountCold(&stats_.read_resets);
     return SockStatus::kReset;
   }
   if (!CanRead()) {
@@ -68,7 +86,7 @@ SockStatus SimSocket::TryReadMsg(Waker& waker, Message* out) {
       return SockStatus::kWouldBlock;
     }
     // Closed or half-open and fully drained: end of stream.
-    ++stats_.read_eofs;
+    CountCold(&stats_.read_eofs);
     return SockStatus::kEof;
   }
   *out = ring_[head_];
@@ -88,7 +106,7 @@ void SimSocket::Close(Waker& waker) {
   // Closing a reset socket quiets it: the queue is already gone, readers now
   // see EOF instead of an error.
   state_ = SocketState::kClosed;
-  ++stats_.closes;
+  CountCold(&stats_.closes);
   WakeAllSleepers(waker);
 }
 
@@ -102,7 +120,7 @@ void SimSocket::ResetByPeer(Waker& waker) {
   }
   DiscardQueued();
   state_ = SocketState::kReset;
-  ++stats_.peer_resets;
+  CountCold(&stats_.peer_resets);
   WakeAllSleepers(waker);
 }
 
@@ -111,7 +129,7 @@ void SimSocket::HalfOpenPeer(Waker& waker) {
     return;  // A dead/closed connection cannot go half-open.
   }
   state_ = SocketState::kHalfOpen;
-  ++stats_.half_opens;
+  CountCold(&stats_.half_opens);
   // Only readers can observe the change (writers keep landing messages);
   // wake them so a drained reader sees EOF instead of sleeping forever.
   read_wait_.WakeAll(waker);
@@ -123,7 +141,7 @@ void SimSocket::Reopen(Waker& waker) {
   }
   DiscardQueued();
   state_ = SocketState::kOpen;
-  ++stats_.reopens;
+  CountCold(&stats_.reopens);
   WakeAllSleepers(waker);
 }
 

@@ -3,10 +3,12 @@
 // A SimSocket is a bounded FIFO of messages with blocking semantics built on
 // wait queues: readers block when the queue is empty, writers when it is
 // full. Storage is a ring allocated once, at construction, at exactly
-// `capacity` entries; no read, write or lifecycle transition allocates. VolanoMark's loopback-mode connections (paper §4/§6) are modeled as
-// pairs of these — the benchmark's defining property is that every message
-// exchange forces task blocking and wake-ups through the scheduler, and that
-// is exactly what these queues produce.
+// `capacity` entries; no read, write or lifecycle transition allocates. A
+// socket carries no name: a federation holds four per connection, so its
+// size is per-connection memory. VolanoMark's loopback-mode connections
+// (paper §4/§6) are modeled as pairs of these — the benchmark's defining
+// property is that every message exchange forces task blocking and wake-ups
+// through the scheduler, and that is exactly what these queues produce.
 //
 // Behaviors use the non-blocking TryRead/TryWrite plus the standard re-check
 // idiom: on failure, return a kBlock segment on the corresponding wait queue
@@ -38,7 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
+#include <string_view>
 
 #include "src/base/time_units.h"
 #include "src/kernel/wait_queue.h"
@@ -54,7 +56,7 @@ struct Message {
 };
 
 // Connection lifecycle state; see the file comment for transition semantics.
-enum class SocketState {
+enum class SocketState : uint8_t {
   kOpen,
   kHalfOpen,  // Peer reader died: reads EOF after drain, writes never drain.
   kClosed,    // Orderly shutdown: reads EOF after drain, writes fail (EPIPE).
@@ -74,6 +76,11 @@ enum class SockStatus {
 
 const char* SockStatusName(SockStatus status);
 
+// The six operation counters are 64-bit: they move on every read, write and
+// block. The rest are 32-bit: max_depth never exceeds the capacity, and
+// the lifecycle and failure counters move only on a transition or a failed
+// operation, so they stay zero unless connection chaos is on; an increment
+// that would wrap one fails an ELSC_CHECK instead.
 struct SocketStats {
   uint64_t writes = 0;
   uint64_t reads = 0;
@@ -81,33 +88,35 @@ struct SocketStats {
   uint64_t read_blocks = 0;    // TryRead failures (queue empty).
   uint64_t read_timeouts = 0;  // Timed blocks on read_wait that expired.
   uint64_t write_timeouts = 0; // Timed blocks on write_wait that expired.
-  uint64_t max_depth = 0;
+  uint32_t max_depth = 0;
   // Lifecycle transitions (at most one close/half-open per life, but a
   // reopened socket can accumulate several of each).
-  uint64_t closes = 0;       // Close() transitions.
-  uint64_t peer_resets = 0;  // ResetByPeer() transitions.
-  uint64_t half_opens = 0;   // HalfOpenPeer() transitions.
-  uint64_t reopens = 0;      // Reopen() transitions (reconnects).
+  uint32_t closes = 0;       // Close() transitions.
+  uint32_t peer_resets = 0;  // ResetByPeer() transitions.
+  uint32_t half_opens = 0;   // HalfOpenPeer() transitions.
+  uint32_t reopens = 0;      // Reopen() transitions (reconnects).
   // Per-cause operation failures (the EOF/EPIPE/ECONNRESET observations).
-  uint64_t read_eofs = 0;      // Reads that observed end-of-stream.
-  uint64_t read_resets = 0;    // Reads that failed with connection-reset.
-  uint64_t write_closed = 0;   // Writes that failed on a closed socket.
-  uint64_t write_resets = 0;   // Writes that failed with connection-reset.
+  uint32_t read_eofs = 0;      // Reads that observed end-of-stream.
+  uint32_t read_resets = 0;    // Reads that failed with connection-reset.
+  uint32_t write_closed = 0;   // Writes that failed on a closed socket.
+  uint32_t write_resets = 0;   // Writes that failed with connection-reset.
   // Messages destroyed by ResetByPeer()/Reopen() queue teardown — queued
   // data that was accepted but never delivered (drop-by-reset accounting).
-  uint64_t discarded = 0;
+  uint32_t discarded = 0;
 };
 
 class SimSocket {
  public:
-  // `capacity` >= 1 is fixed for the socket's life; throttling only lowers
-  // the effective capacity.
-  explicit SimSocket(std::string name, size_t capacity);
+  // `capacity` in [1, UINT32_MAX] is fixed for the socket's life;
+  // throttling only lowers the effective capacity.
+  explicit SimSocket(size_t capacity);
+  // Ignores the name. It exists only for the benchmark's probes, and goes
+  // with the name argument there in a benchmark-only change (ROADMAP item 8).
+  SimSocket(std::string_view /*name*/, size_t capacity) : SimSocket(capacity) {}
 
   SimSocket(const SimSocket&) = delete;
   SimSocket& operator=(const SimSocket&) = delete;
 
-  const std::string& name() const { return name_; }
   size_t capacity() const { return capacity_; }
   size_t depth() const { return size_; }
   bool CanRead() const { return size_ != 0; }
@@ -194,7 +203,7 @@ class SimSocket {
   void CountWriteTimeout() { ++stats_.write_timeouts; }
 
  private:
-  size_t EffectiveCapacity() const {
+  uint32_t EffectiveCapacity() const {
     return throttled_ && capacity_ > 1 ? 1 : capacity_;
   }
   void WakeAllSleepers(Waker& waker) {
@@ -202,25 +211,20 @@ class SimSocket {
     write_wait_.WakeAll(waker);
   }
   // Drops every queued message, counting it as discarded.
-  void DiscardQueued() {
-    stats_.discarded += size_;
-    head_ = 0;
-    size_ = 0;
-  }
+  void DiscardQueued();
 
-  std::string name_;
-  size_t capacity_;
   // FIFO ring: the oldest message is ring_[head_], size_ messages follow it
   // (wrapping at capacity_).
   std::unique_ptr<Message[]> ring_;
-  size_t head_ = 0;
-  size_t size_ = 0;
+  uint32_t capacity_;
+  uint32_t head_ = 0;
+  uint32_t size_ = 0;
+  SocketState state_ = SocketState::kOpen;
+  bool throttled_ = false;
   WaitQueue read_wait_;
   WaitQueue write_wait_;
   Cycles rcv_timeout_ = 0;
   Cycles snd_timeout_ = 0;
-  SocketState state_ = SocketState::kOpen;
-  bool throttled_ = false;
   SocketStats stats_;
 };
 

@@ -20,6 +20,7 @@ Machine::Machine(const MachineConfig& config)
   }
   cpus_.reserve(static_cast<size_t>(config_.num_cpus));
   cpu_locks_.resize(static_cast<size_t>(config_.num_cpus));
+  lock_waiters_.resize(static_cast<size_t>(config_.num_cpus));
   idle_cpus_.Reset(config_.num_cpus);
   for (int i = 0; i < config_.num_cpus; ++i) {
     auto cpu = std::make_unique<Cpu>();
@@ -121,7 +122,12 @@ void Machine::RequestSchedule(int cpu_id) {
     AcquireCpuLock(cpu_id);
     return;
   }
-  lock_waiters_.push_back(cpu_id);
+  ELSC_CHECK(lock_waiters_size_ < lock_waiters_.size());
+  size_t tail = lock_waiters_head_ + lock_waiters_size_++;
+  if (tail >= lock_waiters_.size()) {
+    tail -= lock_waiters_.size();
+  }
+  lock_waiters_[tail] = cpu_id;
   TryGrantLock();
 }
 
@@ -140,12 +146,15 @@ void Machine::AcquireCpuLock(int cpu_id) {
 }
 
 void Machine::TryGrantLock() {
-  if (lock_held_ || lock_waiters_.empty()) {
+  if (lock_held_ || lock_waiters_size_ == 0) {
     return;
   }
   lock_held_ = true;
-  const int cpu_id = lock_waiters_.front();
-  lock_waiters_.pop_front();
+  const int cpu_id = lock_waiters_[lock_waiters_head_];
+  if (++lock_waiters_head_ == lock_waiters_.size()) {
+    lock_waiters_head_ = 0;
+  }
+  --lock_waiters_size_;
   DoSchedule(cpu_id);
 }
 

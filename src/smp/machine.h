@@ -21,7 +21,6 @@
 #ifndef SRC_SMP_MACHINE_H_
 #define SRC_SMP_MACHINE_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -279,9 +278,14 @@ class Machine : public Waker {
   MachineStats stats_;
 
   // Global run-queue lock model: one holder at a time, FIFO waiters.
-  // Engaged only when scheduler_->uses_global_lock().
+  // Engaged only when scheduler_->uses_global_lock(). A CPU waits at most
+  // once (RequestSchedule enqueues it only while !schedule_pending), so the
+  // waiters fit a ring of num_cpus entries: the oldest is
+  // lock_waiters_[lock_waiters_head_], lock_waiters_size_ follow it.
   bool lock_held_ = false;
-  std::deque<int> lock_waiters_;
+  std::vector<int> lock_waiters_;
+  size_t lock_waiters_head_ = 0;
+  size_t lock_waiters_size_ = 0;
   // Per-CPU run-queue lock model (the complementary path): one entry per
   // CPU; engaged only when !scheduler_->uses_global_lock().
   std::vector<CpuLockStats> cpu_locks_;

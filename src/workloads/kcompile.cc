@@ -159,8 +159,8 @@ KcompileWorkload::~KcompileWorkload() = default;
 
 void KcompileWorkload::Setup() {
   make_mm_ = machine_.CreateMm();
-  start_gate_ = std::make_unique<SimSocket>("make.gate", static_cast<size_t>(config_.jobs));
-  done_signal_ = std::make_unique<SimSocket>("make.done", 4);
+  start_gate_ = std::make_unique<SimSocket>(static_cast<size_t>(config_.jobs));
+  done_signal_ = std::make_unique<SimSocket>(4);
 
   auto master = std::make_unique<KcompileMaster>(this);
   TaskParams params;
@@ -171,7 +171,7 @@ void KcompileWorkload::Setup() {
   behaviors_.push_back(std::move(master));
 
   for (int i = 0; i < config_.jobs; ++i) {
-    slot_done_.push_back(std::make_unique<SimSocket>(StrFormat("make.slot%d", i), 2));
+    slot_done_.push_back(std::make_unique<SimSocket>(2));
     auto worker = std::make_unique<KcompileWorker>(this, rng_.Fork(), i);
     TaskParams wp;
     wp.name = StrFormat("slot-%d", i);

@@ -66,8 +66,7 @@ void TokenRingWorkload::Setup() {
   MmStruct* mm = machine_.CreateMm();  // One process, N threads, like lat_ctx -P.
   pipes_.reserve(static_cast<size_t>(config_.tasks));
   for (int i = 0; i < config_.tasks; ++i) {
-    pipes_.push_back(std::make_unique<SimSocket>(StrFormat("ring.pipe%d", i),
-                                                 static_cast<size_t>(config_.tokens) + 2));
+    pipes_.push_back(std::make_unique<SimSocket>(static_cast<size_t>(config_.tokens) + 2));
     pipes_.back()->set_rcv_timeout(config_.read_timeout);
   }
   for (int i = 0; i < config_.tasks; ++i) {

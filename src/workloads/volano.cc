@@ -14,6 +14,11 @@ namespace {
 class VolanoThreadBase : public TaskBehavior {
  public:
   VolanoThreadBase(VolanoWorkload* workload, Rng rng) : workload_(workload), rng_(rng) {}
+  // A per-connection thread is built with its connection's record and gets
+  // its stream from set_rng() when it is spawned.
+  explicit VolanoThreadBase(VolanoWorkload* workload) : VolanoThreadBase(workload, Rng(0)) {}
+
+  void set_rng(Rng rng) { rng_ = rng; }
 
  protected:
   const VolanoConfig& cfg() const { return workload_->config(); }
@@ -85,8 +90,8 @@ class VolanoThreadBase : public TaskBehavior {
 // connection. The classic (!churn) paths are untouched.
 class VolanoClientWriter : public VolanoThreadBase {
  public:
-  VolanoClientWriter(VolanoWorkload* workload, Rng rng, int user)
-      : VolanoThreadBase(workload, rng), user_(user) {}
+  VolanoClientWriter(VolanoWorkload* workload, int user)
+      : VolanoThreadBase(workload), user_(user) {}
 
   Segment NextSegment(Machine& machine, Task& task) override {
     if (Segment gate; AwaitStartBarrier(&gate)) {
@@ -112,11 +117,11 @@ class VolanoClientWriter : public VolanoThreadBase {
           msg_.sent_at = machine.Now();
           msg_in_flight_ = true;
         }
-        const SockStatus st = conn.c2s->TryWriteMsg(machine, msg_);
+        const SockStatus st = conn.c2s.TryWriteMsg(machine, msg_);
         if (st == SockStatus::kWouldBlock) {
           // Wire full: spin-yield, then block until the server reader
           // drains it, then retry.
-          return SpinOrBlock(BlockUntilWritable(cfg().syscall_cycles, *conn.c2s));
+          return SpinOrBlock(BlockUntilWritable(cfg().syscall_cycles, conn.c2s));
         }
         if (st != SockStatus::kOk) {
           // Reset/closed mid-send (churn only — wires never die otherwise).
@@ -132,7 +137,7 @@ class VolanoClientWriter : public VolanoThreadBase {
         return Segment::RunAgain(cfg().syscall_cycles);
       }
       case Phase::kAwaitTurn: {
-        auto& ack = *conn.ack;
+        auto& ack = conn.ack;
         Message token;
         const SockStatus st = ack.TryReadMsg(machine, &token);
         // Clear a pending ack deadline whether or not the token made it —
@@ -193,8 +198,8 @@ class VolanoClientWriter : public VolanoThreadBase {
     }
     ++workload_->retries_;
     ++workload_->reconnects_;
-    conn.c2s->Reopen(machine);
-    conn.s2c->Reopen(machine);
+    conn.c2s.Reopen(machine);
+    conn.s2c.Reopen(machine);
     ack_spins_ = 0;
     phase_ = Phase::kWrite;  // Retransmit the in-flight message on wake.
     uint64_t key = static_cast<uint64_t>(user_);
@@ -216,8 +221,8 @@ class VolanoClientWriter : public VolanoThreadBase {
 // the user's own message arrives, releases the writer for the next one.
 class VolanoClientReader : public VolanoThreadBase {
  public:
-  VolanoClientReader(VolanoWorkload* workload, Rng rng, int user)
-      : VolanoThreadBase(workload, rng), user_(user) {}
+  VolanoClientReader(VolanoWorkload* workload, int user)
+      : VolanoThreadBase(workload), user_(user) {}
 
   Segment NextSegment(Machine& machine, Task& task) override {
     (void)task;
@@ -234,12 +239,12 @@ class VolanoClientReader : public VolanoThreadBase {
       return Segment::Exit(cfg().syscall_cycles);
     }
     Message msg;
-    const SockStatus st = conn.s2c->TryReadMsg(machine, &msg);
+    const SockStatus st = conn.s2c.TryReadMsg(machine, &msg);
     if (st == SockStatus::kWouldBlock) {
-      return SpinOrBlock(BlockUntilReadable(cfg().syscall_cycles, *conn.s2c));
+      return SpinOrBlock(BlockUntilReadable(cfg().syscall_cycles, conn.s2c));
     }
     if (st == SockStatus::kEof) {
-      if (!cfg().churn || conn.s2c->state() == SocketState::kClosed) {
+      if (!cfg().churn || conn.s2c.state() == SocketState::kClosed) {
         // Connection torn down for good (abandon or chat shutdown).
         return Segment::Exit(cfg().syscall_cycles);
       }
@@ -247,7 +252,7 @@ class VolanoClientReader : public VolanoThreadBase {
       // (writes land on a half-open socket), so this EOF is not final.
       // Park until data lands or the state resolves (Reopen/Close/reset
       // all wake the read queue).
-      SimSocket* sock = conn.s2c.get();
+      SimSocket* sock = &conn.s2c;
       return Segment::Block(cfg().syscall_cycles, &sock->read_wait(), [sock] {
         return !sock->CanRead() && sock->state() == SocketState::kHalfOpen;
       });
@@ -255,7 +260,7 @@ class VolanoClientReader : public VolanoThreadBase {
     if (st == SockStatus::kReset) {
       // The wire died; the client writer owns reconnection. Park until the
       // socket leaves the reset state (Reopen or Close both wake us).
-      SimSocket* sock = conn.s2c.get();
+      SimSocket* sock = &conn.s2c;
       return Segment::Block(cfg().syscall_cycles, &sock->read_wait(),
                             [sock] { return sock->reset(); });
     }
@@ -270,7 +275,7 @@ class VolanoClientReader : public VolanoThreadBase {
       Message token;
       token.id = msg.id;
       token.sender = user_;
-      const SockStatus ack_st = conn.ack->TryWriteMsg(machine, token);
+      const SockStatus ack_st = conn.ack.TryWriteMsg(machine, token);
       if (!cfg().churn) {
         ELSC_CHECK_MSG(ack_st == SockStatus::kOk,
                        "volano ack queue overflow (pacing invariant broken)");
@@ -292,8 +297,8 @@ class VolanoClientReader : public VolanoThreadBase {
 // room member's output queue.
 class VolanoServerReader : public VolanoThreadBase {
  public:
-  VolanoServerReader(VolanoWorkload* workload, Rng rng, int user)
-      : VolanoThreadBase(workload, rng), user_(user) {}
+  VolanoServerReader(VolanoWorkload* workload, int user)
+      : VolanoThreadBase(workload), user_(user) {}
 
   Segment NextSegment(Machine& machine, Task& task) override {
     (void)task;
@@ -312,19 +317,19 @@ class VolanoServerReader : public VolanoThreadBase {
           return Segment::Exit(cfg().syscall_cycles);
         }
         Message msg;
-        const SockStatus st = conn.c2s->TryReadMsg(machine, &msg);
+        const SockStatus st = conn.c2s.TryReadMsg(machine, &msg);
         if (st == SockStatus::kWouldBlock) {
-          return SpinOrBlock(BlockUntilReadable(cfg().syscall_cycles, *conn.c2s));
+          return SpinOrBlock(BlockUntilReadable(cfg().syscall_cycles, conn.c2s));
         }
         if (st == SockStatus::kEof) {
-          if (!cfg().churn || conn.c2s->state() == SocketState::kClosed) {
+          if (!cfg().churn || conn.c2s.state() == SocketState::kClosed) {
             // The client finished (or abandoned) and closed its wire.
             return Segment::Exit(cfg().syscall_cycles);
           }
           // Injected half-open: the client is alive and its writes still
           // land, so keep serving — exiting here would leave the user
           // permanently deaf and wedge its writer on a full wire.
-          SimSocket* sock = conn.c2s.get();
+          SimSocket* sock = &conn.c2s;
           return Segment::Block(cfg().syscall_cycles, &sock->read_wait(), [sock] {
             return !sock->CanRead() && sock->state() == SocketState::kHalfOpen;
           });
@@ -332,7 +337,7 @@ class VolanoServerReader : public VolanoThreadBase {
         if (st == SockStatus::kReset) {
           // Injected reset: the client will reconnect (Reopen wakes us);
           // a Close instead means it abandoned, and we exit via kEof above.
-          SimSocket* sock = conn.c2s.get();
+          SimSocket* sock = &conn.c2s;
           return Segment::Block(cfg().syscall_cycles, &sock->read_wait(),
                                 [sock] { return sock->reset(); });
         }
@@ -366,7 +371,7 @@ class VolanoServerReader : public VolanoThreadBase {
       case Phase::kBroadcast: {
         while (next_member_ < cfg().users_per_room) {
           const int target = workload_->UserIndex(conn.room, next_member_);
-          SimSocket& outq = *workload_->connection(target).outq;
+          SimSocket& outq = workload_->connection(target).outq;
           const SockStatus st = outq.TryWriteMsg(machine, pending_);
           if (st == SockStatus::kWouldBlock) {
             // Member's output queue full: the broadcast stalls *while
@@ -408,8 +413,8 @@ class VolanoServerReader : public VolanoThreadBase {
 // wire.
 class VolanoServerWriter : public VolanoThreadBase {
  public:
-  VolanoServerWriter(VolanoWorkload* workload, Rng rng, int user)
-      : VolanoThreadBase(workload, rng), user_(user) {}
+  VolanoServerWriter(VolanoWorkload* workload, int user)
+      : VolanoThreadBase(workload), user_(user) {}
 
   Segment NextSegment(Machine& machine, Task& task) override {
     (void)task;
@@ -428,9 +433,9 @@ class VolanoServerWriter : public VolanoThreadBase {
           return Segment::Exit(cfg().syscall_cycles);
         }
         Message msg;
-        const SockStatus st = conn.outq->TryReadMsg(machine, &msg);
+        const SockStatus st = conn.outq.TryReadMsg(machine, &msg);
         if (st == SockStatus::kWouldBlock) {
-          return SpinOrBlock(BlockUntilReadable(cfg().syscall_cycles, *conn.outq));
+          return SpinOrBlock(BlockUntilReadable(cfg().syscall_cycles, conn.outq));
         }
         if (st != SockStatus::kOk) {
           // Output queue torn down (abandon/shutdown): nothing left to pump.
@@ -443,9 +448,9 @@ class VolanoServerWriter : public VolanoThreadBase {
         return Segment::RunAgain(Jitter(cfg().server_write_cycles));
       }
       case Phase::kForward: {
-        const SockStatus st = conn.s2c->TryWriteMsg(machine, pending_);
+        const SockStatus st = conn.s2c.TryWriteMsg(machine, pending_);
         if (st == SockStatus::kWouldBlock) {
-          return SpinOrBlock(BlockUntilWritable(cfg().syscall_cycles, *conn.s2c));
+          return SpinOrBlock(BlockUntilWritable(cfg().syscall_cycles, conn.s2c));
         }
         if (st == SockStatus::kOk) {
           ResetSpin();
@@ -462,7 +467,7 @@ class VolanoServerWriter : public VolanoThreadBase {
         // Reset: the client will reconnect; drop the delivery and go back
         // to pumping once the wire leaves the reset state.
         phase_ = Phase::kRead;
-        SimSocket* sock = conn.s2c.get();
+        SimSocket* sock = &conn.s2c;
         return Segment::Block(cfg().syscall_cycles, &sock->write_wait(),
                               [sock] { return sock->reset(); });
       }
@@ -507,7 +512,7 @@ class VolanoConnector : public VolanoThreadBase {
         return Segment::RunAgain(cfg().syscall_cycles);
       }
       case Phase::kAwaitAccept: {
-        auto& ack = *workload_->connection(next_user_).ack;
+        auto& ack = workload_->connection(next_user_).ack;
         if (!ack.TryRead(machine).has_value()) {
           if (spins_ < cfg().connect_spin_yields) {
             ++spins_;
@@ -564,7 +569,7 @@ class VolanoListener : public VolanoThreadBase {
         workload_->SpawnServerThreads(pending_user_);
         Message ack;
         ack.sender = pending_user_;
-        const bool ok = workload_->connection(pending_user_).ack->TryWrite(machine, ack);
+        const bool ok = workload_->connection(pending_user_).ack.TryWrite(machine, ack);
         ELSC_CHECK_MSG(ok, "volano handshake ack overflow");
         ++accepted_;
         phase_ = Phase::kAccept;
@@ -581,6 +586,25 @@ class VolanoListener : public VolanoThreadBase {
   int accepted_ = 0;
 };
 
+struct VolanoWorkload::ConnectionRecord {
+  ConnectionRecord(VolanoWorkload* workload, int user, int room)
+      : conn(room, workload->config()),
+        server_reader(workload, user),
+        server_writer(workload, user),
+        client_writer(workload, user),
+        client_reader(workload, user) {}
+
+  Connection conn;
+  VolanoServerReader server_reader;
+  VolanoServerWriter server_writer;
+  VolanoClientWriter client_writer;
+  VolanoClientReader client_reader;
+};
+
+VolanoWorkload::Connection& VolanoWorkload::connection(int user) {
+  return connections_[static_cast<size_t>(user)]->conn;
+}
+
 VolanoWorkload::VolanoWorkload(Machine& machine, const VolanoConfig& config)
     : machine_(machine), config_(config), rng_(machine.rng().Fork()) {
   ELSC_CHECK(config_.rooms >= 1);
@@ -593,7 +617,7 @@ VolanoWorkload::~VolanoWorkload() = default;
 void VolanoWorkload::Setup() {
   server_mm_ = machine_.CreateMm();
   client_mm_ = machine_.CreateMm();
-  accept_queue_ = std::make_unique<SimSocket>("server.accept", 4);
+  accept_queue_ = std::make_unique<SimSocket>(4);
   start_barrier_ = std::make_unique<WaitQueue>();
 
   const int total_users = config_.rooms * config_.users_per_room;
@@ -607,90 +631,77 @@ void VolanoWorkload::Setup() {
   connections_.reserve(static_cast<size_t>(total_users));
   for (int room = 0; room < config_.rooms; ++room) {
     for (int member = 0; member < config_.users_per_room; ++member) {
-      const int user = UserIndex(room, member);
-      auto conn = std::make_unique<Connection>();
-      conn->user = user;
-      conn->room = room;
-      const std::string base = StrFormat("r%d.u%d", room, member);
-      conn->c2s = std::make_unique<SimSocket>(base + ".c2s", config_.socket_capacity);
-      conn->s2c = std::make_unique<SimSocket>(base + ".s2c", config_.socket_capacity);
-      conn->outq = std::make_unique<SimSocket>(base + ".outq", config_.outqueue_capacity);
-      conn->ack = std::make_unique<SimSocket>(base + ".ack", 4);
+      auto record = std::make_unique<ConnectionRecord>(this, UserIndex(room, member), room);
       if (config_.churn) {
         // The resilient client's round-trip deadline: a lost echo wakes the
         // writer with a timeout instead of parking it forever.
-        conn->ack->set_rcv_timeout(config_.ack_timeout);
+        record->conn.ack.set_rcv_timeout(config_.ack_timeout);
       }
-      connections_.push_back(std::move(conn));
+      connections_.push_back(std::move(record));
     }
   }
 
   // Only the server listener and the client connector exist at boot; they
   // spawn the per-connection threads as each connection is established,
   // exactly as the real benchmark does.
-  auto listener = std::make_unique<VolanoListener>(this, rng_.Fork());
+  listener_ = std::make_unique<VolanoListener>(this, rng_.Fork());
   TaskParams lp;
   lp.name = "server.listener";
   lp.mm = server_mm_;
-  lp.behavior = listener.get();
+  lp.behavior = listener_.get();
   machine_.CreateTask(lp);
-  behaviors_.push_back(std::move(listener));
 
-  auto connector = std::make_unique<VolanoConnector>(this, rng_.Fork());
+  connector_ = std::make_unique<VolanoConnector>(this, rng_.Fork());
   TaskParams cp;
   cp.name = "client.main";
   cp.mm = client_mm_;
-  cp.behavior = connector.get();
+  cp.behavior = connector_.get();
   machine_.CreateTask(cp);
-  behaviors_.push_back(std::move(connector));
 }
 
+// The order of the workload's forks is simulated state: the server pair
+// forks reader then writer at accept, the client pair writer then reader at
+// connect.
 void VolanoWorkload::SpawnServerThreads(int user) {
-  auto& conn = connection(user);
-  const std::string base = StrFormat("r%d.u%d", conn.room, user % config_.users_per_room);
-
-  auto server_reader = std::make_unique<VolanoServerReader>(this, rng_.Fork(), user);
-  auto server_writer = std::make_unique<VolanoServerWriter>(this, rng_.Fork(), user);
+  ConnectionRecord& record = *connections_[static_cast<size_t>(user)];
+  const std::string base =
+      StrFormat("r%d.u%d", record.conn.room, user % config_.users_per_room);
+  record.server_reader.set_rng(rng_.Fork());
+  record.server_writer.set_rng(rng_.Fork());
 
   TaskParams params;
   params.mm = server_mm_;
   params.name = base + ".sr";
-  params.behavior = server_reader.get();
+  params.behavior = &record.server_reader;
   machine_.CreateTask(params);
   params.name = base + ".sw";
-  params.behavior = server_writer.get();
+  params.behavior = &record.server_writer;
   machine_.CreateTask(params);
-
-  behaviors_.push_back(std::move(server_reader));
-  behaviors_.push_back(std::move(server_writer));
 }
 
 void VolanoWorkload::SpawnClientThreads(int user) {
-  auto& conn = connection(user);
-  const std::string base = StrFormat("r%d.u%d", conn.room, user % config_.users_per_room);
-
-  auto client_writer = std::make_unique<VolanoClientWriter>(this, rng_.Fork(), user);
-  auto client_reader = std::make_unique<VolanoClientReader>(this, rng_.Fork(), user);
+  ConnectionRecord& record = *connections_[static_cast<size_t>(user)];
+  const std::string base =
+      StrFormat("r%d.u%d", record.conn.room, user % config_.users_per_room);
+  record.client_writer.set_rng(rng_.Fork());
+  record.client_reader.set_rng(rng_.Fork());
 
   TaskParams params;
   params.mm = client_mm_;
   params.name = base + ".cw";
-  params.behavior = client_writer.get();
+  params.behavior = &record.client_writer;
   machine_.CreateTask(params);
   params.name = base + ".cr";
-  params.behavior = client_reader.get();
+  params.behavior = &record.client_reader;
   machine_.CreateTask(params);
-
-  behaviors_.push_back(std::move(client_writer));
-  behaviors_.push_back(std::move(client_reader));
 }
 
 std::vector<SimSocket*> VolanoWorkload::LifecycleTargets() {
   std::vector<SimSocket*> targets;
   targets.reserve(connections_.size() * 2);
-  for (auto& conn : connections_) {
-    targets.push_back(conn->c2s.get());
-    targets.push_back(conn->s2c.get());
+  for (auto& record : connections_) {
+    targets.push_back(&record->conn.c2s);
+    targets.push_back(&record->conn.s2c);
   }
   return targets;
 }
@@ -698,12 +709,12 @@ std::vector<SimSocket*> VolanoWorkload::LifecycleTargets() {
 void VolanoWorkload::OnWriterDone(int user, bool abandoned) {
   auto& conn = connection(user);
   // Orderly client-side close: the server reader drains and sees EOF.
-  conn.c2s->Close(machine_);
+  conn.c2s.Close(machine_);
   if (abandoned) {
     // Tear the whole connection down, output queue included — the room must
     // not keep broadcasting into a queue nobody will ever drain again.
-    conn.s2c->Close(machine_);
-    conn.outq->Close(machine_);
+    conn.s2c.Close(machine_);
+    conn.outq.Close(machine_);
   }
   ++done_writers_;
   const auto total = static_cast<uint64_t>(config_.rooms) * config_.users_per_room;
@@ -716,10 +727,10 @@ void VolanoWorkload::ShutdownChat() {
   // Every client finished: close the remaining per-connection streams so
   // readers and pumps drain to EOF and exit (Close is idempotent for the
   // connections an abandon already tore down).
-  for (auto& conn : connections_) {
-    conn->s2c->Close(machine_);
-    conn->outq->Close(machine_);
-    conn->ack->Close(machine_);
+  for (auto& record : connections_) {
+    record->conn.s2c.Close(machine_);
+    record->conn.outq.Close(machine_);
+    record->conn.ack.Close(machine_);
   }
 }
 
@@ -744,9 +755,11 @@ VolanoResult VolanoWorkload::Result() const {
   result.abandons = abandons_;
   uint64_t resets = 0;
   uint64_t discarded = 0;
-  for (const auto& conn : connections_) {
-    resets += conn->c2s->stats().peer_resets + conn->s2c->stats().peer_resets;
-    discarded += conn->c2s->stats().discarded + conn->s2c->stats().discarded;
+  for (const auto& record : connections_) {
+    // The socket counters are 32-bit: widen before adding.
+    const Connection& conn = record->conn;
+    resets += uint64_t{conn.c2s.stats().peer_resets} + conn.s2c.stats().peer_resets;
+    discarded += uint64_t{conn.c2s.stats().discarded} + conn.s2c.stats().discarded;
   }
   result.resets_seen = resets;
   // Lost = in-flight messages destroyed by resets/reopens plus deliveries

@@ -38,6 +38,9 @@
 
 namespace elsc {
 
+class VolanoConnector;
+class VolanoListener;
+
 struct VolanoConfig {
   int rooms = 10;
   int users_per_room = 20;
@@ -219,15 +222,24 @@ class VolanoWorkload {
   };
 
   struct Connection {
-    int user = 0;  // Global user index.
-    int room = 0;
-    std::unique_ptr<SimSocket> c2s;   // Client -> server wire.
-    std::unique_ptr<SimSocket> s2c;   // Server -> client wire.
-    std::unique_ptr<SimSocket> outq;  // Server-side broadcast output queue.
-    std::unique_ptr<SimSocket> ack;   // Client pacing: own-broadcast-seen tokens.
-  };
+    Connection(int room, const VolanoConfig& config)
+        : room(room),
+          c2s(config.socket_capacity),
+          s2c(config.socket_capacity),
+          outq(config.outqueue_capacity),
+          ack(4) {}
 
-  Connection& connection(int user) { return *connections_[static_cast<size_t>(user)]; }
+    int room;
+    SimSocket c2s;   // Client -> server wire.
+    SimSocket s2c;   // Server -> client wire.
+    SimSocket outq;  // Server-side broadcast output queue.
+    SimSocket ack;   // Client pacing: own-broadcast-seen tokens.
+  };
+  // A Connection and its four threads' behaviors, in one heap block
+  // (defined in volano.cc, after the behaviors).
+  struct ConnectionRecord;
+
+  Connection& connection(int user);
   RoomState& room_state(int room) { return *rooms_[static_cast<size_t>(room)]; }
   // Global user index of member m of room r.
   int UserIndex(int room, int member) const { return room * config_.users_per_room + member; }
@@ -248,9 +260,10 @@ class VolanoWorkload {
   Rng rng_;
   MmStruct* server_mm_ = nullptr;
   MmStruct* client_mm_ = nullptr;
-  std::vector<std::unique_ptr<Connection>> connections_;
+  std::vector<std::unique_ptr<ConnectionRecord>> connections_;  // By user index.
   std::vector<std::unique_ptr<RoomState>> rooms_;
-  std::vector<std::unique_ptr<TaskBehavior>> behaviors_;
+  std::unique_ptr<VolanoListener> listener_;
+  std::unique_ptr<VolanoConnector> connector_;
   std::unique_ptr<SimSocket> accept_queue_;
   std::unique_ptr<WaitQueue> start_barrier_;
   bool chat_started_ = false;

@@ -92,7 +92,7 @@ WebserverWorkload::WebserverWorkload(Machine& machine, const WebserverConfig& co
 WebserverWorkload::~WebserverWorkload() = default;
 
 void WebserverWorkload::Setup() {
-  accept_queue_ = std::make_unique<SimSocket>("httpd.accept", config_.accept_queue_capacity);
+  accept_queue_ = std::make_unique<SimSocket>(config_.accept_queue_capacity);
   accept_queue_->set_rcv_timeout(config_.accept_timeout);
   for (int i = 0; i < config_.workers; ++i) {
     auto worker = std::make_unique<WebserverWorker>(this, rng_.Fork());

@@ -103,6 +103,11 @@ TEST(SimSocketTest, RejectsZeroCapacity) {
   EXPECT_DEATH(SimSocket("zero", 0), "capacity >= 1");
 }
 
+TEST(SimSocketTest, RejectsCapacityAbove32Bits) {
+  // The ring fields are 32-bit; the check runs before the ring is allocated.
+  EXPECT_DEATH(SimSocket(size_t{UINT32_MAX} + 1), "capacity <= UINT32_MAX");
+}
+
 // ---------------------------------------------------------------------------
 // Ring storage: differential test against a std::deque reference model, and
 // the allocation budget the ring exists for.

@@ -23,7 +23,8 @@ class VolanoSchedulerTest : public ::testing::TestWithParam<SchedulerKind> {};
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, VolanoSchedulerTest,
                          ::testing::Values(SchedulerKind::kLinux, SchedulerKind::kElsc,
-                                           SchedulerKind::kHeap, SchedulerKind::kMultiQueue),
+                                           SchedulerKind::kHeap, SchedulerKind::kMultiQueue,
+                                           SchedulerKind::kO1),
                          [](const auto& info) { return SchedulerKindName(info.param); });
 
 TEST_P(VolanoSchedulerTest, TinyRoomCompletesWithExactCounts) {
