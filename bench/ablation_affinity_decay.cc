@@ -13,13 +13,12 @@
 //   usage: ablation_affinity_decay [rooms]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/experiment_util.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
-  const int rooms = argc > 1 ? std::atoi(argv[1]) : 10;
+  const int rooms = elsc::IntArg(argc, argv, 1, "rooms", 10, 1);
 
   elsc::PrintBenchHeader(
       "Ablation A5: ELSC affinity decay, 4P VolanoMark",

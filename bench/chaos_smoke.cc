@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -30,17 +29,14 @@ struct ChaosCell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
+  const uint64_t seed = elsc::IntArg(argc, argv, 1, "seed", 42, 0, INT64_MAX);
 
   elsc::PrintBenchHeader("Chaos smoke",
                          "full fault plan x all schedulers under strict audit; "
                          "JSON to BENCH_chaos_smoke.json");
 
-  const std::vector<elsc::SchedulerKind> schedulers = {
-      elsc::SchedulerKind::kLinux, elsc::SchedulerKind::kElsc,
-      elsc::SchedulerKind::kHeap, elsc::SchedulerKind::kMultiQueue};
   std::vector<ChaosCell> cells;
-  for (const elsc::SchedulerKind kind : schedulers) {
+  for (const elsc::SchedulerKind kind : elsc::AllSchedulerKinds()) {
     cells.push_back({elsc::KernelConfig::kSmp2, kind});
     cells.push_back({elsc::KernelConfig::kSmp4, kind});
   }

@@ -1,13 +1,8 @@
 #include "bench/experiment_util.h"
 
-#include <strings.h>
-
 #include <cerrno>  // program_invocation_name (glibc) for repro commands.
 #include <chrono>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 #include "src/base/atomic_file.h"
@@ -30,46 +25,7 @@ std::string BenchCommand() {
 #endif
 }
 
-// The per-bench prefixes the shared knob names replaced.
-constexpr const char* kRetiredKnobPrefixes[] = {"ELSC_SCALE_", "ELSC_FED_", "ELSC_O1_",
-                                                "ELSC_OVERLOAD_"};
-
-// Knob `name`'s value, or `fallback` when it is unset or empty. Exits 2 when
-// the knob is set under a retired name, ELSC_<BENCH>_<rest of name>.
-std::string KnobValue(const char* name, const std::string& fallback) {
-  for (const char* prefix : kRetiredKnobPrefixes) {
-    const std::string retired = prefix + std::string(name + std::strlen("ELSC_"));
-    if (std::getenv(retired.c_str()) != nullptr) {
-      std::fprintf(stderr, "elsc-bench: %s is retired; set %s instead\n", retired.c_str(), name);
-      std::exit(2);
-    }
-  }
-  const char* env = std::getenv(name);
-  return env != nullptr && env[0] != '\0' ? env : fallback;
-}
-
 }  // namespace
-
-void BadKnob(const char* name, const std::string& value, const std::string& want) {
-  std::fprintf(stderr, "elsc-bench: bad %s value \"%s\": want %s\n", name, value.c_str(),
-               want.c_str());
-  std::exit(2);
-}
-
-std::vector<std::string> EnvFields(const char* name, const std::string& fallback) {
-  const std::string spec = KnobValue(name, fallback);
-  std::vector<std::string> fields;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    fields.push_back(spec.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return fields;
-}
 
 SupervisionStats& GlobalSupervisionStats() {
   static SupervisionStats stats;
@@ -150,16 +106,7 @@ uint64_t ReplicateSeed(const VolanoCellSpec& spec, int replicate) {
   return DeriveSeed(spec.seed, VolanoCellKey(spec), static_cast<uint64_t>(replicate));
 }
 
-int BenchReplicates() {
-  const char* env = std::getenv("ELSC_BENCH_REPLICATES");
-  if (env != nullptr && env[0] != '\0') {
-    const int replicates = std::atoi(env);
-    if (replicates > 0) {
-      return replicates;
-    }
-  }
-  return 1;
-}
+int BenchReplicates() { return IntEnv("ELSC_BENCH_REPLICATES", 1); }
 
 VolanoRun RunVolanoCell(KernelConfig kernel, SchedulerKind scheduler, int rooms, uint64_t seed) {
   VolanoConfig volano;
@@ -266,11 +213,11 @@ std::string FmtMeanSd(const Summary& summary, int decimals) {
 }
 
 void MaybeExportCsv(const std::string& name, const TextTable& table) {
-  const char* dir = std::getenv("ELSC_BENCH_CSV_DIR");
-  if (dir == nullptr || dir[0] == '\0') {
+  const std::string dir = StringEnv("ELSC_BENCH_CSV_DIR");
+  if (dir.empty()) {
     return;
   }
-  const std::string path = std::string(dir) + "/" + name + ".csv";
+  const std::string path = dir + "/" + name + ".csv";
   if (table.WriteCsv(path)) {
     std::printf("(csv written to %s)\n", path.c_str());
   } else {
@@ -307,63 +254,41 @@ ScaleCell RunTimedScaleCell(const ScaleConfig& config, int shards) {
   return cell;
 }
 
-std::vector<int> IntList(const char* name, const std::string& fallback, int min_value) {
-  std::vector<int> values;
-  for (const std::string& field : EnvFields(name, fallback)) {
-    char* end = nullptr;
-    errno = 0;
-    const long value = std::strtol(field.c_str(), &end, 10);
-    if (field.empty() || *end != '\0' || errno != 0 || value < min_value || value > INT_MAX) {
-      BadKnob(name, field, StrFormat("integers >= %d", min_value));
-    }
-    values.push_back(static_cast<int>(value));
-  }
-  return values;
-}
-
 std::vector<SchedulerKind> Schedulers(const char* name, const std::string& fallback) {
   std::vector<SchedulerKind> kinds;
   for (const std::string& field : EnvFields(name, fallback)) {
-    kinds.push_back(SchedulerKindFromName(field));
+    SchedulerKind kind = SchedulerKind::kLinux;
+    if (!ParseSchedulerKind(field, &kind)) {
+      BadKnob(name, field, "linux (reg, stock, current), elsc, heap, multiqueue (mq) or o1");
+    }
+    kinds.push_back(kind);
   }
   return kinds;
 }
 
-int IntEnv(const char* name, int fallback, int min_value) {
-  const std::vector<int> values = IntList(name, std::to_string(fallback), min_value);
-  if (values.size() != 1) {
-    BadKnob(name, std::getenv(name), "one integer");
+KernelConfig ParseKernel(const std::string& name, const std::string& label) {
+  KernelConfig kernel = KernelConfig::kUp;
+  if (!ParseKernelConfig(label, &kernel)) {
+    BadKnob(name, label, "UP, 1P, 2P or 4P");
   }
-  return values[0];
+  return kernel;
 }
 
 KernelConfig KernelEnv(const char* name, const char* fallback) {
-  const std::string spec = KnobValue(name, fallback);
-  for (const KernelConfig kernel : PaperConfigs()) {
-    if (strcasecmp(spec.c_str(), KernelConfigLabel(kernel)) == 0) {
-      return kernel;
-    }
-  }
-  BadKnob(name, spec, "UP, 1P, 2P or 4P");
-}
-
-bool FlagEnv(const char* name, bool fallback) {
-  const std::string spec = KnobValue(name, fallback ? "1" : "0");
-  if (spec != "0" && spec != "1") {
-    BadKnob(name, spec, "0 or 1");
-  }
-  return spec == "1";
+  return ParseKernel(name, StringEnv(name, fallback));
 }
 
 void PrintBenchHeader(const std::string& experiment, const std::string& description) {
   // Every bench main prints this first: graceful SIGTERM/SIGINT handling is
-  // armed process-wide here (idempotent).
+  // armed process-wide here (idempotent), and the harness and supervisor
+  // knobs are read here, so a malformed one exits 2 before anything runs.
   InstallGracefulShutdown();
+  const int jobs = BenchJobs();
+  const int replicates = BenchReplicates();
+  SupervisorOptions::FromEnv();
   std::printf("================================================================\n");
   std::printf("%s\n", experiment.c_str());
   std::printf("%s\n", description.c_str());
-  const int jobs = BenchJobs();
-  const int replicates = BenchReplicates();
   if (jobs != 1 || replicates != 1) {
     std::printf("(harness: %d job%s, %d replicate%s per cell)\n", jobs, jobs == 1 ? "" : "s",
                 replicates, replicates == 1 ? "" : "s");

@@ -23,6 +23,7 @@
 #include "src/api/scale.h"
 #include "src/api/simulation.h"
 #include "src/base/fnv.h"
+#include "src/base/knob.h"
 #include "src/base/string_util.h"
 #include "src/harness/run_matrix.h"
 #include "src/harness/supervisor.h"
@@ -66,7 +67,7 @@ uint64_t VolanoCellKey(const VolanoCellSpec& spec);
 // DeriveSeed(seed, cell_key, replicate).
 uint64_t ReplicateSeed(const VolanoCellSpec& spec, int replicate);
 
-// ELSC_BENCH_REPLICATES if set to a positive integer, else 1.
+// ELSC_BENCH_REPLICATES, an integer >= 1; 1 when unset.
 int BenchReplicates();
 
 // Runs one VolanoMark cell (config x scheduler x rooms) to completion.
@@ -118,26 +119,14 @@ bool WriteBenchJson(const char* path, const std::string& json);
 // and per-wall-second rates (RenderScaleJson's timing block).
 ScaleCell RunTimedScaleCell(const ScaleConfig& config, int shards);
 
-// Sweep knobs read from the environment. One name spells one setting in
-// every bench that has it (ELSC_ROOMS, ELSC_SHARDS, ELSC_SCHEDS, ELSC_USERS,
-// ELSC_MSGS, ELSC_KERNEL, ELSC_TIMING), and the default applies when the
-// variable is unset or empty. Lists are comma-separated.
-//   EnvFields   the fields as written;
-//   IntList     the integers, each >= min_value;
-//   Schedulers  the scheduler names (SchedulerKindFromName);
-//   IntEnv      one integer >= min_value;
-//   KernelEnv   a kernel label, UP|1P|2P|4P;
-//   FlagEnv     0 or 1.
-// A malformed value exits 2 through BadKnob, and so does a knob still set
-// under its retired per-bench name (ELSC_SCALE_ROOMS for ELSC_ROOMS, ...).
-std::vector<std::string> EnvFields(const char* name, const std::string& fallback);
-std::vector<int> IntList(const char* name, const std::string& fallback, int min_value = 1);
+// Readers of the two label sets defined above src/base (src/base/knob.h
+// reads everything else); a bad label exits 2 through BadKnob naming `name`.
+//   Schedulers  comma-separated scheduler names (ParseSchedulerKind);
+//   ParseKernel a kernel label, UP|1P|2P|4P in any case (ParseKernelConfig);
+//   KernelEnv   ParseKernel on knob `name`, or on `fallback` when unset.
 std::vector<SchedulerKind> Schedulers(const char* name, const std::string& fallback);
-int IntEnv(const char* name, int fallback, int min_value = 1);
+KernelConfig ParseKernel(const std::string& name, const std::string& label);
 KernelConfig KernelEnv(const char* name, const char* fallback);
-bool FlagEnv(const char* name, bool fallback);
-// Prints the knob, the bad value and what it wants to stderr; exits 2.
-[[noreturn]] void BadKnob(const char* name, const std::string& value, const std::string& want);
 
 // ---------------------------------------------------------------------------
 // Supervision plumbing shared by every bench main.

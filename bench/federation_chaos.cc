@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <tuple>
@@ -85,7 +84,7 @@ elsc::ScaleConfig PointConfig(const Point& point, uint64_t seed, int rooms,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
+  const uint64_t seed = elsc::IntArg(argc, argv, 1, "seed", 42, 0, INT64_MAX);
   const std::vector<int> shard_counts = elsc::IntList("ELSC_SHARDS", "1,2,4");
   const std::vector<int> crash_pcts = elsc::IntList("ELSC_CRASH", "0,50,100", 0);
   const std::vector<elsc::SchedulerKind> schedulers =

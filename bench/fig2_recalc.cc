@@ -9,14 +9,13 @@
 //   usage: fig2_recalc [rooms]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/experiment_util.h"
 #include "src/stats/ascii_chart.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
-  const int rooms = argc > 1 ? std::atoi(argv[1]) : 10;
+  const int rooms = elsc::IntArg(argc, argv, 1, "rooms", 10, 1);
 
   elsc::PrintBenchHeader("Figure 2: Recalculate Frequency",
                          "recalculate-loop entries during a " + std::to_string(rooms) +

@@ -9,7 +9,6 @@
 //   usage: fig3_throughput [max_rooms]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/experiment_util.h"
 #include "src/stats/ascii_chart.h"
@@ -71,7 +70,7 @@ void RunChart(const std::string& title, const std::vector<elsc::KernelConfig>& k
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int max_rooms = argc > 1 ? std::atoi(argv[1]) : 20;
+  const int max_rooms = elsc::IntArg(argc, argv, 1, "max_rooms", 20, 1);
 
   elsc::PrintBenchHeader("Figure 3: VolanoMark Message Throughput",
                          "messages/second vs. rooms (20 users x 100 messages per room)");

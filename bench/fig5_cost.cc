@@ -9,13 +9,12 @@
 //   usage: fig5_cost [rooms]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/experiment_util.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
-  const int rooms = argc > 1 ? std::atoi(argv[1]) : 10;
+  const int rooms = elsc::IntArg(argc, argv, 1, "rooms", 10, 1);
 
   elsc::PrintBenchHeader("Figure 5: Cycles per Schedule() and Tasks Examined",
                          std::to_string(rooms) + "-room VolanoMark run");

@@ -12,13 +12,12 @@
 //   usage: fig6_calls [rooms]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/experiment_util.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
-  const int rooms = argc > 1 ? std::atoi(argv[1]) : 10;
+  const int rooms = elsc::IntArg(argc, argv, 1, "rooms", 10, 1);
 
   elsc::PrintBenchHeader("Figure 6: Calls to Schedule() and Cross-CPU Placements",
                          std::to_string(rooms) + "-room VolanoMark run");

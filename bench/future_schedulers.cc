@@ -1,4 +1,4 @@
-// Ablation A4: all four scheduler designs head-to-head on VolanoMark.
+// Ablation A4: every scheduler backend head-to-head on VolanoMark.
 //
 // The paper's future-work section (§8) sketches two alternative designs
 // beyond ELSC — heaps sorted by static goodness, and multi-queue schemes
@@ -9,13 +9,12 @@
 //   usage: future_schedulers [rooms]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/experiment_util.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
-  const int rooms = argc > 1 ? std::atoi(argv[1]) : 10;
+  const int rooms = elsc::IntArg(argc, argv, 1, "rooms", 10, 1);
 
   elsc::PrintBenchHeader("Future work: scheduler design shoot-out",
                          std::to_string(rooms) + "-room VolanoMark, all configurations");

@@ -9,14 +9,14 @@
 //   usage: future_webserver [workers] [rate]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/experiment_util.h"
 #include "src/stats/table.h"
 
 int main(int argc, char** argv) {
-  const int workers = argc > 1 ? std::atoi(argv[1]) : 150;
-  const double rate = argc > 2 ? std::atof(argv[2]) : 900.0;
+  const int workers = elsc::IntArg(argc, argv, 1, "workers", 150, 1);
+  const double rate =
+      argc > 2 ? elsc::ParseNumber(elsc::ArgName(2, "rate"), argv[2], /*positive=*/true) : 900.0;
 
   elsc::PrintBenchHeader(
       "Future work: Apache-style web server",

@@ -64,7 +64,7 @@ LatencyResult MeasureLatency(elsc::KernelConfig kernel, elsc::SchedulerKind kind
 
 int main(int argc, char** argv) {
   const std::string config_label = argc > 1 ? argv[1] : "UP";
-  const elsc::KernelConfig kernel = elsc::KernelConfigFromLabel(config_label);
+  const elsc::KernelConfig kernel = elsc::ParseKernel(elsc::ArgName(1, "config"), config_label);
 
   elsc::PrintBenchHeader(
       "Interactive dispatch latency under CPU load (" + config_label + ")",

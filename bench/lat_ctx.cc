@@ -1,6 +1,6 @@
 // lat_ctx-style microbenchmark: per-hop context-switch + scheduling latency
 // in a token ring, swept over the number of concurrent tokens (≈ run-queue
-// depth), for all four schedulers.
+// depth), for every scheduler backend.
 //
 // This isolates the paper's core effect with no chat-workload structure in
 // the way: the stock scheduler's pick cost is linear in the runnable
@@ -11,15 +11,17 @@
 //   usage: lat_ctx [ring_tasks] [hops]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/experiment_util.h"
 #include "src/stats/table.h"
 #include "src/workloads/token_ring.h"
 
 int main(int argc, char** argv) {
-  const int ring_tasks = argc > 1 ? std::atoi(argv[1]) : 64;
-  const uint64_t hops = argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2])) : 50000;
+  // Every token needs a task to hold it and at least one hop.
+  const std::vector<int> token_counts = {1, 2, 4, 8, 16, 32};
+  const int ring_tasks = elsc::IntArg(argc, argv, 1, "ring_tasks", 64, token_counts.back());
+  const uint64_t hops =
+      elsc::IntArg(argc, argv, 2, "hops", 50000, token_counts.back(), INT64_MAX);
 
   elsc::PrintBenchHeader(
       "lat_ctx: token-ring hop latency vs. runnable depth (UP)",
@@ -31,7 +33,6 @@ int main(int argc, char** argv) {
     headers.push_back(SchedulerKindName(kind));
   }
   elsc::TextTable table(headers);
-  const std::vector<int> token_counts = {1, 2, 4, 8, 16, 32};
   struct Cell {
     int tokens;
     elsc::SchedulerKind kind;

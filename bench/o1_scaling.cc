@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -52,7 +51,7 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
+  const uint64_t seed = elsc::IntArg(argc, argv, 1, "seed", 42, 0, INT64_MAX);
   const std::vector<int> cpu_counts = elsc::IntList("ELSC_CPUS", "1,2,4,8,16,64");
   const std::vector<int> room_counts = elsc::IntList("ELSC_ROOMS", "2,8");
   const std::vector<elsc::SchedulerKind> schedulers =

@@ -16,10 +16,8 @@
 //                      lifecycle chaos plan (resets, half-open
 //                      peers, slow peers, reconnect storms)
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -31,12 +29,7 @@ namespace {
 std::vector<double> LoadFactors() {
   std::vector<double> loads;
   for (const std::string& field : elsc::EnvFields("ELSC_LOADS", "0.5,0.75,1.0,1.25,1.5,2.0")) {
-    char* end = nullptr;
-    const double value = std::strtod(field.c_str(), &end);
-    if (field.empty() || *end != '\0' || !std::isfinite(value) || value <= 0.0) {
-      elsc::BadKnob("ELSC_LOADS", field, "numbers above 0");
-    }
-    loads.push_back(value);
+    loads.push_back(elsc::ParseNumber("ELSC_LOADS", field, /*positive=*/true));
   }
   return loads;
 }
@@ -44,7 +37,7 @@ std::vector<double> LoadFactors() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
+  const uint64_t seed = elsc::IntArg(argc, argv, 1, "seed", 42, 0, INT64_MAX);
   const elsc::KernelConfig kernel = elsc::KernelEnv("ELSC_KERNEL", "4P");
   const int duration_sec = elsc::IntEnv("ELSC_DURATION_SEC", 4);
   const bool chaos_on = elsc::FlagEnv("ELSC_CHAOS", false);

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -110,8 +109,8 @@ double TimeMatrix(const std::vector<elsc::VolanoCellSpec>& cells, int jobs,
 
 int main(int argc, char** argv) {
   const uint64_t churn_events =
-      argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 3000000;
-  const int rooms = argc > 2 ? std::atoi(argv[2]) : 5;
+      elsc::IntArg(argc, argv, 1, "churn_events", 3000000, 1, INT64_MAX);
+  const int rooms = elsc::IntArg(argc, argv, 2, "rooms", 5, 1);
 
   elsc::PrintBenchHeader("Perf smoke",
                          "event-queue churn + 4-cell matrix wall-clock; JSON to "

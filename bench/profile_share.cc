@@ -53,7 +53,7 @@ Share MeasureShare(elsc::KernelConfig kernel, elsc::SchedulerKind kind, int room
 
 int main(int argc, char** argv) {
   const std::string config_label = argc > 1 ? argv[1] : "4P";
-  const elsc::KernelConfig kernel = elsc::KernelConfigFromLabel(config_label);
+  const elsc::KernelConfig kernel = elsc::ParseKernel(elsc::ArgName(1, "config"), config_label);
 
   elsc::PrintBenchHeader(
       "Section 4: time spent in the scheduler (" + config_label + ")",

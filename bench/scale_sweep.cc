@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
@@ -43,7 +42,7 @@
 #include "src/api/scale.h"
 
 int main(int argc, char** argv) {
-  const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
+  const uint64_t seed = elsc::IntArg(argc, argv, 1, "seed", 42, 0, INT64_MAX);
   const std::vector<int> room_counts = elsc::IntList("ELSC_ROOMS", "40,200");
   const std::vector<int> shard_counts = elsc::IntList("ELSC_SHARDS", "1,2,4");
   const std::vector<elsc::SchedulerKind> schedulers =

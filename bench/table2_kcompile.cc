@@ -9,7 +9,6 @@
 //   usage: table2_kcompile [runs_per_cell]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/experiment_util.h"
 #include "src/base/string_util.h"
@@ -28,7 +27,7 @@ struct PaperRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int runs = argc > 1 ? std::atoi(argv[1]) : 3;
+  const int runs = elsc::IntArg(argc, argv, 1, "runs_per_cell", 3, 1);
 
   elsc::PrintBenchHeader(
       "Table 2: Scheduler Time to Complete Compilation",

@@ -30,8 +30,8 @@ std::string Ratio(double a, double b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int small_rooms = argc > 1 ? std::atoi(argv[1]) : 5;
-  const int large_rooms = argc > 2 ? std::atoi(argv[2]) : 15;
+  const int small_rooms = elsc::IntArg(argc, argv, 1, "rooms_small", 5, 1);
+  const int large_rooms = elsc::IntArg(argc, argv, 2, "rooms_large", 15, 1);
 
   elsc::PrintBenchHeader("Reproduction gate",
                          "asserting the paper's claims at " + std::to_string(small_rooms) +

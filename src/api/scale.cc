@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <set>
@@ -475,17 +474,6 @@ void BootNode(ScaleNode* node, const ScaleConfig& config) {
   node->machine->Start();
 }
 
-// Resolves the per-window wall-clock budget: explicit config value, else
-// the supervisor's ELSC_CELL_TIMEOUT_MS, else off.
-double ResolveWindowBudget(const ScaleConfig& config) {
-  double budget = config.window_wall_budget_sec;
-  if (budget == 0.0) {
-    const char* env = std::getenv("ELSC_CELL_TIMEOUT_MS");
-    budget = env != nullptr ? std::atof(env) / 1000.0 : 0.0;
-  }
-  return budget > 0.0 ? budget : 0.0;
-}
-
 // One run of the sharded federation: its nodes, fabric router, aggregate,
 // and coordinator loop state, with one method per barrier step.
 // RunShardedVolano restores one from a checkpoint segment or builds one
@@ -535,6 +523,7 @@ class Federation {
   const ScaleCheckpointOptions ckpt_;
   const uint64_t config_fp_;
   const double wall_budget_;  // Per-window watchdog; 0 = off.
+  const uint64_t kill_window_;  // ELSC_SCALE_INJECT_KILL; 0 = off.
 
   // What a checkpoint carries, besides the fabric cursor and each node's
   // lifecycle (scale_ckpt.h).
@@ -556,7 +545,11 @@ Federation::Federation(const ScaleConfig& config, int shards,
       armed_(config.faults.Enabled()),
       ckpt_(ckpt),
       config_fp_(config_fp),
-      wall_budget_(ResolveWindowBudget(config)),
+      // The config's budget wins (negative = off); 0 takes the supervisor's.
+      wall_budget_(config.window_wall_budget_sec != 0.0
+                       ? std::max(config.window_wall_budget_sec, 0.0)
+                       : CellTimeoutSec()),
+      kill_window_(ScaleKillWindow()),
       router_(num_nodes_, config.window, latency_),
       nodes_(static_cast<size_t>(num_nodes_)) {
   if (armed_) {
@@ -966,8 +959,7 @@ bool Federation::CheckpointPoint() {
     // Forced segments: the stop-after test hook, a pending graceful
     // shutdown (flush state before unwinding), and the kill injector (the
     // drill resumes from this very segment).
-    const bool forced = stop || ShutdownRequested() ||
-                        ScaleKillWindow() == static_cast<int64_t>(loop_.window_index);
+    const bool forced = stop || ShutdownRequested() || loop_.window_index == kill_window_;
     std::string error;
     if ((due || forced) && !WriteCheckpointSegment(ckpt_, Snapshot(), &error)) {
       std::fprintf(stderr,
@@ -976,7 +968,7 @@ bool Federation::CheckpointPoint() {
                    error.c_str());
     }
   }
-  MaybeKillAtScaleWindow(loop_.window_index);
+  MaybeKillAtScaleWindow(kill_window_, loop_.window_index);
   if (ShutdownRequested()) {
     throw GracefulShutdownRequested{};
   }

@@ -61,7 +61,9 @@ struct ScaleCheckpointOptions {
   uint64_t stop_after_window = 0;
 
   bool armed() const { return !path.empty(); }
-  // ELSC_SCALE_CKPT / ELSC_SCALE_CKPT_EVERY / ELSC_SCALE_CKPT_KEEP.
+  // ELSC_SCALE_CKPT (a path prefix), ELSC_SCALE_CKPT_EVERY (an integer
+  // >= 0) and ELSC_SCALE_CKPT_KEEP (an integer >= 1) over the defaults
+  // above; a malformed value exits 2 (src/base/knob.h).
   static ScaleCheckpointOptions FromEnv();
 };
 

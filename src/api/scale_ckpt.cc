@@ -9,6 +9,7 @@
 #include "src/api/scale.h"
 #include "src/base/atomic_file.h"
 #include "src/base/fnv.h"
+#include "src/base/knob.h"
 #include "src/base/string_util.h"
 #include "src/base/token_codec.h"
 #include "src/harness/journal.h"
@@ -47,7 +48,6 @@ uint64_t ScaleConfigFingerprint(const ScaleConfig& c) {
   AppendF64(&enc, v.yield_probability);
   AppendI64(&enc, v.max_yield_spin);
   AppendU64(&enc, v.yield_spin_cycles);
-  AppendI64(&enc, v.spin_yields_before_block);
   AppendI64(&enc, v.lock_spin_yields);
   AppendU64(&enc, v.lock_acquire_cycles);
   AppendU64(&enc, v.accept_work_cycles);
@@ -96,23 +96,9 @@ uint64_t ScaleConfigFingerprint(const ScaleConfig& c) {
 
 ScaleCheckpointOptions ScaleCheckpointOptions::FromEnv() {
   ScaleCheckpointOptions opts;
-  const char* path = std::getenv("ELSC_SCALE_CKPT");
-  if (path != nullptr && *path != '\0') {
-    opts.path = path;
-  }
-  if (const char* every = std::getenv("ELSC_SCALE_CKPT_EVERY")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(every, &end, 10);
-    if (end != every && *end == '\0') {
-      opts.every = v;
-    }
-  }
-  if (const char* keep = std::getenv("ELSC_SCALE_CKPT_KEEP")) {
-    const int v = std::atoi(keep);
-    if (v >= 1) {
-      opts.keep = v;
-    }
-  }
+  opts.path = StringEnv("ELSC_SCALE_CKPT");
+  opts.every = IntEnv("ELSC_SCALE_CKPT_EVERY", static_cast<int64_t>(opts.every), 0, INT64_MAX);
+  opts.keep = IntEnv("ELSC_SCALE_CKPT_KEEP", opts.keep);
   return opts;
 }
 

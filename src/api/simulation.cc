@@ -1,5 +1,7 @@
 #include "src/api/simulation.h"
 
+#include <strings.h>
+
 #include <algorithm>
 #include <exception>
 #include <string>
@@ -26,21 +28,22 @@ const char* KernelConfigLabel(KernelConfig config) {
   return "?";
 }
 
+bool ParseKernelConfig(const std::string& label, KernelConfig* config) {
+  for (const KernelConfig candidate :
+       {KernelConfig::kUp, KernelConfig::kSmp1, KernelConfig::kSmp2, KernelConfig::kSmp4}) {
+    if (strcasecmp(label.c_str(), KernelConfigLabel(candidate)) == 0) {
+      *config = candidate;
+      return true;
+    }
+  }
+  return false;
+}
+
 KernelConfig KernelConfigFromLabel(const std::string& label) {
-  if (label == "UP" || label == "up") {
-    return KernelConfig::kUp;
-  }
-  if (label == "1P" || label == "1p") {
-    return KernelConfig::kSmp1;
-  }
-  if (label == "2P" || label == "2p") {
-    return KernelConfig::kSmp2;
-  }
-  if (label == "4P" || label == "4p") {
-    return KernelConfig::kSmp4;
-  }
-  ELSC_CHECK_MSG(false, "unknown kernel config label (expected UP|1P|2P|4P)");
-  __builtin_unreachable();
+  KernelConfig config = KernelConfig::kUp;
+  ELSC_CHECK_MSG(ParseKernelConfig(label, &config),
+                 "unknown kernel config label (expected UP|1P|2P|4P)");
+  return config;
 }
 
 MachineConfig MakeMachineConfig(KernelConfig config, SchedulerKind scheduler, uint64_t seed) {

@@ -33,7 +33,9 @@ enum class KernelConfig {
 };
 
 const char* KernelConfigLabel(KernelConfig config);
-// "UP" -> kUp etc.; aborts on unknown labels.
+// Looks up "UP" -> kUp etc., in any case; false for any other label.
+bool ParseKernelConfig(const std::string& label, KernelConfig* config);
+// The same lookup, aborting on an unknown label.
 KernelConfig KernelConfigFromLabel(const std::string& label);
 // Applies the kernel configuration to a MachineConfig (cpu count + smp flag).
 MachineConfig MakeMachineConfig(KernelConfig config, SchedulerKind scheduler, uint64_t seed = 1);

@@ -1,8 +1,12 @@
 #include "src/base/watchdog.h"
 
+#include "src/base/knob.h"
+
 namespace elsc {
 
 thread_local CellWatchdog* CellWatchdog::active_ = nullptr;
+
+double CellTimeoutSec() { return NumberEnv("ELSC_CELL_TIMEOUT_MS", 0.0) / 1000.0; }
 
 namespace {
 // How many Poll() hits to absorb between steady_clock reads. Engine::RunUntil

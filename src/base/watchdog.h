@@ -33,6 +33,10 @@ struct CellDeadlineExceeded {
   double budget_sec = 0.0;  // The budget that was exceeded.
 };
 
+// ELSC_CELL_TIMEOUT_MS in seconds, 0 (off) when unset: the supervisor's
+// per-cell budget and the federation's per-window budget.
+double CellTimeoutSec();
+
 class CellWatchdog {
  public:
   // Arms a deadline of `budget_sec` wall-clock seconds on this thread.

@@ -3,40 +3,22 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/base/knob.h"
+
 namespace elsc {
 
-namespace {
-
-int64_t ParseKillWindow() {
-  const char* raw = std::getenv("ELSC_SCALE_INJECT_KILL");
-  if (raw == nullptr || *raw == '\0') {
-    return -1;
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 0) {
-    std::fprintf(stderr, "kill_point: ignoring unparsable ELSC_SCALE_INJECT_KILL=%s\n",
-                 raw);
-    return -1;
-  }
-  return static_cast<int64_t>(value);
+uint64_t ScaleKillWindow() {
+  // The fallback 0 lies below the knob's minimum on purpose: it means off.
+  return IntEnv("ELSC_SCALE_INJECT_KILL", 0, 1, INT64_MAX);
 }
 
-}  // namespace
-
-int64_t ScaleKillWindow() {
-  static const int64_t window = ParseKillWindow();
-  return window;
-}
-
-void MaybeKillAtScaleWindow(uint64_t window_index) {
-  const int64_t target = ScaleKillWindow();
-  if (target < 0 || static_cast<uint64_t>(target) != window_index) {
+void MaybeKillAtScaleWindow(uint64_t kill_window, uint64_t window_index) {
+  if (kill_window == 0 || kill_window != window_index) {
     return;
   }
   std::fprintf(stderr,
-               "kill_point: ELSC_SCALE_INJECT_KILL=%lld hit at window %llu, exiting %d\n",
-               static_cast<long long>(target),
+               "kill_point: ELSC_SCALE_INJECT_KILL=%llu hit at window %llu, exiting %d\n",
+               static_cast<unsigned long long>(kill_window),
                static_cast<unsigned long long>(window_index), kInjectedKillExitCode);
   std::fflush(nullptr);
   // _Exit: no stack unwinding, no atexit handlers — mimic an abrupt kill as

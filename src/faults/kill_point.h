@@ -18,13 +18,14 @@ namespace elsc {
 // seen by shell (128 + 9).
 inline constexpr int kInjectedKillExitCode = 137;
 
-// Window index parsed from ELSC_SCALE_INJECT_KILL, or -1 when unset/invalid.
-// The environment is read once per process.
-int64_t ScaleKillWindow();
+// ELSC_SCALE_INJECT_KILL: the window, counting from 1, whose barrier kills
+// the process, or 0 (off) when unset; anything else exits 2
+// (src/base/knob.h). Read when a federation is built.
+uint64_t ScaleKillWindow();
 
-// Kills the process iff window_index matches ELSC_SCALE_INJECT_KILL.
-// Called by the scale coordinator at the end of each window barrier.
-void MaybeKillAtScaleWindow(uint64_t window_index);
+// Kills the process iff window_index is kill_window (0 never kills). Called
+// by the scale coordinator at the end of each window barrier.
+void MaybeKillAtScaleWindow(uint64_t kill_window, uint64_t window_index);
 
 }  // namespace elsc
 

@@ -1,9 +1,9 @@
 #include "src/harness/run_matrix.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
+#include "src/base/knob.h"
 #include "src/base/rng.h"
 #include "src/harness/thread_pool.h"
 
@@ -25,16 +25,7 @@ int HardwareJobs() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int BenchJobs() {
-  const char* env = std::getenv("ELSC_BENCH_JOBS");
-  if (env != nullptr && env[0] != '\0') {
-    const int jobs = std::atoi(env);
-    if (jobs > 0) {
-      return jobs;
-    }
-  }
-  return HardwareJobs();
-}
+int BenchJobs() { return IntEnv("ELSC_BENCH_JOBS", HardwareJobs()); }
 
 void ParallelFor(size_t n, int jobs, const std::function<void(size_t)>& body) {
   if (n == 0) {

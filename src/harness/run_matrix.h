@@ -35,8 +35,8 @@ uint64_t DeriveSeed(uint64_t base_seed, uint64_t cell_key, uint64_t replicate);
 // std::thread::hardware_concurrency(), floored at 1.
 int HardwareJobs();
 
-// The harness-wide job count: ELSC_BENCH_JOBS if set to a positive integer,
-// otherwise HardwareJobs().
+// The harness-wide job count: ELSC_BENCH_JOBS, an integer >= 1 (anything
+// else exits 2, src/base/knob.h), or HardwareJobs() when it is unset.
 int BenchJobs();
 
 // Runs body(0..n-1) on `jobs` threads. jobs <= 1 (or n <= 1) runs inline on

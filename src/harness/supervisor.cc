@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <new>
@@ -13,6 +12,7 @@
 
 #include "src/base/assert.h"
 #include "src/base/atomic_file.h"
+#include "src/base/knob.h"
 #include "src/base/watchdog.h"
 #include "src/harness/journal.h"
 #include "src/harness/run_matrix.h"
@@ -24,53 +24,42 @@ namespace {
 
 // Parsed ELSC_SUPERVISE_INJECT spec: "<kind>@<index>[:once]".
 struct InjectSpec {
-  FailureKind kind = FailureKind::kNone;
+  FailureKind kind = FailureKind::kNone;  // kNone: inject nothing.
   size_t index = 0;
   bool once = false;
-  bool active = false;
 };
 
+// An empty spec injects nothing; a malformed one exits 2.
 InjectSpec ParseInject(const std::string& spec) {
   InjectSpec out;
   if (spec.empty()) {
     return out;
   }
   const size_t at = spec.find('@');
-  if (at == std::string::npos) {
-    std::fprintf(stderr,
-                 "elsc-supervisor: ignoring malformed ELSC_SUPERVISE_INJECT "
-                 "\"%s\" (want <kind>@<index>[:once])\n",
-                 spec.c_str());
-    return out;
-  }
   const std::string kind = spec.substr(0, at);
-  std::string rest = spec.substr(at + 1);
-  const size_t colon = rest.find(':');
-  if (colon != std::string::npos) {
-    out.once = rest.substr(colon + 1) == "once";
-    rest = rest.substr(0, colon);
-  }
+  std::string index = at == std::string::npos ? "" : spec.substr(at + 1);
+  const size_t colon = index.find(':');
+  const bool suffix_ok = colon == std::string::npos || index.substr(colon + 1) == "once";
+  out.once = colon != std::string::npos;
+  index = index.substr(0, colon);
   if (kind == "crash") {
     out.kind = FailureKind::kException;
   } else if (kind == "violate") {
     out.kind = FailureKind::kViolation;
   } else if (kind == "timeout") {
     out.kind = FailureKind::kTimeout;
-  } else {
-    std::fprintf(stderr,
-                 "elsc-supervisor: ignoring ELSC_SUPERVISE_INJECT with unknown "
-                 "kind \"%s\" (want crash|violate|timeout)\n",
-                 kind.c_str());
-    return out;
   }
-  out.index = static_cast<size_t>(std::strtoull(rest.c_str(), nullptr, 10));
-  out.active = true;
+  if (out.kind == FailureKind::kNone || !suffix_ok || index.empty() ||
+      index.find_first_not_of("0123456789") != std::string::npos) {
+    BadKnob("ELSC_SUPERVISE_INJECT", spec, "<crash|violate|timeout>@<index>[:once]");
+  }
+  out.index = ParseInt("ELSC_SUPERVISE_INJECT", index, 0, INT64_MAX);
   return out;
 }
 
 void MaybeInject(const InjectSpec& inject, size_t index, int attempt,
                  double budget_sec) {
-  if (!inject.active || inject.index != index ||
+  if (inject.kind == FailureKind::kNone || inject.index != index ||
       (inject.once && attempt != 0)) {
     return;
   }
@@ -85,29 +74,6 @@ void MaybeInject(const InjectSpec& inject, size_t index, int attempt,
     default:
       return;
   }
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const double value = std::strtod(env, &end);
-  return end != env ? value : fallback;
-}
-
-int EnvInt(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  return std::atoi(env);
-}
-
-std::string EnvString(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr ? std::string(env) : std::string();
 }
 
 // Shared by all supervisors in the process: quarantine files may be shared
@@ -146,14 +112,12 @@ void ReportQuarantine(const SupervisorOptions& options, size_t index,
 
 SupervisorOptions SupervisorOptions::FromEnv() {
   SupervisorOptions options;
-  options.cell_timeout_sec = EnvDouble("ELSC_CELL_TIMEOUT_MS", 0.0) / 1000.0;
-  options.max_retries = EnvInt("ELSC_CELL_RETRIES", 2);
-  if (options.max_retries < 0) {
-    options.max_retries = 0;
-  }
-  options.journal_path = EnvString("ELSC_RUN_JOURNAL");
-  options.quarantine_path = EnvString("ELSC_QUARANTINE_FILE");
-  options.inject_spec = EnvString("ELSC_SUPERVISE_INJECT");
+  options.cell_timeout_sec = CellTimeoutSec();
+  options.max_retries = IntEnv("ELSC_CELL_RETRIES", options.max_retries, 0);
+  options.journal_path = StringEnv("ELSC_RUN_JOURNAL");
+  options.quarantine_path = StringEnv("ELSC_QUARANTINE_FILE");
+  options.inject_spec = StringEnv("ELSC_SUPERVISE_INJECT");
+  ParseInject(options.inject_spec);  // A malformed spec exits 2 before any cell runs.
   return options;
 }
 

@@ -37,7 +37,9 @@
 // ELSC_SUPERVISE_INJECT=<kind>@<index>[:once] with kind one of
 // crash|violate|timeout makes cell <index> fail artificially (every attempt,
 // or only the first with ":once") so the quarantine/retry machinery can be
-// exercised on demand.
+// exercised on demand. Every knob here goes through src/base/knob.h: a
+// malformed value (a spec outside that grammar included) exits 2 when
+// FromEnv reads it, before any cell runs.
 
 #ifndef SRC_HARNESS_SUPERVISOR_H_
 #define SRC_HARNESS_SUPERVISOR_H_

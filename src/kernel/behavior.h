@@ -85,13 +85,6 @@ class TaskBehavior {
   // a kRunAgain segment finishes. Runs at simulated time machine.Now().
   virtual Segment NextSegment(Machine& machine, Task& task) = 0;
 
-  // Called when the task's wake-up happens (it became runnable again after a
-  // kBlock segment), before it is scheduled. Optional.
-  virtual void OnWoken(Machine& machine, Task& task) {
-    (void)machine;
-    (void)task;
-  }
-
   // Called when the task exits. Optional.
   virtual void OnExit(Machine& machine, Task& task) {
     (void)machine;

@@ -8,24 +8,28 @@
 
 namespace elsc {
 
-SchedulerKind SchedulerKindFromName(const std::string& name) {
+bool ParseSchedulerKind(const std::string& name, SchedulerKind* kind) {
   if (name == "linux" || name == "reg" || name == "stock" || name == "current") {
-    return SchedulerKind::kLinux;
+    *kind = SchedulerKind::kLinux;
+  } else if (name == "elsc") {
+    *kind = SchedulerKind::kElsc;
+  } else if (name == "heap") {
+    *kind = SchedulerKind::kHeap;
+  } else if (name == "multiqueue" || name == "mq") {
+    *kind = SchedulerKind::kMultiQueue;
+  } else if (name == "o1") {
+    *kind = SchedulerKind::kO1;
+  } else {
+    return false;
   }
-  if (name == "elsc") {
-    return SchedulerKind::kElsc;
-  }
-  if (name == "heap") {
-    return SchedulerKind::kHeap;
-  }
-  if (name == "multiqueue" || name == "mq") {
-    return SchedulerKind::kMultiQueue;
-  }
-  if (name == "o1") {
-    return SchedulerKind::kO1;
-  }
-  ELSC_CHECK_MSG(false, "unknown scheduler name (expected linux|elsc|heap|multiqueue|o1)");
-  __builtin_unreachable();
+  return true;
+}
+
+SchedulerKind SchedulerKindFromName(const std::string& name) {
+  SchedulerKind kind = SchedulerKind::kLinux;
+  ELSC_CHECK_MSG(ParseSchedulerKind(name, &kind),
+                 "unknown scheduler name (expected linux|elsc|heap|multiqueue|o1)");
+  return kind;
 }
 
 const char* SchedulerKindName(SchedulerKind kind) {

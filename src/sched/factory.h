@@ -21,8 +21,10 @@ enum class SchedulerKind {
   kO1,          // The Linux 2.6 O(1) scheduler (per-CPU active/expired arrays).
 };
 
-// Parses "linux"/"reg"/"stock", "elsc", "heap", "multiqueue"/"mq", "o1".
-// Aborts on unknown names.
+// Looks up "linux"/"reg"/"stock"/"current", "elsc", "heap",
+// "multiqueue"/"mq" and "o1"; false for any other name.
+bool ParseSchedulerKind(const std::string& name, SchedulerKind* kind);
+// The same lookup, aborting on an unknown name.
 SchedulerKind SchedulerKindFromName(const std::string& name);
 const char* SchedulerKindName(SchedulerKind kind);
 

@@ -546,36 +546,15 @@ void Machine::PreemptCpu(int cpu_id) {
 }
 
 void Machine::RescheduleIdle(Task* woken) {
-  if (!config_.smp) {
-    Cpu& c = *cpus_[0];
-    if (c.stalled) {
-      c.need_resched = true;
-      return;
-    }
-    if (c.schedule_pending) {
-      // The pick in flight predates this wakeup; re-run schedule() right
-      // after it completes so the woken task is considered.
-      c.need_resched = true;
-      return;
-    }
-    if (c.current == nullptr) {
-      RequestSchedule(0);
-      return;
-    }
-    if (scheduler_->PreemptionDelta(*woken, *c.current, 0) > 0) {
-      ++stats_.preempt_requests;
-      ++scheduler_->mutable_stats().preemption_ipis;
-      PreemptCpu(0);
-    }
-    return;
-  }
-
-  // SMP reschedule_idle(): prefer the woken task's last CPU if it is idle,
-  // then any idle CPU, then the CPU whose current task it beats by the
-  // largest preemption-goodness margin. The idle-CPU mask answers the first
-  // two preferences in O(1) — the bit for CPU i is set exactly when
+  // reschedule_idle(): prefer the woken task's last CPU if it is idle, then
+  // any idle CPU, then the CPU whose current task it beats by the largest
+  // preemption-goodness margin. The idle-CPU mask answers the first two
+  // preferences in O(1) — the bit for CPU i is set exactly when
   // current == nullptr && !schedule_pending && !stalled, and Lowest() is the
-  // first match of the old ascending-id scan.
+  // first match of the old ascending-id scan. On one CPU (UP or 1P) this is
+  // the uniprocessor rule: schedule the CPU if idle, park the wake on its
+  // need_resched if it is stalled or inside schedule(), else preempt when
+  // the woken task wins.
   if (idle_cpus_.Test(woken->processor)) {
     RequestSchedule(woken->processor);
     return;

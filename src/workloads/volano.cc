@@ -44,20 +44,6 @@ class VolanoThreadBase : public TaskBehavior {
 
   Cycles Jitter(Cycles base) { return JitterCycles(rng_, base, cfg().work_jitter); }
 
-  // Adaptive wait: spin through sched_yield a few times before parking on
-  // `block_seg` (the JVM's spin-then-park locking strategy). The caller must
-  // invoke ResetSpin() on the success path.
-  Segment SpinOrBlock(Segment block_seg) {
-    if (spins_left_ > 0) {
-      --spins_left_;
-      return Segment::Yield(cfg().yield_spin_cycles);
-    }
-    spins_left_ = cfg().spin_yields_before_block;  // Re-arm for the next wait.
-    return block_seg;
-  }
-
-  void ResetSpin() { spins_left_ = cfg().spin_yields_before_block; }
-
   // Chat threads park until every connection is established (VolanoMark
   // starts the message exchange only once the rooms are fully built).
   bool AwaitStartBarrier(Segment* out) {
@@ -73,7 +59,6 @@ class VolanoThreadBase : public TaskBehavior {
   VolanoWorkload* workload_;
   Rng rng_;
   int pending_yields_ = 0;
-  int spins_left_ = 0;
 };
 
 }  // namespace
@@ -119,15 +104,13 @@ class VolanoClientWriter : public VolanoThreadBase {
         }
         const SockStatus st = conn.c2s.TryWriteMsg(machine, msg_);
         if (st == SockStatus::kWouldBlock) {
-          // Wire full: spin-yield, then block until the server reader
-          // drains it, then retry.
-          return SpinOrBlock(BlockUntilWritable(cfg().syscall_cycles, conn.c2s));
+          // Wire full: block until the server reader drains it, then retry.
+          return BlockUntilWritable(cfg().syscall_cycles, conn.c2s);
         }
         if (st != SockStatus::kOk) {
           // Reset/closed mid-send (churn only — wires never die otherwise).
           return HandleRoundFailure(machine);
         }
-        ResetSpin();
         ++sent_;
         ++workload_->messages_sent_;
         if (!cfg().churn && sent_ == cfg().messages_per_user) {
@@ -241,7 +224,7 @@ class VolanoClientReader : public VolanoThreadBase {
     Message msg;
     const SockStatus st = conn.s2c.TryReadMsg(machine, &msg);
     if (st == SockStatus::kWouldBlock) {
-      return SpinOrBlock(BlockUntilReadable(cfg().syscall_cycles, conn.s2c));
+      return BlockUntilReadable(cfg().syscall_cycles, conn.s2c);
     }
     if (st == SockStatus::kEof) {
       if (!cfg().churn || conn.s2c.state() == SocketState::kClosed) {
@@ -264,7 +247,6 @@ class VolanoClientReader : public VolanoThreadBase {
       return Segment::Block(cfg().syscall_cycles, &sock->read_wait(),
                             [sock] { return sock->reset(); });
     }
-    ResetSpin();
     ++received_;
     ++workload_->messages_delivered_;
     ++workload_->room_delivered_[static_cast<size_t>(conn.room)];
@@ -319,7 +301,7 @@ class VolanoServerReader : public VolanoThreadBase {
         Message msg;
         const SockStatus st = conn.c2s.TryReadMsg(machine, &msg);
         if (st == SockStatus::kWouldBlock) {
-          return SpinOrBlock(BlockUntilReadable(cfg().syscall_cycles, conn.c2s));
+          return BlockUntilReadable(cfg().syscall_cycles, conn.c2s);
         }
         if (st == SockStatus::kEof) {
           if (!cfg().churn || conn.c2s.state() == SocketState::kClosed) {
@@ -341,7 +323,6 @@ class VolanoServerReader : public VolanoThreadBase {
           return Segment::Block(cfg().syscall_cycles, &sock->read_wait(),
                                 [sock] { return sock->reset(); });
         }
-        ResetSpin();
         pending_ = msg;
         next_member_ = 0;
         phase_ = Phase::kAcquireLock;
@@ -435,13 +416,12 @@ class VolanoServerWriter : public VolanoThreadBase {
         Message msg;
         const SockStatus st = conn.outq.TryReadMsg(machine, &msg);
         if (st == SockStatus::kWouldBlock) {
-          return SpinOrBlock(BlockUntilReadable(cfg().syscall_cycles, conn.outq));
+          return BlockUntilReadable(cfg().syscall_cycles, conn.outq);
         }
         if (st != SockStatus::kOk) {
           // Output queue torn down (abandon/shutdown): nothing left to pump.
           return Segment::Exit(cfg().syscall_cycles);
         }
-        ResetSpin();
         pending_ = msg;
         phase_ = Phase::kForward;
         RollYields();
@@ -450,10 +430,9 @@ class VolanoServerWriter : public VolanoThreadBase {
       case Phase::kForward: {
         const SockStatus st = conn.s2c.TryWriteMsg(machine, pending_);
         if (st == SockStatus::kWouldBlock) {
-          return SpinOrBlock(BlockUntilWritable(cfg().syscall_cycles, conn.s2c));
+          return BlockUntilWritable(cfg().syscall_cycles, conn.s2c);
         }
         if (st == SockStatus::kOk) {
-          ResetSpin();
           ++forwarded_;
           phase_ = Phase::kRead;
           return Segment::RunAgain(cfg().syscall_cycles);

@@ -51,9 +51,6 @@ struct VolanoConfig {
   double yield_probability = 0.15;
   int max_yield_spin = 2;
   Cycles yield_spin_cycles = UsToCycles(2);
-  // Blocking socket I/O parks in the kernel immediately (Java 1.1 blocking
-  // reads/writes); a nonzero value adds courtesy sched_yield spins first.
-  int spin_yields_before_block = 0;
   // Room-monitor emulation: VolanoChat serializes each room's broadcast on a
   // Java monitor, and 2001-era LinuxThreads/JVM monitors resolved contention
   // by spinning through sched_yield — futex-style parking did not exist.

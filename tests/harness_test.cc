@@ -145,7 +145,7 @@ TEST(BenchJobsTest, EnvOverrideAndDefault) {
   ASSERT_EQ(setenv("ELSC_BENCH_JOBS", "3", 1), 0);
   EXPECT_EQ(BenchJobs(), 3);
   ASSERT_EQ(setenv("ELSC_BENCH_JOBS", "not-a-number", 1), 0);
-  EXPECT_EQ(BenchJobs(), HardwareJobs());
+  EXPECT_EXIT(BenchJobs(), ::testing::ExitedWithCode(2), "bad ELSC_BENCH_JOBS value");
   ASSERT_EQ(unsetenv("ELSC_BENCH_JOBS"), 0);
   EXPECT_EQ(BenchJobs(), HardwareJobs());
   EXPECT_GE(HardwareJobs(), 1);

@@ -16,8 +16,7 @@ namespace {
 class RealtimeTest : public ::testing::TestWithParam<SchedulerKind> {};
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, RealtimeTest,
-                         ::testing::Values(SchedulerKind::kLinux, SchedulerKind::kElsc,
-                                           SchedulerKind::kHeap, SchedulerKind::kMultiQueue),
+                         ::testing::ValuesIn(AllSchedulerKinds()),
                          [](const auto& info) { return SchedulerKindName(info.param); });
 
 TEST_P(RealtimeTest, RoundRobinRotatesAmongEquals) {

@@ -388,8 +388,7 @@ class ConsumerBehavior : public TaskBehavior {
 class SocketMachineTest : public ::testing::TestWithParam<SchedulerKind> {};
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, SocketMachineTest,
-                         ::testing::Values(SchedulerKind::kLinux, SchedulerKind::kElsc,
-                                           SchedulerKind::kHeap, SchedulerKind::kMultiQueue),
+                         ::testing::ValuesIn(AllSchedulerKinds()),
                          [](const auto& info) { return SchedulerKindName(info.param); });
 
 TEST_P(SocketMachineTest, ProducerConsumerRoundTripUp) {
@@ -760,8 +759,7 @@ class LifecycleWriterBehavior : public TaskBehavior {
 class SocketLifecycleMachineTest : public ::testing::TestWithParam<SchedulerKind> {};
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, SocketLifecycleMachineTest,
-                         ::testing::Values(SchedulerKind::kLinux, SchedulerKind::kElsc,
-                                           SchedulerKind::kHeap, SchedulerKind::kMultiQueue),
+                         ::testing::ValuesIn(AllSchedulerKinds()),
                          [](const auto& info) { return SchedulerKindName(info.param); });
 
 TEST_P(SocketLifecycleMachineTest, CloseWakesEveryBlockedReader) {

@@ -12,8 +12,7 @@ namespace {
 class TokenRingTest : public ::testing::TestWithParam<SchedulerKind> {};
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, TokenRingTest,
-                         ::testing::Values(SchedulerKind::kLinux, SchedulerKind::kElsc,
-                                           SchedulerKind::kHeap, SchedulerKind::kMultiQueue),
+                         ::testing::ValuesIn(AllSchedulerKinds()),
                          [](const auto& info) { return SchedulerKindName(info.param); });
 
 TEST_P(TokenRingTest, SingleTokenCompletesExactHops) {

@@ -20,8 +20,7 @@ WebserverConfig SmallServer() {
 class WebserverSchedulerTest : public ::testing::TestWithParam<SchedulerKind> {};
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, WebserverSchedulerTest,
-                         ::testing::Values(SchedulerKind::kLinux, SchedulerKind::kElsc,
-                                           SchedulerKind::kHeap, SchedulerKind::kMultiQueue),
+                         ::testing::ValuesIn(AllSchedulerKinds()),
                          [](const auto& info) { return SchedulerKindName(info.param); });
 
 TEST_P(WebserverSchedulerTest, ServesRequestsAndDrains) {
