@@ -86,13 +86,13 @@ elsc::ScaleConfig PointConfig(const Point& point, uint64_t seed, int rooms,
 int main(int argc, char** argv) {
   const uint64_t seed = elsc::IntArg(argc, argv, 1, "seed", 42, 0, INT64_MAX);
   const std::vector<int> shard_counts = elsc::IntList("ELSC_SHARDS", "1,2,4");
-  const std::vector<int> crash_pcts = elsc::IntList("ELSC_CRASH", "0,50,100", 0);
+  const std::vector<int> crash_pcts = elsc::IntList("ELSC_CRASH", "0,50,100", 0, 100);
   const std::vector<elsc::SchedulerKind> schedulers =
       elsc::Schedulers("ELSC_SCHEDS", "linux,elsc");
   const int rooms = elsc::IntEnv("ELSC_ROOMS", 8);
   const int users = elsc::IntEnv("ELSC_USERS", 8);
   const int msgs = elsc::IntEnv("ELSC_MSGS", 16);
-  const int loss_pct = elsc::IntEnv("ELSC_LOSS", 10, 0);
+  const int loss_pct = elsc::IntEnv("ELSC_LOSS", 10, 0, 100);
   const elsc::KernelConfig kernel = elsc::KernelEnv("ELSC_KERNEL", "1P");
   const bool include_timing = elsc::FlagEnv("ELSC_TIMING", true);
 

@@ -50,12 +50,8 @@ int main(int argc, char** argv) {
                       elsc::KernelConfigLabel(kernel),
                       chaos_on ? ", connection chaos injected" : ""));
 
-  const std::vector<elsc::SchedulerKind> schedulers = {
-      elsc::SchedulerKind::kLinux, elsc::SchedulerKind::kElsc,
-      elsc::SchedulerKind::kHeap, elsc::SchedulerKind::kMultiQueue};
-
   std::vector<elsc::OverloadCellSpec> cells;
-  for (const elsc::SchedulerKind kind : schedulers) {
+  for (const elsc::SchedulerKind kind : elsc::AllSchedulerKinds()) {
     for (const double load : loads) {
       elsc::OverloadCellSpec spec;
       spec.kernel = kernel;

@@ -70,10 +70,11 @@ std::vector<std::string> EnvFields(const char* name, const std::string& fallback
   return fields;
 }
 
-std::vector<int> IntList(const char* name, const std::string& fallback, int min_value) {
+std::vector<int> IntList(const char* name, const std::string& fallback, int min_value,
+                         int max_value) {
   std::vector<int> values;
   for (const std::string& field : EnvFields(name, fallback)) {
-    values.push_back(ParseInt(name, field, min_value));
+    values.push_back(static_cast<int>(ParseInt(name, field, min_value, max_value)));
   }
   return values;
 }

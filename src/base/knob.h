@@ -36,13 +36,14 @@ double ParseNumber(const std::string& name, const std::string& text, bool positi
 // Environment knobs; `fallback` applies when the knob is unset or empty.
 //   StringEnv  the value as written;
 //   EnvFields  its comma-separated fields;
-//   IntList    the fields as integers, each in [min_value, INT_MAX];
+//   IntList    the fields as integers, each in [min_value, max_value];
 //   IntEnv     one integer in [min_value, max_value];
 //   NumberEnv  one finite number >= 0;
 //   FlagEnv    0 or 1.
 std::string StringEnv(const char* name, const std::string& fallback = "");
 std::vector<std::string> EnvFields(const char* name, const std::string& fallback);
-std::vector<int> IntList(const char* name, const std::string& fallback, int min_value = 1);
+std::vector<int> IntList(const char* name, const std::string& fallback, int min_value = 1,
+                         int max_value = INT_MAX);
 int64_t IntEnv(const char* name, int64_t fallback, int64_t min_value = 1,
                int64_t max_value = INT_MAX);
 double NumberEnv(const char* name, double fallback);

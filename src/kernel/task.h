@@ -82,9 +82,10 @@ struct Task {
   // HeapScheduler: the task's slot in the run-queue heap (-1 when not in the
   // heap). Enables O(log n) removal of arbitrary tasks.
   int heap_index = -1;
-  // LinuxScheduler: the task's slot in the dense scan mirror of the run
-  // queue (-1 when off the queue). Enables O(1) swap-pop removal from the
-  // mirror; see LinuxScheduler::Schedule for why the mirror exists.
+  // LinuxScheduler: the task's slot in the scan array of the run queue (-1
+  // when off the queue). The slot caches the task's goodness inputs, or
+  // marks it held while a CPU runs it; it enables O(1) swap-pop removal.
+  // See LinuxScheduler::ScanSlot for the held model.
   int scan_slot = -1;
   // Used by goodness() ties and trace records on the dispatch path.
   int pid = 0;

@@ -77,9 +77,11 @@ class CostMeter {
   void Charge(Cycles cycles) { cycles_ += cycles; }
   void ChargeEntry() { cycles_ += model_->schedule_entry; }
   void ChargeLock() { cycles_ += model_->lock_acquire; }
-  void ChargeExamine() {
-    cycles_ += model_->task_examine;
-    ++tasks_examined_;
+  // Examining `count` candidates costs exactly what `count` single examines
+  // do; a scan that knows its candidate count up front charges once.
+  void ChargeExamine(uint64_t count = 1) {
+    cycles_ += model_->task_examine * count;
+    tasks_examined_ += count;
   }
   void ChargeRecalc(uint64_t task_count) {
     cycles_ += model_->recalc_overhead + model_->recalc_per_task * task_count;

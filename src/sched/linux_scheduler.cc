@@ -7,15 +7,115 @@
 
 namespace elsc {
 
+namespace {
+
+// The mm of every slot that earns no kSameMmBonus: no task's mm points here.
+constexpr MmStruct kNoMm{};
+// Stamps start in the middle of their range so both ends have room.
+constexpr uint32_t kStampMid = uint32_t{1} << 31;
+
+}  // namespace
+
+LinuxScheduler::LinuxScheduler(const CostModel& cost_model, TaskList* all_tasks,
+                               const SchedulerConfig& config)
+    : Scheduler(cost_model, all_tasks, config),
+      front_stamp_(kStampMid),
+      back_stamp_(kStampMid - 1),
+      held_(static_cast<size_t>(config.num_cpus), nullptr) {
+  ELSC_CHECK(config.num_cpus >= 1 && config.num_cpus <= INT16_MAX);
+  InitListHead(&runqueue_head_);
+}
+
+// Defined before its callers so the queue operations inline it.
+inline void LinuxScheduler::StoreKey(ScanSlot& slot) const {
+  const Task& p = *slot.task;
+  // Goodness() without its two bonuses. Only a SCHED_OTHER task with quantum
+  // left earns them, and one without mm always earns the mm bonus.
+  long weight = 0;
+  slot.mm = &kNoMm;
+  slot.cpu = -1;
+  if (PolicyHasYield(p.policy)) {
+    weight = -1;
+  } else if (PolicyIsRealtime(p.policy)) {
+    weight = kRealtimeBase + p.rt_priority;
+  } else if (p.counter != 0) {
+    weight = p.counter + p.priority;
+    if (p.mm == nullptr) {
+      weight += kSameMmBonus;
+    } else {
+      slot.mm = p.mm;
+    }
+    if (config_.smp) {
+      slot.cpu = static_cast<int16_t>(p.processor);
+    }
+  }
+  ELSC_VERIFY_MSG(weight > kHeld && weight <= INT16_MAX, "goodness outside the scan key's range");
+  slot.weight = static_cast<int16_t>(weight);
+}
+
+void LinuxScheduler::Hold(Task* task, int cpu) {
+  ScanSlot& slot = scan_[static_cast<size_t>(task->scan_slot)];
+  if (slot.weight != kHeld) {
+    slot.weight = kHeld;
+    ++held_count_;
+  } else if (slot.cpu >= 0) {
+    held_[static_cast<size_t>(slot.cpu)] = nullptr;  // Another CPU's prev, taken over.
+  }
+  slot.cpu = static_cast<int16_t>(cpu);
+  held_[static_cast<size_t>(cpu)] = task;
+}
+
+void LinuxScheduler::Release(Task* task) {
+  ScanSlot& slot = scan_[static_cast<size_t>(task->scan_slot)];
+  ELSC_VERIFY_MSG(slot.weight == kHeld, "releasing a task no CPU holds");
+  if (slot.cpu >= 0) {
+    held_[static_cast<size_t>(slot.cpu)] = nullptr;
+  }
+  --held_count_;
+  StoreKey(slot);
+}
+
+uint32_t LinuxScheduler::FrontStamp() {
+  if (front_stamp_ == 0) {
+    RenumberStamps(kStampMid - static_cast<uint32_t>(scan_.size() / 2));
+  }
+  return --front_stamp_;
+}
+
+uint32_t LinuxScheduler::BackStamp() {
+  if (back_stamp_ == UINT32_MAX) {
+    RenumberStamps(kStampMid - static_cast<uint32_t>(scan_.size() / 2));
+  }
+  return ++back_stamp_;
+}
+
+void LinuxScheduler::RenumberStamps(uint32_t first) {
+  ELSC_VERIFY(uint64_t{first} + scan_.size() <= uint64_t{UINT32_MAX} + 1);
+  uint32_t stamp = first;
+  for (ListHead* node = runqueue_head_.next; node != &runqueue_head_; node = node->next) {
+    scan_[static_cast<size_t>(ListEntry<Task, &Task::run_list>(node)->scan_slot)].stamp = stamp++;
+  }
+  front_stamp_ = first;
+  back_stamp_ = stamp - 1;
+}
+
 void LinuxScheduler::AddToRunQueue(Task* task) {
   ELSC_VERIFY_MSG(!task->OnRunQueue(), "add_to_runqueue: task already on run queue");
+  const uint32_t stamp = FrontStamp();
   // Newly created or awakened tasks go to the *front* of the run queue
   // (paper §3.2): list_add(&p->run_list, &runqueue_head).
   ListAdd(&task->run_list, &runqueue_head_);
   ++nr_running_;
   ++stats_.wakeups;
   task->scan_slot = static_cast<int>(scan_.size());
-  scan_.push_back(ScanEntry{task, --front_stamp_});
+  scan_.push_back(ScanSlot{task, &kNoMm, stamp, kHeld, -1});
+  if (task == released_) {
+    released_queued_ = true;  // Woken between its pick and its dispatch: not held.
+  } else if (task->has_cpu != 0) {
+    ++held_count_;  // Added while running on some CPU.
+    return;
+  }
+  StoreKey(scan_.back());
 }
 
 void LinuxScheduler::DelFromRunQueue(Task* task) {
@@ -25,35 +125,67 @@ void LinuxScheduler::DelFromRunQueue(Task* task) {
   // The kernel marks "off the run queue" by nulling only the next pointer.
   task->run_list.next = nullptr;
   task->run_list.prev = nullptr;
-  // Swap-pop the mirror slot; the moved entry keeps its stamp.
-  const size_t slot = static_cast<size_t>(task->scan_slot);
-  scan_[slot] = scan_.back();
-  scan_[slot].task->scan_slot = static_cast<int>(slot);
+  const size_t i = static_cast<size_t>(task->scan_slot);
+  if (scan_[i].weight == kHeld) {
+    if (scan_[i].cpu >= 0) {
+      held_[static_cast<size_t>(scan_[i].cpu)] = nullptr;
+    }
+    --held_count_;
+  }
+  if (task == released_) {
+    released_queued_ = false;
+  }
+  // Swap-pop the slot; the moved slot keeps its stamp and key.
+  scan_[i] = scan_.back();
+  scan_[i].task->scan_slot = static_cast<int>(i);
   scan_.pop_back();
   task->scan_slot = -1;
 }
 
 void LinuxScheduler::MoveFirstRunQueue(Task* task) {
   ELSC_VERIFY(task->OnRunQueue());
+  const uint32_t stamp = FrontStamp();
   ListMove(&task->run_list, &runqueue_head_);
-  scan_[task->scan_slot].stamp = --front_stamp_;
+  scan_[static_cast<size_t>(task->scan_slot)].stamp = stamp;
 }
 
 void LinuxScheduler::MoveLastRunQueue(Task* task) {
   ELSC_VERIFY(task->OnRunQueue());
+  const uint32_t stamp = BackStamp();
   ListMoveTail(&task->run_list, &runqueue_head_);
-  scan_[task->scan_slot].stamp = ++back_stamp_;
+  scan_[static_cast<size_t>(task->scan_slot)].stamp = stamp;
 }
 
 void LinuxScheduler::RecalculateCounters() {
   // for_each_task(p): p->counter = (p->counter >> 1) + p->priority. Touches
   // every task in the system, runnable or not (paper §3.3.2).
   all_tasks_->ForEach([](Task* p) { p->counter = (p->counter >> 1) + p->priority; });
+  for (ScanSlot& slot : scan_) {
+    if (slot.weight != kHeld) {
+      StoreKey(slot);
+    }
+  }
 }
 
 Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
   meter.ChargeEntry();
   meter.ChargeLock();
+
+  // Bring the held set up to date (see held_ in the header).
+  if (released_queued_) {
+    StoreKey(scan_[static_cast<size_t>(released_->scan_slot)]);
+  }
+  released_ = nullptr;
+  released_queued_ = false;
+  Task* const held = held_[static_cast<size_t>(this_cpu)];
+  if (held != prev) {
+    if (held != nullptr) {
+      Release(held);
+    }
+    if (prev != nullptr && prev->OnRunQueue()) {
+      Hold(prev, this_cpu);
+    }
+  }
 
   const MmStruct* this_mm = prev != nullptr ? prev->mm : nullptr;
 
@@ -93,40 +225,32 @@ Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
     // The heart of the stock scheduler: evaluate goodness() for every task
     // on the run queue that is not currently executing on a processor.
     //
-    // The walk runs over the dense mirror instead of the list so the loads
-    // are independent and prefetchable — host-time only. Equivalence with
-    // the list walk: the kernel loop keeps the *first* task in list order
-    // whose goodness strictly exceeds everything before it (ties lose to the
-    // earlier task and to prev's seed value `c`). Mirror stamps strictly
-    // increase front-to-back, so that task is exactly the lexicographic
-    // maximum of (goodness, -stamp) over the same examined set; comparing
-    // its weight against `c` with strict > once at the end preserves prev's
-    // tie win. The examined set — every queued task with has_cpu == 0 — and
-    // hence every ChargeExamine() is identical.
-    Task* cand = nullptr;
-    long cand_w = 0;
-    int64_t cand_stamp = 0;
+    // Equivalence with the kernel's list walk: the walk keeps the *first*
+    // task in list order whose goodness strictly exceeds everything before
+    // it (ties lose to the earlier task and to prev's seed value `c`). Each
+    // slot's key is (goodness - kHeld) << 32 | ~stamp, and stamps strictly
+    // increase front to back, so that task holds the greatest key; comparing
+    // its goodness against `c` with strict > once at the end preserves
+    // prev's tie win. Held slots score below kUnschedulableWeight, so they
+    // never win. The examined set, every queued task no CPU holds, is the
+    // walk's has_cpu == 0 set, and it is charged once per pass.
+    const ScanSlot* const slots = scan_.data();
     const size_t n = scan_.size();
+    uint64_t best = 0;
+    size_t best_i = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (i + 4 < n) {
-        __builtin_prefetch(scan_[i + 4].task);
-      }
-      Task* p = scan_[i].task;
-      if (!CanSchedule(*p)) {
-        continue;
-      }
-      meter.ChargeExamine();
-      const long weight = Goodness(*p, this_cpu, this_mm, config_.smp);
-      if (cand == nullptr || weight > cand_w ||
-          (weight == cand_w && scan_[i].stamp < cand_stamp)) {
-        cand = p;
-        cand_w = weight;
-        cand_stamp = scan_[i].stamp;
-      }
+      const ScanSlot& s = slots[i];
+      const long g = s.weight + (s.cpu == this_cpu ? kProcChangePenalty : 0) +
+                     (s.mm == this_mm ? kSameMmBonus : 0);
+      const uint64_t key = static_cast<uint64_t>(g - kHeld) << 32 | static_cast<uint32_t>(~s.stamp);
+      best_i = key > best ? i : best_i;
+      best = key > best ? key : best;
     }
-    if (cand != nullptr && cand_w > c) {
-      c = cand_w;
-      next = cand;
+    meter.ChargeExamine(n - held_count_);
+    const long best_g = static_cast<long>(best >> 32) + kHeld;
+    if (best_g > c) {
+      c = best_g;
+      next = slots[best_i].task;
     }
 
     // Do we need to re-calculate counters? c == 0 means a runnable task was
@@ -140,6 +264,16 @@ Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
     }
 
     meter.ChargeFinish();
+    if (prev != nullptr && next != prev) {
+      released_ = prev;
+      released_queued_ = prev->OnRunQueue();
+      if (released_queued_) {
+        Release(prev);
+      }
+    }
+    if (next != nullptr && next != prev) {
+      Hold(next, this_cpu);
+    }
     RecordPick(this_cpu, prev, next, meter);
     return next;
   }
@@ -168,11 +302,17 @@ std::string LinuxScheduler::DebugString() const {
 void LinuxScheduler::CheckInvariants() const {
   // The list must be a consistent circular doubly-linked list whose length
   // matches nr_running, and every member must be TASK_RUNNING. The scan
-  // mirror must contain exactly the list's members, each task's scan_slot
-  // must point at its own entry, and stamps must strictly increase along the
+  // array must contain exactly the list's members, each task's scan_slot
+  // must point at its own slot, and stamps must strictly increase along the
   // list front-to-back (the property the Schedule() equivalence relies on).
+  // The cached keys and the held set are the other half of that
+  // equivalence: a slot no CPU holds carries its task's current key (the
+  // released prev excepted until the next Schedule() rebuilds it), a task
+  // running on a CPU is held (the released prev excepted: it runs until
+  // its dispatch), and each held slot was held by a pick or added running.
   size_t count = 0;
-  int64_t prev_stamp = front_stamp_ - 1;  // Strictly below every live stamp.
+  size_t held = 0;
+  int64_t prev_stamp = int64_t{front_stamp_} - 1;  // Strictly below every live stamp.
   for (const ListHead* node = runqueue_head_.next; node != &runqueue_head_; node = node->next) {
     ELSC_VERIFY(node->next->prev == node);
     ELSC_VERIFY(node->prev->next == node);
@@ -183,16 +323,38 @@ void LinuxScheduler::CheckInvariants() const {
     ELSC_VERIFY_MSG(p->state == TaskState::kRunning || p->has_cpu != 0,
                    "non-runnable task on run queue");
     ELSC_VERIFY_MSG(p->scan_slot >= 0 && static_cast<size_t>(p->scan_slot) < scan_.size() &&
-                        scan_[p->scan_slot].task == p,
-                    "scan mirror out of sync with run queue list");
-    const int64_t stamp = scan_[p->scan_slot].stamp;
-    ELSC_VERIFY_MSG(stamp > prev_stamp, "scan mirror stamps not increasing in list order");
-    prev_stamp = stamp;
+                        scan_[static_cast<size_t>(p->scan_slot)].task == p,
+                    "scan array out of sync with run queue list");
+    const ScanSlot& slot = scan_[static_cast<size_t>(p->scan_slot)];
+    ELSC_VERIFY_MSG(slot.stamp > prev_stamp && slot.stamp <= back_stamp_,
+                    "scan stamps not increasing in list order");
+    prev_stamp = slot.stamp;
+    if (slot.weight == kHeld) {
+      ++held;
+      ELSC_VERIFY_MSG(slot.cpu >= 0 ? held_[static_cast<size_t>(slot.cpu)] == p : p->has_cpu != 0,
+                      "held task neither returned by a pick nor added running");
+    } else if (p != released_) {
+      ScanSlot fresh = slot;
+      StoreKey(fresh);
+      ELSC_VERIFY_MSG(fresh.weight == slot.weight && fresh.cpu == slot.cpu && fresh.mm == slot.mm,
+                      "scan key out of date with its task's goodness fields");
+      ELSC_VERIFY_MSG(p->has_cpu == 0, "task running on a CPU is not held");
+    }
     ++count;
     ELSC_VERIFY_MSG(count <= all_tasks_->size() + 1, "run queue list is corrupt (cycle?)");
   }
   ELSC_VERIFY_MSG(count == nr_running_, "nr_running out of sync with run queue length");
-  ELSC_VERIFY_MSG(scan_.size() == count, "scan mirror size out of sync with run queue length");
+  ELSC_VERIFY_MSG(scan_.size() == count, "scan array size out of sync with run queue length");
+  ELSC_VERIFY_MSG(held == held_count_, "held count out of sync with held slots");
+  for (size_t cpu = 0; cpu < held_.size(); ++cpu) {
+    const Task* p = held_[cpu];
+    ELSC_VERIFY_MSG(p == nullptr || (p->OnRunQueue() &&
+                                     scan_[static_cast<size_t>(p->scan_slot)].weight == kHeld &&
+                                     scan_[static_cast<size_t>(p->scan_slot)].cpu ==
+                                         static_cast<int16_t>(cpu)),
+                    "held_ names a task its CPU does not hold");
+  }
+  ELSC_VERIFY_MSG(!released_queued_ || released_->OnRunQueue(), "released task left the queue");
 }
 
 }  // namespace elsc

@@ -23,10 +23,7 @@ namespace elsc {
 
 class LinuxScheduler : public Scheduler {
  public:
-  LinuxScheduler(const CostModel& cost_model, TaskList* all_tasks, const SchedulerConfig& config)
-      : Scheduler(cost_model, all_tasks, config) {
-    InitListHead(&runqueue_head_);
-  }
+  LinuxScheduler(const CostModel& cost_model, TaskList* all_tasks, const SchedulerConfig& config);
 
   const char* name() const override { return "linux-2.3.99"; }
 
@@ -46,38 +43,78 @@ class LinuxScheduler : public Scheduler {
   // Test/diagnostic access: front-to-back snapshot of the queue.
   std::vector<const Task*> QueueSnapshot() const;
 
+  // Restamps the queue front to back with first, first + 1, ... The stamp
+  // helpers call it when a stamp would wrap; tests call it to put the
+  // stamps at either end of their range.
+  void RenumberStamps(uint32_t first);
+
  private:
   // Recalculates every task's counter: p->counter = p->counter/2 + priority.
   void RecalculateCounters();
 
-  // can_schedule(): a task already executing on a processor cannot be picked.
-  // (The previous task keeps has_cpu == 1 while schedule() runs, so the
-  // search loop never re-evaluates it; it is handled via prev_goodness().)
-  static bool CanSchedule(const Task& p) { return p.has_cpu == 0; }
-
-  ListHead runqueue_head_;
-
-  // Dense mirror of the run queue, used only by the Schedule() scan. The
-  // circular list above stays authoritative (kernel parity, snapshots,
-  // invariants); the mirror lets the O(n) goodness scan walk a contiguous
-  // array of task pointers instead of chasing list nodes, turning a serial
-  // dependent-load chain into independent, prefetchable loads. Host-time
-  // only: the examine count and the picked task are provably identical
-  // (see the equivalence argument in Schedule()).
+  // The scan's copy of one queued task. The circular list above stays
+  // authoritative (kernel parity, snapshots, invariants); the scan walks
+  // this dense array instead and never dereferences a Task, because each
+  // slot caches what Goodness() reads, folded so that
+  //   Goodness(task, cpu, mm, smp) == weight + (cpu == slot.cpu ? 15 : 0)
+  //                                          + (mm == slot.mm ? 1 : 0)
+  // (the paper's ELSC design keeps the same static part, §5). Host-time
+  // only: the pick and the examine count are those of the list walk (see
+  // Schedule()).
   //
-  // `stamp` reproduces list order without ever shifting the array: stamps
+  // A task some CPU holds (see held_) is skipped by the kernel loop; its
+  // slot carries weight kHeld, which never wins, and the slot's cpu names
+  // the holder (-1 for a task added while running). A held task's fields
+  // change freely (ticks, fork, yield, RR refill); its key is rebuilt when
+  // it is released. A waiting task's fields change only through re-files
+  // (Del + Add) and the scheduler's own recalculation, which rebuild its
+  // key too.
+  //
+  // `stamp` reproduces list order without shifting the array: stamps
   // strictly increase from list front to list back (front inserts take
   // --front_stamp_, tail moves take ++back_stamp_), so "first task with the
   // strictly greatest goodness in list order" equals "task with the
   // lexicographically greatest (goodness, -stamp)". CheckInvariants()
-  // verifies mirror membership and stamp monotonicity against the list.
-  struct ScanEntry {
+  // verifies every slot against the list and its task.
+  struct ScanSlot {
     Task* task;
-    int64_t stamp;
+    const MmStruct* mm;  // Never nullptr: a task without mm folds its bonus into weight.
+    uint32_t stamp;
+    int16_t weight;
+    int16_t cpu;
   };
-  std::vector<ScanEntry> scan_;
-  int64_t front_stamp_ = 0;  // Next front insert gets --front_stamp_.
-  int64_t back_stamp_ = 0;   // Next tail move gets ++back_stamp_.
+  static_assert(sizeof(ScanSlot) == 24, "keep the scan array at 24 B per task");
+  static constexpr int16_t kHeld = INT16_MIN;
+
+  // Rebuilds `slot`'s key from its task's fields.
+  void StoreKey(ScanSlot& slot) const;
+  // `task` (queued) becomes held by `cpu`; Release makes it a candidate
+  // again with a fresh key.
+  void Hold(Task* task, int cpu);
+  void Release(Task* task);
+  uint32_t FrontStamp();
+  uint32_t BackStamp();
+
+  ListHead runqueue_head_;
+  std::vector<ScanSlot> scan_;
+  size_t held_count_ = 0;  // Slots with weight kHeld.
+  uint32_t front_stamp_;  // <= every live stamp; next front insert gets --front_stamp_.
+  uint32_t back_stamp_;   // >= every live stamp; next tail move gets ++back_stamp_.
+
+  // The held set stands in for has_cpu == 1 and follows from Schedule()
+  // calls alone. held_[cpu] is the queued task cpu's latest pick returned
+  // (or nullptr): it stays held until cpu's next Schedule(). If that call's
+  // prev is not held_[cpu] (a caller that picked without dispatching, or
+  // one that overrode the pick), held_[cpu] is released and prev held
+  // instead. A pick that is not prev releases prev.
+  std::vector<Task*> held_;
+  // The prev the latest pick released, until the next Schedule(). Until the
+  // Machine dispatches the pick, prev still has has_cpu == 1: a priority or
+  // policy change then does not re-file it (its key goes stale, so the next
+  // Schedule() rebuilds it), and a wakeup re-adds it with has_cpu == 1 (it
+  // is not held: the dispatch clears has_cpu before any other pick).
+  Task* released_ = nullptr;
+  bool released_queued_ = false;  // released_ is on the queue.
 };
 
 }  // namespace elsc

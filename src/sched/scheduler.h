@@ -9,7 +9,14 @@
 // Calling conventions shared with the Machine runtime:
 //  * The previous task still has has_cpu == 1 while Schedule() runs (it is
 //    cleared by the Machine during the context switch), so SMP search loops
-//    naturally skip tasks executing elsewhere — including prev itself.
+//    naturally skip tasks executing elsewhere — including prev itself. The
+//    Machine sets has_cpu on the returned task before it releases the lock,
+//    and no other pick runs before the dispatch, so a scheduler may instead
+//    derive the running set from its own calls (LinuxScheduler's held
+//    model): the task Schedule(cpu, ...) returns runs on cpu until cpu's
+//    next Schedule(), whose prev it is; a task added with has_cpu == 1 is
+//    either running elsewhere or the prev of the pick in flight, woken
+//    before its dispatch.
 //  * Schedule() must return the next task to run, or nullptr to schedule the
 //    CPU's idle task. It may return prev.
 //  * Schedule() charges its simulated cost to the CostMeter; the Machine

@@ -113,6 +113,15 @@ TEST_F(KnobTest, Lists) {
   EXPECT_EXIT(IntList(kKnob, "1,2"), kExit2, "bad ELSC_KNOB_TEST value \"0\"");
 }
 
+// A list can cap its fields too: percentages end at 100.
+TEST_F(KnobTest, ListUpperBound) {
+  Set("0,100");
+  EXPECT_EQ(IntList(kKnob, "1", 0, 100), (std::vector<int>{0, 100}));
+  Set("0,250");
+  EXPECT_EXIT(IntList(kKnob, "1", 0, 100), kExit2,
+              "bad ELSC_KNOB_TEST value \"250\": want an integer from 0 to 100");
+}
+
 TEST_F(KnobTest, StringEnvAndRetiredSpelling) {
   EXPECT_EQ(StringEnv(kKnob), "");
   Set("");

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "src/base/assert.h"
 #include "src/kernel/policy.h"
 #include "src/sched/goodness.h"
 #include "tests/sched_test_util.h"
@@ -266,6 +270,87 @@ TEST_F(LinuxSchedulerTest, PickOnNewProcessorCounted) {
   sched_->AddToRunQueue(t);
   EXPECT_EQ(Schedule(0, nullptr), t);
   EXPECT_EQ(sched_->stats().picks_new_processor, 1u);
+}
+
+// Stamps are 32-bit. A front insert or tail move that would wrap restamps the
+// queue front to back, and ties still go to the task nearer the front.
+TEST_F(LinuxSchedulerTest, StampsRenumberAtEitherEndInListOrder) {
+  std::vector<Task*> tasks;
+  for (int i = 0; i < 5; ++i) {
+    tasks.push_back(factory_.NewTask(10, 20));
+    sched_->AddToRunQueue(tasks.back());
+  }
+  sched_->RenumberStamps(1);  // The next front insert takes stamp 0.
+  Task* first = factory_.NewTask(10, 20);
+  Task* second = factory_.NewTask(10, 20);
+  sched_->AddToRunQueue(first);
+  sched_->AddToRunQueue(second);  // Would wrap below 0: restamps first.
+  sched_->CheckInvariants();
+  EXPECT_EQ(sched_->QueueSnapshot().front(), second);
+  EXPECT_EQ(Schedule(0, nullptr), second);
+
+  // The back end: the next tail move takes the last stamp, the one after
+  // restamps.
+  sched_->RenumberStamps(UINT32_MAX - static_cast<uint32_t>(sched_->nr_running()));
+  sched_->MoveLastRunQueue(second);
+  sched_->MoveLastRunQueue(first);
+  sched_->CheckInvariants();
+  EXPECT_EQ(sched_->QueueSnapshot().back(), first);
+  sched_->MoveFirstRunQueue(tasks[2]);
+  EXPECT_EQ(Schedule(0, nullptr), tasks[2]);
+}
+
+// Swap-pop removal moves the last slot into the hole; a held slot moved that
+// way stays held by its CPU, and the other CPU's pick still skips it.
+TEST_F(LinuxSchedulerTest, HeldSlotSurvivesSwapPop) {
+  Rebuild(2, true);
+  Task* a = factory_.NewTask(5, 20);
+  Task* b = factory_.NewTask(6, 20);
+  Task* best = factory_.NewTask(30, 20);
+  sched_->AddToRunQueue(a);
+  sched_->AddToRunQueue(b);
+  sched_->AddToRunQueue(best);  // Last slot.
+  EXPECT_EQ(Schedule(0, nullptr), best);
+  best->has_cpu = 1;  // Claimed, as the Machine does.
+  sched_->DelFromRunQueue(a);  // best's slot moves into a's.
+  sched_->CheckInvariants();
+  CostMeter meter(sched_->cost_model());
+  EXPECT_EQ(sched_->Schedule(1, nullptr, meter), b);
+  EXPECT_EQ(meter.tasks_examined(), 1u);
+  sched_->CheckInvariants();
+}
+
+// The cached keys are a redundant structure, so CheckInvariants() recomputes
+// them: a waiting task's goodness input written behind the scheduler's back
+// (no Del + Add re-file) must trip it.
+TEST_F(LinuxSchedulerTest, VerifyCatchesGoodnessChangedBehindTheScheduler) {
+  Task* waiting = factory_.NewTask(10, 20);
+  Task* other = factory_.NewTask(12, 20);
+  sched_->AddToRunQueue(waiting);
+  sched_->AddToRunQueue(other);
+  sched_->CheckInvariants();
+  waiting->counter = 30;
+  {
+    ViolationTrap trap;
+    EXPECT_THROW(sched_->CheckInvariants(), InvariantViolation);
+    EXPECT_TRUE(trap.triggered());
+  }
+  // The re-file Machine::SetTaskPriority does makes the key current again.
+  sched_->DelFromRunQueue(waiting);
+  sched_->AddToRunQueue(waiting);
+  sched_->CheckInvariants();
+  EXPECT_EQ(Schedule(0, nullptr), waiting);
+}
+
+// A queued task that starts running without a pick handing it out is not
+// held, so the scan would examine it: CheckInvariants() must say so.
+TEST_F(LinuxSchedulerTest, VerifyCatchesARunningTaskTheSchedulerDoesNotHold) {
+  Rebuild(2, true);
+  Task* t = factory_.NewTask(10, 20);
+  sched_->AddToRunQueue(t);
+  t->has_cpu = 1;
+  ViolationTrap trap;
+  EXPECT_THROW(sched_->CheckInvariants(), InvariantViolation);
 }
 
 }  // namespace
