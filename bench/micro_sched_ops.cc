@@ -7,11 +7,16 @@
 //  * simulated cycles charged by the cost model (exported as a counter) —
 //    the quantity the paper's Figure 5 reports.
 //
+// BM_Schedule times each pick with its own steady-clock span (manual time),
+// so the untimed restore of the queue after it costs nothing; each span also
+// holds one clock read, which BM_ClockSpan measures alone.
+//
 // The stock scheduler's Schedule() is O(queue depth); ELSC's is bounded by
 // its search limit; the heap's is O(log n).
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -50,6 +55,12 @@ struct Population {
   std::vector<Task*> tasks;
 };
 
+using Clock = std::chrono::steady_clock;
+
+double Seconds(Clock::time_point begin, Clock::time_point end) {
+  return std::chrono::duration<double>(end - begin).count();
+}
+
 void BM_Schedule(benchmark::State& state, SchedulerKind kind) {
   const int depth = static_cast<int>(state.range(0));
   Population pop(kind, depth);
@@ -57,22 +68,33 @@ void BM_Schedule(benchmark::State& state, SchedulerKind kind) {
   uint64_t calls = 0;
   for (auto _ : state) {
     CostMeter meter(pop.scheduler->cost_model());
+    const Clock::time_point begin = Clock::now();
     Task* next = pop.scheduler->Schedule(0, nullptr, meter);
+    const Clock::time_point end = Clock::now();
     benchmark::DoNotOptimize(next);
+    state.SetIterationTime(Seconds(begin, end));
     sim_cycles += meter.cycles();
     ++calls;
     if (next != nullptr) {
-      // Put the pick back so the queue depth stays constant.
-      state.PauseTiming();
+      // Put the pick back so the queue depth stays constant (untimed).
       pop.scheduler->DelFromRunQueue(next);
       next->run_list.next = nullptr;
       next->run_list.prev = nullptr;
       pop.scheduler->AddToRunQueue(next);
-      state.ResumeTiming();
     }
   }
   state.counters["sim_cycles/op"] =
       benchmark::Counter(static_cast<double>(sim_cycles) / static_cast<double>(calls));
+}
+
+// An empty span timed the way BM_Schedule times a pick: the clock's own
+// share of every BM_Schedule figure.
+void BM_ClockSpan(benchmark::State& state) {
+  for (auto _ : state) {
+    const Clock::time_point begin = Clock::now();
+    const Clock::time_point end = Clock::now();
+    state.SetIterationTime(Seconds(begin, end));
+  }
 }
 
 void BM_AddDel(benchmark::State& state, SchedulerKind kind) {
@@ -207,9 +229,10 @@ void BM_O1BitmapPick(benchmark::State& state) {
 
 // ---------------------------------------------------------------------------
 // Task allocation: the slab arena (what the Machine uses) versus a fresh heap
-// allocation per task (what it used before). The churn pattern mirrors a
-// fork/exit-heavy workload: allocate a batch, release it, repeat — the arena
-// serves every post-warmup allocation from its freelist.
+// allocation per task (what it used before). Each iteration allocates a
+// batch of Tasks and frees them: the heap one block per Task, the arena one
+// block per eight Tasks, all freed when the arena dies (it never releases a
+// single Task).
 // ---------------------------------------------------------------------------
 
 constexpr int kAllocBatch = 64;
@@ -228,18 +251,11 @@ void BM_TaskAllocHeap(benchmark::State& state) {
 }
 
 void BM_TaskAllocArena(benchmark::State& state) {
-  SlabArena<Task> arena;
-  std::vector<Task*> batch;
-  batch.reserve(kAllocBatch);
   for (auto _ : state) {
+    SlabArena<Task> arena;
     for (int i = 0; i < kAllocBatch; ++i) {
-      batch.push_back(arena.Allocate());
-      benchmark::DoNotOptimize(batch.back());
+      benchmark::DoNotOptimize(arena.Allocate());
     }
-    for (Task* t : batch) {
-      arena.Release(t);
-    }
-    batch.clear();
   }
   state.SetItemsProcessed(state.iterations() * kAllocBatch);
 }
@@ -249,14 +265,19 @@ BENCHMARK(BM_TableSearchBitmap)->RangeMultiplier(2)->Range(16, 256);
 BENCHMARK(BM_TaskAllocHeap);
 BENCHMARK(BM_TaskAllocArena);
 
-BENCHMARK_CAPTURE(BM_Schedule, linux, SchedulerKind::kLinux)->RangeMultiplier(4)->Range(8, 2048);
-BENCHMARK_CAPTURE(BM_Schedule, elsc, SchedulerKind::kElsc)->RangeMultiplier(4)->Range(8, 2048);
-BENCHMARK_CAPTURE(BM_Schedule, heap, SchedulerKind::kHeap)->RangeMultiplier(4)->Range(8, 2048);
-BENCHMARK_CAPTURE(BM_Schedule, o1, SchedulerKind::kO1)->RangeMultiplier(4)->Range(8, 2048);
-BENCHMARK_CAPTURE(BM_AddDel, linux, SchedulerKind::kLinux)->RangeMultiplier(4)->Range(8, 2048);
-BENCHMARK_CAPTURE(BM_AddDel, elsc, SchedulerKind::kElsc)->RangeMultiplier(4)->Range(8, 2048);
-BENCHMARK_CAPTURE(BM_AddDel, heap, SchedulerKind::kHeap)->RangeMultiplier(4)->Range(8, 2048);
-BENCHMARK_CAPTURE(BM_AddDel, o1, SchedulerKind::kO1)->RangeMultiplier(4)->Range(8, 2048);
+BENCHMARK(BM_ClockSpan)->UseManualTime();
+BENCHMARK_CAPTURE(BM_Schedule, linux, SchedulerKind::kLinux)
+    ->RangeMultiplier(8)->Range(8, 2048)->UseManualTime();
+BENCHMARK_CAPTURE(BM_Schedule, elsc, SchedulerKind::kElsc)
+    ->RangeMultiplier(8)->Range(8, 2048)->UseManualTime();
+BENCHMARK_CAPTURE(BM_Schedule, heap, SchedulerKind::kHeap)
+    ->RangeMultiplier(8)->Range(8, 2048)->UseManualTime();
+BENCHMARK_CAPTURE(BM_Schedule, o1, SchedulerKind::kO1)
+    ->RangeMultiplier(8)->Range(8, 2048)->UseManualTime();
+BENCHMARK_CAPTURE(BM_AddDel, linux, SchedulerKind::kLinux)->RangeMultiplier(8)->Range(8, 2048);
+BENCHMARK_CAPTURE(BM_AddDel, elsc, SchedulerKind::kElsc)->RangeMultiplier(8)->Range(8, 2048);
+BENCHMARK_CAPTURE(BM_AddDel, heap, SchedulerKind::kHeap)->RangeMultiplier(8)->Range(8, 2048);
+BENCHMARK_CAPTURE(BM_AddDel, o1, SchedulerKind::kO1)->RangeMultiplier(8)->Range(8, 2048);
 
 BENCHMARK(BM_GoodnessScanPick)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK(BM_O1BitmapPick)->RangeMultiplier(4)->Range(8, 2048);

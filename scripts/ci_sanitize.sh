@@ -10,9 +10,11 @@
 # closures in them and cancel events from inside handlers, socket rings) or
 # builds objects inside a shared record (a Volano connection's four sockets
 # and four thread behaviors, run by the Volano and footprint tests), where a
-# misaligned or double-destroyed object would hide, and the stock
-# scheduler's scan array (swap-pop removal, stamp renumbering, held slots),
-# where a stale slot index would hide.
+# misaligned or double-destroyed object would hide, and every scheduler's
+# bookkeeping of the one run-queue slot a Task carries (Task::rq_slot: the
+# stock scan array's swap-pop, stamp renumbering and held slots, the heap's
+# swap-pop, O(1)'s encoded list index, ELSC's and the multiqueue's list
+# index), where a stale slot index would hide.
 #
 #   usage: scripts/ci_sanitize.sh [thread|address|all]   (default: all)
 #

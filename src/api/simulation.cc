@@ -164,6 +164,20 @@ void AppendDigestSection(std::string* out, const char* name, const T& record,
   }
 }
 
+// The body of every Run<Workload> facade (RunVolano, RunKcompile,
+// RunWebserver, RunChaosMix).
+template <typename Workload, typename Run, typename Config>
+Run RunWorkload(const MachineConfig& machine_config, const Config& workload_config,
+                Cycles deadline, const ChaosOptions& chaos) {
+  Machine machine(machine_config);
+  Workload workload(machine, workload_config);
+  workload.Setup();
+  Run run;
+  run.stats = RunWithChaos(machine, workload, deadline, chaos);
+  run.result = workload.Result();
+  return run;
+}
+
 }  // namespace
 
 std::string RunStatsDigest(const RunStats& stats) {
@@ -271,49 +285,28 @@ bool DecodeVolanoRun(const std::string& payload, VolanoRun* run) {
 
 VolanoRun RunVolano(const MachineConfig& machine_config, const VolanoConfig& workload_config,
                     Cycles deadline, const ChaosOptions& chaos) {
-  Machine machine(machine_config);
-  VolanoWorkload workload(machine, workload_config);
-  workload.Setup();
-  VolanoRun run;
-  run.stats = RunWithChaos(machine, workload, deadline, chaos);
-  run.result = workload.Result();
-  return run;
+  return RunWorkload<VolanoWorkload, VolanoRun>(machine_config, workload_config, deadline, chaos);
 }
 
 KcompileRun RunKcompile(const MachineConfig& machine_config,
                         const KcompileConfig& workload_config, Cycles deadline,
                         const ChaosOptions& chaos) {
-  Machine machine(machine_config);
-  KcompileWorkload workload(machine, workload_config);
-  workload.Setup();
-  KcompileRun run;
-  run.stats = RunWithChaos(machine, workload, deadline, chaos);
-  run.result = workload.Result();
-  return run;
+  return RunWorkload<KcompileWorkload, KcompileRun>(machine_config, workload_config, deadline,
+                                                    chaos);
 }
 
 WebserverRun RunWebserver(const MachineConfig& machine_config,
                           const WebserverConfig& workload_config, Cycles deadline,
                           const ChaosOptions& chaos) {
-  Machine machine(machine_config);
-  WebserverWorkload workload(machine, workload_config);
-  workload.Setup();
-  WebserverRun run;
-  run.stats = RunWithChaos(machine, workload, deadline, chaos);
-  run.result = workload.Result();
-  return run;
+  return RunWorkload<WebserverWorkload, WebserverRun>(machine_config, workload_config, deadline,
+                                                      chaos);
 }
 
 ChaosMixRun RunChaosMix(const MachineConfig& machine_config,
                         const ChaosMixConfig& workload_config, Cycles deadline,
                         const ChaosOptions& chaos) {
-  Machine machine(machine_config);
-  ChaosMixWorkload workload(machine, workload_config);
-  workload.Setup();
-  ChaosMixRun run;
-  run.stats = RunWithChaos(machine, workload, deadline, chaos);
-  run.result = workload.Result();
-  return run;
+  return RunWorkload<ChaosMixWorkload, ChaosMixRun>(machine_config, workload_config, deadline,
+                                                    chaos);
 }
 
 }  // namespace elsc

@@ -13,7 +13,7 @@
 //    run under a ViolationTrap so a corrupt structure is counted, not fatal.
 //  * table (ELSC and O(1)) — every resident task actually belongs in the
 //    list it is filed under (ELSC: IndexFor(task) == its cached
-//    run_list_index; O(1): PrioIndexOf(task) == the priority list holding
+//    list index in Task::rq_slot; O(1): PrioIndexOf(task) == the priority list holding
 //    it, executing tasks exempt until their lazy re-file).
 //  * ordering — on every schedule() pick (via the Machine's pick observer):
 //    a picked SCHED_OTHER task has quantum left; on global-runqueue

@@ -31,12 +31,15 @@ struct Segment {
   Cycles cycles = 0;
   SegmentAfter after = SegmentAfter::kExit;
   WaitQueue* wait_on = nullptr;  // Required iff after == kBlock.
-  Cycles sleep_for = 0;          // Used iff after == kSleep.
-  // Optional deadline for kBlock (the SO_RCVTIMEO/SO_SNDTIMEO analog): if
-  // nonzero and no wake-up arrives within this many cycles, the task is woken
-  // with Task::block_timed_out set so the behavior can observe the timeout
-  // (see ConsumeReadTimeout in src/net/socket_ops.h). 0 = block forever.
-  Cycles block_timeout = 0;
+  // Cycles until the segment's timer wake, counted from the end of its CPU
+  // work (the kernel's schedule_timeout() serves both uses):
+  //  * kSleep: the sleep's duration; the timer wakes the task.
+  //  * kBlock: an optional deadline (the SO_RCVTIMEO/SO_SNDTIMEO analog): if
+  //    nonzero and no wake-up arrives within this many cycles, the task is
+  //    woken with Task::block_timed_out set so the behavior can observe the
+  //    timeout (see ConsumeReadTimeout in src/net/socket_ops.h). 0 = block
+  //    forever.
+  Cycles timeout = 0;
   // Optional re-check evaluated at the moment the task would go to sleep
   // (the kernel's add_wait_queue / re-test-condition / schedule() idiom):
   // if it returns false, the condition the task was about to wait for has
@@ -49,30 +52,28 @@ struct Segment {
   InlineFunction<bool> still_blocked;
 
   static Segment Block(Cycles cycles, WaitQueue* wq, InlineFunction<bool> still_blocked = {}) {
-    Segment seg{cycles, SegmentAfter::kBlock, wq, 0, 0, {}};
-    seg.still_blocked = std::move(still_blocked);
-    return seg;
+    return BlockFor(cycles, wq, 0, std::move(still_blocked));
   }
   // Block with a deadline: wake with Task::block_timed_out set if no regular
   // wake-up arrives within `timeout` cycles (0 = block forever, same as
   // Block()).
   static Segment BlockFor(Cycles cycles, WaitQueue* wq, Cycles timeout,
                           InlineFunction<bool> still_blocked = {}) {
-    Segment seg{cycles, SegmentAfter::kBlock, wq, 0, timeout, {}};
+    Segment seg{cycles, SegmentAfter::kBlock, wq, timeout, {}};
     seg.still_blocked = std::move(still_blocked);
     return seg;
   }
   static Segment Sleep(Cycles cycles, Cycles duration) {
-    return Segment{cycles, SegmentAfter::kSleep, nullptr, duration, 0, {}};
+    return Segment{cycles, SegmentAfter::kSleep, nullptr, duration, {}};
   }
   static Segment Yield(Cycles cycles) {
-    return Segment{cycles, SegmentAfter::kYield, nullptr, 0, 0, {}};
+    return Segment{cycles, SegmentAfter::kYield, nullptr, 0, {}};
   }
   static Segment Exit(Cycles cycles) {
-    return Segment{cycles, SegmentAfter::kExit, nullptr, 0, 0, {}};
+    return Segment{cycles, SegmentAfter::kExit, nullptr, 0, {}};
   }
   static Segment RunAgain(Cycles cycles) {
-    return Segment{cycles, SegmentAfter::kRunAgain, nullptr, 0, 0, {}};
+    return Segment{cycles, SegmentAfter::kRunAgain, nullptr, 0, {}};
   }
 };
 

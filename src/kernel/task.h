@@ -12,15 +12,14 @@
 #include <cstdint>
 #include <string>
 
-#include "src/base/inline_function.h"
 #include "src/base/intrusive_list.h"
 #include "src/base/time_units.h"
+#include "src/kernel/behavior.h"
 #include "src/kernel/mm.h"
 #include "src/kernel/policy.h"
 
 namespace elsc {
 
-class TaskBehavior;
 class WaitQueue;
 
 // Task states, mirroring TASK_* in <linux/sched.h>. kRunning means
@@ -56,12 +55,12 @@ struct TaskStats {
 
 struct Task {
   // Field order is hot-first: schedulers touch the Table-1 block (offsets
-  // 0-63) plus the run-queue bookkeeping (the second cache line) on every
-  // examine/insert/remove; identity, wait-queue, and statistics fields are
+  // 0-63) plus the run-queue slot and pid on every insert/remove and on the
+  // picks that read a Task; identity, wait-queue, and statistics fields are
   // only touched on slow paths (blocking, exit, reporting) and live at the
   // tail. Within that order, the 4-byte and 1-byte fields are grouped so the
-  // struct carries no padding beyond the 2 bytes that round it to 8: every
-  // Volano connection pays for four Tasks.
+  // only padding is the 6 bytes after the two flags (and 4 inside Segment):
+  // every Volano connection pays for four Tasks.
 
   // ---- Table 1: scheduler-relevant task_struct fields (hot) ----
   TaskState state = TaskState::kRunning;   // volatile long state
@@ -75,18 +74,10 @@ struct Task {
   int processor = 0;                       // CPU the task last ran on / runs on
 
   // ---- Run-queue bookkeeping (hot) ----
-  // ELSC: which table list the task currently sits in (-1 when not in any
-  // list). Lets removal avoid recomputing the index from fields that may
-  // have changed.
-  int run_list_index = -1;
-  // HeapScheduler: the task's slot in the run-queue heap (-1 when not in the
-  // heap). Enables O(log n) removal of arbitrary tasks.
-  int heap_index = -1;
-  // LinuxScheduler: the task's slot in the scan array of the run queue (-1
-  // when off the queue). The slot caches the task's goodness inputs, or
-  // marks it held while a CPU runs it; it enables O(1) swap-pop removal.
-  // See LinuxScheduler::ScanSlot for the held model.
-  int scan_slot = -1;
+  // Where the scheduler holding the task filed it, or -1 while the task is
+  // in none of its structures. What the number means belongs to that
+  // scheduler; each backend's header says what it stores here.
+  int rq_slot = -1;
   // Used by goodness() ties and trace records on the dispatch path.
   int pid = 0;
   // Dispatch stamp: the value of its CPU's dispatch sequence when this task
@@ -96,13 +87,10 @@ struct Task {
   uint64_t last_run_stamp = 0;
 
   // ---- Machine runtime state (warm: touched per segment, not per examine) ----
-  // Remaining CPU work in the task's current behavior segment. A preempted
-  // task resumes the same segment.
-  Cycles segment_remaining = 0;
-  WaitQueue* pending_wait = nullptr;
-  Cycles pending_sleep = 0;
-  // Deadline for the pending kBlock (0 = none); see Segment::BlockFor.
-  Cycles pending_block_timeout = 0;
+  // The behavior's current segment, as NextSegment() returned it, except
+  // that segment.cycles holds the CPU work still to do: a preempted task
+  // resumes the remainder.
+  Segment segment;
   // Incremented on every transition into kInterruptible; block-timeout timer
   // events capture it so a stale deadline cannot wake a later, unrelated
   // sleep of the same task.
@@ -110,15 +98,6 @@ struct Task {
   // When the task last became runnable: wait-time accounting and the
   // auditor's starvation check.
   Cycles became_runnable_at = 0;
-  // What to do when the segment completes (indices into SegmentAfter; the
-  // Machine caches the behavior's answer here).
-  int pending_after = 0;
-  // Outstanding engine timer-wake events that captured this task's pointer;
-  // the arena must not recycle the slot while any are pending.
-  int pending_timer_wakes = 0;
-  // This task's slot in Machine::all_tasks() (creation-order registry);
-  // lets opt-in zombie recycling unregister in O(1).
-  int registry_slot = -1;
   bool segment_active = false;
   // Set when a timed block's deadline fired before a regular wake-up (the
   // ETIMEDOUT analog); cleared when the next block is entered or when the
@@ -131,7 +110,6 @@ struct Task {
   ListHead wait_node;        // Membership in a wait queue while blocked.
   WaitQueue* waiting_on = nullptr;
   TaskBehavior* behavior = nullptr;  // Owned by the workload, not the task.
-  InlineFunction<bool> pending_block_check;
 
   TaskStats stats;
 

@@ -36,7 +36,7 @@ int ElscRunQueue::IndexFor(const Task& task) const {
 }
 
 void ElscRunQueue::Insert(Task* task) {
-  ELSC_VERIFY_MSG(task->run_list_index == kNoList, "task already in an ELSC list");
+  ELSC_VERIFY_MSG(task->rq_slot == kNoList, "task already in an ELSC list");
   const int index = IndexFor(*task);
   if (IsRtList(index) || task->counter != 0) {
     // Schedulable now: front of the list, like the stock scheduler's
@@ -57,16 +57,16 @@ void ElscRunQueue::Insert(Task* task) {
       next_top_ = index;
     }
   }
-  task->run_list_index = index;
+  task->rq_slot = index;
   ++sizes_[index];
   ++total_;
 }
 
 void ElscRunQueue::Remove(Task* task) {
-  const int index = task->run_list_index;
+  const int index = task->rq_slot;
   ELSC_VERIFY_MSG(index != kNoList, "task not in any ELSC list");
   ListDel(&task->run_list);
-  task->run_list_index = kNoList;
+  task->rq_slot = kNoList;
   ELSC_VERIFY(sizes_[index] > 0);
   --sizes_[index];
   --total_;
@@ -125,7 +125,7 @@ bool ElscRunQueue::HasExhaustedTask(int index) const {
 }
 
 void ElscRunQueue::MoveFirstInSection(Task* task) {
-  const int index = task->run_list_index;
+  const int index = task->rq_slot;
   ELSC_VERIFY(index != kNoList);
   ListHead* head = &lists_[index];
   if (IsRtList(index) || task->counter != 0) {
@@ -150,7 +150,7 @@ void ElscRunQueue::MoveFirstInSection(Task* task) {
 }
 
 void ElscRunQueue::MoveLastInSection(Task* task) {
-  const int index = task->run_list_index;
+  const int index = task->rq_slot;
   ELSC_VERIFY(index != kNoList);
   ListHead* head = &lists_[index];
   if (!IsRtList(index) && task->counter == 0) {
@@ -209,7 +209,7 @@ void ElscRunQueue::CheckInvariants(size_t expected_in_lists) const {
       ELSC_VERIFY(node->next->prev == node);
       ELSC_VERIFY(node->prev->next == node);
       const Task* p = ListEntry<Task, &Task::run_list>(const_cast<ListHead*>(node));
-      ELSC_VERIFY_MSG(p->run_list_index == i, "task's cached list index is wrong");
+      ELSC_VERIFY_MSG(p->rq_slot == i, "task's cached list index is wrong");
       ELSC_VERIFY_MSG(p->state == TaskState::kRunning, "non-runnable task in ELSC table");
       if (IsRtList(i)) {
         ELSC_VERIFY_MSG(PolicyIsRealtime(p->policy), "non-RT task in an RT list");

@@ -13,6 +13,10 @@
 // (non-zero counter, or any real-time task); `next_top` tracks the highest
 // list containing exhausted tasks that will become schedulable after a
 // counter recalculation.
+//
+// Task::rq_slot holds the index of the list a task sits in, or kNoList
+// while it is in none (an executing task is detached, paper footnote 3),
+// so removal never recomputes the index from fields that may have changed.
 
 #ifndef SRC_SCHED_ELSC_RUNQUEUE_H_
 #define SRC_SCHED_ELSC_RUNQUEUE_H_

@@ -27,7 +27,7 @@ void ElscScheduler::AddToRunQueue(Task* task) {
 
 void ElscScheduler::DelFromRunQueue(Task* task) {
   ELSC_VERIFY_MSG(task->OnRunQueue(), "del_from_runqueue: task not on run queue");
-  if (task->run_list_index != ElscRunQueue::kNoList) {
+  if (task->rq_slot != ElscRunQueue::kNoList) {
     table_.Remove(task);
   }
   // Clearing both pointers marks "not on the run queue at all" (the stock
@@ -40,21 +40,17 @@ void ElscScheduler::DelFromRunQueue(Task* task) {
 void ElscScheduler::MoveFirstRunQueue(Task* task) {
   // A currently-executing task is not in any list; biasing its position is
   // meaningless until it is re-inserted, so this is a no-op for it.
-  if (task->run_list_index == ElscRunQueue::kNoList) {
+  if (task->rq_slot == ElscRunQueue::kNoList) {
     return;
   }
   table_.MoveFirstInSection(task);
 }
 
 void ElscScheduler::MoveLastRunQueue(Task* task) {
-  if (task->run_list_index == ElscRunQueue::kNoList) {
+  if (task->rq_slot == ElscRunQueue::kNoList) {
     return;
   }
   table_.MoveLastInSection(task);
-}
-
-void ElscScheduler::RecalculateCounters() {
-  all_tasks_->ForEach([](Task* p) { p->counter = (p->counter >> 1) + p->priority; });
 }
 
 void ElscScheduler::DetachForRun(Task* task) {
@@ -177,7 +173,7 @@ Task* ElscScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
         prev->counter = prev->priority;
         rr_expired = true;
       }
-      if (prev->run_list_index == ElscRunQueue::kNoList) {
+      if (prev->rq_slot == ElscRunQueue::kNoList) {
         meter.ChargeIndex();
         table_.Insert(prev);
         if (rr_expired) {

@@ -62,9 +62,6 @@ class ElscScheduler : public Scheduler {
   int search_limit() const { return search_limit_; }
 
  private:
-  // Whole-system counter recalculation (same loop as the stock scheduler).
-  void RecalculateCounters();
-
   // Searches one list; returns the chosen task or nullptr. Sets
   // `descend` when the caller should try the next populated list.
   Task* SearchList(int index, int this_cpu, const Task* prev, CostMeter& meter, bool* descend);

@@ -26,18 +26,19 @@ inline constexpr long kRealtimeBase = 1000;
 // Weight reported for a task that cannot be sensibly chosen.
 inline constexpr long kUnschedulableWeight = -1000;
 
-// These are defined inline: the stock scheduler calls Goodness() once per
-// examined task per schedule() — by far the most-executed arithmetic in the
-// simulator — and an out-of-line call was measurably more expensive than the
-// handful of adds it wraps. The arithmetic is byte-for-byte the same as the
-// kernel's.
+// These are defined inline: Goodness() runs on every pick, as
+// PrevGoodness() for the outgoing task and once per examined task in the
+// multiqueue search, and on every wakeup through PreemptionGoodnessDelta();
+// an out-of-line call costs more than the handful of adds it wraps. The
+// stock scheduler's scan reads cached keys instead (LinuxScheduler::ScanSlot
+// folds the same arithmetic). The arithmetic is byte-for-byte the same as
+// the kernel's.
 
 // Full goodness, with dynamic bonuses. `smp` selects whether the affinity
 // bonus applies (UP kernels compile it out).
 inline long Goodness(const Task& p, int this_cpu, const MmStruct* this_mm, bool smp) {
   // Fast path: a policy word of exactly 0 is plain SCHED_OTHER with no
-  // SCHED_YIELD bit — the overwhelmingly common case in every workload, and
-  // the one the stock scheduler's O(n) scan evaluates per runnable task. The
+  // SCHED_YIELD bit — the overwhelmingly common case in every workload. The
   // bonus selects compile to conditional moves, so the only data-dependent
   // branch left is the exhausted-quantum test.
   if (__builtin_expect(p.policy == kSchedOther, true)) {

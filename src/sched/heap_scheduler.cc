@@ -37,8 +37,8 @@ void HeapScheduler::SiftUp(size_t index) {
     }
     std::swap(heap_[parent], heap_[index]);
     std::swap(keys_[parent], keys_[index]);
-    heap_[parent]->heap_index = static_cast<int>(parent);
-    heap_[index]->heap_index = static_cast<int>(index);
+    heap_[parent]->rq_slot = static_cast<int>(parent);
+    heap_[index]->rq_slot = static_cast<int>(index);
     index = parent;
   }
 }
@@ -60,17 +60,17 @@ void HeapScheduler::SiftDown(size_t index) {
     }
     std::swap(heap_[largest], heap_[index]);
     std::swap(keys_[largest], keys_[index]);
-    heap_[largest]->heap_index = static_cast<int>(largest);
-    heap_[index]->heap_index = static_cast<int>(index);
+    heap_[largest]->rq_slot = static_cast<int>(largest);
+    heap_[index]->rq_slot = static_cast<int>(index);
     index = largest;
   }
 }
 
 void HeapScheduler::HeapPush(Task* task, CostMeter* meter, long key_penalty) {
-  ELSC_VERIFY_MSG(task->heap_index == -1, "task already in run-queue heap");
+  ELSC_VERIFY_MSG(task->rq_slot == -1, "task already in run-queue heap");
   heap_.push_back(task);
   keys_.push_back(KeyOf(*task) - key_penalty);
-  task->heap_index = static_cast<int>(heap_.size() - 1);
+  task->rq_slot = static_cast<int>(heap_.size() - 1);
   SiftUp(heap_.size() - 1);
   ChargeHeapOp(meter);
 }
@@ -82,11 +82,11 @@ Task* HeapScheduler::HeapPopAt(size_t index, CostMeter* meter) {
   if (index != last) {
     heap_[index] = heap_[last];
     keys_[index] = keys_[last];
-    heap_[index]->heap_index = static_cast<int>(index);
+    heap_[index]->rq_slot = static_cast<int>(index);
   }
   heap_.pop_back();
   keys_.pop_back();
-  removed->heap_index = -1;
+  removed->rq_slot = -1;
   if (index < heap_.size()) {
     SiftDown(index);
     SiftUp(index);
@@ -106,8 +106,8 @@ void HeapScheduler::AddToRunQueue(Task* task) {
 
 void HeapScheduler::DelFromRunQueue(Task* task) {
   ELSC_VERIFY_MSG(task->OnRunQueue(), "del_from_runqueue: task not on run queue");
-  if (task->heap_index != -1) {
-    HeapPopAt(static_cast<size_t>(task->heap_index), nullptr);
+  if (task->rq_slot != -1) {
+    HeapPopAt(static_cast<size_t>(task->rq_slot), nullptr);
   }
   task->run_list.next = nullptr;
   task->run_list.prev = nullptr;
@@ -117,10 +117,7 @@ void HeapScheduler::DelFromRunQueue(Task* task) {
 void HeapScheduler::MoveFirstRunQueue(Task* task) { (void)task; }
 void HeapScheduler::MoveLastRunQueue(Task* task) { (void)task; }
 
-void HeapScheduler::RecalculateCounters(CostMeter& meter) {
-  meter.ChargeRecalc(all_tasks_->size());
-  all_tasks_->ForEach([](Task* p) { p->counter = (p->counter >> 1) + p->priority; });
-  // Heap residents' keys changed wholesale: rebuild in place.
+void HeapScheduler::RebuildHeap() {
   for (size_t i = 0; i < heap_.size(); ++i) {
     keys_[i] = KeyOf(*heap_[i]);
   }
@@ -145,7 +142,7 @@ Task* HeapScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
       rr_expired = true;
     }
     if (prev->state == TaskState::kRunning) {
-      if (prev->heap_index == -1) {
+      if (prev->rq_slot == -1) {
         // Push with the yield-penalized key, then clear the bit; an expired
         // RR task takes a one-point key dock so equal-priority peers pop
         // first (POSIX round-robin rotation).
@@ -180,7 +177,9 @@ Task* HeapScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
         HeapPush(t, &meter);
       }
       running_elsewhere.clear();
-      RecalculateCounters(meter);
+      meter.ChargeRecalc(all_tasks_->size());
+      RecalculateCounters();
+      RebuildHeap();
       continue;
     }
     chosen = top;  // Stays out of the heap while it runs (still marked on-rq).
@@ -199,7 +198,7 @@ void HeapScheduler::CheckInvariants() const {
   ELSC_VERIFY(heap_.size() == keys_.size());
   ELSC_VERIFY_MSG(heap_.size() <= nr_running_, "more tasks in heap than on run queue");
   for (size_t i = 0; i < heap_.size(); ++i) {
-    ELSC_VERIFY_MSG(heap_[i]->heap_index == static_cast<int>(i), "heap_index out of sync");
+    ELSC_VERIFY_MSG(heap_[i]->rq_slot == static_cast<int>(i), "heap slot out of sync");
     ELSC_VERIFY_MSG(heap_[i]->state == TaskState::kRunning, "non-runnable task in heap");
     if (i > 0) {
       const size_t parent = (i - 1) / 2;

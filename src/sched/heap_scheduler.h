@@ -14,6 +14,10 @@
 // Yield handling follows the stock scheduler's spirit: a yielded task is
 // (re)inserted with key 0, so anything runnable beats it, but if it reaches
 // the top it simply runs again — no whole-system recalculation storm.
+//
+// Task::rq_slot holds the task's position in the heap, or -1 while it is
+// out of the heap (running, or off the run queue); it makes removal of an
+// arbitrary task O(log n).
 
 #ifndef SRC_SCHED_HEAP_SCHEDULER_H_
 #define SRC_SCHED_HEAP_SCHEDULER_H_
@@ -53,7 +57,9 @@ class HeapScheduler : public Scheduler {
   void SiftDown(size_t index);
   void ChargeHeapOp(CostMeter* meter) const;
 
-  void RecalculateCounters(CostMeter& meter);
+  // Re-keys every resident after a counter recalculation and restores the
+  // heap property.
+  void RebuildHeap();
 
   std::vector<Task*> heap_;
   std::vector<long> keys_;  // keys_[i] caches KeyOf(*heap_[i]) at insert time.

@@ -1,5 +1,8 @@
 #include "src/sched/linux_scheduler.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "src/base/assert.h"
 #include "src/kernel/policy.h"
 #include "src/base/string_util.h"
@@ -23,7 +26,6 @@ LinuxScheduler::LinuxScheduler(const CostModel& cost_model, TaskList* all_tasks,
       back_stamp_(kStampMid - 1),
       held_(static_cast<size_t>(config.num_cpus), nullptr) {
   ELSC_CHECK(config.num_cpus >= 1 && config.num_cpus <= INT16_MAX);
-  InitListHead(&runqueue_head_);
 }
 
 // Defined before its callers so the queue operations inline it.
@@ -54,7 +56,7 @@ inline void LinuxScheduler::StoreKey(ScanSlot& slot) const {
 }
 
 void LinuxScheduler::Hold(Task* task, int cpu) {
-  ScanSlot& slot = scan_[static_cast<size_t>(task->scan_slot)];
+  ScanSlot& slot = scan_[static_cast<size_t>(task->rq_slot)];
   if (slot.weight != kHeld) {
     slot.weight = kHeld;
     ++held_count_;
@@ -66,7 +68,7 @@ void LinuxScheduler::Hold(Task* task, int cpu) {
 }
 
 void LinuxScheduler::Release(Task* task) {
-  ScanSlot& slot = scan_[static_cast<size_t>(task->scan_slot)];
+  ScanSlot& slot = scan_[static_cast<size_t>(task->rq_slot)];
   ELSC_VERIFY_MSG(slot.weight == kHeld, "releasing a task no CPU holds");
   if (slot.cpu >= 0) {
     held_[static_cast<size_t>(slot.cpu)] = nullptr;
@@ -89,11 +91,19 @@ uint32_t LinuxScheduler::BackStamp() {
   return ++back_stamp_;
 }
 
+std::vector<size_t> LinuxScheduler::QueueOrder() const {
+  std::vector<size_t> order(scan_.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(),
+            [this](size_t a, size_t b) { return scan_[a].stamp < scan_[b].stamp; });
+  return order;
+}
+
 void LinuxScheduler::RenumberStamps(uint32_t first) {
   ELSC_VERIFY(uint64_t{first} + scan_.size() <= uint64_t{UINT32_MAX} + 1);
   uint32_t stamp = first;
-  for (ListHead* node = runqueue_head_.next; node != &runqueue_head_; node = node->next) {
-    scan_[static_cast<size_t>(ListEntry<Task, &Task::run_list>(node)->scan_slot)].stamp = stamp++;
+  for (size_t i : QueueOrder()) {
+    scan_[i].stamp = stamp++;
   }
   front_stamp_ = first;
   back_stamp_ = stamp - 1;
@@ -101,13 +111,15 @@ void LinuxScheduler::RenumberStamps(uint32_t first) {
 
 void LinuxScheduler::AddToRunQueue(Task* task) {
   ELSC_VERIFY_MSG(!task->OnRunQueue(), "add_to_runqueue: task already on run queue");
-  const uint32_t stamp = FrontStamp();
   // Newly created or awakened tasks go to the *front* of the run queue
-  // (paper §3.2): list_add(&p->run_list, &runqueue_head).
-  ListAdd(&task->run_list, &runqueue_head_);
+  // (paper §3.2): list_add(&p->run_list, &runqueue_head). The front stamp
+  // puts the task there; its run_list only marks it queued.
+  const uint32_t stamp = FrontStamp();
+  task->run_list.next = &task->run_list;
+  task->run_list.prev = &task->run_list;
   ++nr_running_;
   ++stats_.wakeups;
-  task->scan_slot = static_cast<int>(scan_.size());
+  task->rq_slot = static_cast<int>(scan_.size());
   scan_.push_back(ScanSlot{task, &kNoMm, stamp, kHeld, -1});
   if (task == released_) {
     released_queued_ = true;  // Woken between its pick and its dispatch: not held.
@@ -121,11 +133,9 @@ void LinuxScheduler::AddToRunQueue(Task* task) {
 void LinuxScheduler::DelFromRunQueue(Task* task) {
   ELSC_VERIFY_MSG(task->OnRunQueue(), "del_from_runqueue: task not on run queue");
   --nr_running_;
-  ListDel(&task->run_list);
-  // The kernel marks "off the run queue" by nulling only the next pointer.
   task->run_list.next = nullptr;
   task->run_list.prev = nullptr;
-  const size_t i = static_cast<size_t>(task->scan_slot);
+  const size_t i = static_cast<size_t>(task->rq_slot);
   if (scan_[i].weight == kHeld) {
     if (scan_[i].cpu >= 0) {
       held_[static_cast<size_t>(scan_[i].cpu)] = nullptr;
@@ -137,34 +147,21 @@ void LinuxScheduler::DelFromRunQueue(Task* task) {
   }
   // Swap-pop the slot; the moved slot keeps its stamp and key.
   scan_[i] = scan_.back();
-  scan_[i].task->scan_slot = static_cast<int>(i);
+  scan_[i].task->rq_slot = static_cast<int>(i);
   scan_.pop_back();
-  task->scan_slot = -1;
+  task->rq_slot = -1;
 }
 
 void LinuxScheduler::MoveFirstRunQueue(Task* task) {
   ELSC_VERIFY(task->OnRunQueue());
   const uint32_t stamp = FrontStamp();
-  ListMove(&task->run_list, &runqueue_head_);
-  scan_[static_cast<size_t>(task->scan_slot)].stamp = stamp;
+  scan_[static_cast<size_t>(task->rq_slot)].stamp = stamp;
 }
 
 void LinuxScheduler::MoveLastRunQueue(Task* task) {
   ELSC_VERIFY(task->OnRunQueue());
   const uint32_t stamp = BackStamp();
-  ListMoveTail(&task->run_list, &runqueue_head_);
-  scan_[static_cast<size_t>(task->scan_slot)].stamp = stamp;
-}
-
-void LinuxScheduler::RecalculateCounters() {
-  // for_each_task(p): p->counter = (p->counter >> 1) + p->priority. Touches
-  // every task in the system, runnable or not (paper §3.3.2).
-  all_tasks_->ForEach([](Task* p) { p->counter = (p->counter >> 1) + p->priority; });
-  for (ScanSlot& slot : scan_) {
-    if (slot.weight != kHeld) {
-      StoreKey(slot);
-    }
-  }
+  scan_[static_cast<size_t>(task->rq_slot)].stamp = stamp;
 }
 
 Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
@@ -173,7 +170,7 @@ Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
 
   // Bring the held set up to date (see held_ in the header).
   if (released_queued_) {
-    StoreKey(scan_[static_cast<size_t>(released_->scan_slot)]);
+    StoreKey(scan_[static_cast<size_t>(released_->rq_slot)]);
   }
   released_ = nullptr;
   released_queued_ = false;
@@ -260,6 +257,11 @@ Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
     if (c == 0) {
       meter.ChargeRecalc(all_tasks_->size());
       RecalculateCounters();
+      for (ScanSlot& slot : scan_) {
+        if (slot.weight != kHeld) {
+          StoreKey(slot);
+        }
+      }
       continue;
     }
 
@@ -281,8 +283,8 @@ Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
 
 std::vector<const Task*> LinuxScheduler::QueueSnapshot() const {
   std::vector<const Task*> out;
-  for (const ListHead* node = runqueue_head_.next; node != &runqueue_head_; node = node->next) {
-    out.push_back(ListEntry<Task, &Task::run_list>(const_cast<ListHead*>(node)));
+  for (size_t i : QueueOrder()) {
+    out.push_back(scan_[i].task);
   }
   return out;
 }
@@ -291,8 +293,7 @@ std::string LinuxScheduler::DebugString() const {
   // "listhead -> [g] -> [g] -> ..." — the run queue of Figure 1a, where the
   // labels are static goodness values.
   std::string out = "runqueue(listhead)";
-  for (const ListHead* node = runqueue_head_.next; node != &runqueue_head_; node = node->next) {
-    const Task* p = ListEntry<Task, &Task::run_list>(const_cast<ListHead*>(node));
+  for (const Task* p : QueueSnapshot()) {
     out += StrFormat(" -> [%ld%s]", StaticGoodness(*p), p->has_cpu != 0 ? "*" : "");
   }
   out += StrFormat("  (nr_running=%zu)", nr_running_);
@@ -300,35 +301,31 @@ std::string LinuxScheduler::DebugString() const {
 }
 
 void LinuxScheduler::CheckInvariants() const {
-  // The list must be a consistent circular doubly-linked list whose length
-  // matches nr_running, and every member must be TASK_RUNNING. The scan
-  // array must contain exactly the list's members, each task's scan_slot
-  // must point at its own slot, and stamps must strictly increase along the
-  // list front-to-back (the property the Schedule() equivalence relies on).
+  // The scan array must hold exactly nr_running queued tasks, each pointing
+  // back at its own slot and marked queued, and every member must be
+  // TASK_RUNNING. Stamps must be distinct and inside [front_stamp_,
+  // back_stamp_], so they order the queue the way the stamp helpers assume
+  // (the property the Schedule() equivalence relies on).
   // The cached keys and the held set are the other half of that
   // equivalence: a slot no CPU holds carries its task's current key (the
   // released prev excepted until the next Schedule() rebuilds it), a task
   // running on a CPU is held (the released prev excepted: it runs until
   // its dispatch), and each held slot was held by a pick or added running.
-  size_t count = 0;
+  ELSC_VERIFY_MSG(scan_.size() == nr_running_, "nr_running out of sync with run queue length");
   size_t held = 0;
-  int64_t prev_stamp = int64_t{front_stamp_} - 1;  // Strictly below every live stamp.
-  for (const ListHead* node = runqueue_head_.next; node != &runqueue_head_; node = node->next) {
-    ELSC_VERIFY(node->next->prev == node);
-    ELSC_VERIFY(node->prev->next == node);
-    const Task* p = ListEntry<Task, &Task::run_list>(const_cast<ListHead*>(node));
+  for (size_t i = 0; i < scan_.size(); ++i) {
+    const ScanSlot& slot = scan_[i];
+    const Task* p = slot.task;
+    ELSC_VERIFY_MSG(p->rq_slot == static_cast<int>(i) && p->run_list.next == &p->run_list &&
+                        p->run_list.prev == &p->run_list,
+                    "scan slot out of sync with its task");
     // A task that just marked itself INTERRUPTIBLE stays on the queue until
     // its own schedule() call removes it (it still has the CPU meanwhile) —
     // exactly the kernel's window between set_current_state and schedule().
     ELSC_VERIFY_MSG(p->state == TaskState::kRunning || p->has_cpu != 0,
                    "non-runnable task on run queue");
-    ELSC_VERIFY_MSG(p->scan_slot >= 0 && static_cast<size_t>(p->scan_slot) < scan_.size() &&
-                        scan_[static_cast<size_t>(p->scan_slot)].task == p,
-                    "scan array out of sync with run queue list");
-    const ScanSlot& slot = scan_[static_cast<size_t>(p->scan_slot)];
-    ELSC_VERIFY_MSG(slot.stamp > prev_stamp && slot.stamp <= back_stamp_,
-                    "scan stamps not increasing in list order");
-    prev_stamp = slot.stamp;
+    ELSC_VERIFY_MSG(slot.stamp >= front_stamp_ && slot.stamp <= back_stamp_,
+                    "scan stamp outside the queue's stamp range");
     if (slot.weight == kHeld) {
       ++held;
       ELSC_VERIFY_MSG(slot.cpu >= 0 ? held_[static_cast<size_t>(slot.cpu)] == p : p->has_cpu != 0,
@@ -340,17 +337,18 @@ void LinuxScheduler::CheckInvariants() const {
                       "scan key out of date with its task's goodness fields");
       ELSC_VERIFY_MSG(p->has_cpu == 0, "task running on a CPU is not held");
     }
-    ++count;
-    ELSC_VERIFY_MSG(count <= all_tasks_->size() + 1, "run queue list is corrupt (cycle?)");
   }
-  ELSC_VERIFY_MSG(count == nr_running_, "nr_running out of sync with run queue length");
-  ELSC_VERIFY_MSG(scan_.size() == count, "scan array size out of sync with run queue length");
+  const std::vector<size_t> order = QueueOrder();
+  for (size_t k = 1; k < order.size(); ++k) {
+    ELSC_VERIFY_MSG(scan_[order[k - 1]].stamp < scan_[order[k]].stamp,
+                    "two queued tasks share a stamp");
+  }
   ELSC_VERIFY_MSG(held == held_count_, "held count out of sync with held slots");
   for (size_t cpu = 0; cpu < held_.size(); ++cpu) {
     const Task* p = held_[cpu];
     ELSC_VERIFY_MSG(p == nullptr || (p->OnRunQueue() &&
-                                     scan_[static_cast<size_t>(p->scan_slot)].weight == kHeld &&
-                                     scan_[static_cast<size_t>(p->scan_slot)].cpu ==
+                                     scan_[static_cast<size_t>(p->rq_slot)].weight == kHeld &&
+                                     scan_[static_cast<size_t>(p->rq_slot)].cpu ==
                                          static_cast<int16_t>(cpu)),
                     "held_ names a task its CPU does not hold");
   }

@@ -1,14 +1,21 @@
 // The stock Linux 2.3.99-pre4 scheduler (paper §3), ported from
 // kernel/sched.c to the simulation's Scheduler interface.
 //
-// The run queue is a single circular doubly-linked list of all TASK_RUNNING
-// tasks, kept in no particular order; newly woken tasks are added at the
-// front. schedule() evaluates goodness() for every task on the queue that is
-// not currently executing on a processor and picks the maximum; when no task
-// has goodness greater than zero (all runnable quanta exhausted, or the
-// previous task yielded and nothing else is schedulable), it recalculates the
-// counter of every task in the system and searches again. This linear,
-// redundant evaluation is the scalability problem the paper attacks.
+// The kernel's run queue is a single circular doubly-linked list of all
+// TASK_RUNNING tasks, kept in no particular order; newly woken tasks are
+// added at the front. schedule() evaluates goodness() for every task on the
+// queue that is not currently executing on a processor and picks the
+// maximum; when no task has goodness greater than zero (all runnable quanta
+// exhausted, or the previous task yielded and nothing else is schedulable),
+// it recalculates the counter of every task in the system and searches
+// again. This linear, redundant evaluation is the scalability problem the
+// paper attacks.
+//
+// Here the run queue is a dense array of scan slots, one per queued task,
+// and each slot's stamp holds the task's place in the kernel's list order
+// (see ScanSlot). Task::rq_slot is a queued task's index in that array (-1
+// off the queue), and a queued task's run_list points at itself, so
+// OnRunQueue() holds.
 
 #ifndef SRC_SCHED_LINUX_SCHEDULER_H_
 #define SRC_SCHED_LINUX_SCHEDULER_H_
@@ -16,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/base/intrusive_list.h"
 #include "src/sched/scheduler.h"
 
 namespace elsc {
@@ -36,7 +42,7 @@ class LinuxScheduler : public Scheduler {
 
   void CheckInvariants() const override;
 
-  // Figure 1a: the single circular list, front to back, with each task's
+  // Figure 1a: the run queue in list order, front to back, with each task's
   // static goodness.
   std::string DebugString() const override;
 
@@ -49,13 +55,9 @@ class LinuxScheduler : public Scheduler {
   void RenumberStamps(uint32_t first);
 
  private:
-  // Recalculates every task's counter: p->counter = p->counter/2 + priority.
-  void RecalculateCounters();
-
-  // The scan's copy of one queued task. The circular list above stays
-  // authoritative (kernel parity, snapshots, invariants); the scan walks
-  // this dense array instead and never dereferences a Task, because each
-  // slot caches what Goodness() reads, folded so that
+  // One queued task. The scan walks the dense array of these and never
+  // dereferences a Task, because each slot caches what Goodness() reads,
+  // folded so that
   //   Goodness(task, cpu, mm, smp) == weight + (cpu == slot.cpu ? 15 : 0)
   //                                          + (mm == slot.mm ? 1 : 0)
   // (the paper's ELSC design keeps the same static part, §5). Host-time
@@ -70,12 +72,13 @@ class LinuxScheduler : public Scheduler {
   // (Del + Add) and the scheduler's own recalculation, which rebuild its
   // key too.
   //
-  // `stamp` reproduces list order without shifting the array: stamps
-  // strictly increase from list front to list back (front inserts take
-  // --front_stamp_, tail moves take ++back_stamp_), so "first task with the
-  // strictly greatest goodness in list order" equals "task with the
-  // lexicographically greatest (goodness, -stamp)". CheckInvariants()
-  // verifies every slot against the list and its task.
+  // `stamp` is the only record of list order, kept without shifting the
+  // array: stamps strictly increase from list front to list back (front
+  // inserts take --front_stamp_, tail moves take ++back_stamp_), so "first
+  // task with the strictly greatest goodness in list order" equals "task
+  // with the lexicographically greatest (goodness, -stamp)". QueueOrder()
+  // sorts by stamp where the order itself is read (snapshots, DebugString,
+  // renumbering). CheckInvariants() verifies every slot against its task.
   struct ScanSlot {
     Task* task;
     const MmStruct* mm;  // Never nullptr: a task without mm folds its bonus into weight.
@@ -94,8 +97,9 @@ class LinuxScheduler : public Scheduler {
   void Release(Task* task);
   uint32_t FrontStamp();
   uint32_t BackStamp();
+  // Indices into scan_, front of the queue first.
+  std::vector<size_t> QueueOrder() const;
 
-  ListHead runqueue_head_;
   std::vector<ScanSlot> scan_;
   size_t held_count_ = 0;  // Slots with weight kHeld.
   uint32_t front_stamp_;  // <= every live stamp; next front insert gets --front_stamp_.

@@ -30,7 +30,7 @@ void MultiQueueScheduler::AddToRunQueue(Task* task) {
   ELSC_VERIFY_MSG(!task->OnRunQueue(), "add_to_runqueue: task already on run queue");
   const int q = HomeQueue(*task);
   ListAdd(&task->run_list, &queues_[static_cast<size_t>(q)].head);
-  task->run_list_index = q;
+  task->rq_slot = q;
   ++sizes_[static_cast<size_t>(q)];
   nonempty_.Set(q);
   ++nr_running_;
@@ -39,12 +39,12 @@ void MultiQueueScheduler::AddToRunQueue(Task* task) {
 
 void MultiQueueScheduler::DelFromRunQueue(Task* task) {
   ELSC_VERIFY_MSG(task->OnRunQueue(), "del_from_runqueue: task not on run queue");
-  const int q = task->run_list_index;
+  const int q = task->rq_slot;
   ELSC_VERIFY(q >= 0 && q < config_.num_cpus);
   ListDel(&task->run_list);
   task->run_list.next = nullptr;
   task->run_list.prev = nullptr;
-  task->run_list_index = -1;
+  task->rq_slot = -1;
   ELSC_VERIFY(sizes_[static_cast<size_t>(q)] > 0);
   if (--sizes_[static_cast<size_t>(q)] == 0) {
     nonempty_.Clear(q);
@@ -54,16 +54,12 @@ void MultiQueueScheduler::DelFromRunQueue(Task* task) {
 
 void MultiQueueScheduler::MoveFirstRunQueue(Task* task) {
   ELSC_VERIFY(task->OnRunQueue());
-  ListMove(&task->run_list, &queues_[static_cast<size_t>(task->run_list_index)].head);
+  ListMove(&task->run_list, &queues_[static_cast<size_t>(task->rq_slot)].head);
 }
 
 void MultiQueueScheduler::MoveLastRunQueue(Task* task) {
   ELSC_VERIFY(task->OnRunQueue());
-  ListMoveTail(&task->run_list, &queues_[static_cast<size_t>(task->run_list_index)].head);
-}
-
-void MultiQueueScheduler::RecalculateCounters() {
-  all_tasks_->ForEach([](Task* p) { p->counter = (p->counter >> 1) + p->priority; });
+  ListMoveTail(&task->run_list, &queues_[static_cast<size_t>(task->rq_slot)].head);
 }
 
 Task* MultiQueueScheduler::SearchQueue(int q, int this_cpu, const MmStruct* this_mm,
@@ -175,7 +171,7 @@ Task* MultiQueueScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) 
       DelFromRunQueue(stolen);
       // Re-home manually (AddToRunQueue would use the stale processor).
       ListAdd(&stolen->run_list, &queues_[static_cast<size_t>(this_cpu)].head);
-      stolen->run_list_index = this_cpu;
+      stolen->rq_slot = this_cpu;
       ++sizes_[static_cast<size_t>(this_cpu)];
       nonempty_.Set(this_cpu);
       ++nr_running_;
@@ -225,7 +221,7 @@ void MultiQueueScheduler::CheckInvariants() const {
       ELSC_VERIFY(node->next->prev == node);
       ELSC_VERIFY(node->prev->next == node);
       const Task* p = ListEntry<Task, &Task::run_list>(const_cast<ListHead*>(node));
-      ELSC_VERIFY_MSG(p->run_list_index == q, "multiqueue task in wrong queue");
+      ELSC_VERIFY_MSG(p->rq_slot == q, "multiqueue task in wrong queue");
       // Mid-block window: see LinuxScheduler::CheckInvariants.
       ELSC_VERIFY_MSG(p->state == TaskState::kRunning || p->has_cpu != 0,
                      "non-runnable task on a run queue");

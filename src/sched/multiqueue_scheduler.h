@@ -12,6 +12,9 @@
 // lock-serialization model is bypassed (uses_global_lock() == false),
 // which is precisely the scalability angle the paper hints at: "Can we
 // construct a scheduler that spends less time waiting for spin locks?"
+//
+// Task::rq_slot holds the CPU whose queue lists the task, or -1 while it is
+// on none.
 
 #ifndef SRC_SCHED_MULTIQUEUE_SCHEDULER_H_
 #define SRC_SCHED_MULTIQUEUE_SCHEDULER_H_
@@ -61,8 +64,6 @@ class MultiQueueScheduler : public Scheduler {
   // wins ties); sets *best_weight.
   Task* SearchQueue(int q, int this_cpu, const MmStruct* this_mm, CostMeter& meter,
                     long* best_weight) const;
-
-  void RecalculateCounters();
 
   std::vector<PerCpu> queues_;
   std::vector<size_t> sizes_;

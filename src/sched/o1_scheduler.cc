@@ -46,7 +46,7 @@ void O1Scheduler::Enqueue(Task* task, int cpu, int slot, bool tail) {
   } else {
     ListAdd(&task->run_list, &arr.lists[prio]);
   }
-  task->run_list_index = EncodeIndex(cpu, slot, prio);
+  task->rq_slot = EncodeIndex(cpu, slot, prio);
   arr.bitmap.Set(prio);
   ++arr.count;
 }
@@ -55,13 +55,13 @@ void O1Scheduler::Dequeue(Task* task) {
   int cpu = 0;
   int slot = 0;
   int prio = 0;
-  DecodeIndex(task->run_list_index, &cpu, &slot, &prio);
+  DecodeIndex(task->rq_slot, &cpu, &slot, &prio);
   ELSC_VERIFY(cpu >= 0 && cpu < config_.num_cpus && slot >= 0 && slot < kNumArrays);
   PrioArray& arr = queues_[static_cast<size_t>(cpu)].arrays[slot];
   ListDel(&task->run_list);
   task->run_list.next = nullptr;
   task->run_list.prev = nullptr;
-  task->run_list_index = -1;
+  task->rq_slot = -1;
   ELSC_VERIFY(arr.count > 0);
   --arr.count;
   if (ListEmpty(&arr.lists[prio])) {
@@ -96,7 +96,7 @@ void O1Scheduler::MoveFirstRunQueue(Task* task) {
   int cpu = 0;
   int slot = 0;
   int prio = 0;
-  DecodeIndex(task->run_list_index, &cpu, &slot, &prio);
+  DecodeIndex(task->rq_slot, &cpu, &slot, &prio);
   ListMove(&task->run_list, &queues_[static_cast<size_t>(cpu)].arrays[slot].lists[prio]);
 }
 
@@ -105,7 +105,7 @@ void O1Scheduler::MoveLastRunQueue(Task* task) {
   int cpu = 0;
   int slot = 0;
   int prio = 0;
-  DecodeIndex(task->run_list_index, &cpu, &slot, &prio);
+  DecodeIndex(task->rq_slot, &cpu, &slot, &prio);
   ListMoveTail(&task->run_list, &queues_[static_cast<size_t>(cpu)].arrays[slot].lists[prio]);
 }
 
@@ -236,7 +236,7 @@ Task* O1Scheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
       int pcpu = 0;
       int pslot = 0;
       int pprio = 0;
-      DecodeIndex(prev->run_list_index, &pcpu, &pslot, &pprio);
+      DecodeIndex(prev->rq_slot, &pcpu, &pslot, &pprio);
       if (pprio != PrioIndexOf(*prev)) {
         Dequeue(prev);
         Enqueue(prev, pcpu, pslot, /*tail=*/true);
@@ -346,7 +346,7 @@ void O1Scheduler::CheckInvariants() const {
           ELSC_VERIFY(node->next->prev == node);
           ELSC_VERIFY(node->prev->next == node);
           const Task* p = ListEntry<Task, &Task::run_list>(const_cast<ListHead*>(node));
-          ELSC_VERIFY_MSG(p->run_list_index == EncodeIndex(cpu, slot, prio),
+          ELSC_VERIFY_MSG(p->rq_slot == EncodeIndex(cpu, slot, prio),
                           "o1 task filed under a stale index");
           // An executing task whose priority changed is re-filed lazily at
           // its next schedule(); everything else must be filed correctly.

@@ -22,6 +22,9 @@
 // CostMeter::ChargeRemoteLock, and the Machine applies those double-locks in
 // ascending CPU index (the deadlock-avoidance order) with hold/wait cycle
 // accounting per CPU.
+//
+// Task::rq_slot holds the list a task sits in, encoded by EncodeIndex()
+// from its CPU, array slot and priority index, or -1 while it is on none.
 
 #ifndef SRC_SCHED_O1_SCHEDULER_H_
 #define SRC_SCHED_O1_SCHEDULER_H_
@@ -91,7 +94,7 @@ class O1Scheduler : public Scheduler {
     uint64_t picks = 0;  // Schedule() entries; drives the balance cadence.
   };
 
-  // run_list_index encoding: (cpu * 2 + physical slot) * 140 + prio index.
+  // Task::rq_slot encoding: (cpu * 2 + physical slot) * 140 + prio index.
   static int EncodeIndex(int cpu, int slot, int prio) {
     return (cpu * kNumArrays + slot) * kPrioLevels + prio;
   }

@@ -8,6 +8,10 @@ long Scheduler::PreemptionDelta(const Task& candidate, const Task& running, int 
   return PreemptionGoodnessDelta(candidate, running, cpu, config_.smp);
 }
 
+void Scheduler::RecalculateCounters() {
+  all_tasks_->ForEach([](Task* p) { p->counter = (p->counter >> 1) + p->priority; });
+}
+
 void Scheduler::RecordPick(int this_cpu, const Task* prev, Task* next, const CostMeter& meter) {
   ++stats_.schedule_calls;
   stats_.cycles_in_schedule += meter.cycles();

@@ -117,6 +117,12 @@ class Scheduler {
   // Common post-pick accounting shared by implementations.
   void RecordPick(int this_cpu, const Task* prev, Task* next, const CostMeter& meter);
 
+  // for_each_task(p): p->counter = (p->counter >> 1) + p->priority. Touches
+  // every task in the system, runnable or not (paper §3.3.2). The caller
+  // charges it (CostMeter::ChargeRecalc) and then refreshes whatever its
+  // own structure derived from the old counters.
+  void RecalculateCounters();
+
   size_t nr_running_ = 0;
   CostModel cost_model_;
   TaskList* all_tasks_;

@@ -43,7 +43,6 @@ struct Cpu {
   // Bookkeeping for the live segment.
   Cycles segment_started_at = 0;  // When the dispatch began.
   Cycles segment_overhead = 0;    // Context-switch + migration cycles before useful work.
-  Cycles segment_useful = 0;      // Useful cycles the segment would complete.
 
   // When the current idle period began (valid while current == nullptr).
   Cycles idle_since = 0;

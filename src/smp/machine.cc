@@ -41,9 +41,6 @@ Task* Machine::CreateTask(const TaskParams& params) {
   ELSC_CHECK(params.priority >= kMinPriority && params.priority <= kMaxPriority);
   ELSC_CHECK(params.rt_priority >= 0 && params.rt_priority <= kMaxRtPriority);
   Task* task = task_arena_.Allocate();
-  task->registry_slot = static_cast<int>(tasks_.size());
-  tasks_.push_back(task);
-
   task->pid = pids_.Next();
   task->name = params.name.empty() ? "task-" + std::to_string(task->pid) : params.name;
   task->mm = params.mm != nullptr ? params.mm : CreateMm();
@@ -64,10 +61,9 @@ Task* Machine::CreateTask(const TaskParams& params) {
   task->became_runnable_at = Now();
 
   task_list_.Add(task);
-  ++live_tasks_;
   ++stats_.tasks_created;
-  if (live_tasks_ > stats_.peak_live_tasks) {
-    stats_.peak_live_tasks = live_tasks_;
+  if (task_list_.size() > stats_.peak_live_tasks) {
+    stats_.peak_live_tasks = task_list_.size();
   }
 
   scheduler_->AddToRunQueue(task);
@@ -96,7 +92,7 @@ bool Machine::RunUntil(const std::function<bool()>& predicate, Cycles deadline) 
 }
 
 bool Machine::RunUntilAllExited(Cycles deadline) {
-  return RunUntil([this] { return live_tasks_ == 0; }, deadline);
+  return RunUntil([this] { return task_list_.empty(); }, deadline);
 }
 
 // ---------------------------------------------------------------------------
@@ -294,7 +290,6 @@ void Machine::Dispatch(int cpu_id, Task* next) {
       c.idle_since = Now();
       ++c.stats.idle_periods;
       trace_.Record(Now(), TraceEventType::kIdle, cpu_id, 0);
-      MaybeRecycleTask(prev);
     }
     return;
   }
@@ -331,9 +326,6 @@ void Machine::Dispatch(int cpu_id, Task* next) {
   trace_.Record(Now(), TraceEventType::kDispatch, cpu_id, next->pid);
 
   InstallSegment(cpu_id, overhead);
-  if (prev != nullptr) {
-    MaybeRecycleTask(prev);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -361,22 +353,15 @@ void Machine::InstallSegment(int cpu_id, Cycles overhead) {
   ELSC_CHECK(task != nullptr);
 
   if (!task->segment_active) {
-    Segment seg = FetchSegment(task);
-    task->segment_remaining = seg.cycles;
-    task->pending_after = static_cast<int>(seg.after);
-    task->pending_wait = seg.wait_on;
-    task->pending_sleep = seg.sleep_for;
-    task->pending_block_timeout = seg.block_timeout;
-    task->pending_block_check = std::move(seg.still_blocked);
+    task->segment = FetchSegment(task);
     task->segment_active = true;
   }
 
   c.segment_started_at = Now();
   c.segment_overhead = overhead;
-  c.segment_useful = task->segment_remaining;
   const uint64_t generation = ++c.dispatch_generation;
   c.segment_event = engine_.ScheduleAfter(
-      overhead + task->segment_remaining, [this, cpu_id, generation] { OnSegmentEnd(cpu_id, generation); });
+      overhead + task->segment.cycles, [this, cpu_id, generation] { OnSegmentEnd(cpu_id, generation); });
 
   if (c.need_resched) {
     // A wakeup during the behavior callback decided to preempt this CPU.
@@ -398,8 +383,8 @@ void Machine::StopSegment(int cpu_id) {
   const Cycles elapsed = Now() - c.segment_started_at;
   c.stats.busy_cycles += elapsed;
   Cycles useful = elapsed > c.segment_overhead ? elapsed - c.segment_overhead : 0;
-  useful = std::min(useful, task->segment_remaining);
-  task->segment_remaining -= useful;
+  useful = std::min(useful, task->segment.cycles);
+  task->segment.cycles -= useful;
   task->stats.cpu_cycles += useful;
   // The segment stays active; the task resumes the remainder when next
   // dispatched.
@@ -416,45 +401,42 @@ void Machine::OnSegmentEnd(int cpu_id, uint64_t generation) {
   ELSC_CHECK(task != nullptr);
   const Cycles elapsed = Now() - c.segment_started_at;
   c.stats.busy_cycles += elapsed;
-  task->stats.cpu_cycles += c.segment_useful;
+  // Only StopSegment() shortens a live segment, and it cancels this event,
+  // so the whole remainder completes here.
+  task->stats.cpu_cycles += task->segment.cycles;
   task->segment_active = false;
-  task->segment_remaining = 0;
+  task->segment.cycles = 0;
 
-  switch (static_cast<SegmentAfter>(task->pending_after)) {
+  switch (task->segment.after) {
     case SegmentAfter::kBlock: {
       // Re-check the wait condition at the moment we would sleep (the
       // kernel's add_wait_queue / re-test / schedule() idiom): if it was
       // satisfied while this segment was finishing, skip the sleep — the
       // task stays runnable and retries after its next dispatch.
-      if (task->pending_block_check && !task->pending_block_check()) {
-        task->pending_block_check = nullptr;
+      if (task->segment.still_blocked && !task->segment.still_blocked()) {
+        task->segment.still_blocked = nullptr;
         RequestSchedule(cpu_id);
         break;
       }
-      task->pending_block_check = nullptr;
+      task->segment.still_blocked = nullptr;
       task->state = TaskState::kInterruptible;
       task->block_timed_out = false;
       const uint64_t sleep_generation = ++task->sleep_generation;
       ++task->stats.voluntary_switches;
-      task->pending_wait->Enqueue(task);
-      if (task->pending_block_timeout > 0) {
+      task->segment.wait_on->Enqueue(task);
+      if (task->segment.timeout > 0) {
         // Timed block (SO_RCVTIMEO/SO_SNDTIMEO analog): a deadline event
         // wakes the task with block_timed_out set unless a regular wake-up
         // got there first. The generation check makes a stale deadline inert
-        // once the task has moved on to a later block or sleep; the
-        // pending-wake count keeps the arena from recycling the slot.
+        // once the task has moved on to a later block or sleep.
         Task* blocked = task;
-        ++blocked->pending_timer_wakes;
-        engine_.ScheduleAfter(
-            task->pending_block_timeout, [this, blocked, sleep_generation] {
-              --blocked->pending_timer_wakes;
-              if (blocked->state == TaskState::kInterruptible &&
-                  blocked->sleep_generation == sleep_generation) {
-                blocked->block_timed_out = true;
-                WakeUpProcess(blocked);
-              }
-              MaybeRecycleTask(blocked);
-            });
+        engine_.ScheduleAfter(task->segment.timeout, [this, blocked, sleep_generation] {
+          if (blocked->state == TaskState::kInterruptible &&
+              blocked->sleep_generation == sleep_generation) {
+            blocked->block_timed_out = true;
+            WakeUpProcess(blocked);
+          }
+        });
       }
       trace_.Record(Now(), TraceEventType::kBlock, cpu_id, task->pid);
       RequestSchedule(cpu_id);
@@ -465,15 +447,9 @@ void Machine::OnSegmentEnd(int cpu_id, uint64_t generation) {
       ++task->sleep_generation;  // Invalidates any stale block deadline.
       ++task->stats.voluntary_switches;
       // Timer-driven wake; WakeUpProcess() tolerates the task having been
-      // woken earlier (or having exited) by then. The pending-wake count
-      // keeps the arena from recycling a zombie this event still points at.
+      // woken earlier (or having exited) by then.
       Task* sleeper = task;
-      ++sleeper->pending_timer_wakes;
-      engine_.ScheduleAfter(task->pending_sleep, [this, sleeper] {
-        --sleeper->pending_timer_wakes;
-        WakeUpProcess(sleeper);
-        MaybeRecycleTask(sleeper);
-      });
+      engine_.ScheduleAfter(task->segment.timeout, [this, sleeper] { WakeUpProcess(sleeper); });
       trace_.Record(Now(), TraceEventType::kSleep, cpu_id, task->pid);
       RequestSchedule(cpu_id);
       break;
@@ -509,8 +485,6 @@ void Machine::ExitTask(int cpu_id, Task* task) {
   ++task->stats.voluntary_switches;
   trace_.Record(Now(), TraceEventType::kExit, cpu_id, task->pid);
   task_list_.Remove(task);
-  ELSC_CHECK(live_tasks_ > 0);
-  --live_tasks_;
   ++stats_.tasks_exited;
   if (task->behavior != nullptr) {
     task->behavior->OnExit(*this, *task);
@@ -784,25 +758,6 @@ void Machine::ResumeCpu(int cpu_id) {
 void Machine::UpdateIdleMask(int cpu_id) {
   const Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
   idle_cpus_.Assign(cpu_id, c.current == nullptr && !c.schedule_pending && !c.stalled);
-}
-
-void Machine::MaybeRecycleTask(Task* task) {
-  if (!config_.recycle_exited_tasks) {
-    return;
-  }
-  // Safe only once nothing can reach the task anymore: it has exited, no CPU
-  // still holds it as its schedule() prev, no timer wake event captured it,
-  // and it is off every run-queue structure.
-  if (task->state != TaskState::kZombie || task->has_cpu != 0 ||
-      task->pending_timer_wakes > 0 || task->OnRunQueue()) {
-    return;
-  }
-  const size_t slot = static_cast<size_t>(task->registry_slot);
-  ELSC_CHECK(slot < tasks_.size() && tasks_[slot] == task);
-  tasks_[slot] = tasks_.back();
-  tasks_[slot]->registry_slot = static_cast<int>(slot);
-  tasks_.pop_back();
-  task_arena_.Release(task);
 }
 
 void Machine::CheckInvariantsIfEnabled() {

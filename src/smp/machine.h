@@ -56,14 +56,6 @@ struct MachineConfig {
   uint64_t seed = 1;
   // Run scheduler invariant checks after every operation (slow; tests only).
   bool check_invariants = false;
-  // Recycle exited tasks' arena slots once no CPU or pending timer event can
-  // still reference them. Off by default: recycling removes zombies from
-  // all_tasks() (and reuses their memory), which is observable to consumers
-  // that index the registry — e.g. the fault injector's spurious-wake victim
-  // selection — so enabling it changes fault-replay sequences. Embedders
-  // running long churn-heavy simulations without such consumers can turn it
-  // on to bound memory by the peak (not total) task population.
-  bool recycle_exited_tasks = false;
   // Extension seam: when set, the Machine builds its scheduler through this
   // factory instead of `scheduler`, so embedders can plug in custom policies
   // (see examples/custom_scheduler.cpp).
@@ -174,7 +166,8 @@ class Machine : public Waker {
   Cpu& cpu(int index) { return *cpus_[static_cast<size_t>(index)]; }
   const Cpu& cpu(int index) const { return *cpus_[static_cast<size_t>(index)]; }
   int num_cpus() const { return config_.num_cpus; }
-  size_t live_tasks() const { return live_tasks_; }
+  // Created and not yet exited: the length of the for_each_task list.
+  size_t live_tasks() const { return task_list_.size(); }
   // Per-CPU run-queue lock accounting (all-zero for global-lock schedulers).
   const CpuLockStats& cpu_lock(int index) const {
     return cpu_locks_[static_cast<size_t>(index)];
@@ -188,10 +181,11 @@ class Machine : public Waker {
   TraceRecorder& trace() { return trace_; }
   const TraceRecorder& trace() const { return trace_; }
 
-  // All tasks, in creation order, zombies included (unless
-  // recycle_exited_tasks reclaimed them); owned by the machine's task arena.
-  const std::vector<Task*>& all_tasks() const { return tasks_; }
-  const ArenaStats& task_arena_stats() const { return task_arena_.stats(); }
+  // Every task ever created, in creation order, zombies included: the
+  // machine's task arena, which never releases a task. Indexing and
+  // iteration yield Task*.
+  const SlabArena<Task>& all_tasks() const { return task_arena_; }
+  ArenaStats task_arena_stats() const { return task_arena_.stats(); }
   // Bytes resident in the task arena's slabs (a high-water mark: slabs are
   // never returned). Feeds the memory block of RunStats / the proc report.
   size_t task_arena_bytes() const { return task_arena_.footprint_bytes(); }
@@ -258,21 +252,14 @@ class Machine : public Waker {
   // with one find-first-set instead of scanning every CPU per wakeup.
   void UpdateIdleMask(int cpu_id);
 
-  // ---- task arena ----
-  // Releases a zombie's slot back to the arena once nothing references it
-  // (recycle_exited_tasks only).
-  void MaybeRecycleTask(Task* task);
-
   MachineConfig config_;
   Engine engine_;
   Rng rng_;
   PidAllocator pids_;
   TaskList task_list_;
   std::vector<std::unique_ptr<MmStruct>> mms_;
-  // Task storage: slab arena for stable pointers + freelist reuse; `tasks_`
-  // is the creation-order registry backing all_tasks().
+  // Every task, in creation order, at a stable address (all_tasks()).
   SlabArena<Task> task_arena_;
-  std::vector<Task*> tasks_;
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
   MachineStats stats_;
@@ -300,7 +287,6 @@ class Machine : public Waker {
   OccupancyBitmap idle_cpus_;
 
   TraceRecorder trace_;
-  size_t live_tasks_ = 0;
   bool started_ = false;
   uint64_t next_mm_id_ = 1;
   double loadavg_[3] = {0.0, 0.0, 0.0};

@@ -1,5 +1,5 @@
-// Tests for the slab arena: stable pointers, freelist reuse, liveness
-// accounting, and destructor cleanup of still-live objects.
+// Tests for the slab arena: stable pointers, creation-order indexing and
+// iteration, and destructor cleanup of every object.
 
 #include "src/base/arena.h"
 
@@ -24,8 +24,7 @@ TEST(SlabArenaTest, AllocatesValueInitializedObjects) {
   Tracked* a = arena.Allocate();
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->value, 0);
-  EXPECT_EQ(arena.live(), 1u);
-  EXPECT_EQ(arena.stats().allocated, 1u);
+  EXPECT_EQ(arena.size(), 1u);
   EXPECT_EQ(arena.stats().chunks, 1u);
 }
 
@@ -45,53 +44,35 @@ TEST(SlabArenaTest, PointersStayStableAcrossGrowth) {
   EXPECT_EQ(std::set<Tracked*>(ptrs.begin(), ptrs.end()).size(), 100u);
 }
 
-TEST(SlabArenaTest, ReleaseRecyclesSlots) {
+TEST(SlabArenaTest, IndexesAndIteratesInCreationOrder) {
   SlabArena<Tracked, 4> arena;
-  Tracked* a = arena.Allocate();
-  Tracked* b = arena.Allocate();
-  a->value = 41;
-  arena.Release(a);
-  EXPECT_EQ(arena.live(), 1u);
-  Tracked* c = arena.Allocate();
-  EXPECT_EQ(c, a) << "freelist must hand back the released slot";
-  EXPECT_EQ(c->value, 0) << "recycled slot must be freshly constructed";
-  EXPECT_EQ(arena.stats().reused, 1u);
-  EXPECT_EQ(arena.stats().chunks, 1u);
-  arena.Release(b);
-  arena.Release(c);
-  EXPECT_EQ(arena.live(), 0u);
-}
-
-TEST(SlabArenaTest, ChurnReusesInsteadOfGrowing) {
-  SlabArena<Tracked, 8> arena;
-  // Peak population 8 → one chunk, however much churn follows.
-  for (int round = 0; round < 50; ++round) {
-    std::vector<Tracked*> batch;
-    for (int i = 0; i < 8; ++i) {
-      batch.push_back(arena.Allocate());
-    }
-    for (Tracked* p : batch) {
-      arena.Release(p);
-    }
+  EXPECT_TRUE(arena.empty());
+  std::vector<Tracked*> ptrs;
+  for (int i = 0; i < 10; ++i) {
+    ptrs.push_back(arena.Allocate());
   }
-  EXPECT_EQ(arena.stats().chunks, 1u);
-  EXPECT_EQ(arena.stats().allocated, 400u);
-  EXPECT_EQ(arena.stats().reused, 392u);
-  EXPECT_EQ(arena.live(), 0u);
+  EXPECT_FALSE(arena.empty());
+  ASSERT_EQ(arena.size(), 10u);
+  for (size_t i = 0; i < ptrs.size(); ++i) {
+    EXPECT_EQ(arena[i], ptrs[i]);
+  }
+  std::vector<Tracked*> iterated;
+  for (Tracked* p : arena) {
+    iterated.push_back(p);
+  }
+  EXPECT_EQ(iterated, ptrs);
 }
 
 TEST(SlabArenaTest, DestructorDestroysLiveObjects) {
   Tracked::live_count = 0;
   {
     SlabArena<Tracked, 4> arena;
-    for (int i = 0; i < 10; ++i) {
+    for (int i = 0; i < 11; ++i) {
       arena.Allocate();
     }
-    Tracked* last = arena.Allocate();
-    arena.Release(last);
-    EXPECT_EQ(Tracked::live_count, 10);
+    EXPECT_EQ(Tracked::live_count, 11);
   }
-  EXPECT_EQ(Tracked::live_count, 0) << "arena destructor must destroy live objects";
+  EXPECT_EQ(Tracked::live_count, 0) << "arena destructor must destroy every object";
 }
 
 }  // namespace

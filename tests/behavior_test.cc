@@ -17,7 +17,9 @@ TEST(SegmentTest, FactoriesSetFields) {
   EXPECT_EQ(block.cycles, 100u);
   EXPECT_EQ(block.after, SegmentAfter::kBlock);
   EXPECT_EQ(block.wait_on, &wq);
+  EXPECT_EQ(block.timeout, 0u);
   EXPECT_FALSE(static_cast<bool>(block.still_blocked));
+  EXPECT_EQ(Segment::BlockFor(100, &wq, 900).timeout, 900u);
 
   bool flag = true;
   const Segment guarded = Segment::Block(5, &wq, [&flag] { return flag; });
@@ -28,7 +30,7 @@ TEST(SegmentTest, FactoriesSetFields) {
 
   const Segment sleep = Segment::Sleep(7, 5000);
   EXPECT_EQ(sleep.after, SegmentAfter::kSleep);
-  EXPECT_EQ(sleep.sleep_for, 5000u);
+  EXPECT_EQ(sleep.timeout, 5000u);
 
   EXPECT_EQ(Segment::Yield(3).after, SegmentAfter::kYield);
   EXPECT_EQ(Segment::Exit(3).after, SegmentAfter::kExit);

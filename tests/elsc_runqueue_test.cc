@@ -153,8 +153,8 @@ TEST_F(ElscRunQueueTest, RecalculationPromotesParkedTasks) {
   // pointers needed refreshing (the design's point: no re-indexing).
   EXPECT_EQ(table_.top(), 19);
   EXPECT_EQ(table_.next_top(), ElscRunQueue::kNoList);
-  EXPECT_EQ(a->run_list_index, 10);
-  EXPECT_EQ(b->run_list_index, 19);
+  EXPECT_EQ(a->rq_slot, 10);
+  EXPECT_EQ(b->rq_slot, 19);
   table_.CheckInvariants(2);
 }
 
@@ -189,11 +189,11 @@ TEST_F(ElscRunQueueTest, MoveWithinSectionKeepsDiscipline) {
 TEST_F(ElscRunQueueTest, ReindexMovesTaskToNewList) {
   Task* t = factory_.NewTask(20, 20);
   table_.Insert(t);
-  EXPECT_EQ(t->run_list_index, 10);
+  EXPECT_EQ(t->rq_slot, 10);
   t->priority = 40;
   t->counter = 40;
   table_.Reindex(t);
-  EXPECT_EQ(t->run_list_index, 19);
+  EXPECT_EQ(t->rq_slot, 19);
   EXPECT_EQ(table_.top(), 19);
   table_.CheckInvariants(1);
 }

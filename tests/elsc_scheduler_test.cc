@@ -60,7 +60,7 @@ TEST_F(ElscSchedulerTest, PickedTaskIsDetachedButStillOnRunQueue) {
   // the system still considers it on the run queue.
   EXPECT_TRUE(t->OnRunQueue());
   EXPECT_FALSE(t->InRunQueueList());
-  EXPECT_EQ(t->run_list_index, ElscRunQueue::kNoList);
+  EXPECT_EQ(t->rq_slot, ElscRunQueue::kNoList);
   EXPECT_EQ(sched_->nr_running(), 1u);
   EXPECT_EQ(sched_->table().TotalSize(), 0u);
 }

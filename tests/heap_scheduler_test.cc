@@ -51,7 +51,7 @@ TEST_F(HeapSchedulerTest, PickedTaskStaysMarkedOnRunQueue) {
   sched_->AddToRunQueue(t);
   ASSERT_EQ(Schedule(0, nullptr), t);
   EXPECT_TRUE(t->OnRunQueue());
-  EXPECT_EQ(t->heap_index, -1);
+  EXPECT_EQ(t->rq_slot, -1);
   EXPECT_EQ(sched_->nr_running(), 1u);
 }
 

@@ -68,7 +68,7 @@ TEST_P(SchedulerParamTest, ForkSplitsQuantum) {
   // The parent forked on its first dispatch: 21 split as child 11 / parent
   // 10, modulo at most one timer tick consumed by whoever ran.
   ASSERT_EQ(parent.child_pids().size(), 1u);
-  const Task* child = machine.all_tasks().back();
+  const Task* child = machine.all_tasks()[machine.all_tasks().size() - 1];
   EXPECT_EQ(child->pid, parent.child_pids()[0]);
   EXPECT_LE(parent_task->counter + child->counter, 21);
   EXPECT_GE(parent_task->counter + child->counter, 19);

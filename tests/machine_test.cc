@@ -1,14 +1,16 @@
 // Tests for the Machine runtime: dispatch, quantum expiry, preemption,
 // blocking and waking, sleeps, yields, exits, context-switch accounting,
 // migration, determinism, the run-queue-lock serialization model, and the
-// task arena's slot reuse and bytes per task.
+// task arena as the creation-order registry and its bytes per task.
 
 #include "src/smp/machine.h"
 
 #include <gtest/gtest.h>
 
 #include "src/api/simulation.h"
+#include "src/faults/fault_injector.h"
 #include "src/kernel/wait_queue.h"
+#include "src/workloads/chaos_mix.h"
 #include "src/workloads/micro_behaviors.h"
 #include "src/workloads/volano.h"
 
@@ -324,86 +326,41 @@ TEST(MachinePriorityTest, SetTaskPriorityRefilesTask) {
   (void)hog_task;
 }
 
+// The task registry is the task arena. Fork storms and exits churn the
+// population of a chaos run; midway and at the end, all_tasks() holds every
+// task ever created, in creation order (pids only grow), zombies included,
+// and live_tasks() counts the ones that have not exited.
 TEST(MachineArenaTest, ZombiesStayRegisteredByDefault) {
-  Machine machine(SmpConfig(2, SchedulerKind::kElsc));
-  std::vector<std::unique_ptr<SpinnerBehavior>> behaviors;
-  for (int i = 0; i < 6; ++i) {
-    behaviors.push_back(std::make_unique<SpinnerBehavior>(MsToCycles(1), MsToCycles(5)));
-    TaskParams params;
-    params.behavior = behaviors.back().get();
-    machine.CreateTask(params);
+  for (SchedulerKind kind : AllSchedulerKinds()) {
+    SCOPED_TRACE(SchedulerKindName(kind));
+    Machine machine(SmpConfig(2, kind));
+    ChaosMixConfig mix;
+    mix.seed = 5;
+    ChaosMixWorkload workload(machine, mix);
+    workload.Setup();
+    FaultInjector injector(machine, FullChaosPlan(5));
+    injector.Arm();
+    machine.Start();
+    const auto check_registry = [&machine](bool expect_live) {
+      const SlabArena<Task>& tasks = machine.all_tasks();
+      ASSERT_EQ(tasks.size(), machine.stats().tasks_created);
+      int last_pid = 0;
+      size_t live = 0;
+      for (const Task* task : tasks) {
+        EXPECT_GT(task->pid, last_pid) << "registry out of creation order";
+        last_pid = task->pid;
+        live += task->state == TaskState::kZombie ? 0 : 1;
+      }
+      EXPECT_EQ(machine.live_tasks(), live);
+      EXPECT_EQ(live > 0, expect_live);
+      EXPECT_GT(tasks.size(), live) << "exited tasks must stay registered";
+    };
+    ASSERT_TRUE(machine.RunUntil([&injector] { return injector.stats().storm_tasks > 0; },
+                                 SecToCycles(5)));
+    check_registry(true);
+    ASSERT_TRUE(machine.RunUntil([&workload] { return workload.Done(); }, SecToCycles(120)));
+    check_registry(false);
   }
-  machine.Start();
-  ASSERT_TRUE(machine.RunUntilAllExited(SecToCycles(5)));
-  // Without recycle_exited_tasks, exited tasks remain visible (ps-style
-  // reports and the fault injector's victim table depend on this).
-  EXPECT_EQ(machine.all_tasks().size(), 6u);
-  for (const Task* task : machine.all_tasks()) {
-    EXPECT_EQ(task->state, TaskState::kZombie);
-  }
-  EXPECT_EQ(machine.task_arena_stats().reused, 0u);
-  EXPECT_EQ(machine.task_arena_stats().released, 0u);
-}
-
-TEST(MachineArenaTest, RecycleReusesTaskSlots) {
-  MachineConfig config = SmpConfig(2, SchedulerKind::kElsc);
-  config.recycle_exited_tasks = true;
-  Machine machine(config);
-
-  // Waves of short-lived tasks: later waves must land in slots freed by
-  // earlier ones. Behaviors outlive their tasks.
-  std::vector<std::unique_ptr<SpinnerBehavior>> behaviors;
-  auto spawn = [&machine, &behaviors](int count) {
-    for (int i = 0; i < count; ++i) {
-      behaviors.push_back(std::make_unique<SpinnerBehavior>(MsToCycles(1), MsToCycles(4)));
-      TaskParams params;
-      params.behavior = behaviors.back().get();
-      machine.CreateTask(params);
-    }
-  };
-  spawn(4);
-  machine.Start();
-  ASSERT_TRUE(machine.RunUntilAllExited(SecToCycles(5)));
-  // RunUntilAllExited stops at the final exit event; run a little longer so
-  // the CPU's pending reschedule dispatches to idle and releases the last
-  // zombie (a zombie stays `current` until the switch away from it).
-  machine.RunFor(MsToCycles(1));
-  EXPECT_EQ(machine.all_tasks().size(), 0u) << "recycled zombies must leave the registry";
-  const uint64_t released_first_wave = machine.task_arena_stats().released;
-  EXPECT_EQ(released_first_wave, 4u);
-
-  spawn(4);
-  ASSERT_TRUE(machine.RunUntilAllExited(SecToCycles(10)));
-  machine.RunFor(MsToCycles(1));
-  EXPECT_EQ(machine.all_tasks().size(), 0u);
-  EXPECT_GT(machine.task_arena_stats().reused, 0u) << "second wave must reuse freed slots";
-  EXPECT_EQ(machine.task_arena_stats().allocated, 8u);
-  EXPECT_EQ(machine.task_arena_stats().released, 8u);
-}
-
-TEST(MachineArenaTest, RecycleIsSafeWithSleepersAndInvariantChecks) {
-  // Sleeping tasks hold pending timer wakes; recycling must wait for those
-  // to drain (a recycled-too-early task would be touched by a stale timer).
-  MachineConfig config = SmpConfig(2, SchedulerKind::kLinux);
-  config.recycle_exited_tasks = true;
-  Machine machine(config);
-  std::vector<std::unique_ptr<InteractiveBehavior>> sleepers;
-  std::vector<std::unique_ptr<SpinnerBehavior>> hogs;
-  TaskParams params;
-  for (int i = 0; i < 3; ++i) {
-    sleepers.push_back(std::make_unique<InteractiveBehavior>(UsToCycles(200), MsToCycles(2), 8));
-    params.behavior = sleepers.back().get();
-    machine.CreateTask(params);
-    hogs.push_back(std::make_unique<SpinnerBehavior>(MsToCycles(1), MsToCycles(10)));
-    params.behavior = hogs.back().get();
-    machine.CreateTask(params);
-  }
-  machine.Start();
-  ASSERT_TRUE(machine.RunUntilAllExited(SecToCycles(10)));
-  machine.RunFor(MsToCycles(1));
-  EXPECT_EQ(machine.all_tasks().size(), 0u);
-  EXPECT_EQ(machine.task_arena_stats().released, 6u);
-  EXPECT_EQ(machine.task_arena_stats().allocated, machine.task_arena_stats().released);
 }
 
 // What a federation node pays per task: one CPU, ELSC, one 20-user room,
@@ -411,7 +368,7 @@ TEST(MachineArenaTest, RecycleIsSafeWithSleepersAndInvariantChecks) {
 // when carved, so unused slots count: this bound fails if chunks outgrow
 // the node's task count or Task gains padding.
 TEST(MachineArenaTest, FederationNodeBytesPerTask) {
-  EXPECT_LE(sizeof(Task), 312u);
+  EXPECT_LE(sizeof(Task), 296u);
   Machine machine(MakeMachineConfig(KernelConfig::kSmp1, SchedulerKind::kElsc, 7));
   VolanoConfig chat;
   chat.rooms = 1;
@@ -421,7 +378,7 @@ TEST(MachineArenaTest, FederationNodeBytesPerTask) {
   machine.Start();
   ASSERT_TRUE(machine.RunUntil([&volano] { return volano.chat_started(); }, SecToCycles(60)));
   ASSERT_GE(machine.live_tasks(), 80u);  // Four threads per connection.
-  EXPECT_LE(machine.task_arena_bytes() / machine.live_tasks(), 341u)
+  EXPECT_LE(machine.task_arena_bytes() / machine.live_tasks(), 321u)
       << machine.task_arena_bytes() << " arena bytes for " << machine.live_tasks() << " tasks";
 }
 

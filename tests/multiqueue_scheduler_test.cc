@@ -48,8 +48,8 @@ TEST_F(MultiQueueSchedulerTest, WakeupsGoToLastProcessorQueue) {
   sched_->AddToRunQueue(b);
   EXPECT_EQ(sched_->QueueDepth(0), 1u);
   EXPECT_EQ(sched_->QueueDepth(1), 1u);
-  EXPECT_EQ(a->run_list_index, 0);
-  EXPECT_EQ(b->run_list_index, 1);
+  EXPECT_EQ(a->rq_slot, 0);
+  EXPECT_EQ(b->rq_slot, 1);
 }
 
 TEST_F(MultiQueueSchedulerTest, PicksBestGoodnessFromOwnQueue) {
@@ -70,7 +70,7 @@ TEST_F(MultiQueueSchedulerTest, StealsFromPeerWhenHomeEmpty) {
   EXPECT_EQ(Schedule(0, nullptr), remote);
   EXPECT_EQ(sched_->steals(), 1u);
   // The stolen task migrated to the stealing CPU's queue.
-  EXPECT_EQ(remote->run_list_index, 0);
+  EXPECT_EQ(remote->rq_slot, 0);
 }
 
 TEST_F(MultiQueueSchedulerTest, PrefersHomeTaskOverStealing) {
