@@ -4,7 +4,10 @@
 # (`ctest -L 'chaos|storage'`) under each. The chaos tests hammer the
 # fault-injection paths — recoverable-assert unwinding, CPU stall/rejoin,
 # the auditor's pick observer — which is exactly where a latent race or
-# lifetime bug would hide. The storage tests cover the code that
+# lifetime bug would hide. They include the federation's tests (scale,
+# scale_fuzz, federation, checkpoint): 2 to 4 worker threads claim nodes
+# from one shared cursor every window, so a node meets a different thread
+# from one window to the next. The storage tests cover the code that
 # placement-news objects into byte buffers (task arena slots, InlineFunction
 # and EventCallback storage, event slots and the engine tests that build
 # closures in them and cancel events from inside handlers, socket rings) or

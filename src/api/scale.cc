@@ -37,7 +37,7 @@ FederationCounters& FederationCounters::operator+=(const FederationCounters& oth
 namespace {
 
 // Key mixed into DeriveSeed so node seeds are a stable function of
-// (scenario seed, node index) — never of the node-to-shard assignment.
+// (scenario seed, node index) — never of which worker advances the node.
 constexpr uint64_t kScaleSeedKey = 0x5ca1ab1e5ca1ab1eULL;
 // Restart incarnations derive fresh seeds from this key + incarnation, so a
 // rebuilt node replays a different (but deterministic) schedule.
@@ -500,7 +500,6 @@ class Federation {
   std::unique_ptr<ScaleNode> MakeNode(int index);
   FabricRouter::Delivery Sink(const FabricMessage& msg, Cycles arrival);
   bool Advance(ThreadPool* pool, Cycles barrier);
-  void AdvanceShard(int shard, Cycles barrier);
   void CrashAndRestart(Cycles barrier);
   void SamplePeaks();
   void Exchange(Cycles barrier);
@@ -607,21 +606,22 @@ FabricRouter::Delivery Federation::Sink(const FabricMessage& msg, Cycles arrival
   return FabricRouter::Delivery::kDelivered;
 }
 
-// Advances every live node to the barrier. Node->shard assignment is
-// round-robin by node index; any assignment yields identical results (nodes
-// only interact through the fabric, drained at the barrier). False when the
-// per-window wall-clock watchdog fired: a livelocked node fails the
-// federation instead of hanging it.
+// Advances every live node to the barrier. Each worker (the coordinator,
+// with one shard) claims node indices one at a time from one cursor
+// (ClaimEach) under one window watchdog, so no worker waits at the barrier
+// while another still has nodes to advance. Any node->worker mapping yields
+// identical results: inside a window nodes share no mutable state (fabric
+// lanes are single-writer per source, and arrivals are scheduled at the
+// barrier). False when the per-window wall-clock watchdog fired: a
+// livelocked node fails the federation instead of hanging it.
 bool Federation::Advance(ThreadPool* pool, Cycles barrier) {
   try {
-    if (pool == nullptr) {
-      AdvanceShard(0, barrier);  // One shard: the coordinator runs it.
-    } else {
-      for (int s = 0; s < shards_; ++s) {
-        pool->Submit([this, s, barrier] { AdvanceShard(s, barrier); });
+    ClaimEach(pool, nodes_.size(), wall_budget_, [this, barrier](size_t n) {
+      ScaleNode* node = nodes_[n].get();
+      if (node != nullptr && !node->life.down) {
+        node->machine->engine().RunUntil(barrier - node->life.clock_offset);
       }
-      pool->Wait();  // Rethrows the first shard exception, if any.
-    }
+    });  // Rethrows the first worker exception, if any.
   } catch (const CellDeadlineExceeded&) {
     if (wall_budget_ <= 0.0) {
       throw;  // The supervisor's cell watchdog, not ours.
@@ -629,19 +629,6 @@ bool Federation::Advance(ThreadPool* pool, Cycles barrier) {
     return false;
   }
   return true;
-}
-
-// One shard's share of a window: nodes shard, shard + shards_, ..., under a
-// watchdog armed on the calling thread (the pool worker or the coordinator).
-void Federation::AdvanceShard(int shard, Cycles barrier) {
-  CellWatchdog dog(wall_budget_);
-  for (size_t n = static_cast<size_t>(shard); n < nodes_.size();
-       n += static_cast<size_t>(shards_)) {
-    ScaleNode* node = nodes_[n].get();
-    if (node != nullptr && !node->life.down) {
-      node->machine->engine().RunUntil(barrier - node->life.clock_offset);
-    }
-  }
 }
 
 // Failure plan, step 1 — crashes scheduled for this window. The node's

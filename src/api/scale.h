@@ -11,11 +11,12 @@
 //     partition is scenario *structure*, not an execution knob: co-located
 //     rooms share a scheduler, so changing rooms_per_node changes the
 //     simulated system.
-//   * `shards` worker threads advance the nodes in conservative
-//     time-windowed lock-step: every node runs to the barrier B_k =
-//     (k+1) * window, then the single-threaded coordinator exchanges
-//     cross-node traffic (src/sim/fabric.h), folds finished nodes into the
-//     aggregate, and releases the next window. Shard count is pure
+//   * `shards` worker threads advance the nodes, each claiming the next
+//     node from one shared cursor, in conservative time-windowed
+//     lock-step: every node runs to the barrier B_k = (k+1) * window,
+//     then the single-threaded coordinator exchanges cross-node traffic
+//     (src/sim/fabric.h), folds finished nodes into the aggregate, and
+//     releases the next window. Shard count is pure
 //     execution parallelism — results are bit-identical at any value, and
 //     at any ELSC_BENCH_JOBS when cells of a sweep run concurrently.
 //   * Cross-node traffic: each node's federation relay gossips per-room
@@ -116,10 +117,11 @@ struct ScaleConfig {
   // Per-source fabric lane bound (0 = unbounded): a partitioned destination
   // cannot grow fabric memory without bound, overflow is a counted drop.
   size_t fabric_lane_capacity = 0;
-  // Per-window wall-clock watchdog armed on every shard thread (and the
-  // serial loop): 0 = take ELSC_CELL_TIMEOUT_MS from the environment (unset
-  // = off), negative = force off. A stuck federation folds into a
-  // completed=false run instead of hanging the process.
+  // Per-window wall-clock watchdog, armed once per window by every worker
+  // around all the nodes it claims (by the coordinator with one shard): 0 =
+  // take ELSC_CELL_TIMEOUT_MS from the environment (unset = off), negative =
+  // force off. A stuck federation folds into a completed=false run instead
+  // of hanging the process.
   double window_wall_budget_sec = 0.0;
 
   // Window-granular checkpoint/restore (scale_ckpt.h, docs/SCALE.md

@@ -5,6 +5,7 @@
 
 #include "src/base/knob.h"
 #include "src/base/rng.h"
+#include "src/base/watchdog.h"
 #include "src/harness/thread_pool.h"
 
 namespace elsc {
@@ -27,33 +28,33 @@ int HardwareJobs() {
 
 int BenchJobs() { return IntEnv("ELSC_BENCH_JOBS", HardwareJobs()); }
 
-void ParallelFor(size_t n, int jobs, const std::function<void(size_t)>& body) {
-  if (n == 0) {
-    return;
-  }
-  if (jobs <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) {
+void ClaimEach(ThreadPool* pool, size_t n, double budget_sec,
+               const std::function<void(size_t)>& body) {
+  std::atomic<size_t> next{0};
+  const auto claims = [&next, n, budget_sec, &body] {
+    CellWatchdog dog(budget_sec);
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
       body(i);
     }
+  };
+  if (pool == nullptr) {
+    claims();
     return;
   }
-  const int workers = static_cast<size_t>(jobs) < n ? jobs : static_cast<int>(n);
-  ThreadPool pool(workers);
-  // Strip-mine through an atomic cursor instead of queueing one job per cell:
-  // workers stay busy regardless of per-cell runtime skew.
-  std::atomic<size_t> next{0};
-  for (int w = 0; w < workers; ++w) {
-    pool.Submit([&next, n, &body] {
-      while (true) {
-        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) {
-          return;
-        }
-        body(i);
-      }
-    });
+  for (int w = 0; w < pool->threads(); ++w) {
+    pool->Submit(claims);
   }
-  pool.Wait();
+  pool->Wait();
+}
+
+void ParallelFor(size_t n, int jobs, const std::function<void(size_t)>& body) {
+  if (jobs <= 1 || n <= 1) {
+    ClaimEach(nullptr, n, 0.0, body);
+    return;
+  }
+  ThreadPool pool(static_cast<size_t>(jobs) < n ? jobs : static_cast<int>(n));
+  ClaimEach(&pool, n, 0.0, body);
 }
 
 }  // namespace elsc

@@ -39,8 +39,22 @@ int HardwareJobs();
 // else exits 2, src/base/knob.h), or HardwareJobs() when it is unset.
 int BenchJobs();
 
-// Runs body(0..n-1) on `jobs` threads. jobs <= 1 (or n <= 1) runs inline on
-// the calling thread in ascending index order.
+class ThreadPool;
+
+// Runs body(i) once for each i in [0, n) and returns when every call has
+// finished. Each of the pool's workers claims the next index from one atomic
+// cursor until the cursor passes n, so a worker that draws cheap indices takes
+// more of them and none waits while another still has indices to run. The
+// first exception of the round is rethrown once every worker has stopped (the
+// others keep claiming until the cursor passes n), and the pool stays usable.
+// A null pool runs the same loop on the calling thread, in ascending order.
+// Each worker runs its whole share under one CellWatchdog(budget_sec); a
+// budget <= 0 arms none.
+void ClaimEach(ThreadPool* pool, size_t n, double budget_sec,
+               const std::function<void(size_t)>& body);
+
+// Runs body(0..n-1) on `jobs` threads through ClaimEach. jobs <= 1 (or
+// n <= 1) runs inline on the calling thread in ascending index order.
 void ParallelFor(size_t n, int jobs, const std::function<void(size_t)>& body);
 
 // Runs `cells` independent cells and returns their results in index order.

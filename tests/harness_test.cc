@@ -1,11 +1,12 @@
-// Tests for the parallel experiment harness: the thread pool, ParallelFor,
-// seed derivation, and — the property the whole design hangs on — that
-// RunMatrix produces bit-identical simulation results whatever the job
-// count.
+// Tests for the parallel experiment harness: the thread pool, ParallelFor
+// and the claim loop under it, seed derivation, and — the property the
+// whole design hangs on — that RunMatrix produces bit-identical simulation
+// results whatever the job count.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
 #include <mutex>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "src/api/simulation.h"
+#include "src/base/watchdog.h"
 #include "src/harness/run_matrix.h"
 #include "src/harness/thread_pool.h"
 
@@ -119,6 +121,68 @@ TEST(ParallelForTest, SerialModeRunsInAscendingOrderOnCallingThread) {
 
 TEST(ParallelForTest, ZeroIterationsIsANoOp) {
   ParallelFor(0, 4, [](size_t) { FAIL() << "body must not run"; });
+}
+
+// The federation drives one pool through a round of claims per window.
+TEST(ClaimEachTest, EachIndexRunsOncePerRoundOverManyRounds) {
+  ThreadPool pool(4);
+  for (size_t round = 0; round < 300; ++round) {
+    const size_t n = round % 41;  // 0 and fewer indices than workers too.
+    std::vector<std::atomic<int>> runs(n);
+    ClaimEach(&pool, n, 0.0,
+              [&runs](size_t i) { runs[i].fetch_add(1, std::memory_order_relaxed); });
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(runs[i].load(), 1) << "round=" << round << " i=" << i;
+    }
+  }
+}
+
+TEST(ClaimEachTest, FirstExceptionIsRethrownAfterTheRoundAndThePoolStaysUsable) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> runs(64);
+  EXPECT_THROW(
+      {
+        try {
+          ClaimEach(&pool, runs.size(), 0.0, [&runs](size_t i) {
+            runs[i].fetch_add(1, std::memory_order_relaxed);
+            if (i == 5) {
+              throw std::runtime_error("claim 5");
+            }
+          });
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "claim 5");
+          throw;
+        }
+      },
+      std::runtime_error);
+  // The round ran to the end: the other workers claimed every index the
+  // throwing one left, each once.
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "i=" << i;
+  }
+  // No stale exception resurfaces, and the next round covers every index.
+  std::atomic<size_t> count{0};
+  ClaimEach(&pool, 100, 0.0,
+            [&count](size_t) { count.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(count.load(), 100u);
+}
+
+// One watchdog covers a worker's whole share: forty 5 ms claims each fit a
+// 50 ms budget alone, but one worker's run of them does not. A watchdog
+// armed per claim would never fire here.
+TEST(ClaimEachTest, OneWatchdogPerWorkerCoversItsWholeShare) {
+  const auto slow_claim = [](size_t) {
+    EXPECT_TRUE(CellWatchdog::Armed());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    for (int poll = 0; poll < 5000; ++poll) {  // Past the rate limit: one clock read.
+      CellWatchdog::Poll();
+    }
+  };
+  EXPECT_THROW(ClaimEach(nullptr, 40, 0.05, slow_claim), CellDeadlineExceeded);
+  ThreadPool pool(1);
+  EXPECT_THROW(ClaimEach(&pool, 40, 0.05, slow_claim), CellDeadlineExceeded);
+  EXPECT_FALSE(CellWatchdog::Armed());  // Disarmed when the share ends.
+  ClaimEach(&pool, 4, 0.0, [](size_t) { EXPECT_FALSE(CellWatchdog::Armed()); });
 }
 
 TEST(DeriveSeedTest, DeterministicAndSensitiveToEveryInput) {
