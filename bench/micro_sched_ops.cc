@@ -7,9 +7,10 @@
 //  * simulated cycles charged by the cost model (exported as a counter) —
 //    the quantity the paper's Figure 5 reports.
 //
-// BM_Schedule times each pick with its own steady-clock span (manual time),
-// so the untimed restore of the queue after it costs nothing; each span also
-// holds one clock read, which BM_ClockSpan measures alone.
+// BM_Schedule and BM_ScheduleSmp4 time each pick with its own steady-clock
+// span (manual time), so the untimed restore of the queue after it costs
+// nothing; each span also holds one clock read, which BM_ClockSpan measures
+// alone.
 //
 // The stock scheduler's Schedule() is O(queue depth); ELSC's is bounded by
 // its search limit; the heap's is O(log n).
@@ -82,6 +83,52 @@ void BM_Schedule(benchmark::State& state, SchedulerKind kind) {
       next->run_list.prev = nullptr;
       pop.scheduler->AddToRunQueue(next);
     }
+  }
+  state.counters["sim_cycles/op"] =
+      benchmark::Counter(static_cast<double>(sim_cycles) / static_cast<double>(calls));
+}
+
+// The VolanoMark cell's pick in miniature: 4 CPUs with the tasks spread
+// over them, two mms (the server and client JVMs), and three quarters of
+// the weights at the top (counter = priority = 20), so most slots tie and
+// the mm bonus decides whether another CPU's slot can reach the best. Each
+// pick comes from a CPU whose task just blocked, rotating over the CPUs,
+// and the picked task is re-filed (untimed) on its own CPU.
+void BM_ScheduleSmp4(benchmark::State& state, SchedulerKind kind) {
+  constexpr int kCpus = 4;
+  const int depth = static_cast<int>(state.range(0));
+  TaskFactory factory;
+  std::unique_ptr<Scheduler> scheduler =
+      MakeScheduler(kind, CostModel::PentiumII(), factory.task_list(), SchedulerConfig{kCpus, true});
+  MmStruct* const mms[2] = {factory.NewMm(), factory.NewMm()};
+  Rng rng(42);
+  for (int i = 0; i < depth; ++i) {
+    const long counter = rng.NextBool(0.25) ? static_cast<long>(1 + rng.NextBelow(19)) : 20;
+    Task* t = factory.NewTask(counter, 20, mms[rng.NextBelow(2)]);
+    t->processor = i % kCpus;
+    scheduler->AddToRunQueue(t);
+  }
+  Task* sleeper = factory.NewTask(20, 20, mms[0]);
+  sleeper->state = TaskState::kInterruptible;
+  uint64_t sim_cycles = 0;
+  uint64_t calls = 0;
+  int cpu = 0;
+  for (auto _ : state) {
+    CostMeter meter(scheduler->cost_model());
+    const Clock::time_point begin = Clock::now();
+    Task* next = scheduler->Schedule(cpu, sleeper, meter);
+    const Clock::time_point end = Clock::now();
+    benchmark::DoNotOptimize(next);
+    state.SetIterationTime(Seconds(begin, end));
+    sim_cycles += meter.cycles();
+    ++calls;
+    if (next != nullptr) {
+      scheduler->DelFromRunQueue(next);
+      next->run_list.next = nullptr;
+      next->run_list.prev = nullptr;
+      scheduler->AddToRunQueue(next);
+    }
+    cpu = (cpu + 1) % kCpus;
   }
   state.counters["sim_cycles/op"] =
       benchmark::Counter(static_cast<double>(sim_cycles) / static_cast<double>(calls));
@@ -274,6 +321,8 @@ BENCHMARK_CAPTURE(BM_Schedule, heap, SchedulerKind::kHeap)
     ->RangeMultiplier(8)->Range(8, 2048)->UseManualTime();
 BENCHMARK_CAPTURE(BM_Schedule, o1, SchedulerKind::kO1)
     ->RangeMultiplier(8)->Range(8, 2048)->UseManualTime();
+BENCHMARK_CAPTURE(BM_ScheduleSmp4, linux, SchedulerKind::kLinux)
+    ->Arg(8)->Arg(72)->Arg(512)->UseManualTime();
 BENCHMARK_CAPTURE(BM_AddDel, linux, SchedulerKind::kLinux)->RangeMultiplier(8)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_AddDel, elsc, SchedulerKind::kElsc)->RangeMultiplier(8)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_AddDel, heap, SchedulerKind::kHeap)->RangeMultiplier(8)->Range(8, 2048);

@@ -102,8 +102,8 @@ echo "=== micro_sched_ops (table search + task alloc + clock + schedule/add-del 
 # One process per family: a reading depends on what ran before it in the
 # same process (BM_AddDel/linux/8 read about twice its solo figure after the
 # BM_Schedule runs), so each family starts from a fresh process.
-for family in BM_TableSearch BM_TaskAlloc BM_ClockSpan BM_Schedule/ BM_AddDel/ \
-    BM_GoodnessScanPick BM_O1BitmapPick; do
+for family in BM_TableSearch BM_TaskAlloc BM_ClockSpan BM_Schedule/ BM_ScheduleSmp4/ \
+    BM_AddDel/ BM_GoodnessScanPick BM_O1BitmapPick; do
   ./build/bench/micro_sched_ops --benchmark_min_time=0.05 \
     --benchmark_filter="^${family}" 2>/dev/null | grep -E "^BM_" || true
 done

@@ -15,9 +15,10 @@
 # and four thread behaviors, run by the Volano and footprint tests), where a
 # misaligned or double-destroyed object would hide, and every scheduler's
 # bookkeeping of the one run-queue slot a Task carries (Task::rq_slot: the
-# stock scan array's swap-pop, stamp renumbering and held slots, the heap's
-# swap-pop, O(1)'s encoded list index, ELSC's and the multiqueue's list
-# index), where a stale slot index would hide.
+# stock scan lanes' encoded lane and index, swap-pop, lane moves, stamp
+# renumbering and held slots, the heap's swap-pop, O(1)'s encoded list
+# index, ELSC's and the multiqueue's list index), where a stale slot index
+# would hide.
 #
 #   usage: scripts/ci_sanitize.sh [thread|address|all]   (default: all)
 #

@@ -1,7 +1,7 @@
 #include "src/sched/linux_scheduler.h"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
 
 #include "src/base/assert.h"
 #include "src/kernel/policy.h"
@@ -17,16 +17,23 @@ constexpr MmStruct kNoMm{};
 // Stamps start in the middle of their range so both ends have room.
 constexpr uint32_t kStampMid = uint32_t{1} << 31;
 
+// One lane per CPU plus lane 0. The slots' cpu field is 16-bit.
+size_t LaneCount(int num_cpus) {
+  ELSC_CHECK(num_cpus >= 1 && num_cpus <= INT16_MAX);
+  return static_cast<size_t>(num_cpus) + 1;
+}
+
 }  // namespace
 
 LinuxScheduler::LinuxScheduler(const CostModel& cost_model, TaskList* all_tasks,
                                const SchedulerConfig& config)
     : Scheduler(cost_model, all_tasks, config),
+      lanes_(LaneCount(config.num_cpus)),
+      bounds_(lanes_.size(), kHeld),
+      lane_bits_(std::bit_width(static_cast<unsigned>(config.num_cpus))),
       front_stamp_(kStampMid),
       back_stamp_(kStampMid - 1),
-      held_(static_cast<size_t>(config.num_cpus), nullptr) {
-  ELSC_CHECK(config.num_cpus >= 1 && config.num_cpus <= INT16_MAX);
-}
+      held_(static_cast<size_t>(config.num_cpus), nullptr) {}
 
 // Defined before its callers so the queue operations inline it.
 inline void LinuxScheduler::StoreKey(ScanSlot& slot) const {
@@ -55,8 +62,38 @@ inline void LinuxScheduler::StoreKey(ScanSlot& slot) const {
   slot.weight = static_cast<int16_t>(weight);
 }
 
+inline void LinuxScheduler::Push(const ScanSlot& slot) {
+  const size_t lane_index = static_cast<size_t>(slot.cpu + 1);
+  std::vector<ScanSlot>& lane = lanes_[lane_index];
+  const size_t index = lane.size();
+  ELSC_CHECK_MSG(index >> (31 - lane_bits_) == 0, "scan lane index overflows Task::rq_slot");
+  slot.task->rq_slot = EncodeSlot(lane_index, index);
+  lane.push_back(slot);
+  bounds_[lane_index] = std::max(bounds_[lane_index], slot.weight);
+}
+
+inline void LinuxScheduler::Erase(size_t lane, size_t index) {
+  std::vector<ScanSlot>& slots = lanes_[lane];
+  slots[index] = slots.back();
+  slots[index].task->rq_slot = EncodeSlot(lane, index);
+  slots.pop_back();
+}
+
+inline bool LinuxScheduler::Rekey(size_t lane, size_t index) {
+  ScanSlot& slot = lanes_[lane][index];
+  StoreKey(slot);
+  if (static_cast<size_t>(slot.cpu + 1) == lane) {
+    bounds_[lane] = std::max(bounds_[lane], slot.weight);
+    return false;
+  }
+  const ScanSlot moved = slot;  // The task migrated, or lost or won its CPU's bonus.
+  Erase(lane, index);
+  Push(moved);
+  return true;
+}
+
 void LinuxScheduler::Hold(Task* task, int cpu) {
-  ScanSlot& slot = scan_[static_cast<size_t>(task->rq_slot)];
+  ScanSlot& slot = SlotOf(task);
   if (slot.weight != kHeld) {
     slot.weight = kHeld;
     ++held_count_;
@@ -68,42 +105,52 @@ void LinuxScheduler::Hold(Task* task, int cpu) {
 }
 
 void LinuxScheduler::Release(Task* task) {
-  ScanSlot& slot = scan_[static_cast<size_t>(task->rq_slot)];
+  ScanSlot& slot = SlotOf(task);
   ELSC_VERIFY_MSG(slot.weight == kHeld, "releasing a task no CPU holds");
   if (slot.cpu >= 0) {
     held_[static_cast<size_t>(slot.cpu)] = nullptr;
   }
   --held_count_;
-  StoreKey(slot);
+  Rekey(LaneOfSlot(task->rq_slot), IndexOfSlot(task->rq_slot));
 }
 
 uint32_t LinuxScheduler::FrontStamp() {
   if (front_stamp_ == 0) {
-    RenumberStamps(kStampMid - static_cast<uint32_t>(scan_.size() / 2));
+    RenumberStamps(kStampMid - static_cast<uint32_t>(nr_running_ / 2));
   }
   return --front_stamp_;
 }
 
 uint32_t LinuxScheduler::BackStamp() {
   if (back_stamp_ == UINT32_MAX) {
-    RenumberStamps(kStampMid - static_cast<uint32_t>(scan_.size() / 2));
+    RenumberStamps(kStampMid - static_cast<uint32_t>(nr_running_ / 2));
   }
   return ++back_stamp_;
 }
 
-std::vector<size_t> LinuxScheduler::QueueOrder() const {
-  std::vector<size_t> order(scan_.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(),
-            [this](size_t a, size_t b) { return scan_[a].stamp < scan_[b].stamp; });
+std::vector<Task*> LinuxScheduler::QueueOrder() const {
+  std::vector<const ScanSlot*> slots;
+  slots.reserve(nr_running_);
+  for (const std::vector<ScanSlot>& lane : lanes_) {
+    for (const ScanSlot& slot : lane) {
+      slots.push_back(&slot);
+    }
+  }
+  std::sort(slots.begin(), slots.end(),
+            [](const ScanSlot* a, const ScanSlot* b) { return a->stamp < b->stamp; });
+  std::vector<Task*> order;
+  order.reserve(slots.size());
+  for (const ScanSlot* slot : slots) {
+    order.push_back(slot->task);
+  }
   return order;
 }
 
 void LinuxScheduler::RenumberStamps(uint32_t first) {
-  ELSC_VERIFY(uint64_t{first} + scan_.size() <= uint64_t{UINT32_MAX} + 1);
+  ELSC_VERIFY(uint64_t{first} + nr_running_ <= uint64_t{UINT32_MAX} + 1);
   uint32_t stamp = first;
-  for (size_t i : QueueOrder()) {
-    scan_[i].stamp = stamp++;
+  for (Task* task : QueueOrder()) {
+    SlotOf(task).stamp = stamp++;
   }
   front_stamp_ = first;
   back_stamp_ = stamp - 1;
@@ -119,15 +166,16 @@ void LinuxScheduler::AddToRunQueue(Task* task) {
   task->run_list.prev = &task->run_list;
   ++nr_running_;
   ++stats_.wakeups;
-  task->rq_slot = static_cast<int>(scan_.size());
-  scan_.push_back(ScanSlot{task, &kNoMm, stamp, kHeld, -1});
+  ScanSlot slot{task, &kNoMm, stamp, kHeld, -1};
   if (task == released_) {
     released_queued_ = true;  // Woken between its pick and its dispatch: not held.
+    StoreKey(slot);
   } else if (task->has_cpu != 0) {
     ++held_count_;  // Added while running on some CPU.
-    return;
+  } else {
+    StoreKey(slot);
   }
-  StoreKey(scan_.back());
+  Push(slot);
 }
 
 void LinuxScheduler::DelFromRunQueue(Task* task) {
@@ -135,33 +183,32 @@ void LinuxScheduler::DelFromRunQueue(Task* task) {
   --nr_running_;
   task->run_list.next = nullptr;
   task->run_list.prev = nullptr;
-  const size_t i = static_cast<size_t>(task->rq_slot);
-  if (scan_[i].weight == kHeld) {
-    if (scan_[i].cpu >= 0) {
-      held_[static_cast<size_t>(scan_[i].cpu)] = nullptr;
+  const size_t lane = LaneOfSlot(task->rq_slot);
+  const size_t index = IndexOfSlot(task->rq_slot);
+  const ScanSlot& slot = lanes_[lane][index];
+  if (slot.weight == kHeld) {
+    if (slot.cpu >= 0) {
+      held_[static_cast<size_t>(slot.cpu)] = nullptr;
     }
     --held_count_;
   }
   if (task == released_) {
     released_queued_ = false;
   }
-  // Swap-pop the slot; the moved slot keeps its stamp and key.
-  scan_[i] = scan_.back();
-  scan_[i].task->rq_slot = static_cast<int>(i);
-  scan_.pop_back();
+  Erase(lane, index);
   task->rq_slot = -1;
 }
 
 void LinuxScheduler::MoveFirstRunQueue(Task* task) {
   ELSC_VERIFY(task->OnRunQueue());
   const uint32_t stamp = FrontStamp();
-  scan_[static_cast<size_t>(task->rq_slot)].stamp = stamp;
+  SlotOf(task).stamp = stamp;
 }
 
 void LinuxScheduler::MoveLastRunQueue(Task* task) {
   ELSC_VERIFY(task->OnRunQueue());
   const uint32_t stamp = BackStamp();
-  scan_[static_cast<size_t>(task->rq_slot)].stamp = stamp;
+  SlotOf(task).stamp = stamp;
 }
 
 Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
@@ -170,7 +217,7 @@ Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
 
   // Bring the held set up to date (see held_ in the header).
   if (released_queued_) {
-    StoreKey(scan_[static_cast<size_t>(released_->rq_slot)]);
+    Rekey(LaneOfSlot(released_->rq_slot), IndexOfSlot(released_->rq_slot));
   }
   released_ = nullptr;
   released_queued_ = false;
@@ -224,30 +271,60 @@ Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
     //
     // Equivalence with the kernel's list walk: the walk keeps the *first*
     // task in list order whose goodness strictly exceeds everything before
-    // it (ties lose to the earlier task and to prev's seed value `c`). Each
-    // slot's key is (goodness - kHeld) << 32 | ~stamp, and stamps strictly
-    // increase front to back, so that task holds the greatest key; comparing
-    // its goodness against `c` with strict > once at the end preserves
-    // prev's tie win. Held slots score below kUnschedulableWeight, so they
-    // never win. The examined set, every queued task no CPU holds, is the
-    // walk's has_cpu == 0 set, and it is charged once per pass.
-    const ScanSlot* const slots = scan_.data();
-    const size_t n = scan_.size();
-    uint64_t best = 0;
-    size_t best_i = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const ScanSlot& s = slots[i];
-      const long g = s.weight + (s.cpu == this_cpu ? kProcChangePenalty : 0) +
-                     (s.mm == this_mm ? kSameMmBonus : 0);
-      const uint64_t key = static_cast<uint64_t>(g - kHeld) << 32 | static_cast<uint32_t>(~s.stamp);
-      best_i = key > best ? i : best_i;
-      best = key > best ? key : best;
+    // it and prev's seed value `c` (ties lose to the earlier task and to
+    // prev). Each slot's key is (goodness - kHeld) << 32 | ~stamp, and
+    // stamps strictly increase front to back, so that task holds the
+    // greatest key, if that key beats `best`'s seed, which no slot of
+    // goodness <= c beats. Held slots score below kUnschedulableWeight, so
+    // they never win.
+    //
+    // The lanes partition the slots, so reading only the lanes that can
+    // still hold the greatest key finds the same task: this CPU's lane
+    // first, where every slot earns the affinity bonus, then each other
+    // lane whose bound plus the mm bonus, with the best stamp any slot
+    // could have, beats `best`. A lane that can only tie on goodness is
+    // read, because an earlier stamp wins the tie. The examined set, every
+    // queued task no CPU holds, is the walk's has_cpu == 0 set, and it is
+    // charged once per pass whatever the scan read.
+    uint64_t best = static_cast<uint64_t>(c - kHeld) << 32 | UINT32_MAX;
+    const ScanSlot* pick = nullptr;
+    // The least bound + bonus with which a lane can still hold a key above
+    // `best`: the goodness its bound allows with the mm bonus must reach
+    // best's, and pass it when best's stamp is one no slot precedes (prev's
+    // seed, or stamp 0).
+    long need = 0;
+    auto update_need = [&best, &need] {
+      need = static_cast<long>(best >> 32) + kHeld - kSameMmBonus +
+             (static_cast<uint32_t>(best) == UINT32_MAX ? 1 : 0);
+    };
+    update_need();
+    auto read = [this, &best, &pick, &update_need, &need, this_mm](size_t lane, long bonus) {
+      if (bounds_[lane] + bonus < need) {
+        return;
+      }
+      int16_t top = kHeld;
+      for (const ScanSlot& s : lanes_[lane]) {
+        const long g = s.weight + bonus + (s.mm == this_mm ? kSameMmBonus : 0);
+        const uint64_t key = static_cast<uint64_t>(g - kHeld) << 32 | static_cast<uint32_t>(~s.stamp);
+        pick = key > best ? &s : pick;
+        best = key > best ? key : best;
+        top = std::max(top, s.weight);
+      }
+      bounds_[lane] = top;
+      update_need();
+    };
+    if (nr_running_ > held_count_) {  // Else every queued task runs on some CPU.
+      read(static_cast<size_t>(this_cpu) + 1, kProcChangePenalty);
+      // This CPU's lane comes round again and is skipped: its best slot beat
+      // its bound + 1, or its bound + 16 did not beat `best`.
+      for (size_t lane = 0; lane < lanes_.size(); ++lane) {
+        read(lane, 0);
+      }
     }
-    meter.ChargeExamine(n - held_count_);
-    const long best_g = static_cast<long>(best >> 32) + kHeld;
-    if (best_g > c) {
-      c = best_g;
-      next = slots[best_i].task;
+    meter.ChargeExamine(nr_running_ - held_count_);
+    if (pick != nullptr) {
+      c = static_cast<long>(best >> 32) + kHeld;
+      next = pick->task;
     }
 
     // Do we need to re-calculate counters? c == 0 means a runnable task was
@@ -257,9 +334,14 @@ Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
     if (c == 0) {
       meter.ChargeRecalc(all_tasks_->size());
       RecalculateCounters();
-      for (ScanSlot& slot : scan_) {
-        if (slot.weight != kHeld) {
-          StoreKey(slot);
+      // Re-file every slot no CPU holds: its key changed, and a task whose
+      // counter was 0 now earns its CPU's bonus.
+      for (size_t lane = 0; lane < lanes_.size(); ++lane) {
+        const std::vector<ScanSlot>& slots = lanes_[lane];
+        for (size_t i = 0; i < slots.size();) {
+          if (slots[i].weight == kHeld || !Rekey(lane, i)) {
+            ++i;  // Else slot i is the lane's old last slot, moved into the hole.
+          }
         }
       }
       continue;
@@ -282,11 +364,8 @@ Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
 }
 
 std::vector<const Task*> LinuxScheduler::QueueSnapshot() const {
-  std::vector<const Task*> out;
-  for (size_t i : QueueOrder()) {
-    out.push_back(scan_[i].task);
-  }
-  return out;
+  const std::vector<Task*> order = QueueOrder();
+  return std::vector<const Task*>(order.begin(), order.end());
 }
 
 std::string LinuxScheduler::DebugString() const {
@@ -301,55 +380,62 @@ std::string LinuxScheduler::DebugString() const {
 }
 
 void LinuxScheduler::CheckInvariants() const {
-  // The scan array must hold exactly nr_running queued tasks, each pointing
-  // back at its own slot and marked queued, and every member must be
+  // The lanes must hold exactly nr_running queued tasks, each pointing back
+  // at its own slot and marked queued, and every member must be
   // TASK_RUNNING. Stamps must be distinct and inside [front_stamp_,
   // back_stamp_], so they order the queue the way the stamp helpers assume
   // (the property the Schedule() equivalence relies on).
-  // The cached keys and the held set are the other half of that
-  // equivalence: a slot no CPU holds carries its task's current key (the
-  // released prev excepted until the next Schedule() rebuilds it), a task
-  // running on a CPU is held (the released prev excepted: it runs until
-  // its dispatch), and each held slot was held by a pick or added running.
-  ELSC_VERIFY_MSG(scan_.size() == nr_running_, "nr_running out of sync with run queue length");
+  // The cached keys, the lanes and the held set are the other half of that
+  // equivalence: a slot no CPU holds carries its task's current key in its
+  // key's lane (the released prev excepted until the next Schedule()
+  // rebuilds it), no slot's weight exceeds its lane's bound, a task running
+  // on a CPU is held (the released prev excepted: it runs until its
+  // dispatch), and each held slot was held by a pick or added running.
+  size_t queued = 0;
   size_t held = 0;
-  for (size_t i = 0; i < scan_.size(); ++i) {
-    const ScanSlot& slot = scan_[i];
-    const Task* p = slot.task;
-    ELSC_VERIFY_MSG(p->rq_slot == static_cast<int>(i) && p->run_list.next == &p->run_list &&
-                        p->run_list.prev == &p->run_list,
-                    "scan slot out of sync with its task");
-    // A task that just marked itself INTERRUPTIBLE stays on the queue until
-    // its own schedule() call removes it (it still has the CPU meanwhile) —
-    // exactly the kernel's window between set_current_state and schedule().
-    ELSC_VERIFY_MSG(p->state == TaskState::kRunning || p->has_cpu != 0,
-                   "non-runnable task on run queue");
-    ELSC_VERIFY_MSG(slot.stamp >= front_stamp_ && slot.stamp <= back_stamp_,
-                    "scan stamp outside the queue's stamp range");
-    if (slot.weight == kHeld) {
-      ++held;
-      ELSC_VERIFY_MSG(slot.cpu >= 0 ? held_[static_cast<size_t>(slot.cpu)] == p : p->has_cpu != 0,
-                      "held task neither returned by a pick nor added running");
-    } else if (p != released_) {
-      ScanSlot fresh = slot;
-      StoreKey(fresh);
-      ELSC_VERIFY_MSG(fresh.weight == slot.weight && fresh.cpu == slot.cpu && fresh.mm == slot.mm,
-                      "scan key out of date with its task's goodness fields");
-      ELSC_VERIFY_MSG(p->has_cpu == 0, "task running on a CPU is not held");
+  for (size_t lane = 0; lane < lanes_.size(); ++lane) {
+    const std::vector<ScanSlot>& slots = lanes_[lane];
+    for (size_t i = 0; i < slots.size(); ++i) {
+      const ScanSlot& slot = slots[i];
+      const Task* p = slot.task;
+      ELSC_VERIFY_MSG(p->rq_slot == EncodeSlot(lane, i) && p->run_list.next == &p->run_list &&
+                          p->run_list.prev == &p->run_list,
+                      "scan slot out of sync with its task");
+      // A task that just marked itself INTERRUPTIBLE stays on the queue until
+      // its own schedule() call removes it (it still has the CPU meanwhile) —
+      // exactly the kernel's window between set_current_state and schedule().
+      ELSC_VERIFY_MSG(p->state == TaskState::kRunning || p->has_cpu != 0,
+                      "non-runnable task on run queue");
+      ELSC_VERIFY_MSG(slot.stamp >= front_stamp_ && slot.stamp <= back_stamp_,
+                      "scan stamp outside the queue's stamp range");
+      ELSC_VERIFY_MSG(slot.weight <= bounds_[lane], "scan slot's weight above its lane's bound");
+      if (slot.weight == kHeld) {
+        ++held;
+        ELSC_VERIFY_MSG(slot.cpu >= 0 ? held_[static_cast<size_t>(slot.cpu)] == p : p->has_cpu != 0,
+                        "held task neither returned by a pick nor added running");
+      } else if (p != released_) {
+        ScanSlot fresh = slot;
+        StoreKey(fresh);
+        ELSC_VERIFY_MSG(fresh.weight == slot.weight && fresh.cpu == slot.cpu && fresh.mm == slot.mm,
+                        "scan key out of date with its task's goodness fields");
+        ELSC_VERIFY_MSG(static_cast<size_t>(slot.cpu + 1) == lane,
+                        "scan slot outside its key's lane");
+        ELSC_VERIFY_MSG(p->has_cpu == 0, "task running on a CPU is not held");
+      }
     }
+    queued += slots.size();
   }
-  const std::vector<size_t> order = QueueOrder();
+  ELSC_VERIFY_MSG(queued == nr_running_, "nr_running out of sync with run queue length");
+  const std::vector<Task*> order = QueueOrder();
   for (size_t k = 1; k < order.size(); ++k) {
-    ELSC_VERIFY_MSG(scan_[order[k - 1]].stamp < scan_[order[k]].stamp,
+    ELSC_VERIFY_MSG(SlotOf(order[k - 1]).stamp < SlotOf(order[k]).stamp,
                     "two queued tasks share a stamp");
   }
   ELSC_VERIFY_MSG(held == held_count_, "held count out of sync with held slots");
   for (size_t cpu = 0; cpu < held_.size(); ++cpu) {
     const Task* p = held_[cpu];
-    ELSC_VERIFY_MSG(p == nullptr || (p->OnRunQueue() &&
-                                     scan_[static_cast<size_t>(p->rq_slot)].weight == kHeld &&
-                                     scan_[static_cast<size_t>(p->rq_slot)].cpu ==
-                                         static_cast<int16_t>(cpu)),
+    ELSC_VERIFY_MSG(p == nullptr || (p->OnRunQueue() && SlotOf(p).weight == kHeld &&
+                                     SlotOf(p).cpu == static_cast<int16_t>(cpu)),
                     "held_ names a task its CPU does not hold");
   }
   ELSC_VERIFY_MSG(!released_queued_ || released_->OnRunQueue(), "released task left the queue");

@@ -270,18 +270,24 @@ const char* const kOpNames[] = {"schedule", "tick",     "block",     "wake",
                                 "policy",   "movefirst", "movelast", "refile"};
 
 // Runs `steps` seeded operations on LinuxScheduler and the reference side by
-// side. Returns "" when they agree after every operation, else a one-line
-// repro naming the seed, step, operation and mismatch.
-std::string RunMirrorDifferential(uint64_t seed, int steps) {
+// side, on 1-8 CPUs drawn from the seed or on `wide_cpus` CPUs when it is
+// nonzero (the draw is made either way, so every later draw is the same).
+// Returns "" when they agree after every operation, else a one-line repro
+// naming the call, step, operation and mismatch.
+std::string RunMirrorDifferential(uint64_t seed, int steps, int wide_cpus = 0) {
   Rng rng(seed);
-  const int cpus = static_cast<int>(1 + rng.NextBelow(8));
+  const int drawn_cpus = static_cast<int>(1 + rng.NextBelow(8));
+  const int cpus = wide_cpus != 0 ? wide_cpus : drawn_cpus;
   const bool smp = rng.NextBool(0.7);
   World lin(false, cpus, smp);
   World ref(true, cpus, smp);
   auto repro = [&](int step, const char* op, const std::string& what) {
-    return StrFormat("repro: RunMirrorDifferential(seed=%llu) cpus=%d smp=%d step %d op %s: %s",
-                     static_cast<unsigned long long>(seed), cpus, smp ? 1 : 0, step, op,
-                     what.c_str());
+    const std::string call =
+        wide_cpus != 0 ? StrFormat("seed=%llu, steps=%d, wide_cpus=%d",
+                                   static_cast<unsigned long long>(seed), steps, wide_cpus)
+                       : StrFormat("seed=%llu", static_cast<unsigned long long>(seed));
+    return StrFormat("repro: RunMirrorDifferential(%s) cpus=%d smp=%d step %d op %s: %s",
+                     call.c_str(), cpus, smp ? 1 : 0, step, op, what.c_str());
   };
   auto add_task = [&](int processor) {
     // Small counters exhaust quickly, so recalculations are frequent.
@@ -447,6 +453,18 @@ TEST(LinuxMirrorTest, RandomOperationsMatchTheKernelLoop) {
   for (uint64_t seed = 1; seed <= 1000; ++seed) {
     const std::string failure = RunMirrorDifferential(seed, 600);
     ASSERT_EQ(failure, "");
+  }
+}
+
+// 16 and 64 CPUs make 17 and 65 scan lanes, most of them empty or holding a
+// task or two, so picks skip lanes, read lanes whose bound went stale with a
+// removal or a hold, and move released tasks between lanes far more often.
+TEST(LinuxMirrorTest, RandomOperationsOnWideMachinesMatchTheKernelLoop) {
+  for (int cpus : {16, 64}) {
+    for (uint64_t seed = 1; seed <= 100; ++seed) {
+      const std::string failure = RunMirrorDifferential(seed, 600, cpus);
+      ASSERT_EQ(failure, "");
+    }
   }
 }
 

@@ -320,6 +320,85 @@ TEST_F(LinuxSchedulerTest, HeldSlotSurvivesSwapPop) {
   sched_->CheckInvariants();
 }
 
+// A task picked from another CPU's lane stays there while it is held. When
+// its new CPU's next pick passes it over, it is re-keyed into that CPU's
+// lane (CheckInvariants(), run after every pick here, checks that each slot
+// no CPU holds sits in its key's lane), so a pick on its old CPU no longer
+// gives it the affinity bonus.
+TEST_F(LinuxSchedulerTest, ReleasedMigrantIsRekeyedIntoItsNewCpusLane) {
+  Rebuild(2, true);
+  Task* migrant = factory_.NewTask(20, 20);
+  migrant->processor = 1;
+  sched_->AddToRunQueue(migrant);
+  EXPECT_EQ(Schedule(0, nullptr), migrant);
+  migrant->has_cpu = 1;  // Dispatched on CPU 0, as the Machine does.
+  migrant->processor = 0;
+
+  Task* waker = factory_.NewTask(40, 20);
+  waker->processor = 0;
+  sched_->AddToRunQueue(waker);
+  // waker 40+20+15+1 = 76 beats the still-running migrant's 20+20+15+1 = 56.
+  EXPECT_EQ(Schedule(0, migrant), waker);
+  waker->has_cpu = 1;
+  migrant->has_cpu = 0;
+
+  // On CPU 1, local 6+20+15 = 41 beats the migrant's 20+20 = 40; a slot
+  // left in CPU 1's lane would score the migrant 55.
+  Task* local = factory_.NewTask(6, 20);
+  local->processor = 1;
+  sched_->AddToRunQueue(local);
+  EXPECT_EQ(Schedule(1, nullptr), local);
+}
+
+// The walk keeps the first task of the greatest goodness in list order, in
+// whichever lane it sits. Here another CPU's task reaches this CPU's best
+// only through the mm bonus (its lane's bound + 1 ties the best), and it is
+// nearer the list front, so it wins: a lane that can only tie is read.
+TEST_F(LinuxSchedulerTest, CrossLaneTieGoesToTheEarlierStamp) {
+  Rebuild(2, true);
+  MmStruct* shared = factory_.NewMm();
+  MmStruct* other = factory_.NewMm();
+  Task* prev = factory_.NewTask(0, 20, shared);
+  prev->state = TaskState::kInterruptible;  // Blocking; not a candidate.
+  sched_->AddToRunQueue(prev);
+  prev->has_cpu = 1;
+  Task* local = factory_.NewTask(10, 20, other);
+  local->processor = 0;  // 10+20+15 = 45 on CPU 0.
+  Task* remote = factory_.NewTask(24, 20, shared);
+  remote->processor = 1;  // 24+20+1 = 45 on CPU 0.
+  sched_->AddToRunQueue(local);
+  sched_->AddToRunQueue(remote);  // Front: remote wins the tie.
+  EXPECT_EQ(Schedule(0, prev), remote);
+}
+
+// Removals and holds leave a lane's bound stale-high. A pick reads every
+// lane whose bound says a slot there could still win, skips the held slot,
+// and picks what the walk picks.
+TEST_F(LinuxSchedulerTest, StaleHighLaneBoundStillYieldsTheKernelsPick) {
+  Rebuild(3, true);
+  Task* gone = factory_.NewTask(40, 20);
+  Task* mid = factory_.NewTask(30, 20);
+  gone->processor = mid->processor = 1;  // Lane 2, bound 60.
+  Task* held = factory_.NewTask(35, 20);
+  Task* low = factory_.NewTask(9, 20);
+  held->processor = low->processor = 2;  // Lane 3, bound 55.
+  Task* local = factory_.NewTask(10, 20);
+  local->processor = 0;
+  for (Task* t : {gone, mid, held, low, local}) {
+    sched_->AddToRunQueue(t);
+  }
+  EXPECT_EQ(Schedule(2, nullptr), held);  // 35+20+15 = 70.
+  held->has_cpu = 1;
+  sched_->DelFromRunQueue(gone);
+  sched_->CheckInvariants();
+
+  // local 45, mid 50, low 29: both stale lanes are read, and mid wins.
+  CostMeter meter(sched_->cost_model());
+  EXPECT_EQ(sched_->Schedule(0, nullptr, meter), mid);
+  EXPECT_EQ(meter.tasks_examined(), 3u);
+  sched_->CheckInvariants();
+}
+
 // The cached keys are a redundant structure, so CheckInvariants() recomputes
 // them: a waiting task's goodness input written behind the scheduler's back
 // (no Del + Add re-file) must trip it.
@@ -351,6 +430,23 @@ TEST_F(LinuxSchedulerTest, VerifyCatchesARunningTaskTheSchedulerDoesNotHold) {
   t->has_cpu = 1;
   ViolationTrap trap;
   EXPECT_THROW(sched_->CheckInvariants(), InvariantViolation);
+}
+
+// Task::rq_slot keeps the lane in its low bits and the index above them. At
+// the most CPUs the scheduler takes, INT16_MAX, the lane needs 15 bits and a
+// lane holds 65,536 slots; one more fails an ELSC_CHECK instead of wrapping
+// into another slot's code. One CPU more fails at construction.
+TEST(LinuxSchedulerDeathTest, RqSlotThatCannotHoldTheLaneOrIndexFailsACheck) {
+  EXPECT_DEATH(LinuxScheduler(CostModel::PentiumII(), nullptr, SchedulerConfig{INT16_MAX + 1, true}),
+               "num_cpus");
+  TaskFactory factory;
+  LinuxScheduler sched(CostModel::PentiumII(), factory.task_list(), SchedulerConfig{INT16_MAX, true});
+  for (int i = 0; i < 65536; ++i) {
+    sched.AddToRunQueue(factory.NewTask());  // processor 0: all in lane 1.
+  }
+  sched.CheckInvariants();
+  Task* last = factory.NewTask();
+  EXPECT_DEATH(sched.AddToRunQueue(last), "overflows Task::rq_slot");
 }
 
 }  // namespace
