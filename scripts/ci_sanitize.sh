@@ -8,9 +8,10 @@
 # scale_fuzz, federation, checkpoint): 2 to 4 worker threads claim nodes
 # from one shared cursor every window, so a node meets a different thread
 # from one window to the next. The storage tests cover the code that
-# placement-news objects into byte buffers (task arena slots, InlineFunction
-# and EventCallback storage, event slots and the engine tests that build
-# closures in them and cancel events from inside handlers, socket rings) or
+# placement-news objects into byte buffers (task arena slots, the
+# InlineFunction storage of predicates and event callbacks, event slots and
+# the engine tests that build closures in them and cancel events from inside
+# handlers, socket rings) or
 # builds objects inside a shared record (a Volano connection's four sockets
 # and four thread behaviors, run by the Volano and footprint tests), where a
 # misaligned or double-destroyed object would hide, and every scheduler's

@@ -405,10 +405,6 @@ void ScheduleArrivalOn(ScaleNode* dst, Cycles arrival, const Message& payload) {
         break;
     }
   };
-  // A heap-allocated delivery would move callback_heap_allocs, and with it
-  // every federation EngineDigest and the checkpoint verification lines.
-  static_assert(sizeof(deliver) <= EventCallback::kInlineSize,
-                "the delivery closure must fit EventCallback's inline storage");
   // A restarted machine's clock is offset: schedule at local time.
   dst->machine->engine().ScheduleAt(arrival - dst->life.clock_offset, deliver);
 }

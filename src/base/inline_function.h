@@ -1,16 +1,18 @@
-// Move-only callable with inline-only storage, for hot-path predicates.
+// Move-only callable with inline-only storage, for the simulator's two
+// hottest closures: every event's callback (EventCallback, an
+// InlineFunction<void, 48>, src/sim/event_queue.h) and a blocked task's
+// wake-up re-check (Segment::still_blocked, an InlineFunction<bool>).
 //
-// The kernel layer passes small closures around by value (a Segment's
-// still_blocked re-check travels behavior → segment → task), and with
-// std::function every one of those moves is an indirect manager call even
-// when the capture is a single pointer. InlineFunction stores the capture
-// in place — there is deliberately no heap fallback, a static_assert keeps
-// callables within the buffer — and trivially-copyable callables (all of
-// the current ones) move by fixed-size memcpy with no indirect calls.
-//
-// This is the same small-buffer design as src/sim/event_callback.h; that
-// type stays separate because the event queue's callback is mutable and
-// void(), while these predicates are const-invocable with a result.
+// Every simulated context switch, segment end, timer tick and wakeup runs a
+// closure, and a predicate travels by value behavior → segment → task; with
+// std::function each would be a heap allocation or an indirect manager call
+// per move. InlineFunction stores the capture in place and has no heap
+// fallback: a callable that is too big, over-aligned, throws when moved, or
+// cannot be called as const returning R fails the constructor's constraint,
+// so it does not compile (and std::is_constructible_v says so).
+// Trivially-copyable callables (almost every closure in the tree: captures of
+// pointers and integers) move by a fixed-size memcpy and need no destructor
+// call.
 
 #ifndef SRC_BASE_INLINE_FUNCTION_H_
 #define SRC_BASE_INLINE_FUNCTION_H_
@@ -23,29 +25,29 @@
 
 namespace elsc {
 
-template <typename R>
+// The default size is exactly two pointers: every predicate in the tree
+// captures at most two (the largest is the web server's [w, sock]). That
+// buffer lives in every Segment and every Task, so each extra byte is paid
+// per task.
+template <typename R, size_t kSize = 2 * sizeof(void*)>
 class InlineFunction {
+  // What the buffer holds: a callable that fits, needs at most pointer
+  // alignment, moves without throwing, and can be called as const for an R.
+  template <typename Fn>
+  static constexpr bool kStorable = sizeof(Fn) <= kSize && alignof(Fn) <= alignof(void*) &&
+                                    std::is_nothrow_move_constructible_v<Fn> &&
+                                    std::is_invocable_r_v<R, const Fn&>;
+
  public:
-  // Exactly two pointers: every predicate in the tree captures at most two
-  // (the largest is the web server's [w, sock]). The buffer lives in every
-  // Segment and every Task, so each extra byte here is paid per task.
-  static constexpr size_t kInlineSize = 2 * sizeof(void*);
+  static constexpr size_t kInlineSize = kSize;
 
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                std::is_invocable_r_v<R, const std::decay_t<F>&>>>
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, InlineFunction>) && kStorable<std::decay_t<F>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(void*),
-                  "capture too large for InlineFunction; shrink it or capture by pointer");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "InlineFunction requires nothrow-movable callables");
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-    ops_ = &OpsFor<Fn>::kOps;
+    Construct(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& other) noexcept : ops_(other.ops_) {
@@ -75,6 +77,22 @@ class InlineFunction {
 
   ~InlineFunction() { Reset(); }
 
+  // Replaces the held callable with `f`, built straight into this buffer (the
+  // event queue builds each event's closure in its slot this way). A
+  // construction that throws leaves the function empty. An InlineFunction
+  // rvalue moves in; an lvalue does not compile, because the type is
+  // move-only, and neither does nullptr.
+  template <typename F>
+    requires std::is_same_v<F, InlineFunction> || kStorable<std::decay_t<F>>
+  void Emplace(F&& f) {
+    if constexpr (std::is_same_v<F, InlineFunction>) {
+      *this = std::move(f);
+    } else {
+      Reset();
+      Construct(std::forward<F>(f));
+    }
+  }
+
   R operator()() const { return ops_->invoke(storage_); }
 
   explicit operator bool() const { return ops_ != nullptr; }
@@ -92,7 +110,12 @@ class InlineFunction {
   template <typename Fn>
   struct OpsFor {
     static R Invoke(const void* storage) {
-      return (*std::launder(reinterpret_cast<const Fn*>(storage)))();
+      const Fn& fn = *std::launder(reinterpret_cast<const Fn*>(storage));
+      if constexpr (std::is_void_v<R>) {
+        fn();  // A void function discards whatever the callable returns.
+      } else {
+        return fn();
+      }
     }
     static void Relocate(void* from, void* to) {
       Fn* src = std::launder(reinterpret_cast<Fn*>(from));
@@ -103,6 +126,15 @@ class InlineFunction {
     static constexpr Ops kOps{&Invoke, &Relocate, &Destroy, std::is_trivially_copyable_v<Fn>};
   };
 
+  // Precondition: empty. ops_ is set last, so a throwing construction leaves
+  // the function empty.
+  template <typename F>
+  void Construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &OpsFor<Fn>::kOps;
+  }
+
   // Precondition: ops_ == other.ops_ != nullptr. Leaves `other` empty.
   void MoveFrom(InlineFunction& other) noexcept {
     if (ops_->trivial) {
@@ -111,7 +143,7 @@ class InlineFunction {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-      std::memcpy(storage_, other.storage_, kInlineSize);
+      std::memcpy(storage_, other.storage_, kSize);
 #pragma GCC diagnostic pop
     } else {
       ops_->relocate(other.storage_, storage_);
@@ -129,7 +161,7 @@ class InlineFunction {
   }
 
   const Ops* ops_ = nullptr;
-  alignas(void*) unsigned char storage_[kInlineSize];
+  alignas(void*) unsigned char storage_[kSize];
 };
 
 }  // namespace elsc

@@ -88,10 +88,6 @@ void SchedulerAuditor::AuditConservation() {
   if (live != machine_.live_tasks()) {
     ++stats_.conservation_violations;
   }
-  const MachineStats& ms = machine_.stats();
-  if (ms.tasks_created != ms.tasks_exited + live) {
-    ++stats_.conservation_violations;
-  }
 }
 
 void SchedulerAuditor::AuditCounters() {

@@ -46,7 +46,6 @@ inline constexpr long kMaxRtPriority = 99;
 struct TaskStats {
   uint64_t times_scheduled = 0;     // Dispatches onto a CPU.
   uint64_t migrations = 0;          // Dispatches onto a different CPU than last time.
-  uint64_t voluntary_switches = 0;  // Blocks + exits.
   uint64_t yields = 0;
   uint64_t preemptions = 0;         // Quantum expiry or higher-priority preemption.
   Cycles cpu_cycles = 0;            // Useful work executed.

@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 
 #include "src/base/time_units.h"
@@ -146,20 +145,6 @@ class SimSocket {
   // when empty and open, kEof once a closed/half-open stream has drained,
   // kReset on a reset connection.
   SockStatus TryReadMsg(Waker& waker, Message* out);
-
-  // Back-compat wrappers used by code that never exercises the lifecycle:
-  // behave exactly as the historical boolean/optional API on an open socket
-  // (and map every non-kOk outcome to the failure value).
-  bool TryWrite(Waker& waker, const Message& msg) {
-    return TryWriteMsg(waker, msg) == SockStatus::kOk;
-  }
-  std::optional<Message> TryRead(Waker& waker) {
-    Message msg;
-    if (TryReadMsg(waker, &msg) != SockStatus::kOk) {
-      return std::nullopt;
-    }
-    return msg;
-  }
 
   // ---- Lifecycle transitions (each wakes all sleepers; all idempotent) ----
   // Orderly shutdown: queued messages remain drainable, then readers see

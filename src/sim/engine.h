@@ -22,10 +22,10 @@ class Engine {
   Cycles Now() const { return now_; }
 
   // Schedules `fn` to run `delay` cycles from now. `fn` is taken by
-  // forwarding reference and built directly in its queue slot's small-buffer
-  // EventCallback, so the closure is not moved on its way in: a lambda with
-  // modest captures (or a std::function) is stored inline and allocates
-  // nothing, and an EventCallback rvalue moves in.
+  // forwarding reference and built directly in its queue slot's inline
+  // EventCallback, so the closure is not moved on its way in and allocates
+  // nothing; a closure too big for the slot does not compile, and an
+  // EventCallback rvalue moves in.
   template <EventCallable F>
   EventId ScheduleAfter(Cycles delay, F&& fn) {
     return queue_.Schedule(now_ + delay, std::forward<F>(fn));

@@ -17,7 +17,7 @@
 // fires from the front never pays a heap push or pop.
 //
 // Allocation: event state lives in a slab of reusable slots, and each
-// callback is built directly in its slot's small-buffer EventCallback — so
+// callback is built directly in its slot's inline EventCallback — so
 // scheduling, firing, and cancelling events allocate nothing in steady state
 // (the slab and heap arrays grow to the high-water mark once and are then
 // recycled). Event ids carry the slot's generation counter, which makes
@@ -38,19 +38,33 @@
 #include <vector>
 
 #include "src/base/assert.h"
+#include "src/base/inline_function.h"
 #include "src/base/token_codec.h"
 #include "src/base/time_units.h"
-#include "src/sim/event_callback.h"
 
 namespace elsc {
+
+// An event's closure. 48 bytes hold the largest closure the Machine schedules
+// (this + CPU id + task pointer + cost) with headroom for embedders'
+// callbacks; a bigger one does not compile, so no event allocates.
+using EventCallback = InlineFunction<void, 48>;
+
+// What an event can be scheduled with (EventQueue::Schedule,
+// Engine::ScheduleAfter/ScheduleAt): a void() callable that EventCallback
+// stores, or an EventCallback rvalue. An lvalue EventCallback is rejected,
+// because the type is move-only.
+template <typename F>
+concept EventCallable =
+    requires(EventCallback& slot, F&& fn) { slot.Emplace(std::forward<F>(fn)); };
 
 // Encodes {slot index, slot generation}; 0 is never a valid id.
 using EventId = uint64_t;
 
 // Allocation and depth counters for the event hot path. All steady-state
-// values should be flat: callback_heap_allocs counts closures too big for
-// EventCallback's inline buffer, slot_allocs counts slab growths (bounded by
-// the maximum number of simultaneously pending events).
+// values should be flat: slot_allocs counts slab growths (bounded by the
+// maximum number of simultaneously pending events). callback_heap_allocs is
+// 0 by construction, since EventCallback has no heap fallback; it stays
+// because EngineDigest and every bench JSON file lay it out.
 struct EventQueueStats {
   uint64_t scheduled = 0;
   uint64_t fired = 0;
@@ -101,9 +115,6 @@ class EventQueue {
     slot.fn.Emplace(std::forward<F>(fn));
     free_head_ = slot.next_free;
     slot.next_free = kNullIndex;
-    if (slot.fn.heap_allocated()) {
-      ++stats_.callback_heap_allocs;
-    }
     FrontInsert(HeapEntry{when, next_seq_++, index});
     ++stats_.scheduled;
     if (Size() > stats_.max_heap_depth) {

@@ -57,11 +57,10 @@ Task* Machine::CreateTask(const TaskParams& params) {
   task->processor =
       params.processor >= 0 && params.processor < num_cpus()
           ? params.processor
-          : static_cast<int>(stats_.tasks_created % static_cast<uint64_t>(num_cpus()));
+          : static_cast<int>((task_arena_.size() - 1) % static_cast<size_t>(num_cpus()));
   task->became_runnable_at = Now();
 
   task_list_.Add(task);
-  ++stats_.tasks_created;
   if (task_list_.size() > stats_.peak_live_tasks) {
     stats_.peak_live_tasks = task_list_.size();
   }
@@ -422,7 +421,6 @@ void Machine::OnSegmentEnd(int cpu_id, uint64_t generation) {
       task->state = TaskState::kInterruptible;
       task->block_timed_out = false;
       const uint64_t sleep_generation = ++task->sleep_generation;
-      ++task->stats.voluntary_switches;
       task->segment.wait_on->Enqueue(task);
       if (task->segment.timeout > 0) {
         // Timed block (SO_RCVTIMEO/SO_SNDTIMEO analog): a deadline event
@@ -445,7 +443,6 @@ void Machine::OnSegmentEnd(int cpu_id, uint64_t generation) {
     case SegmentAfter::kSleep: {
       task->state = TaskState::kInterruptible;
       ++task->sleep_generation;  // Invalidates any stale block deadline.
-      ++task->stats.voluntary_switches;
       // Timer-driven wake; WakeUpProcess() tolerates the task having been
       // woken earlier (or having exited) by then.
       Task* sleeper = task;
@@ -482,10 +479,8 @@ void Machine::OnSegmentEnd(int cpu_id, uint64_t generation) {
 
 void Machine::ExitTask(int cpu_id, Task* task) {
   task->state = TaskState::kZombie;
-  ++task->stats.voluntary_switches;
   trace_.Record(Now(), TraceEventType::kExit, cpu_id, task->pid);
   task_list_.Remove(task);
-  ++stats_.tasks_exited;
   if (task->behavior != nullptr) {
     task->behavior->OnExit(*this, *task);
   }

@@ -68,6 +68,8 @@ struct MachineStats {
   uint64_t context_switches = 0;
   uint64_t migrations = 0;       // Dispatches onto a CPU != last processor.
   uint64_t wakeups = 0;
+  // Machine::stats() reads these two from the task arena and the live task
+  // list, which hold them already.
   uint64_t tasks_created = 0;
   uint64_t tasks_exited = 0;
   // High-water mark of concurrently live (created, not yet exited) tasks.
@@ -161,8 +163,12 @@ class Machine : public Waker {
   const MachineConfig& config() const { return config_; }
   TaskList& tasks() { return task_list_; }
   Rng& rng() { return rng_; }
-  MachineStats& stats() { return stats_; }
-  const MachineStats& stats() const { return stats_; }
+  MachineStats stats() const {
+    MachineStats stats = stats_;
+    stats.tasks_created = all_tasks().size();
+    stats.tasks_exited = all_tasks().size() - live_tasks();
+    return stats;
+  }
   Cpu& cpu(int index) { return *cpus_[static_cast<size_t>(index)]; }
   const Cpu& cpu(int index) const { return *cpus_[static_cast<size_t>(index)]; }
   int num_cpus() const { return config_.num_cpus; }

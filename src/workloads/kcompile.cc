@@ -24,14 +24,15 @@ class KcompileMaster : public TaskBehavior {
         for (int i = 0; i < cfg.jobs; ++i) {
           Message token;
           token.payload = static_cast<uint64_t>(i);
-          const bool ok = workload_->start_gate_->TryWrite(machine, token);
+          const bool ok = workload_->start_gate_->TryWriteMsg(machine, token) == SockStatus::kOk;
           ELSC_CHECK_MSG(ok, "kcompile start gate overflow");
         }
         phase_ = Phase::kAwait;
         return Segment::RunAgain(UsToCycles(100));
       }
       case Phase::kAwait: {
-        if (!workload_->done_signal_->TryRead(machine).has_value()) {
+        Message done;
+        if (workload_->done_signal_->TryReadMsg(machine, &done) != SockStatus::kOk) {
           return BlockUntilReadable(UsToCycles(20), *workload_->done_signal_);
         }
         phase_ = Phase::kLink;
@@ -107,7 +108,8 @@ class KcompileWorker : public TaskBehavior {
     const KcompileConfig& cfg = workload_->config();
     switch (phase_) {
       case Phase::kGate: {
-        if (!workload_->start_gate_->TryRead(machine).has_value()) {
+        Message token;
+        if (workload_->start_gate_->TryReadMsg(machine, &token) != SockStatus::kOk) {
           return BlockUntilReadable(UsToCycles(20), *workload_->start_gate_);
         }
         phase_ = Phase::kFetch;
@@ -131,7 +133,8 @@ class KcompileWorker : public TaskBehavior {
       case Phase::kAwaitChild: {
         // wait(): park until the cc child signals its exit.
         SimSocket& done = *workload_->slot_done_[static_cast<size_t>(slot_)];
-        if (!done.TryRead(machine).has_value()) {
+        Message exited;
+        if (done.TryReadMsg(machine, &exited) != SockStatus::kOk) {
           return BlockUntilReadable(UsToCycles(20), done);
         }
         phase_ = Phase::kFetch;
@@ -195,10 +198,10 @@ void KcompileWorkload::OnJobDone(Machine& machine, int worker_slot) {
   // Signal the slot's wait() before the child exits.
   Message token;
   const bool slot_ok =
-      slot_done_[static_cast<size_t>(worker_slot)]->TryWrite(machine, token);
+      slot_done_[static_cast<size_t>(worker_slot)]->TryWriteMsg(machine, token) == SockStatus::kOk;
   ELSC_CHECK_MSG(slot_ok, "kcompile slot signal overflow");
   if (jobs_done_ == config_.total_compile_jobs) {
-    const bool ok = done_signal_->TryWrite(machine, token);
+    const bool ok = done_signal_->TryWriteMsg(machine, token) == SockStatus::kOk;
     ELSC_CHECK_MSG(ok, "kcompile done signal overflow");
   }
 }

@@ -21,11 +21,11 @@ class TokenRingBehavior : public TaskBehavior {
         // EINTR retry loop: count an expired read deadline, then re-try the
         // read and block again — a late token still completes the run.
         ConsumeReadTimeout(task, workload_->pipe(index_));
-        auto token = workload_->pipe(index_).TryRead(machine);
-        if (!token.has_value()) {
+        Message token;
+        if (workload_->pipe(index_).TryReadMsg(machine, &token) != SockStatus::kOk) {
           return BlockUntilReadable(cfg.syscall_cycles, workload_->pipe(index_));
         }
-        forward_ = workload_->CountHopWithLatency(machine.Now() - token->sent_at);
+        forward_ = workload_->CountHopWithLatency(machine.Now() - token.sent_at);
         phase_ = Phase::kForward;
         return Segment::RunAgain(cfg.hop_work);
       }
@@ -35,7 +35,7 @@ class TokenRingBehavior : public TaskBehavior {
           Message token;
           token.sender = index_;
           token.sent_at = machine.Now();
-          const bool ok = workload_->pipe(next).TryWrite(machine, token);
+          const bool ok = workload_->pipe(next).TryWriteMsg(machine, token) == SockStatus::kOk;
           ELSC_CHECK_MSG(ok, "token ring pipe overflow");
         }
         phase_ = Phase::kRead;
@@ -83,7 +83,7 @@ void TokenRingWorkload::Setup() {
     Message token;
     token.sender = -1;
     token.sent_at = machine_.Now();
-    const bool ok = pipe(slot).TryWrite(machine_, token);
+    const bool ok = pipe(slot).TryWriteMsg(machine_, token) == SockStatus::kOk;
     ELSC_CHECK(ok);
   }
 }

@@ -483,7 +483,7 @@ class VolanoConnector : public VolanoThreadBase {
         }
         Message syn;
         syn.sender = next_user_;
-        if (!workload_->accept_queue_->TryWrite(machine, syn)) {
+        if (workload_->accept_queue_->TryWriteMsg(machine, syn) != SockStatus::kOk) {
           return BlockUntilWritable(cfg().syscall_cycles, *workload_->accept_queue_);
         }
         spins_ = 0;
@@ -492,7 +492,8 @@ class VolanoConnector : public VolanoThreadBase {
       }
       case Phase::kAwaitAccept: {
         auto& ack = workload_->connection(next_user_).ack;
-        if (!ack.TryRead(machine).has_value()) {
+        Message reply;
+        if (ack.TryReadMsg(machine, &reply) != SockStatus::kOk) {
           if (spins_ < cfg().connect_spin_yields) {
             ++spins_;
             return Segment::Yield(cfg().yield_spin_cycles);
@@ -531,11 +532,11 @@ class VolanoListener : public VolanoThreadBase {
         if (accepted_ == total_users) {
           return Segment::Exit(cfg().syscall_cycles);
         }
-        auto syn = workload_->accept_queue_->TryRead(machine);
-        if (!syn.has_value()) {
+        Message syn;
+        if (workload_->accept_queue_->TryReadMsg(machine, &syn) != SockStatus::kOk) {
           return BlockUntilReadable(cfg().syscall_cycles, *workload_->accept_queue_);
         }
-        pending_user_ = syn->sender;
+        pending_user_ = syn.sender;
         phase_ = Phase::kSetup;
         return Segment::RunAgain(Jitter(cfg().accept_work_cycles));
       }
@@ -548,7 +549,8 @@ class VolanoListener : public VolanoThreadBase {
         workload_->SpawnServerThreads(pending_user_);
         Message ack;
         ack.sender = pending_user_;
-        const bool ok = workload_->connection(pending_user_).ack.TryWrite(machine, ack);
+        const bool ok =
+            workload_->connection(pending_user_).ack.TryWriteMsg(machine, ack) == SockStatus::kOk;
         ELSC_CHECK_MSG(ok, "volano handshake ack overflow");
         ++accepted_;
         phase_ = Phase::kAccept;

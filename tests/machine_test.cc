@@ -368,7 +368,7 @@ TEST(MachineArenaTest, ZombiesStayRegisteredByDefault) {
 // when carved, so unused slots count: this bound fails if chunks outgrow
 // the node's task count or Task gains padding.
 TEST(MachineArenaTest, FederationNodeBytesPerTask) {
-  EXPECT_LE(sizeof(Task), 296u);
+  EXPECT_LE(sizeof(Task), 288u);
   Machine machine(MakeMachineConfig(KernelConfig::kSmp1, SchedulerKind::kElsc, 7));
   VolanoConfig chat;
   chat.rooms = 1;
@@ -378,7 +378,7 @@ TEST(MachineArenaTest, FederationNodeBytesPerTask) {
   machine.Start();
   ASSERT_TRUE(machine.RunUntil([&volano] { return volano.chat_started(); }, SecToCycles(60)));
   ASSERT_GE(machine.live_tasks(), 80u);  // Four threads per connection.
-  EXPECT_LE(machine.task_arena_bytes() / machine.live_tasks(), 321u)
+  EXPECT_LE(machine.task_arena_bytes() / machine.live_tasks(), 312u)
       << machine.task_arena_bytes() << " arena bytes for " << machine.live_tasks() << " tasks";
 }
 

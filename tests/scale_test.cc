@@ -174,8 +174,8 @@ TEST(ScaleTest, DeadlineDeclaresFailureDeterministically) {
 // pin the full signature. Task and arena layout stay out of it (arena bytes
 // are in neither the digest nor the signature). The engine's event counts
 // are the trailing events: field (EngineDigest) and nowhere else, so an
-// engine-only change, such as an event closure outgrowing EventCallback's
-// inline storage, moves that field and leaves scale:<hash> alone. A change
+// engine-only change, such as fusing two hops into one event, moves that
+// field and leaves scale:<hash> alone. A change
 // that moves these strings must re-record them with a written reason.
 TEST(ScaleTest, PinnedSignatures) {
   EXPECT_EQ(ScaleRunSignature(RunShardedVolano(TinyConfig(), 1)),

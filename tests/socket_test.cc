@@ -62,25 +62,25 @@ TEST(SimSocketTest, FifoOrder) {
   for (uint64_t i = 0; i < 5; ++i) {
     Message m;
     m.id = i;
-    EXPECT_TRUE(sock.TryWrite(waker, m));
+    EXPECT_EQ(sock.TryWriteMsg(waker, m), SockStatus::kOk);
   }
+  Message m;
   for (uint64_t i = 0; i < 5; ++i) {
-    auto m = sock.TryRead(waker);
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(m->id, i);
+    ASSERT_EQ(sock.TryReadMsg(waker, &m), SockStatus::kOk);
+    EXPECT_EQ(m.id, i);
   }
-  EXPECT_FALSE(sock.TryRead(waker).has_value());
+  EXPECT_EQ(sock.TryReadMsg(waker, &m), SockStatus::kWouldBlock);
 }
 
 TEST(SimSocketTest, CapacityEnforced) {
   SimSocket sock("s", 2);
   NullWaker waker;
   Message m;
-  EXPECT_TRUE(sock.TryWrite(waker, m));
-  EXPECT_TRUE(sock.TryWrite(waker, m));
-  EXPECT_FALSE(sock.TryWrite(waker, m));
+  EXPECT_EQ(sock.TryWriteMsg(waker, m), SockStatus::kOk);
+  EXPECT_EQ(sock.TryWriteMsg(waker, m), SockStatus::kOk);
+  EXPECT_EQ(sock.TryWriteMsg(waker, m), SockStatus::kWouldBlock);
   EXPECT_FALSE(sock.CanWrite());
-  sock.TryRead(waker);
+  sock.TryReadMsg(waker, &m);
   EXPECT_TRUE(sock.CanWrite());
 }
 
@@ -88,10 +88,10 @@ TEST(SimSocketTest, StatsTrackOperations) {
   SimSocket sock("s", 1);
   NullWaker waker;
   Message m;
-  sock.TryWrite(waker, m);
-  sock.TryWrite(waker, m);  // Blocked.
-  sock.TryRead(waker);
-  sock.TryRead(waker);  // Blocked.
+  sock.TryWriteMsg(waker, m);
+  sock.TryWriteMsg(waker, m);  // Blocked.
+  sock.TryReadMsg(waker, &m);
+  sock.TryReadMsg(waker, &m);  // Blocked.
   EXPECT_EQ(sock.stats().writes, 1u);
   EXPECT_EQ(sock.stats().write_blocks, 1u);
   EXPECT_EQ(sock.stats().reads, 1u);
@@ -351,7 +351,7 @@ class ProducerBehavior : public TaskBehavior {
     }
     Message m;
     m.id = static_cast<uint64_t>(remaining_);
-    if (!sock_->TryWrite(machine, m)) {
+    if (sock_->TryWriteMsg(machine, m) != SockStatus::kOk) {
       return BlockUntilWritable(UsToCycles(2), *sock_);
     }
     --remaining_;
@@ -371,7 +371,8 @@ class ConsumerBehavior : public TaskBehavior {
     if (received_ == expected_) {
       return Segment::Exit(UsToCycles(1));
     }
-    if (!sock_->TryRead(machine).has_value()) {
+    Message m;
+    if (sock_->TryReadMsg(machine, &m) != SockStatus::kOk) {
       return BlockUntilReadable(UsToCycles(2), *sock_);
     }
     ++received_;
@@ -449,7 +450,8 @@ class TimedReaderBehavior : public TaskBehavior {
     if (ConsumeReadTimeout(task, *sock_)) {
       ++timeouts_seen_;
     }
-    if (sock_->TryRead(machine).has_value()) {
+    Message m;
+    if (sock_->TryReadMsg(machine, &m) == SockStatus::kOk) {
       got_message_ = true;
       return Segment::Exit(UsToCycles(1));
     }
@@ -477,7 +479,7 @@ class LateWriterBehavior : public TaskBehavior {
     }
     Message m;
     m.id = 99;
-    EXPECT_TRUE(sock_->TryWrite(machine, m));
+    EXPECT_EQ(sock_->TryWriteMsg(machine, m), SockStatus::kOk);
     return Segment::Exit(UsToCycles(1));
   }
 
@@ -550,7 +552,7 @@ class GiveUpWriterBehavior : public TaskBehavior {
       }
     }
     Message m;
-    if (sock_->TryWrite(machine, m)) {
+    if (sock_->TryWriteMsg(machine, m) == SockStatus::kOk) {
       return Segment::Exit(UsToCycles(1));
     }
     return BlockUntilWritable(UsToCycles(2), *sock_);
@@ -574,7 +576,7 @@ TEST(SocketTimeoutTest, WriteTimeoutLetsFullQueueWriterGiveUp) {
   SimSocket sock("full", 1);
   sock.set_snd_timeout(MsToCycles(5));
   Message m;
-  ASSERT_TRUE(sock.TryWrite(waker, m));  // Fill the queue; nobody drains it.
+  ASSERT_EQ(sock.TryWriteMsg(waker, m), SockStatus::kOk);  // Fill the queue; nobody drains it.
   GiveUpWriterBehavior writer(&sock);
   TaskParams params;
   params.behavior = &writer;
